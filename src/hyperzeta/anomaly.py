@@ -38,16 +38,24 @@ __all__ = [
     "TableCell",
     "TABLE1_DIMS",
     "TABLE2_DIMS",
+    "MAX_DIMENSION",
 ]
 
 TABLE1_DIMS = tuple(range(2, 15, 2))
 TABLE2_DIMS = tuple(range(2, 11, 2))
 _TABLE2_MAX_FORM = 4
 
+# Largest accepted dimension.  The exact cost grows like n^4 over a table
+# row; at this cap a single (n, p) = (200, 99) anomaly takes well under a
+# second, and larger requests are refused instead of running for hours.
+MAX_DIMENSION = 200
+
 
 def _check_dimension(n: int) -> int:
     if not isinstance(n, int) or n % 2 != 0 or n < 2:
         raise ValueError("odd dimensions out of scope")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension n={n} exceeds the limit MAX_DIMENSION={MAX_DIMENSION}")
     return n
 
 
@@ -180,8 +188,6 @@ def conformal_scalar_anomaly(n: int) -> AnomalyResult:
     regression check (see the specialization test).
     """
     _check_dimension(n)
-    if n > 40:
-        raise ValueError("dimension capped at 40")
     k = n // 2
     coeffs = miatello_coefficients(k, 0)
     breakdown = []
@@ -229,19 +235,23 @@ def generate_table(
     the triangular shape of the p-form table (15 populated cells, the
     rest explicit exclusion markers).  kind 'custom': both lists required.
     """
+    # every dimension is checked before any cell is computed, so an
+    # out-of-range one fails at once rather than after the cells before it
+    if dims:
+        dims = [_check_dimension(int(d)) for d in dims]
     if kind == "scalar_table":
-        use_dims = [int(d) for d in dims] if dims else list(TABLE1_DIMS)
+        use_dims = dims or list(TABLE1_DIMS)
         cells = []
         for n in use_dims:
             cells.append(TableCell(n, 0, conformal_scalar_anomaly(n)))
         return cells
     if kind == "pform_table":
-        use_dims = [int(d) for d in dims] if dims else list(TABLE2_DIMS)
+        use_dims = dims or list(TABLE2_DIMS)
         use_forms = [int(p) for p in forms] if forms else list(range(_TABLE2_MAX_FORM + 1))
     elif kind == "custom":
         if not dims or forms is None:
             raise ValueError("custom tables need explicit dims and forms")
-        use_dims = [int(d) for d in dims]
+        use_dims = dims
         use_forms = [int(p) for p in forms]
     else:
         raise ValueError(f"unknown table kind {kind!r}")

@@ -16,6 +16,7 @@ what lets alternating co-exact sums run over j without special cases.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -379,6 +380,8 @@ def mellin_hyperbolic_quadrature(manifold: ManifoldData, p: int, s: float) -> fl
 # --- identity-sector zeta values ----------------------------------------------
 
 
+# Must cover ell = 0..k-1 at anomaly.MAX_DIMENSION (checked in the tests).
+@functools.lru_cache(maxsize=128)
 def _bern_weight(ell: int) -> Fraction:
     return (1 - Fraction(1, 2 ** (2 * ell + 1))) * bernoulli(2 * (ell + 1))
 
@@ -390,7 +393,12 @@ def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fracti
     weight (-1)^(l+1)/(l+1), and the two-sector bracket: the (p-j)-sector
     coefficients at shift alpha-j plus (p-j)/(n-p) times the (p-j-1)-sector
     coefficients at shift alpha-j-1.  Coefficients of the absent (-1)-sector
-    are zero, so the j = p term loses its second bracket automatically.
+    are zero, so the j = p term has no second bracket.
+
+    Each term is built as one integer numerator over one integer
+    denominator and reduced once: the powers (alpha-j)^(l+1) and
+    (alpha-j-1)^(l+1) are kept over the common denominator of alpha and
+    grown by one factor per l.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("odd dimensions out of scope")
@@ -400,19 +408,33 @@ def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fracti
     if not 0 <= j <= p:
         raise ValueError(f"shift index j={j} outside 0..{p}")
     alpha = Fraction(alpha)
+    d = alpha.denominator
+    x_main = alpha.numerator - j * d  # alpha - j = x_main / d
+    x_side = x_main - d  # alpha - j - 1 = x_side / d
     a_main = miatello_coefficients(k, p - j)
-    a_side = miatello_coefficients(k, p - j - 1)
-    side_weight = Fraction(p - j, n - p)
-    chi = binomial(n - 1, p - j)
-    sign_j = (-1) ** j
+    a_side = miatello_coefficients(k, p - j - 1) if j < p else None
+    side_num, side_den = p - j, n - p  # side_weight = side_num / side_den
+    signed_chi = (-1) ** j * math.comb(n - 1, p - j)
+    pow_d = pow_main = pow_side = 1
     terms = []
     for ell in range(k):
-        w = Fraction((-1) ** (ell + 1), ell + 1)
+        pow_d *= d
+        pow_main *= x_main
+        pow_side *= x_side
         bern = _bern_weight(ell)
-        bracket = a_main[ell] * (bern + (alpha - j) ** (ell + 1)) + a_side[
-            ell
-        ] * side_weight * (bern + (alpha - j - 1) ** (ell + 1))
-        terms.append(sign_j * chi * w * bracket)
+        bn, bd = bern.numerator, bern.denominator
+        main = a_main[ell]
+        # bern + (alpha - j)^(l+1) = (bn d^(l+1) + bd x^(l+1)) / (bd d^(l+1))
+        num = main.numerator * (bn * pow_d + bd * pow_main)
+        den = main.denominator
+        if a_side is not None:
+            side = a_side[ell]
+            num = num * side.denominator * side_den + (
+                den * side_num * side.numerator * (bn * pow_d + bd * pow_side)
+            )
+            den *= side.denominator * side_den
+        num *= signed_chi if ell % 2 else -signed_chi
+        terms.append(Fraction(num, den * bd * pow_d * (ell + 1)))
     return tuple(terms)
 
 

@@ -13,10 +13,17 @@ where P_p is an even polynomial of degree 2(k-1),
 valid for 0 <= p <= k-1 and extended to k <= p <= 2k-1 through the duality
 p <-> 2k-1-p.  The expansion coefficients of P_p in powers of r^2 are the
 only input the anomaly formula needs.
+
+The roots are the half-odd numbers m/2 with m odd in 1..2k-1, except
+m = 2(k-p)-1, so P_p = 4^-(k-1) * prod (4 r^2 + m^2): the product is
+expanded over integers and scaled by 4^-(k-1) once.  Expansions are
+memoised per (k, folded p) in a bounded cache; EvenPolynomial and its
+multiplication stay available but are not used to expand P_p.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,26 +105,34 @@ def _fold_form_degree(k: int, p: int) -> int:
     return p if p <= k - 1 else 2 * k - 1 - p
 
 
-def plancherel_polynomial(k: int, p: int) -> EvenPolynomial:
-    """Even polynomial P_p(r) of the p-form Plancherel density on H^(2k).
-
-    Monic in r^2 with strictly positive coefficients; both properties are
-    enforced after expansion because downstream sign bookkeeping relies on
-    them.
-    """
-    p = _fold_form_degree(k, p)
-    poly = EvenPolynomial.one()
-    for ell in range(2, p + 2):
-        root = Fraction(2 * (k - ell) + 3, 2)  # k - ell + 3/2
-        poly = poly * EvenPolynomial((root * root, Fraction(1)))
-    for ell in range(p + 2, k + 1):
-        root = Fraction(2 * (k - ell) + 1, 2)  # k - ell + 1/2
-        poly = poly * EvenPolynomial((root * root, Fraction(1)))
+# Must hold the k sectors of one table row at anomaly.MAX_DIMENSION, so a
+# row expands each sector once (checked in the tests).
+@functools.lru_cache(maxsize=128)
+def _expand(k: int, p: int) -> EvenPolynomial:
+    # p is already folded; see the module docstring for the integer product
+    ints = [1]
+    for m in range(1, 2 * k, 2):
+        if m == 2 * (k - p) - 1:
+            continue
+        m2 = m * m
+        ints = [m2 * lo + 4 * hi for lo, hi in zip(ints + [0], [0] + ints)]
+    scale = 4 ** (k - 1)
+    poly = EvenPolynomial(tuple(Fraction(c, scale) for c in ints))
     if not poly.is_monic() or any(c <= 0 for c in poly.coefficients):
         raise RuntimeError(f"Plancherel polynomial invariant violated for k={k}, p={p}")
     if poly.degree_in_r2 != k - 1:
         raise RuntimeError(f"Plancherel polynomial degree {poly.degree_in_r2} != {k - 1}")
     return poly
+
+
+def plancherel_polynomial(k: int, p: int) -> EvenPolynomial:
+    """Even polynomial P_p(r) of the p-form Plancherel density on H^(2k).
+
+    Monic in r^2 with strictly positive coefficients; both properties are
+    enforced after expansion because downstream sign bookkeeping relies on
+    them.  Expansions are memoised per (k, folded p).
+    """
+    return _expand(k, _fold_form_degree(k, p))
 
 
 def miatello_coefficients(k: int, p: int) -> tuple[Rational, ...]:

@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from hyperzeta.anomaly import (
+    MAX_DIMENSION,
     TABLE1_DIMS,
     AnomalySpec,
     alpha_conformal_scalar,
@@ -17,6 +18,8 @@ from hyperzeta.anomaly import (
     generate_table,
 )
 from hyperzeta.exact import PiValue
+from hyperzeta.heat_zeta import _bern_weight
+from hyperzeta.plancherel import _expand
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,21 @@ class TestAnomalySpec:
         with pytest.raises(ValueError):
             AnomalySpec(dimension=5, form_order=0, alpha=Fraction(1))
 
+    def test_dimension_cap(self):
+        over = MAX_DIMENSION + 2
+        with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
+            AnomalySpec(dimension=over, form_order=0, alpha=Fraction(1))
+        with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
+            conformal_scalar_anomaly(over)
+        with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
+            generate_table("custom", dims=[4, over], forms=[0])
+        AnomalySpec(dimension=44, form_order=21, alpha=alpha_default(44, 21))
+
+    def test_memos_hold_a_table_row_at_the_cap(self):
+        # a row at the cap touches k = MAX_DIMENSION/2 sectors and Bernoulli weights
+        assert _expand.cache_info().maxsize >= MAX_DIMENSION // 2
+        assert _bern_weight.cache_info().maxsize >= MAX_DIMENSION // 2
+
 
 class TestGoldenTables:
     def test_table2_exact_equality(self, golden):
@@ -96,7 +114,7 @@ class TestGoldenTables:
 
 class TestSpecialization:
     def test_scalar_equals_pform_at_quarter(self):
-        for n in TABLE1_DIMS:
+        for n in (*TABLE1_DIMS, 44):
             direct = conformal_scalar_anomaly(n).value
             spec = AnomalySpec(dimension=n, form_order=0, alpha=Fraction(1, 4))
             assert direct == conformal_anomaly(spec).value, n

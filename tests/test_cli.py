@@ -2,9 +2,11 @@
 
 import json
 import subprocess
+import sys
 
 import pytest
 
+from hyperzeta.anomaly import MAX_DIMENSION
 from hyperzeta.cli import main
 
 
@@ -31,6 +33,18 @@ class TestAnomaly:
         code, out, _ = run_cli(capsys, "anomaly", "--dim", "2", "--form", "0")
         assert code == 0
         assert out.strip() == "-1/12 * pi^-1 = -0.0265258"
+
+    def test_dimension_cap_exit_2(self, capsys):
+        over = str(MAX_DIMENSION + 2)
+        for argv in (
+            ("anomaly", "--dim", over, "--form", str(MAX_DIMENSION // 2)),
+            ("table", "--which", "custom", "--dims", "44", over, "--forms", "0"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert f"MAX_DIMENSION={MAX_DIMENSION}" in err
+        code, out, _ = run_cli(capsys, "anomaly", "--dim", "44", "--form", "21")
+        assert code == 0 and "pi^-22" in out
 
     def test_conformal_scalar_mode(self, capsys):
         code, out, _ = run_cli(
@@ -116,7 +130,8 @@ class TestTable:
     def test_csv_byte_stable_across_processes(self):
         runs = [
             subprocess.run(
-                ["hyperzeta", "table", "--which", "table2", "--format", "csv"],
+                [sys.executable, "-m", "hyperzeta", "table", "--which", "table2",
+                 "--format", "csv"],
                 capture_output=True,
             ).stdout
             for _ in range(2)
