@@ -2,7 +2,8 @@
 
 Subcommands: anomaly, table, plancherel, heat-trace, zeta-check,
 synth-spectrum, verify.  Exit codes: 0 success, 1 verification failure,
-2 usage error.  HYPERZETA_PRECISION overrides the float display digits
+2 usage error (bad flags or files, or an input on which a quadrature does
+not converge).  HYPERZETA_PRECISION overrides the float display digits
 (default 6).  Exact output is a pure function of the flags; nothing
 here reads the locale, the clock, or anything else ambient.
 """
@@ -218,18 +219,16 @@ def cmd_plancherel(args: argparse.Namespace, digits: int) -> int:
 
 def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
     data = manifold.load_manifold(args.manifold)
-    rows = []
-    for t in args.t:
-        if t <= 0:
-            return _usage_fail("heat times must be positive")
-        br = heat_zeta.coexact_trace(data, args.form, t)
-        rows.append(tuple(
-            f"{x:.{digits}g}"
-            for x in (t, br.identity_part, br.hyperbolic_part, br.betti_part, br.total)
-        ))
+    # coexact_trace checks every t before it computes anything (ValueError)
     table = OutputTable(
         headers=("t", "identity", "hyperbolic", "betti", "total"),
-        rows=tuple(rows),
+        rows=tuple(
+            tuple(
+                f"{x:.{digits}g}"
+                for x in (br.t, br.identity_part, br.hyperbolic_part, br.betti_part, br.total)
+            )
+            for br in heat_zeta.coexact_trace(data, args.form, args.t)
+        ),
         format=args.format,
     )
     sys.stdout.write(table.render())
@@ -237,6 +236,9 @@ def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
 
 
 def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
+    for s in args.s:
+        if not math.isfinite(s):
+            return _usage_fail(f"--s must be finite, got {s!r}")
     data = manifold.load_manifold(args.manifold)
     p = args.form
     failed = False
@@ -299,6 +301,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, digits)
     except manifold.ManifoldFormatError as exc:
         return _usage_fail(f"bad manifold file: {exc}")
+    except heat_zeta.QuadratureError as exc:
+        return _usage_fail(str(exc))
     except OSError as exc:
         return _usage_fail(str(exc))
     except ValueError as exc:

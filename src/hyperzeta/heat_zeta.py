@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import _kernels
 from ._kernels import fallback as _py_kernels
@@ -77,6 +77,11 @@ def _plancherel_norm(k: int) -> float:
     return math.pi / (2.0 ** (4 * k - 4) * math.factorial(k - 1) ** 2)
 
 
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"heat time t must be positive and finite, got {t!r}")
+
+
 # --- identity sector ---------------------------------------------------------
 
 
@@ -87,8 +92,7 @@ def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     computed as twice the half-line integral (the integrand is even).
     p = -1 returns 0 by convention.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     n = manifold.dimension
     if p == -1:
         return 0.0
@@ -201,6 +205,15 @@ def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
     return lengths, amps
 
 
+def _hyperbolic_sum(lengths: list, amps: list, shift: float, t: float) -> float:
+    # the one expression for the geodesic sum of a sector: hyperbolic_heat_term
+    # and coexact_trace both call it, so they agree to the bit
+    vals = [
+        a * math.exp(-t * shift - l * l / (4.0 * t)) for l, a in zip(lengths, amps)
+    ]
+    return _pairwise(vals) / math.sqrt(4.0 * math.pi * t)
+
+
 def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     """Hyperbolic orbital sum of the p-sector at heat time t.
 
@@ -209,8 +222,7 @@ def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     tree over the length-sorted spectrum, so results are reproducible to
     the bit for a given manifold.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     n = manifold.dimension
     if p == -1:
         return 0.0
@@ -219,12 +231,8 @@ def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     if not manifold.geodesics:
         warnings.warn("hyperbolic term over empty spectrum is 0", EmptySpectrumWarning)
         return 0.0
-    shift = float(p + _rho0_sq(n))
     lengths, amps = _geodesic_amplitudes(manifold, p)
-    vals = [
-        a * math.exp(-t * shift - l * l / (4.0 * t)) for l, a in zip(lengths, amps)
-    ]
-    return _pairwise(vals) / math.sqrt(4.0 * math.pi * t)
+    return _hyperbolic_sum(lengths, amps, float(p + _rho0_sq(n)), t)
 
 
 def hyperbolic_tail_bound(manifold: ManifoldData, p: int, t: float) -> float:
@@ -235,8 +243,7 @@ def hyperbolic_tail_bound(manifold: ManifoldData, p: int, t: float) -> float:
     it is an indicator, not a rigorous bound, since bounding the unseen
     spectrum needs growth assumptions the data file cannot supply.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_time(t)
     t_max = manifold.max_length
     if t_max is None:
         return 0.0
@@ -264,35 +271,55 @@ class HeatTraceBreakdown:
         return self.identity_part + self.hyperbolic_part - self.betti_part
 
 
-def coexact_trace(manifold: ManifoldData, p: int, t: float) -> HeatTraceBreakdown:
-    """Heat trace of the Laplacian restricted to co-exact p-forms.
+def coexact_trace(
+    manifold: ManifoldData, p: int, times: Sequence[float]
+) -> list[HeatTraceBreakdown]:
+    """Heat trace of the Laplacian restricted to co-exact p-forms, at each t.
 
     Alternating assembly over j = 0..p of the (p-j)- and (p-j-1)-sector
     orbital terms with the Betti number b_{p-j} subtracted; the j-sum
     telescopes so that e.g. p=1 reduces to I1 + H1 - b1 + b0.
+
+    Returns one breakdown per entry of ``times``, in order.  Every t is
+    checked before any quadrature runs.  The geodesic amplitudes depend
+    on the sector, not on t, so each sector's table is built once per
+    call and shared by all t; each sector term is then evaluated once per
+    t.  The values are bit-identical to assembling identity_heat_term and
+    hyperbolic_heat_term sector by sector.
     """
     n = manifold.dimension
     if not 0 <= p <= n - 1:
         raise ValueError(f"form order p={p} outside 0..{n - 1}")
     if len(manifold.betti) <= p:
         raise ValueError("betti numbers b_0..b_p required")
-    identity = 0.0
-    hyperbolic = 0.0
-    betti = 0.0
-    for j in range(p + 1):
-        sign = -1.0 if j % 2 else 1.0
-        identity += sign * (
-            identity_heat_term(manifold, p - j, t)
-            + identity_heat_term(manifold, p - j - 1, t)
-        )
-        hyperbolic += sign * (
-            hyperbolic_heat_term(manifold, p - j, t)
-            + hyperbolic_heat_term(manifold, p - j - 1, t)
-        )
-        betti += sign * manifold.betti[p - j]
-    return HeatTraceBreakdown(
-        t=t, identity_part=identity, hyperbolic_part=hyperbolic, betti_part=betti
-    )
+    times = list(times)
+    for t in times:
+        _check_time(t)
+    if not manifold.geodesics:
+        warnings.warn("hyperbolic term over empty spectrum is 0", EmptySpectrumWarning)
+    shifts = [float(q + _rho0_sq(n)) for q in range(p + 1)]
+    # the lengths are the same in every sector: keep one list of them
+    lengths, amps0 = _geodesic_amplitudes(manifold, 0)
+    amps = [amps0] + [_geodesic_amplitudes(manifold, q)[1] for q in range(1, p + 1)]
+    out = []
+    for t in times:
+        # index -1 is the (-1)-sector, identically zero
+        ident = [identity_heat_term(manifold, q, t) for q in range(p + 1)] + [0.0]
+        hyper = [
+            _hyperbolic_sum(lengths, amps[q], shifts[q], t) for q in range(p + 1)
+        ] + [0.0]
+        identity = 0.0
+        hyperbolic = 0.0
+        betti = 0.0
+        for j in range(p + 1):
+            sign = -1.0 if j % 2 else 1.0
+            identity += sign * (ident[p - j] + ident[p - j - 1])
+            hyperbolic += sign * (hyper[p - j] + hyper[p - j - 1])
+            betti += sign * manifold.betti[p - j]
+        out.append(HeatTraceBreakdown(
+            t=t, identity_part=identity, hyperbolic_part=hyperbolic, betti_part=betti
+        ))
+    return out
 
 
 # --- Bessel-K and the Mellin route -------------------------------------------

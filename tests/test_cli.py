@@ -251,6 +251,43 @@ class TestHeatTrace:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_t_exit_2(self, capsys, manifold_file, bad):
+        code, out, err = run_cli(
+            capsys, "heat-trace", "--manifold", str(manifold_file),
+            "--form", "0", "--t", bad,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: heat time t ")
+
+    def test_bad_t_after_good_computes_nothing(self, capsys, manifold_file, monkeypatch):
+        from hyperzeta import heat_zeta
+
+        calls = []
+        monkeypatch.setattr(
+            heat_zeta, "identity_heat_term", lambda *a: calls.append(a) or 1.0
+        )
+        code, out, err = run_cli(
+            capsys, "heat-trace", "--manifold", str(manifold_file),
+            "--form", "0", "--t", "1.0", "0.5", "0",
+        )
+        assert code == 2
+        assert calls == []
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: heat time t ")
+
+    def test_quadrature_failure_exit_2(self, capsys, manifold_file):
+        # t = 1e-300 passes the input check but no quadrature level converges
+        code, out, err = run_cli(
+            capsys, "heat-trace", "--manifold", str(manifold_file),
+            "--form", "0", "--t", "1e-300",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "did not converge" in err
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "heat-trace", "--manifold", str(tmp_path / "nope.json"),
@@ -284,6 +321,16 @@ class TestZetaCheck:
         )
         assert code == 1
         assert "MISMATCH" in out
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_nonfinite_s_exit_2(self, capsys, manifold_file, bad):
+        code, out, err = run_cli(
+            capsys, "zeta-check", "--manifold", str(manifold_file),
+            "--form", "0", "--s", "0.5", bad,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --s ")
 
 
 class TestSynthSpectrum:

@@ -159,7 +159,7 @@ class TestHyperbolicHeatTerm:
 
 class TestCoexactTrace:
     def test_p0_assembly(self, flat_spectrum_2d):
-        br = coexact_trace(flat_spectrum_2d, 0, 1.0)
+        (br,) = coexact_trace(flat_spectrum_2d, 0, [1.0])
         i0 = identity_heat_term(flat_spectrum_2d, 0, 1.0)
         h0 = hyperbolic_heat_term(flat_spectrum_2d, 0, 1.0)
         assert math.isclose(br.identity_part, i0, rel_tol=1e-15)
@@ -169,7 +169,7 @@ class TestCoexactTrace:
 
     def test_p1_telescoping(self, small_spectrum):
         t = 0.9
-        br = coexact_trace(small_spectrum, 1, t)
+        (br,) = coexact_trace(small_spectrum, 1, [t])
         i1 = identity_heat_term(small_spectrum, 1, t)
         i0 = identity_heat_term(small_spectrum, 0, t)
         h1 = hyperbolic_heat_term(small_spectrum, 1, t)
@@ -184,15 +184,61 @@ class TestCoexactTrace:
         data = ManifoldData(dimension=4, volume=1.0, betti=(0, 0, 0, 0, 0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptySpectrumWarning)
-            br = coexact_trace(data, 1, 1.0)
+            (br,) = coexact_trace(data, 1, [1.0])
             assert br.hyperbolic_part == 0.0
             assert br.betti_part == 0.0
             assert br.total == br.identity_part
 
     def test_breakdown_type(self, small_spectrum):
-        br = coexact_trace(small_spectrum, 0, 1.0)
+        (br,) = coexact_trace(small_spectrum, 0, [1.0])
         assert isinstance(br, HeatTraceBreakdown)
         assert br.t == 1.0
+
+    def test_keeps_order_and_duplicates(self, small_spectrum):
+        times = (2.0, 0.3, 2.0, 1.0, 0.3)
+        got = coexact_trace(small_spectrum, 2, times)
+        assert [br.t for br in got] == list(times)
+        assert got[0] == got[2] and got[1] == got[4]
+        assert got[0] != got[1]
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_equals_per_sector_assembly(self, small_spectrum, p):
+        # the batched call must reproduce, to the bit, the j-loop over the
+        # scalar sector terms (the (-1)-sector terms are 0.0)
+        times = (0.05, 0.7, 2.5)
+        for t, br in zip(times, coexact_trace(small_spectrum, p, times)):
+            identity = hyperbolic = betti = 0.0
+            for j in range(p + 1):
+                sign = -1.0 if j % 2 else 1.0
+                identity += sign * (
+                    identity_heat_term(small_spectrum, p - j, t)
+                    + identity_heat_term(small_spectrum, p - j - 1, t)
+                )
+                hyperbolic += sign * (
+                    hyperbolic_heat_term(small_spectrum, p - j, t)
+                    + hyperbolic_heat_term(small_spectrum, p - j - 1, t)
+                )
+                betti += sign * small_spectrum.betti[p - j]
+            assert br == HeatTraceBreakdown(t, identity, hyperbolic, betti), (p, t)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_time_rejected_before_quadrature(self, small_spectrum, monkeypatch, bad):
+        import hyperzeta.heat_zeta as hz
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran before the times were checked")
+
+        monkeypatch.setattr(hz._kernels, "plancherel_integral", no_quadrature)
+        with pytest.raises(ValueError, match="heat time"):
+            coexact_trace(small_spectrum, 1, [1.0, 0.5, bad])
+
+    def test_empty_spectrum_warns_once_per_call(self):
+        data = ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = coexact_trace(data, 3, [0.5, 1.0, 2.0])
+        assert [w.category for w in caught] == [EmptySpectrumWarning]
+        assert all(br.hyperbolic_part == 0.0 for br in got)
 
 
 class TestBesselK:
