@@ -239,6 +239,8 @@ def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
     for s in args.s:
         if not math.isfinite(s):
             return _usage_fail(f"--s must be finite, got {s!r}")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        return _usage_fail(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
     data = manifold.load_manifold(args.manifold)
     p = args.form
     failed = False

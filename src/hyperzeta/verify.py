@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+import mpmath
+
 from . import heat_zeta, manifold
 from .anomaly import (
     TABLE1_DIMS,
@@ -32,10 +34,12 @@ from .exact import PiValue
 
 __all__ = [
     "CheckResult",
+    "TanhPair",
     "VerificationError",
     "run_verification",
     "load_golden",
     "float_matches_published",
+    "tanh_series_pairs",
 ]
 
 
@@ -151,31 +155,96 @@ def _check_moment_bridge() -> CheckResult:
     return CheckResult("moment-bridge", True, f"worst rel diff {worst:.3e}")
 
 
-def _check_tanh_series() -> CheckResult:
-    import mpmath
+# The tanh-series comparison: every t pairs with ell = 0..3.
+TANH_TIMES = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5))
+TANH_ELLS = range(4)
+# Digits carried beyond the widest value/bound ratio at one t.
+TANH_GUARD_DIGITS = 15
+# Largest quadrature error estimate accepted, as a fraction of the bound.
+QUAD_ERROR_GATE = 1e-6
 
-    worst_margin = float("inf")
-    with mpmath.workdps(130):
-        for ell in range(4):
-            for t in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)):
-                val, omitted, _ = heat_zeta.tanh_moment_series_exact(ell, t)
-                tm = mpmath.mpf(t.numerator) / t.denominator
-                quad = mpmath.quad(
-                    lambda r: r ** (2 * ell + 1)
-                    * mpmath.exp(-tm * r * r)
-                    * mpmath.tanh(mpmath.pi * r),
-                    [0, 8, mpmath.inf],
-                ) * 2
-                err = abs(quad - mpmath.mpf(val.numerator) / val.denominator)
-                bound = abs(mpmath.mpf(omitted.numerator) / omitted.denominator)
-                if err > bound:
-                    return CheckResult(
-                        "tanh-series", False,
-                        f"ell={ell} t={t}: err {mpmath.nstr(err, 3)} > bound {mpmath.nstr(bound, 3)}",
-                    )
-                if bound > 0:
-                    worst_margin = min(worst_margin, float(err / bound))
-    return CheckResult("tanh-series", True, f"series within first-omitted bound, worst err/bound {worst_margin:.2e}")
+
+@dataclass(frozen=True)
+class TanhPair:
+    """One (ell, t) comparison of the tanh-moment series with quadrature.
+
+    ``quad`` is the integral over R by ``mpmath.quad``; ``err`` is its
+    distance from the truncated series, ``bound`` the series' first omitted
+    term, ``quad_error`` the quadrature's own error estimate and ``dps``
+    the working precision, all at that precision.
+    """
+
+    ell: int
+    t: Fraction
+    quad: mpmath.mpf
+    err: mpmath.mpf
+    bound: mpmath.mpf
+    quad_error: mpmath.mpf
+    dps: int
+
+
+def tanh_series_pairs(t: Fraction) -> list[TanhPair]:
+    """Compare the exact tanh-moment series at t with quadrature, ell = 0..3.
+
+    The working precision is the digit count of the largest
+    |series value| / bound over the four ell, plus TANH_GUARD_DIGITS, so
+    the quadrature resolves every bound with digits to spare.  The four
+    integrands differ only by r^(2 ell + 1), so e^(-t r^2) tanh(pi r) is
+    evaluated once per quadrature node and shared by the four quadratures.
+    """
+
+    def mpf(q: Fraction) -> mpmath.mpf:
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    series = [heat_zeta.tanh_moment_series_exact(ell, t) for ell in TANH_ELLS]
+    ratio = max(abs(value) / omitted for value, omitted, _ in series)
+    dps = len(str(int(ratio))) + TANH_GUARD_DIGITS
+    pairs = []
+    with mpmath.workdps(dps):
+        tm = mpf(t)
+        weights = {}
+
+        def weight(r):
+            # e^(-t r^2) tanh(pi r) at this node, shared by the four ell
+            w = weights.get(r)
+            if w is None:
+                w = weights[r] = mpmath.exp(-tm * r * r) * mpmath.tanh(mpmath.pi * r)
+            return w
+
+        for ell, (value, omitted, _) in zip(TANH_ELLS, series):
+            power = 2 * ell + 1
+            half, half_error = mpmath.quad(
+                lambda r: r ** power * weight(r), [0, 8, mpmath.inf], error=True
+            )
+            quad = 2 * half
+            pairs.append(TanhPair(
+                ell, t, quad, abs(quad - mpf(value)), mpf(omitted), 2 * half_error, dps,
+            ))
+    return pairs
+
+
+def _check_tanh_series() -> CheckResult:
+    by_time = [tanh_series_pairs(t) for t in TANH_TIMES]
+    pairs = [pair for at_t in by_time for pair in at_t]
+    for pair in pairs:
+        label = f"ell={pair.ell} t={pair.t}"
+        if pair.err > pair.bound:
+            return CheckResult(
+                "tanh-series", False,
+                f"{label}: err {mpmath.nstr(pair.err, 3)} > bound {mpmath.nstr(pair.bound, 3)}",
+            )
+        if pair.quad_error > QUAD_ERROR_GATE * pair.bound:
+            return CheckResult(
+                "tanh-series", False,
+                f"{label}: quadrature error estimate {mpmath.nstr(pair.quad_error, 3)}"
+                f" > {QUAD_ERROR_GATE:g} x bound {mpmath.nstr(pair.bound, 3)}",
+            )
+    worst = max(float(pair.err / pair.bound) for pair in pairs)
+    dps = "/".join(str(at_t[0].dps) for at_t in by_time)
+    return CheckResult(
+        "tanh-series", True,
+        f"series within first-omitted bound, worst err/bound {worst:.2e}, dps {dps}",
+    )
 
 
 def _verification_spectrum() -> manifold.ManifoldData:

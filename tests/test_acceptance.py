@@ -11,8 +11,6 @@ import re
 import time
 from fractions import Fraction
 
-import mpmath
-
 from hyperzeta import (
     AnomalySpec,
     GeodesicClass,
@@ -27,7 +25,12 @@ from hyperzeta import (
     plancherel_polynomial,
     synth_spectrum,
 )
-from hyperzeta.verify import float_matches_published, load_golden
+from hyperzeta.verify import (
+    QUAD_ERROR_GATE,
+    float_matches_published,
+    load_golden,
+    tanh_series_pairs,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -94,23 +97,17 @@ def test_criterion_4_tanh_series_vs_quadrature(criterion):
     start = time.perf_counter()
     failures = []
     worst = 0.0
-    with mpmath.workdps(130):
-        for ell in range(4):
-            for t in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5)):
-                val, omitted, _ = heat_zeta.tanh_moment_series_exact(ell, t)
-                tm = mpmath.mpf(t.numerator) / t.denominator
-                quad = 2 * mpmath.quad(
-                    lambda r: r ** (2 * ell + 1)
-                    * mpmath.exp(-tm * r * r)
-                    * mpmath.tanh(mpmath.pi * r),
-                    [0, 8, mpmath.inf],
-                )
-                err = abs(quad - mpmath.mpf(val.numerator) / val.denominator)
-                bound = abs(mpmath.mpf(omitted.numerator) / omitted.denominator)
-                if err > bound:
-                    failures.append(f"ell={ell} t={t}")
-                elif bound > 0:
-                    worst = max(worst, float(err / bound))
+    pairs = [
+        pair
+        for t in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5))
+        for pair in tanh_series_pairs(t)
+    ]
+    assert [pair.ell for pair in pairs] == [0, 1, 2, 3] * 3
+    for pair in pairs:
+        if pair.err > pair.bound or pair.quad_error > QUAD_ERROR_GATE * pair.bound:
+            failures.append(f"ell={pair.ell} t={pair.t}")
+        else:
+            worst = max(worst, float(pair.err / pair.bound))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 10.0
     criterion(4, "divergent tanh-moment series within first-omitted bound", ok,

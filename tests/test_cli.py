@@ -332,6 +332,16 @@ class TestZetaCheck:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: --s ")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exit_2(self, capsys, manifold_file, bad):
+        code, out, err = run_cli(
+            capsys, "zeta-check", "--manifold", str(manifold_file),
+            "--form", "0", "--s", "0.5", "--tolerance", bad,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: --tolerance ")
+
 
 class TestSynthSpectrum:
     def test_stdout_document(self, capsys):
@@ -373,6 +383,13 @@ class TestVerify:
         assert code == 0
         assert "golden-table2" in out
         assert "FAIL" not in out
+
+    def test_full_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify")
+        *checks, summary = out.splitlines()
+        assert code == 0
+        assert len(checks) == 8 and all(line.startswith("PASS ") for line in checks)
+        assert summary.endswith("8/8 checks passed")
 
     def test_corrupted_golden_named_failure(self, capsys, tmp_path):
         bad = tmp_path / "golden.json"

@@ -1,0 +1,60 @@
+"""The tanh-series self-check: its precision rule and its failure modes."""
+
+from fractions import Fraction
+
+import mpmath
+
+from hyperzeta import heat_zeta, verify
+
+
+def test_chosen_precision_matches_130_digits():
+    pair = verify.tanh_series_pairs(Fraction(1, 20))[0]
+    assert (pair.ell, pair.t, pair.dps) == (0, Fraction(1, 20), 101)
+    with mpmath.workdps(130):
+        reference = 2 * mpmath.quad(
+            lambda r: r * mpmath.exp(-r * r / 20) * mpmath.tanh(mpmath.pi * r),
+            [0, 8, mpmath.inf],
+        )
+        assert abs(pair.quad - reference) <= 1e-6 * pair.bound
+
+
+def test_series_off_by_twice_the_bound_fails(monkeypatch):
+    exact = heat_zeta.tanh_moment_series_exact
+
+    def shifted(ell, t, order=None):
+        value, omitted, used = exact(ell, t, order)
+        if (ell, t) == (2, Fraction(1, 10)):
+            value += 2 * omitted
+        return value, omitted, used
+
+    monkeypatch.setattr(heat_zeta, "tanh_moment_series_exact", shifted)
+    result = verify._check_tanh_series()
+    assert not result.passed
+    assert result.detail.startswith("ell=2 t=1/10: err ")
+
+
+def test_quadrature_error_estimate_over_gate_fails(monkeypatch):
+    quad = mpmath.quad
+
+    def unsure(*args, **kwargs):
+        value, _ = quad(*args, **kwargs)
+        return value, abs(value)
+
+    monkeypatch.setattr(mpmath, "quad", unsure)
+    result = verify._check_tanh_series()
+    assert not result.passed
+    assert result.detail.startswith("ell=0 t=1/20: quadrature error estimate ")
+
+
+def test_reports_largest_margin_and_precision_per_t(monkeypatch):
+    def pairs(t):
+        return [
+            verify.TanhPair(ell, t, mpmath.mpf(0), mpmath.mpf(ell) / 10, mpmath.mpf(1),
+                            mpmath.mpf(0), t.denominator)
+            for ell in verify.TANH_ELLS
+        ]
+
+    monkeypatch.setattr(verify, "tanh_series_pairs", pairs)
+    result = verify._check_tanh_series()
+    assert result.passed
+    assert result.detail.endswith("worst err/bound 3.00e-01, dps 20/10/5")
