@@ -325,21 +325,47 @@ def coexact_trace(
 # --- Bessel-K and the Mellin route -------------------------------------------
 
 
+def _scaled_bessel_k(mu: float, z: float, pair: bool) -> tuple[float, float]:
+    # e^z K_mu(z) and, if pair, e^z K_(mu+1)(z), for |mu| <= 1/2, by the
+    # trapezoid rule on e^z K_nu(z) = int_0^inf e^(-z(cosh u - 1)) cosh(nu u) du.
+    # The integrand is analytic in |Im u| < pi/2, so the error of step h
+    # falls like e^(-pi^2/h) (Trefethen & Weideman, SIAM Rev. 56 (2014));
+    # h <= 0.7/sqrt(z) resolves the e^(-z u^2/2) peak for large z.  The
+    # exponent z(cosh u - 1) - nu u is convex and starts at 0, so once it
+    # passes 40 every later node is below e^-40 of the u = 0 node.
+    h = min(0.25, 0.7 / math.sqrt(z))
+    top = abs(mu) + 1.0 if pair else abs(mu)
+    k0 = k1 = 0.5  # the halved u = 0 node
+    j = 1
+    while True:
+        u = j * h
+        half_sinh = math.sinh(0.5 * u)
+        x = 2.0 * z * half_sinh * half_sinh  # z(cosh u - 1) without cancellation
+        if x - top * u > 40.0:
+            break
+        w = math.exp(-x)
+        k0 += w * math.cosh(mu * u)
+        if pair:
+            k1 += w * math.cosh((mu + 1.0) * u)
+        j += 1
+    return h * k0, h * k1
+
+
 def bessel_k(order: float, z: float) -> float:
     """Modified Bessel function of the second kind, K_order(z), z > 0.
 
-    Half-integer orders use the finite closed form (after folding the
-    order's sign, K being even in its order); everything else goes through
-    adaptive quadrature of the integral representation
-
-        K_nu(z) = 2^(-nu-1) z^nu * integral_0^inf t^(-nu-1) e^(-t - z^2/(4t)) dt,
-
-    which is valid for all real nu and accurate here to ~1e-12 relative.
+    K is even in its order, so the sign of the order is folded first.
+    Half-integer orders use the finite closed form.  Orders up to 1/2 are
+    the trapezoid rule on K_nu(z) = int_0^inf e^(-z cosh u) cosh(nu u) du
+    (DLMF 10.32.9); larger orders start from mu = nu - round(nu) and mu + 1
+    and recur upward with K_(m+1) = K_(m-1) + (2m/z) K_m, which is stable
+    for K.  Accurate to about 1e-13 relative for z in [1e-3, 700] and
+    orders up to 20.
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
-    nu = float(order)
-    half = abs(nu) - 0.5
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"z must be positive and finite, got {z!r}")
+    nu = abs(float(order))
+    half = nu - 0.5
     if half == int(half) and half >= 0:
         m = int(half)
         acc = 0.0
@@ -350,10 +376,14 @@ def bessel_k(order: float, z: float) -> float:
                 / (2.0 * z) ** i
             )
         return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * acc
-    value, delta, _, ok = _kernels.bessel_k_integral(nu, float(z))
-    if not ok:
-        raise QuadratureError(f"Bessel K_({nu})({z}) did not converge", delta)
-    return 2.0 ** (-nu - 1.0) * z**nu * value
+    if nu <= 0.5:
+        return math.exp(-z) * _scaled_bessel_k(nu, z, False)[0]
+    m = round(nu)
+    mu = nu - m
+    prev, cur = _scaled_bessel_k(mu, z, True)
+    for i in range(1, m):
+        prev, cur = cur, prev + 2.0 * (mu + i) / z * cur
+    return math.exp(-z) * cur
 
 
 def mellin_hyperbolic(manifold: ManifoldData, p: int, s: float) -> float:

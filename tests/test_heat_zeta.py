@@ -5,11 +5,13 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
 
+from hyperzeta import heat_zeta
 from hyperzeta.heat_zeta import (
     EmptySpectrumWarning,
     HeatTraceBreakdown,
@@ -29,7 +31,7 @@ from hyperzeta.heat_zeta import (
     zeta_moment_continued,
     zeta_moment_sum,
 )
-from hyperzeta.manifold import GeodesicClass, ManifoldData
+from hyperzeta.manifold import GeodesicClass, ManifoldData, synth_spectrum
 from hyperzeta.plancherel import plancherel_density
 
 
@@ -268,6 +270,18 @@ class TestBesselK:
         with pytest.raises(ValueError):
             bessel_k(0.5, 0.0)
 
+    def test_against_mpmath_grid(self):
+        # large z is where a quadrature that misses the peak goes wrong
+        bad = []
+        with mpmath.workdps(30):
+            for nu in (0.0, 0.2, -0.2, 0.49, -0.49, 0.5, -0.5, 1.0, 1.5, 2.3, -5.7, 6.0, 12.4):
+                for z in (1e-3, 0.2, 1.0, 7.0, 30.0, 60.0, 100.0, 300.0, 700.0):
+                    want = mpmath.besselk(nu, z)
+                    rel = abs((bessel_k(nu, z) - want) / want)
+                    if rel > 1e-12:
+                        bad.append((nu, z, float(rel)))
+        assert not bad
+
 
 class TestMellinHyperbolic:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
@@ -292,6 +306,25 @@ class TestMellinHyperbolic:
         k_half = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
         want = 0.5 / math.sqrt(math.pi) * (2.0 * z) ** 0.5 * k_half
         assert math.isclose(got, want, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("s", [0.3, 0.5])
+    def test_high_dimension_against_mpmath(self, s):
+        # n = 20 with lengths from 4: Bessel arguments up to about 130
+        geos = synth_spectrum(seed=5, count=20, min_length=4.0, max_power=1, n=20)
+        data = ManifoldData(
+            dimension=20, volume=1.0, betti=(1,) + (0,) * 19 + (1,), geodesics=tuple(geos)
+        )
+        lengths, amps = heat_zeta._geodesic_amplitudes(data, 0)
+        nu = 0.5 - s
+        with mpmath.workdps(30):
+            sqrt_alpha = mpmath.mpf(19) / 2
+            want = mpmath.fsum(
+                a / mpmath.sqrt(mpmath.pi) * (2 * sqrt_alpha / l) ** nu
+                * mpmath.besselk(nu, l * sqrt_alpha)
+                for l, a in zip(lengths, amps)
+            )
+            got = mellin_hyperbolic(data, 0, s)
+            assert abs((got - want) / want) <= 1e-12
 
     def test_linear_vanishing_toward_s_zero(self, small_spectrum):
         f = {
