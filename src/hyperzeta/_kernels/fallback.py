@@ -147,9 +147,10 @@ def mellin_time_integral(
     """integral_0^inf t^(s-1) t^(-1/2) sum_i amps[i] e^(-alpha t - lengths[i]^2/(4t)) dt.
 
     Under t = e^u both tails decay doubly exponentially (alpha > 0 on the
-    right, the shortest length on the left).  The per-node geodesic sum
-    runs left to right in the supplied order; callers keep that order
-    fixed for determinism.
+    right, the shortest length on the left).  The lengths must be
+    nonnegative and ascending, as ManifoldData keeps them: the exponent of
+    a node's geodesic terms then falls along the sum, which stops at the
+    first term that would underflow.
     """
     ls = [float(x) for x in lengths]
     ams = [float(x) for x in amps]
@@ -157,6 +158,8 @@ def mellin_time_integral(
         raise ValueError("lengths and amps must have equal size")
     if not ls:
         return 0.0, 0.0, 0, True
+    if ls[0] < 0.0 or any(a > b for a, b in zip(ls, ls[1:])):
+        raise ValueError("lengths must be nonnegative and ascending")
     quarters = [0.25 * l * l for l in ls]
     a = float(alpha)
     su = float(s) - 0.5
@@ -170,8 +173,9 @@ def mellin_time_integral(
         base = su * u - a * ea
         for q, amp in zip(quarters, ams):
             e_arg = base - q * eb
-            if e_arg > -745.0:
-                acc += amp * math.exp(e_arg)
+            if e_arg <= -745.0:
+                break  # lengths ascend, so every later exponent is lower: all dropped
+            acc += amp * math.exp(e_arg)
         return acc
 
     return _integrate(node, h0, max_level, abs_tol, rel_tol)

@@ -78,6 +78,12 @@ class TestMellinTimeIntegral:
         )
         assert math.isclose(total, parts, rel_tol=1e-12)
 
+    def test_unsorted_lengths_rejected(self, kernels):
+        # the geodesic loop stops at the first underflowing term, which is
+        # only right when the lengths ascend
+        with pytest.raises(ValueError):
+            kernels.mellin_time_integral([2.0, 1.0], [1.0, 1.0], 2.25, 0.5)
+
     def test_empty_spectrum(self, kernels):
         value, delta, level, converged = kernels.mellin_time_integral([], [], 2.25, 0.5)
         assert value == 0.0 and converged
