@@ -1,26 +1,9 @@
-"""Build script for the optional compiled quadrature kernels.
+"""Build script; the package metadata lives in pyproject.toml.
 
-The package is fully functional without the extension: `hyperzeta._kernels`
-falls back to the pure-Python implementation when the compiled module is
-missing, so a failed extension build only costs speed.
+Kept so that ``python setup.py develop`` can install the package offline,
+without a build-isolation environment.
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "hyperzeta._kernels._native",
-                ["src/hyperzeta/_kernels/_native.pyx"],
-                extra_compile_args=["-O2"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+setup()

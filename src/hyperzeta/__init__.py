@@ -7,10 +7,8 @@ evaluation against stored length spectra, and Mellin/Bessel zeta checks.
 
 The exact layer (``exact``, ``plancherel``, ``anomaly``) works entirely
 in rational arithmetic; floats only appear at render time.  The numeric
-layer (``heat_zeta``, ``_kernels``) uses double-exponential quadrature
-with a compiled core when available and a pure-Python fallback otherwise
-(``hyperzeta.BACKEND`` says which one is active; set
-HYPERZETA_PURE_PYTHON=1 to force the fallback).
+layer (``heat_zeta``, ``_kernels``) uses double-exponential quadrature in
+pure Python (``hyperzeta.BACKEND`` is always ``"python"``).
 """
 
 from ._kernels import BACKEND

@@ -1,25 +1,11 @@
-"""Quadrature kernel backend selection.
+"""Quadrature kernels of the numeric layer, implemented in ``fallback``.
 
-The compiled extension is preferred when present; the pure-Python
-fallback implements the identical algorithm and is always available.
-Set HYPERZETA_PURE_PYTHON=1 to force the fallback (useful for timing
-comparisons and for debugging kernel changes).
+``BACKEND`` names the implementation; there is one, in pure Python.
 """
 
-import os
+from .fallback import bessel_k_integral, mellin_time_integral, plancherel_integral
 
-if os.environ.get("HYPERZETA_PURE_PYTHON", "").strip() not in ("", "0"):
-    from . import fallback as _impl
-else:
-    try:
-        from . import _native as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import fallback as _impl
-
-BACKEND: str = _impl.BACKEND_NAME
-plancherel_integral = _impl.plancherel_integral
-mellin_time_integral = _impl.mellin_time_integral
-bessel_k_integral = _impl.bessel_k_integral
+BACKEND: str = "python"
 
 __all__ = [
     "BACKEND",

@@ -1,9 +1,4 @@
-"""Pure-Python quadrature kernels.
-
-Reference implementation of the three hot integrals; the compiled module
-in _native.pyx mirrors this file node-for-node (same transforms, same
-overflow guards, same pairwise summation tree), so the two backends are
-interchangeable to rounding noise.  Keep any change here synchronized.
+"""Pure-Python quadrature kernels, the only implementation of the package.
 
 All three integrals are evaluated by the trapezoid rule under a
 double-exponential change of variables, with step halving until two
@@ -21,8 +16,6 @@ decide whether a non-converged result is an error.
 from __future__ import annotations
 
 import math
-
-BACKEND_NAME = "python"
 
 _H0 = 0.5
 _MAX_LEVEL = 12
@@ -192,7 +185,10 @@ def bessel_k_integral(
     """integral_0^inf t^(-nu-1) e^(-t - z^2/(4t)) dt, the Bessel-K core.
 
     Multiplying by 2^(-nu-1) z^nu gives K_nu(z); that scaling is left to
-    the caller so the kernel stays scale-free.
+    the caller so the kernel stays scale-free.  The package computes K_nu
+    without it (heat_zeta.bessel_k); it is kept for the kernel timings of
+    perfbench/backends.py, and loses accuracy for z above about 30, where the window
+    scan misses the integrand's peak.
     """
     z24 = 0.25 * float(z) * float(z)
     nn = float(nu)

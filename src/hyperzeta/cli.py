@@ -18,7 +18,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__, heat_zeta, manifold
-from ._kernels import BACKEND
 from .anomaly import (
     AnomalySpec,
     alpha_conformal_scalar,
@@ -289,7 +288,7 @@ def cmd_verify(args: argparse.Namespace, digits: int) -> int:
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name.ljust(width)}  {r.detail}")
     n_fail = sum(1 for r in results if not r.passed)
-    print(f"backend: {BACKEND}; {len(results) - n_fail}/{len(results)} checks passed")
+    print(f"{len(results) - n_fail}/{len(results)} checks passed")
     return 1 if n_fail else 0
 
 

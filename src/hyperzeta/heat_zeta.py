@@ -65,7 +65,7 @@ class EmptySpectrumWarning(UserWarning):
 
 
 def _pairwise(vals: list) -> float:
-    # fixed bottom-up tree, same shape as the kernel backends use
+    # fixed bottom-up tree, the same one the quadrature kernels sum with
     return _py_kernels._pairwise(vals, 0, len(vals)) if vals else 0.0
 
 
@@ -566,8 +566,7 @@ def zeta_moment_continued(k: int, q: int, beta: float, s: float = 0.0) -> float:
         power = (r2 + beta) ** (-s) if s else 1.0
         return (math.pi / 2.0) * math.cosh(u) * r2 * p_val * power * fermi
 
-    # cold path, so the pure-Python engine is used directly regardless of
-    # the selected backend; keeps the bridge check backend-independent
+    # cold path: the kernels' trapezoid engine is called directly on this node
     value, delta, _, ok = _py_kernels._integrate(node, 0.5, 12, 1e-13, 1e-14)
     if not ok:
         raise QuadratureError(f"moment continuation did not converge (k={k}, q={q})", delta)

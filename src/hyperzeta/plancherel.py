@@ -152,8 +152,8 @@ def miatello_coefficients(k: int, p: int) -> tuple[Rational, ...]:
 def tanh_pi(r: float) -> float:
     """tanh(pi*r) computed as 1 - 2/(1 + e^(2*pi*r)).
 
-    This exact arrangement (not math.tanh) is shared with the compiled
-    quadrature kernel so both backends produce bit-identical integrands.
+    This exact arrangement (not math.tanh) is the one the Plancherel
+    quadrature kernel uses, so density and integrand agree to the bit.
     """
     x = 2.0 * math.pi * r
     if x >= 0.0:

@@ -286,25 +286,6 @@ def _check_s_scaling() -> CheckResult:
     return CheckResult("s-scaling", True, f"ratio {ratio:.4f}, magnitude {small:.2e} vs identity {ident:.2e}")
 
 
-def _check_backend() -> CheckResult:
-    from . import _kernels
-    from ._kernels import fallback
-
-    coeffs = [float(Fraction(9, 16)), 2.5, 1.0]
-    t = 0.25
-    native = _kernels.plancherel_integral(coeffs, t)
-    pure = fallback.plancherel_integral(coeffs, t)
-    if native[0] != pure[0]:
-        rel = abs(native[0] - pure[0]) / max(abs(pure[0]), 1e-300)
-        if rel > 1e-13:
-            return CheckResult(
-                "backend-agreement", False,
-                f"{_kernels.BACKEND} vs python rel diff {rel:.3e}",
-            )
-        return CheckResult("backend-agreement", True, f"{_kernels.BACKEND} vs python rel diff {rel:.3e}")
-    return CheckResult("backend-agreement", True, f"active backend {_kernels.BACKEND}, bitwise match")
-
-
 def run_verification(fast: bool = False, golden_path: str | None = None) -> list[CheckResult]:
     results: list[CheckResult] = []
     try:
@@ -317,7 +298,6 @@ def run_verification(fast: bool = False, golden_path: str | None = None) -> list
         results.append(_check_golden_table1(golden))
     results.append(_check_specialization())
     results.append(_check_moment_bridge())
-    results.append(_check_backend())
     if not fast:
         results.append(_check_tanh_series())
         results.append(_check_mellin_vs_bessel())

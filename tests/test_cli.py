@@ -388,8 +388,8 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         *checks, summary = out.splitlines()
         assert code == 0
-        assert len(checks) == 8 and all(line.startswith("PASS ") for line in checks)
-        assert summary.endswith("8/8 checks passed")
+        assert len(checks) == 7 and all(line.startswith("PASS ") for line in checks)
+        assert summary.endswith("7/7 checks passed")
 
     def test_corrupted_golden_named_failure(self, capsys, tmp_path):
         bad = tmp_path / "golden.json"

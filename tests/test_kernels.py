@@ -1,4 +1,4 @@
-"""Quadrature kernels: both backends against library oracles and each other."""
+"""Quadrature kernels against library oracles."""
 
 import math
 
@@ -7,20 +7,13 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from hyperzeta._kernels import BACKEND, fallback
-
-BACKENDS = {"python": fallback}
-try:
-    from hyperzeta._kernels import _native
-
-    BACKENDS["native"] = _native
-except ImportError:
-    pass
+from hyperzeta._kernels import fallback
 
 
-@pytest.fixture(params=sorted(BACKENDS), ids=sorted(BACKENDS))
+# one implementation; the "python" id keeps the test names stable
+@pytest.fixture(params=[fallback], ids=["python"])
 def kernels(request):
-    return BACKENDS[request.param]
+    return request.param
 
 
 PLANCHEREL_CASES = [
@@ -113,41 +106,3 @@ class TestBesselKIntegral:
         a = kernels.bessel_k_integral(nu, z)[0]
         b = kernels.bessel_k_integral(-nu, z)[0]
         assert math.isclose(a * (z / 2.0) ** (2 * nu), b, rel_tol=1e-12)
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
-class TestBackendAgreement:
-    def test_plancherel_bitwise(self):
-        for coeffs, t in PLANCHEREL_CASES:
-            a = BACKENDS["python"].plancherel_integral(list(coeffs), t)
-            b = BACKENDS["native"].plancherel_integral(list(coeffs), t)
-            assert a == b, (coeffs, t)
-
-    def test_mellin_bitwise(self):
-        for s in (0.0, 0.3, 0.5, 0.7, 0.99):
-            a = BACKENDS["python"].mellin_time_integral([1.0, 2.2], [1.0, 0.3], 2.25, s)
-            b = BACKENDS["native"].mellin_time_integral([1.0, 2.2], [1.0, 0.3], 2.25, s)
-            assert a == b, s
-
-    def test_bessel_bitwise(self):
-        for nu in (-0.5, -0.2, 0.0, 0.2, 0.5):
-            for z in (0.5, 1.0, 4.0):
-                a = BACKENDS["python"].bessel_k_integral(nu, z)
-                b = BACKENDS["native"].bessel_k_integral(nu, z)
-                assert a == b, (nu, z)
-
-    def test_selected_backend_is_native(self):
-        assert BACKEND == "native"
-
-    def test_env_var_forces_python(self):
-        import os
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [sys.executable, "-c", "from hyperzeta._kernels import BACKEND; print(BACKEND)"],
-            env={**os.environ, "HYPERZETA_PURE_PYTHON": "1"},
-            capture_output=True,
-            text=True,
-        )
-        assert out.stdout.strip() == "python"
