@@ -124,14 +124,13 @@ _MAX_SERIES_TERMS = 400
 
 
 def _series_term(ell: int, k: int, t: Fraction) -> Fraction:
-    weight = 1 - Fraction(1, 2 ** (2 * ell + 2 * k + 1))
-    return (
-        (-1) ** ell
-        * weight
-        * bernoulli(2 * (ell + k + 1))
-        * t**k
-        / (math.factorial(k) * (ell + k + 1))
-    )
+    # (-1)^l (1 - 2^-e) B t^k / (k! (l+k+1)) with e = 2l+2k+1, built as one
+    # integer numerator over one denominator and reduced once
+    two_e = 1 << (2 * ell + 2 * k + 1)
+    bern = bernoulli(2 * (ell + k + 1))
+    num = (two_e - 1) * bern.numerator * t.numerator**k
+    den = two_e * bern.denominator * t.denominator**k * math.factorial(k) * (ell + k + 1)
+    return Fraction(-num if ell % 2 else num, den)
 
 
 def tanh_moment_series_exact(

@@ -31,8 +31,10 @@ from hyperzeta.heat_zeta import (
     zeta_moment_continued,
     zeta_moment_sum,
 )
+from hyperzeta.exact import bernoulli
 from hyperzeta.manifold import GeodesicClass, ManifoldData, synth_spectrum
 from hyperzeta.plancherel import plancherel_density
+from hyperzeta.verify import TANH_TIMES
 
 
 class TestIdentityHeatTerm:
@@ -110,6 +112,20 @@ class TestTanhMomentSeries:
         _, om2, _ = tanh_moment_series_exact(0, t, order=u0 - 1)
         assert om1 > om2
         assert om_opt >= om2
+
+    def test_one_fraction_terms_equal_chained_formula(self):
+        def chained(ell, k, t):
+            weight = 1 - Fraction(1, 2 ** (2 * ell + 2 * k + 1))
+            return (
+                (-1) ** ell * weight * bernoulli(2 * (ell + k + 1)) * t**k
+                / (math.factorial(k) * (ell + k + 1))
+            )
+
+        for t in TANH_TIMES:
+            for ell in range(4):
+                _, _, optimal = tanh_moment_series_exact(ell, t)
+                for k in range(optimal + 2):
+                    assert heat_zeta._series_term(ell, k, t) == chained(ell, k, t), (ell, k, t)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
