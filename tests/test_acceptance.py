@@ -5,7 +5,6 @@ through the ``criterion`` fixture; the lines are replayed in the terminal
 summary.
 """
 
-import math
 import pathlib
 import re
 import time
@@ -13,34 +12,24 @@ from fractions import Fraction
 
 from hyperzeta import (
     AnomalySpec,
-    GeodesicClass,
-    ManifoldData,
     PiValue,
-    alpha_conformal_scalar,
     bernoulli,
     conformal_anomaly,
     conformal_scalar_anomaly,
-    heat_zeta,
     miatello_coefficients,
     plancherel_polynomial,
-    synth_spectrum,
 )
 from hyperzeta.verify import (
     QUAD_ERROR_GATE,
+    _check_mellin_vs_bessel,
+    _check_s_scaling,
+    _check_specialization,
     float_matches_published,
     load_golden,
     tanh_series_pairs,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def fixed_spectrum() -> ManifoldData:
-    geos = synth_spectrum(seed=11, count=4, min_length=1.0, max_power=3, n=4)
-    assert len({g.length for g in geos if g.power == 1}) <= 5
-    return ManifoldData(
-        dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1), geodesics=tuple(geos)
-    )
 
 
 def test_criterion_1_pform_table_golden(criterion):
@@ -81,16 +70,8 @@ def test_criterion_2_scalar_table_golden(criterion):
 
 
 def test_criterion_3_specialization_identity(criterion):
-    bad = []
-    for n in range(2, 15, 2):
-        direct = conformal_scalar_anomaly(n).value
-        via_pform = conformal_anomaly(
-            AnomalySpec(dimension=n, form_order=0, alpha=alpha_conformal_scalar(n))
-        ).value
-        if direct != via_pform:
-            bad.append(n)
-    criterion(3, "scalar route equals 0-form route at alpha=1/4", not bad,
-              "exact for n=2..14" if not bad else f"differs at n={bad}")
+    result = _check_specialization()
+    criterion(3, "scalar route equals 0-form route at alpha=1/4", result.passed, result.detail)
 
 
 def test_criterion_4_tanh_series_vs_quadrature(criterion):
@@ -117,31 +98,17 @@ def test_criterion_4_tanh_series_vs_quadrature(criterion):
 
 def test_criterion_5_bessel_vs_time_quadrature(criterion):
     start = time.perf_counter()
-    data = fixed_spectrum()
-    worst = 0.0
-    for p in (0, 1):
-        for s in (0.3, 0.5, 0.7):
-            bessel = heat_zeta.mellin_hyperbolic(data, p, s)
-            quad = heat_zeta.mellin_hyperbolic_quadrature(data, p, s)
-            worst = max(worst, abs(bessel - quad) / abs(quad))
+    result = _check_mellin_vs_bessel()
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-8 and elapsed < 30.0
+    ok = result.passed and elapsed < 30.0
     criterion(5, "Bessel-K geodesic sum vs direct time quadrature", ok,
-              f"worst rel diff {worst:.2e}, {elapsed:.2f}s")
+              f"{result.detail}, {elapsed:.2f}s")
 
 
 def test_criterion_6_hyperbolic_vanishes_at_s0(criterion):
-    data = fixed_spectrum()
-    f = {
-        s: heat_zeta.mellin_hyperbolic(data, 0, s) / math.gamma(s)
-        for s in (1e-2, 1e-3)
-    }
-    ratio = f[1e-2] / f[1e-3]
-    magnitude = max(abs(v) for v in f.values())
-    ident = abs(heat_zeta.identity_zeta_term(data, 0))
-    ok = 9.8 <= ratio <= 10.2 and magnitude < 1e-2 * ident
-    criterion(6, "geodesic zeta term scales linearly to zero at s=0", ok,
-              f"ratio {ratio:.4f}, magnitude {magnitude:.2e} vs identity {ident:.2e}")
+    result = _check_s_scaling()
+    criterion(6, "geodesic zeta term scales linearly to zero at s=0", result.passed,
+              result.detail)
 
 
 def test_criterion_7_property_suite(criterion):
