@@ -187,8 +187,8 @@ def bessel_k_integral(
     Multiplying by 2^(-nu-1) z^nu gives K_nu(z); that scaling is left to
     the caller so the kernel stays scale-free.  The package computes K_nu
     without it (heat_zeta.bessel_k); it is kept for the kernel timings of
-    perfbench/backends.py, and loses accuracy for z above about 30, where the window
-    scan misses the integrand's peak.
+    perfbench/backends.py.  It loses accuracy for z above about 30, where
+    the level-0 window scan misses the integrand's peak.
     """
     z24 = 0.25 * float(z) * float(z)
     nn = float(nu)

@@ -415,7 +415,7 @@ def mellin_hyperbolic_quadrature(manifold: ManifoldData, p: int, s: float) -> fl
     """Direct t-quadrature of integral_0^inf t^(s-1) H_p(t) dt.
 
     Independent check of mellin_hyperbolic: no Bessel functions, just the
-    log-substitution t = e^u and the shared trapezoid engine.
+    log-substitution t = e^u and the double-exponential trapezoid engine.
     """
     n = manifold.dimension
     if not 0 <= p <= n - 1:
