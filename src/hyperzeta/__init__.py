@@ -44,12 +44,7 @@ from .manifold import (
     save_manifold,
     synth_spectrum,
 )
-from .plancherel import (
-    EvenPolynomial,
-    miatello_coefficients,
-    plancherel_density,
-    plancherel_polynomial,
-)
+from .plancherel import miatello_coefficients, plancherel_density
 
 __version__ = "0.1.0"
 
@@ -63,8 +58,6 @@ __all__ = [
     "bernoulli",
     "binomial",
     # Plancherel layer
-    "EvenPolynomial",
-    "plancherel_polynomial",
     "miatello_coefficients",
     "plancherel_density",
     # manifold data

@@ -22,7 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import PiValue, Rational, bernoulli, half_gamma
+from .exact import (
+    MAX_DIMENSION,
+    PiValue,
+    Rational,
+    bernoulli,
+    check_dimension,
+    half_gamma,
+)
 from .heat_zeta import zeta_identity_terms
 from .plancherel import miatello_coefficients
 
@@ -45,23 +52,10 @@ TABLE1_DIMS = tuple(range(2, 15, 2))
 TABLE2_DIMS = tuple(range(2, 11, 2))
 _TABLE2_MAX_FORM = 4
 
-# Largest accepted dimension.  The exact cost grows like n^4 over a table
-# row; at this cap a single (n, p) = (200, 99) anomaly takes well under a
-# second, and larger requests are refused instead of running for hours.
-MAX_DIMENSION = 200
-
-
-def _check_dimension(n: int) -> int:
-    if not isinstance(n, int) or n % 2 != 0 or n < 2:
-        raise ValueError("odd dimensions out of scope")
-    if n > MAX_DIMENSION:
-        raise ValueError(f"dimension n={n} exceeds the limit MAX_DIMENSION={MAX_DIMENSION}")
-    return n
-
 
 def alpha_default(n: int, p: int) -> Fraction:
     """Spectral shift of the co-exact p-form sector: p + ((n-1)/2)^2."""
-    _check_dimension(n)
+    check_dimension(n)
     return p + Fraction(n - 1, 2) ** 2
 
 
@@ -73,7 +67,7 @@ def alpha_conformal_scalar(n: int) -> Fraction:
     The value is computed from the formula and checked against 1/4 rather
     than hard-coded, so a regression in either ingredient is caught here.
     """
-    _check_dimension(n)
+    check_dimension(n)
     rho0_sq = Fraction(n - 1, 2) ** 2
     coupling = Fraction(n - 2, 4 * (n - 1))
     scalar_curvature = Fraction(-n * (n - 1))
@@ -85,7 +79,7 @@ def alpha_conformal_scalar(n: int) -> Fraction:
 
 def alpha_massive_scalar(n: int, mass_sq_R_sq: Rational) -> Fraction:
     """Shift for a minimally coupled massive scalar: rho0^2 + m^2 R^2."""
-    _check_dimension(n)
+    check_dimension(n)
     mass_sq_R_sq = Fraction(mass_sq_R_sq)
     if mass_sq_R_sq < 0:
         raise ValueError("mass squared must be nonnegative")
@@ -108,7 +102,7 @@ class AnomalySpec:
     radius_power_scale: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        n = _check_dimension(self.dimension)
+        n = check_dimension(self.dimension)
         if not 0 <= self.form_order <= n // 2 - 1:
             raise ValueError(
                 f"form order must satisfy 0 <= p <= n/2 - 1 "
@@ -187,7 +181,7 @@ def conformal_scalar_anomaly(n: int) -> AnomalyResult:
     calling conformal_anomaly, so the equality of the two routes is a real
     regression check (see the specialization test).
     """
-    _check_dimension(n)
+    check_dimension(n)
     k = n // 2
     coeffs = miatello_coefficients(k, 0)
     breakdown = []
@@ -238,7 +232,7 @@ def generate_table(
     # every dimension is checked before any cell is computed, so an
     # out-of-range one fails at once rather than after the cells before it
     if dims:
-        dims = [_check_dimension(int(d)) for d in dims]
+        dims = [check_dimension(int(d)) for d in dims]
     if kind == "scalar_table":
         use_dims = dims or list(TABLE1_DIMS)
         cells = []

@@ -26,8 +26,9 @@ from .anomaly import (
     conformal_anomaly,
     generate_table,
 )
+from .exact import check_dimension
 from .output import FORMATS, OutputTable, pform_output, scalar_output
-from .plancherel import miatello_coefficients, plancherel_density, plancherel_polynomial
+from .plancherel import miatello_coefficients, plancherel_density
 from .verify import run_verification
 
 __all__ = ["main", "build_parser"]
@@ -198,21 +199,20 @@ def cmd_table(args: argparse.Namespace, digits: int) -> int:
 
 
 def cmd_plancherel(args: argparse.Namespace, digits: int) -> int:
-    n, p = args.dim, args.form
-    if n < 2 or n % 2:
-        return _usage_fail("dimension must be a positive even integer")
+    n, p = check_dimension(args.dim), args.form
     k = n // 2
     if not 0 <= p <= n - 1:
         return _usage_fail(f"form order must satisfy 0 <= p <= {n - 1}")
-    poly = plancherel_polynomial(k, p)
     coeffs = miatello_coefficients(k, p)
+    # densities first, so a failing --eval prints nothing
+    densities = [(r, plancherel_density(k, p, r)) for r in args.eval or ()]
     print(f"dimension n={n} (k={k}), form order p={p}")
-    print(f"degree in r^2: {poly.degree_in_r2}, monic: {poly.is_monic()}")
+    print(f"degree in r^2: {len(coeffs) - 1}, monic: {coeffs[-1] == 1}")
     print("coefficients a_{2l}, l=0..k-1:")
     for ell, c in enumerate(coeffs):
         print(f"  a_{2 * ell} = {c}")
-    for r in args.eval or ():
-        print(f"mu(r={r:g}) = {plancherel_density(k, p, r):.{digits}g}")
+    for r, mu in densities:
+        print(f"mu(r={r:g}) = {mu:.{digits}g}")
     return 0
 
 
@@ -242,6 +242,8 @@ def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
         return _usage_fail(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
     data = manifold.load_manifold(args.manifold)
     p = args.form
+    # first, so an identity sector out of float range fails before any output
+    ident = heat_zeta.identity_zeta_term(data, p)
     failed = False
     for s in args.s:
         bessel = heat_zeta.mellin_hyperbolic(data, p, s)
@@ -259,7 +261,6 @@ def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
     }
     if f_small[1e-3] != 0.0:
         print(f"s->0 scaling ratio f(1e-2)/f(1e-3) = {f_small[1e-2] / f_small[1e-3]:.4f} (linear => 10)")
-    ident = heat_zeta.identity_zeta_term(data, p)
     print(f"identity-sector zeta(0) = {ident:.{digits}g}; hyperbolic part at s=1e-2: {f_small[1e-2]:.3e}")
     return 1 if failed else 0
 

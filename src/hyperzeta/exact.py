@@ -31,7 +31,31 @@ __all__ = [
     "bernoulli",
     "binomial",
     "half_gamma",
+    "MAX_DIMENSION",
+    "check_dimension",
 ]
+
+
+# --- Dimensions -------------------------------------------------------------
+
+# Largest accepted dimension.  The exact cost grows like n^4 over a table
+# row; at this cap a single (n, p) = (200, 99) anomaly takes well under a
+# second, and larger requests are refused instead of running for hours.
+MAX_DIMENSION = 200
+
+
+def check_dimension(n: int) -> int:
+    """Return n if it is an even integer with 2 <= n <= MAX_DIMENSION.
+
+    Every entry point that takes a dimension (the anomaly policies, the
+    Plancherel layer, manifold data) checks it here, so one rule bounds
+    all of them.
+    """
+    if not isinstance(n, int) or n % 2 != 0 or n < 2:
+        raise ValueError("odd dimensions out of scope")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension n={n} exceeds the limit MAX_DIMENSION={MAX_DIMENSION}")
+    return n
 
 
 # --- Bernoulli numbers ------------------------------------------------------

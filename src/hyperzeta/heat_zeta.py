@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 from . import _kernels
 from ._kernels import fallback as _py_kernels
-from .exact import Rational, bernoulli, binomial
+from .exact import Rational, bernoulli, binomial, check_dimension
 from .manifold import ManifoldData
 from .plancherel import miatello_coefficients
 
@@ -74,7 +75,14 @@ def _rho0_sq(n: int) -> Fraction:
 
 
 def _plancherel_norm(k: int) -> float:
-    return math.pi / (2.0 ** (4 * k - 4) * math.factorial(k - 1) ** 2)
+    # pi / (2^(4k-4) Gamma(k)^2) leaves the normal floats from n = 2k = 152 on
+    try:
+        norm = math.pi / (2.0 ** (4 * k - 4) * math.factorial(k - 1) ** 2)
+    except OverflowError:
+        norm = 0.0
+    if not norm >= sys.float_info.min:
+        raise ValueError(f"Plancherel normalisation for n={2 * k} is outside the float range")
+    return norm
 
 
 def _check_time(t: float) -> None:
@@ -99,6 +107,8 @@ def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     if not 0 <= p <= n - 1:
         raise ValueError(f"form order p={p} outside -1..{n - 1}")
     k = n // 2
+    chi_p = float(binomial(n - 1, p))
+    norm = _plancherel_norm(k) * chi_p * manifold.chi_one * manifold.volume / (4.0 * math.pi)
     coeffs = miatello_coefficients(k, p)
     value, delta, _, ok = _kernels.plancherel_integral(coeffs, float(t))
     if not ok:
@@ -106,8 +116,6 @@ def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
             f"identity heat term did not converge (n={n}, p={p}, t={t})", delta
         )
     shift = float(p + _rho0_sq(n))
-    chi_p = float(binomial(n - 1, p))
-    norm = _plancherel_norm(k) * chi_p * manifold.chi_one * manifold.volume / (4.0 * math.pi)
     return norm * 2.0 * math.exp(-t * shift) * value
 
 
@@ -436,7 +444,7 @@ def mellin_hyperbolic_quadrature(manifold: ManifoldData, p: int, s: float) -> fl
 # --- identity-sector zeta values ----------------------------------------------
 
 
-# Must cover ell = 0..k-1 at anomaly.MAX_DIMENSION (checked in the tests).
+# Must cover ell = 0..k-1 at exact.MAX_DIMENSION (checked in the tests).
 @functools.lru_cache(maxsize=128)
 def _bern_weight(ell: int) -> Fraction:
     return (1 - Fraction(1, 2 ** (2 * ell + 1))) * bernoulli(2 * (ell + 1))
@@ -456,8 +464,7 @@ def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fracti
     (alpha-j-1)^(l+1) are kept over the common denominator of alpha and
     grown by one factor per l.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError("odd dimensions out of scope")
+    check_dimension(n)
     k = n // 2
     if not 0 <= p <= k - 1:
         raise ValueError(f"form order p={p} outside 0..{k - 1}")

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .exact import binomial
+from .exact import binomial, check_dimension
 
 __all__ = [
     "GeodesicClass",
@@ -59,8 +59,7 @@ def trivial_holonomy_c(n: int, t: float) -> float:
 
     Derivation recorded in docs/manifold-format.md.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError("odd dimensions out of scope")
+    check_dimension(n)
     if t <= 0:
         raise ValueError("length must be positive")
     rho0 = (n - 1) / 2.0
@@ -126,9 +125,7 @@ class ManifoldData:
     radius: float = 1.0
 
     def __post_init__(self) -> None:
-        n = self.dimension
-        if not isinstance(n, int) or n % 2 != 0 or n < 2:
-            raise ValueError("odd dimensions out of scope")
+        n = check_dimension(self.dimension)
         if not (math.isfinite(self.volume) and self.volume > 0):
             raise ValueError("volume must be positive")
         if self.radius <= 0:
@@ -275,8 +272,7 @@ def synth_spectrum(
         raise ValueError("length must be positive")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    if n < 2 or n % 2 != 0:
-        raise ValueError("odd dimensions out of scope")
+    check_dimension(n)
     rng = random.Random(seed)
     classes = []
     for _ in range(count):

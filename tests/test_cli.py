@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 
 import pytest
 
@@ -75,6 +76,24 @@ def console_script(tmp_path_factory):
     script = shutil.which(SCRIPT, path=bin_dirs)
     assert script, done.stdout
     return script
+
+
+def one_geodesic_file(path: pathlib.Path, n: int) -> pathlib.Path:
+    """Hand-written manifold file: dimension n, one geodesic with c = 1."""
+    doc = {
+        "format_version": 1, "dimension": n, "volume": 1.0,
+        "betti": [1] + [0] * (n - 1) + [1],
+        "geodesics": [{"length": 1.0, "c": 1.0}],
+    }
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def assert_one_error_line(code, out, err, *needles):
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    for needle in needles:
+        assert needle in err
 
 
 @pytest.fixture()
@@ -224,6 +243,19 @@ class TestPlancherel:
         assert code == 2
         assert "form order" in err
 
+    @pytest.mark.parametrize("dim", [MAX_DIMENSION + 2, 10000])
+    def test_dimension_cap_exits_2_at_once(self, capsys, dim):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "plancherel", "--dim", str(dim), "--form", "0")
+        assert time.perf_counter() - start < 1.0
+        assert_one_error_line(code, out, err, f"MAX_DIMENSION={MAX_DIMENSION}")
+
+    def test_density_outside_float_range_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "plancherel", "--dim", "160", "--form", "0", "--eval", "1.0"
+        )
+        assert_one_error_line(code, out, err, "n=160 ")
+
 
 class TestHeatTrace:
     def test_markdown_rows(self, capsys, manifold_file):
@@ -304,6 +336,23 @@ class TestHeatTrace:
         assert code == 2
         assert "manifold" in err
 
+    def test_dimension_over_cap_is_a_bad_file(self, capsys, tmp_path):
+        path = one_geodesic_file(tmp_path / "m.json", MAX_DIMENSION + 2)
+        code, out, err = run_cli(
+            capsys, "heat-trace", "--manifold", str(path), "--form", "0", "--t", "1.0"
+        )
+        assert_one_error_line(
+            code, out, err, "bad manifold file", f"MAX_DIMENSION={MAX_DIMENSION}"
+        )
+
+    @pytest.mark.parametrize("n", [160, 200])
+    def test_normalisation_outside_float_range_exit_2(self, capsys, tmp_path, n):
+        path = one_geodesic_file(tmp_path / "m.json", n)
+        code, out, err = run_cli(
+            capsys, "heat-trace", "--manifold", str(path), "--form", "0", "--t", "1.0"
+        )
+        assert_one_error_line(code, out, err, f"n={n} ")
+
 
 class TestZetaCheck:
     def test_default_passes(self, capsys, manifold_file):
@@ -342,6 +391,14 @@ class TestZetaCheck:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: --tolerance ")
 
+    @pytest.mark.parametrize("n", [160, 200])
+    def test_normalisation_outside_float_range_exit_2(self, capsys, tmp_path, n):
+        path = one_geodesic_file(tmp_path / "m.json", n)
+        code, out, err = run_cli(
+            capsys, "zeta-check", "--manifold", str(path), "--form", "0"
+        )
+        assert_one_error_line(code, out, err, f"n={n} ")
+
 
 class TestSynthSpectrum:
     def test_stdout_document(self, capsys):
@@ -375,6 +432,13 @@ class TestSynthSpectrum:
             "--betti", "1", "2",
         )
         assert code == 2
+
+    def test_dimension_cap_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "synth-spectrum", "--seed", "1", "--count", "1",
+            "--dim", str(MAX_DIMENSION + 2),
+        )
+        assert_one_error_line(code, out, err, f"MAX_DIMENSION={MAX_DIMENSION}")
 
 
 class TestVerify:

@@ -7,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperzeta.exact import (
+    MAX_DIMENSION,
     PiPowerMismatchError,
     PiValue,
     bernoulli,
     binomial,
+    check_dimension,
     half_gamma,
 )
 
@@ -79,6 +81,21 @@ class TestHalfGamma:
     def test_odd_rejected(self):
         with pytest.raises(ValueError, match="odd dimensions"):
             half_gamma(5)
+
+
+class TestCheckDimension:
+    def test_even_dimensions_up_to_cap_accepted(self):
+        for n in (2, 4, 44, MAX_DIMENSION):
+            assert check_dimension(n) == n
+
+    @pytest.mark.parametrize("n", [3, 0, -2, 4.0, "4", True])
+    def test_odd_small_and_non_int_rejected(self, n):
+        with pytest.raises(ValueError, match="odd dimensions out of scope"):
+            check_dimension(n)
+
+    def test_cap_rejected(self):
+        with pytest.raises(ValueError, match=f"n=202 exceeds the limit MAX_DIMENSION={MAX_DIMENSION}"):
+            check_dimension(MAX_DIMENSION + 2)
 
 
 class TestPiValue:

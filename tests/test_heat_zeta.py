@@ -31,7 +31,7 @@ from hyperzeta.heat_zeta import (
     zeta_moment_continued,
     zeta_moment_sum,
 )
-from hyperzeta.exact import bernoulli
+from hyperzeta.exact import MAX_DIMENSION, bernoulli
 from hyperzeta.manifold import GeodesicClass, ManifoldData, synth_spectrum
 from hyperzeta.plancherel import plancherel_density
 from hyperzeta.verify import TANH_TIMES
@@ -62,6 +62,18 @@ class TestIdentityHeatTerm:
         for p in range(4):
             for t in (0.1, 1.0, 5.0):
                 assert identity_heat_term(small_spectrum, p, t) > 0
+
+    @pytest.mark.parametrize("n", [152, 160, MAX_DIMENSION])
+    def test_normalisation_outside_float_range_rejected(self, n, monkeypatch):
+        # pi / (2^(2n-4) Gamma(n/2)^2) underflows from n = 152 on and its
+        # denominator overflows at n = 200; both raise before any quadrature
+        monkeypatch.setattr(heat_zeta._kernels, "plancherel_integral", None)
+        data = ManifoldData(dimension=n, volume=1.0, betti=(1,) + (0,) * (n - 1) + (1,))
+        with pytest.raises(ValueError, match=f"n={n} "):
+            identity_heat_term(data, 0, 1.0)
+        with pytest.raises(ValueError, match=f"n={n} "):
+            identity_zeta_term(data, 0)
+        assert heat_zeta._plancherel_norm(75) > 0
 
     def test_volume_linearity(self):
         a = ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1))
@@ -368,6 +380,10 @@ class TestZetaIdentityExact:
             zeta_identity_at_zero(4, 1, 2, Fraction(1))  # j > p
         with pytest.raises(ValueError):
             zeta_identity_at_zero(3, 0, 0, Fraction(1))  # odd n
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
+            zeta_identity_at_zero(MAX_DIMENSION + 2, 0, 0, Fraction(1))
 
 
 class TestMomentBridge:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperzeta.exact import binomial
+from hyperzeta.exact import MAX_DIMENSION, binomial
 from hyperzeta.manifold import (
     FORMAT_VERSION,
     GeodesicClass,
@@ -75,11 +75,20 @@ class TestTrivialHolonomyC:
         with pytest.raises(ValueError):
             trivial_holonomy_c(2, 0.0)
 
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
+            trivial_holonomy_c(MAX_DIMENSION + 2, 1.0)
+
 
 class TestManifoldData:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError, match="odd dimensions out of scope"):
             ManifoldData(dimension=3, volume=1.0, betti=(1, 0, 0, 1))
+
+    def test_dimension_cap(self):
+        n = MAX_DIMENSION + 2
+        with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
+            ManifoldData(dimension=n, volume=1.0, betti=(1,) + (0,) * (n - 1) + (1,))
 
     def test_betti_length_enforced(self):
         with pytest.raises(ValueError, match="betti"):
@@ -240,3 +249,7 @@ class TestSynthSpectrum:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             synth_spectrum(seed=1, count=-1, min_length=1.0, max_power=1, n=2)
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
+            synth_spectrum(seed=1, count=1, min_length=1.0, max_power=1, n=MAX_DIMENSION + 2)

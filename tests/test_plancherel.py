@@ -1,4 +1,4 @@
-"""Plancherel polynomials, Miatello coefficients, and the spectral density."""
+"""Plancherel coefficients (Miatello's a_{2l}) and the spectral density."""
 
 import math
 from fractions import Fraction
@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperzeta.plancherel import (
-    EvenPolynomial,
-    miatello_coefficients,
-    plancherel_density,
-    plancherel_polynomial,
-)
+from hyperzeta.exact import MAX_DIMENSION
+from hyperzeta.plancherel import miatello_coefficients, plancherel_density
 
 
 def product_form(k: int, p: int, r2: Fraction) -> Fraction:
@@ -27,48 +23,52 @@ def product_form(k: int, p: int, r2: Fraction) -> Fraction:
     return out
 
 
+def horner(coeffs, r2):
+    """Exact value of sum_l coeffs[l] * r2^l."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * r2 + c
+    return acc
+
+
 class TestPolynomial:
     def test_k1_is_constant_one(self):
-        poly = plancherel_polynomial(1, 0)
-        assert poly.coefficients == (Fraction(1),)
-        assert poly.degree_in_r2 == 0
+        assert miatello_coefficients(1, 0) == (Fraction(1),)
 
     def test_k2_examples(self):
-        assert plancherel_polynomial(2, 0).coefficients == (Fraction(1, 4), Fraction(1))
-        assert plancherel_polynomial(2, 1).coefficients == (Fraction(9, 4), Fraction(1))
+        assert miatello_coefficients(2, 0) == (Fraction(1, 4), Fraction(1))
+        assert miatello_coefficients(2, 1) == (Fraction(9, 4), Fraction(1))
 
     def test_k3_example(self):
-        assert plancherel_polynomial(3, 0).coefficients == (
+        assert miatello_coefficients(3, 0) == (
             Fraction(9, 16),
             Fraction(5, 2),
             Fraction(1),
         )
 
     def test_fold_p2_equals_p1(self):
-        assert plancherel_polynomial(2, 2) == plancherel_polynomial(2, 1)
+        assert miatello_coefficients(2, 2) == miatello_coefficients(2, 1)
 
     def test_symmetry_all_k_up_to_4(self):
         for k in range(1, 5):
             for p in range(2 * k):
-                assert plancherel_polynomial(k, p) == plancherel_polynomial(
+                assert miatello_coefficients(k, p) == miatello_coefficients(
                     k, 2 * k - 1 - p
                 ), (k, p)
 
     def test_monic_and_positive_up_to_k7(self):
         for k in range(1, 8):
             for p in range(2 * k):
-                poly = plancherel_polynomial(k, p)
-                assert poly.is_monic(), (k, p)
-                assert all(c > 0 for c in poly.coefficients), (k, p)
-                assert len(poly.coefficients) == k
+                coeffs = miatello_coefficients(k, p)
+                assert coeffs[-1] == 1, (k, p)
+                assert all(c > 0 for c in coeffs), (k, p)
+                assert len(coeffs) == k
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            plancherel_polynomial(2, 4)
+            miatello_coefficients(2, 4)
         with pytest.raises(ValueError):
-            plancherel_polynomial(2, -1)
-        with pytest.raises(ValueError):
-            plancherel_polynomial(0, 0)
+            miatello_coefficients(0, 0)
 
     @given(
         st.one_of(
@@ -80,16 +80,8 @@ class TestPolynomial:
     def test_expansion_matches_product_form(self, k, p, r2):
         if p > 2 * k - 1:
             p = p % (2 * k)
-        expanded = plancherel_polynomial(k, p).eval_at_r2(r2)
+        expanded = horner(miatello_coefficients(k, p), r2)
         assert expanded == product_form(k, p, r2)
-
-    def test_multiplication_degree_and_values(self):
-        a = plancherel_polynomial(3, 0)
-        b = plancherel_polynomial(2, 1)
-        prod = a * b
-        assert prod.degree_in_r2 == a.degree_in_r2 + b.degree_in_r2
-        for r2 in (Fraction(0), Fraction(3, 7), Fraction(-2)):
-            assert prod.eval_at_r2(r2) == a.eval_at_r2(r2) * b.eval_at_r2(r2)
 
 
 class TestMiatello:
@@ -110,6 +102,14 @@ class TestMiatello:
             miatello_coefficients(2, -2)
         with pytest.raises(ValueError):
             miatello_coefficients(2, 4)
+
+    def test_dimension_cap(self):
+        k_cap = MAX_DIMENSION // 2
+        assert len(miatello_coefficients(k_cap, k_cap - 1)) == k_cap
+        with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
+            miatello_coefficients(k_cap + 1, 0)
+        with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
+            miatello_coefficients(k_cap + 1, -1)
 
 
 class TestDensity:
@@ -142,22 +142,28 @@ class TestDensity:
         val = plancherel_density(2, 0, 500.0)
         assert math.isfinite(val) and val > 0
 
+    def test_matches_exact_polynomial_value(self):
+        # r^2 = 9/4 is exact in binary, so only the float Horner loop rounds;
+        # at k = 3, p = 1 the prefactor is pi / (2^8 Gamma(3)^2) * C(5, 1)
+        r = 1.5
+        exact = horner(miatello_coefficients(3, 1), Fraction(9, 4))
+        prefactor = math.pi / 1024.0 * 5.0 * r * math.tanh(math.pi * r)
+        assert math.isclose(
+            plancherel_density(3, 1, r), prefactor * float(exact), rel_tol=1e-14
+        )
+
     def test_nonfinite_r_rejected(self):
         with pytest.raises(ValueError):
             plancherel_density(2, 0, float("nan"))
 
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
+            plancherel_density(MAX_DIMENSION // 2 + 1, 0, 1.0)
 
-class TestEvenPolynomialType:
-    def test_trailing_zeros_trimmed(self):
-        poly = EvenPolynomial((Fraction(1), Fraction(2), Fraction(0)))
-        assert poly.coefficients == (Fraction(1), Fraction(2))
-
-    def test_call_uses_r_squared(self):
-        poly = EvenPolynomial((Fraction(1, 4), Fraction(1)))
-        assert poly(Fraction(2)) == Fraction(17, 4)
-        assert poly(Fraction(-2)) == Fraction(17, 4)
-
-    def test_float_evaluation_branch(self):
-        poly = plancherel_polynomial(3, 1)
-        exact = poly.eval_at_r2(Fraction(9, 4))
-        assert math.isclose(poly.eval_at_r2(2.25), float(exact), rel_tol=1e-15)
+    def test_normalisation_outside_float_range_rejected(self):
+        # pi / (2^(4k-4) Gamma(k)^2) is a normal float up to k = 75; above
+        # it underflows to 0, and from k = 99 on Gamma(k)^2 overflows
+        assert plancherel_density(75, 0, 0.3) > 0
+        for k in (76, 99, MAX_DIMENSION // 2):
+            with pytest.raises(ValueError, match=f"n={2 * k} "):
+                plancherel_density(k, 0, 0.3)
