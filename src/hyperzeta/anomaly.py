@@ -8,8 +8,10 @@ result is always a rational multiple of pi^(-n/2):
     <T> = 1/((4 pi)^(n/2) Gamma(n/2) R^n) * sum_{j=0}^{p} (contribution of
           the j-shifted sector pair),
 
-with the per-j contributions supplied exactly by heat_zeta.  Everything
-in this module is exact arithmetic; floats appear only in rendering.
+with the per-j contributions supplied exactly by heat_zeta.  At the p-form
+shift the contributions collapse onto one moment per sector, summed by a
+prefix sum over j (see _default_shift_sum).  Everything in this module is
+exact arithmetic; floats appear only in rendering.
 
 The spectral shift alpha is a policy choice: p + rho0^2 for the p-form
 tables, 1/4 for the conformally coupled scalar, rho0^2 + m^2 R^2 for a
@@ -19,8 +21,11 @@ defaulted across use cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .exact import (
     MAX_DIMENSION,
@@ -30,7 +35,7 @@ from .exact import (
     check_dimension,
     half_gamma,
 )
-from .heat_zeta import zeta_identity_terms
+from .heat_zeta import zeta_identity_terms, zeta_moment_parts
 from .plancherel import miatello_coefficients
 
 __all__ = [
@@ -122,12 +127,19 @@ class AnomalyResult:
     ``value`` is the anomaly itself; ``zeta_zero`` is the zeta value at 0
     (anomaly times volume times R^n, times the bundle multiplier).  Each
     breakdown entry is (j, l, term) with the terms summing, under the
-    global prefactor, back to ``value`` exactly.
+    global prefactor, back to ``value`` exactly.  The breakdown is built
+    by ``terms`` the first time it is read; the value never needs it.
     """
 
     value: PiValue
     zeta_zero: PiValue
-    breakdown: tuple[tuple[int, int, Fraction], ...]
+    terms: Callable[[], tuple[tuple[int, int, Fraction], ...]] = field(
+        repr=False, compare=False
+    )
+
+    @functools.cached_property
+    def breakdown(self) -> tuple[tuple[int, int, Fraction], ...]:
+        return self.terms()
 
     def prefactor_coefficient(self) -> Fraction:
         total = sum((term for _, _, term in self.breakdown), Fraction(0))
@@ -142,6 +154,40 @@ def _prefactor(n: int, radius_power_scale: Fraction) -> Fraction:
     return Fraction(1, 4**k) / half_gamma(n) / radius_power_scale
 
 
+# Must hold the k sectors of one table row at MAX_DIMENSION (checked in the tests).
+@functools.lru_cache(maxsize=128)
+def _sector_moment(k: int, q: int) -> tuple[int, int]:
+    # M(q), the sector-q moment at the sector's own shift q + rho0^2, as an
+    # unreduced fraction; the shift's denominator is 4 for every q, so all
+    # sectors of one k share the denominator (zeta_moment_parts)
+    return zeta_moment_parts(k, q, q + Fraction(2 * k - 1, 2) ** 2)
+
+
+def _default_shift_sum(n: int, p: int) -> Fraction:
+    # At alpha = p + rho0^2 the j-th term sum depends on q = p - j only:
+    # (-1)^j C(n-1, q) [M(q) + q/(n-p) M(q-1)], with M(-1) = 0.  Summed over
+    # j that is A_p + B_p/(n-p), where A_p = C(n-1, p) M(p) - A_{p-1} and
+    # B_p = p C(n-1, p) M(p-1) - B_{p-1}, from A_{-1} = B_{-1} = 0; both run
+    # over the numerators, and the one fraction is made at the end.
+    k = n // 2
+    a = b = side = 0
+    for q in range(p + 1):
+        chi = math.comb(n - 1, q)
+        main, den = _sector_moment(k, q)
+        a = chi * main - a
+        b = q * chi * side - b
+        side = main
+    return Fraction(a * (n - p) + b, den * (n - p))
+
+
+def _pform_breakdown(n: int, p: int, alpha: Fraction) -> tuple[tuple[int, int, Fraction], ...]:
+    return tuple(
+        (j, ell, term)
+        for j in range(p + 1)
+        for ell, term in enumerate(zeta_identity_terms(n, p, j, alpha))
+    )
+
+
 def conformal_anomaly(
     spec: AnomalySpec,
     volume: Rational | None = None,
@@ -152,20 +198,27 @@ def conformal_anomaly(
     When ``volume`` is given, zeta_zero is the anomaly scaled back to the
     zeta value (times volume, R^n, and the bundle multiplier chi_one);
     otherwise unit volume is assumed.
+
+    At the default shift alpha = p + rho0^2 the value comes from one
+    memoised moment per sector and a prefix sum over j; any other alpha
+    sums the per-(j, l) terms.  Either way the breakdown is built from
+    the per-(j, l) terms, and only when it is read.
     """
     n = spec.dimension
     p = spec.form_order
     k = n // 2
-    breakdown = []
-    for j in range(p + 1):
-        for ell, term in enumerate(zeta_identity_terms(n, p, j, spec.alpha)):
-            breakdown.append((j, ell, term))
+    if spec.alpha == alpha_default(n, p):
+        total = _default_shift_sum(n, p)
+        terms = functools.partial(_pform_breakdown, n, p, spec.alpha)
+    else:
+        breakdown = _pform_breakdown(n, p, spec.alpha)
+        total = sum((term for _, _, term in breakdown), Fraction(0))
+        terms = functools.partial(tuple, breakdown)
     pref = _prefactor(n, spec.radius_power_scale)
-    total = sum((term for _, _, term in breakdown), Fraction(0))
     value = PiValue(pref * total, k)
     vol = Fraction(volume) if volume is not None else Fraction(1)
     zeta_zero = value * (vol * spec.radius_power_scale * Fraction(chi_one))
-    return AnomalyResult(value=value, zeta_zero=zeta_zero, breakdown=tuple(breakdown))
+    return AnomalyResult(value=value, zeta_zero=zeta_zero, terms=terms)
 
 
 def conformal_scalar_anomaly(n: int) -> AnomalyResult:
@@ -193,7 +246,9 @@ def conformal_scalar_anomaly(n: int) -> AnomalyResult:
     pref = _prefactor(n, Fraction(1))
     total = sum((term for _, _, term in breakdown), Fraction(0))
     value = PiValue(pref * total, k)
-    return AnomalyResult(value=value, zeta_zero=value, breakdown=tuple(breakdown))
+    return AnomalyResult(
+        value=value, zeta_zero=value, terms=functools.partial(tuple, breakdown)
+    )
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ __all__ = [
     "zeta_identity_terms",
     "zeta_identity_zero_total",
     "zeta_moment_sum",
+    "zeta_moment_parts",
     "zeta_moment_continued",
     "identity_zeta_term",
 ]
@@ -521,13 +522,38 @@ def zeta_moment_sum(k: int, q: int, beta: Rational) -> Fraction:
     2 integral_0^inf r P_q(r^2) tanh(pi r) (r^2 + beta)^(-s) dr.
     It is the single building block every zeta_identity term reduces to.
     """
+    return Fraction(*zeta_moment_parts(k, q, beta))
+
+
+def zeta_moment_parts(k: int, q: int, beta: Rational) -> tuple[int, int]:
+    """zeta_moment_sum(k, q, beta) as an unreduced (numerator, denominator).
+
+    Each part is one integer dot product over one common denominator:
+    with a_{2l} = c_l / 4^(k-1) and beta = x / d, the Bernoulli part sits
+    over lcm_l((l+1) bd_l) and the power part over lcm(1..k) d^k, its
+    powers grown by Horner's rule.  The denominator depends on k and d
+    only, so moments of one k whose shifts share d add as integers.
+    """
     beta = Fraction(beta)
+    x, d = beta.numerator, beta.denominator
     coeffs = miatello_coefficients(k, q)
-    total = Fraction(0)
-    for ell in range(k):
-        w = Fraction((-1) ** (ell + 1), ell + 1)
-        total += coeffs[ell] * w * (_bern_weight(ell) + beta ** (ell + 1))
-    return total
+    scale = 4 ** (k - 1)
+    berns = [_bern_weight(ell) for ell in range(k)]
+    bern_den = math.lcm(*(b.denominator * (ell + 1) for ell, b in enumerate(berns)))
+    pow_den = math.lcm(*range(1, k + 1))
+    bern_num = pow_num = 0
+    pow_x = 1
+    for ell, (a, b) in enumerate(zip(coeffs, berns)):
+        # (-1)^(l+1) c_l, the coefficient over the expansion's 4^(k-1)
+        c = a.numerator * (scale // a.denominator)
+        if ell % 2 == 0:
+            c = -c
+        bern_num += c * b.numerator * (bern_den // (b.denominator * (ell + 1)))
+        pow_x *= x
+        # sum over l of c_l lcm/(l+1) x^(l+1) d^(k-1-l)
+        pow_num = pow_num * d + c * (pow_den // (ell + 1)) * pow_x
+    pow_den *= d**k
+    return bern_num * pow_den + pow_num * bern_den, bern_den * pow_den * scale
 
 
 def zeta_moment_continued(k: int, q: int, beta: float, s: float = 0.0) -> float:

@@ -74,12 +74,16 @@ def miatello_coefficients(k: int, p: int) -> tuple[Rational, ...]:
 
 
 def tanh_pi(r: float) -> float:
-    """tanh(pi*r) computed as 1 - 2/(1 + e^(2*pi*r)).
+    """tanh(pi*r) computed as 1 - 2/(1 + e^(2*pi*r)) for |2 pi r| >= 1.
 
     This exact arrangement (not math.tanh) is the one the Plancherel
-    quadrature kernel uses, so density and integrand agree to the bit.
+    quadrature kernel uses, so density and integrand agree to the bit
+    there.  Below, where the subtraction cancels and loses digits like
+    1/(2 pi r), math.tanh is used.
     """
     x = 2.0 * math.pi * r
+    if abs(x) < 1.0:
+        return math.tanh(0.5 * x)
     if x >= 0.0:
         if x > 709.0:
             return 1.0
@@ -90,7 +94,13 @@ def tanh_pi(r: float) -> float:
 
 
 def plancherel_density(k: int, p: int, r: float) -> float:
-    """Plancherel density mu_p(r) at a real spectral parameter r (0 at p = -1)."""
+    """Plancherel density mu_p(r) at a real spectral parameter r (0 at p = -1).
+
+    The float Horner loop is used wherever every partial product stays a
+    normal double.  Elsewhere (for instance P_p(r^2) alone overflows at
+    large r and n while mu_p(r) does not) the product is formed exactly and
+    rounded once; a density outside the normal floats raises ValueError.
+    """
     check_dimension(2 * k)
     if not math.isfinite(r):
         raise ValueError("spectral parameter r must be finite")
@@ -100,9 +110,38 @@ def plancherel_density(k: int, p: int, r: float) -> float:
         norm = 0.0
     if not norm >= sys.float_info.min:
         raise ValueError(f"Plancherel normalisation for n={2 * k} is outside the float range")
-    chi = float(binomial(2 * k - 1, p))  # symmetric in p <-> 2k-1-p already
+    chi = binomial(2 * k - 1, p)  # symmetric in p <-> 2k-1-p already
+    coeffs = miatello_coefficients(k, p)
     r2 = r * r
     acc = 0.0
-    for c in reversed(miatello_coefficients(k, p)):
+    for c in reversed(coeffs):
         acc = acc * r2 + float(c)
-    return norm * chi * r * acc * tanh_pi(r)
+    head = norm * float(chi) * r
+    body = head * acc
+    value = body * tanh_pi(r)
+    if r == 0.0 or chi == 0:
+        return value
+    if all(sys.float_info.min <= abs(x) <= sys.float_info.max for x in (head, body, value)):
+        return value
+    return _density_rounded_once(k, r, chi, coeffs)
+
+
+def _density_rounded_once(k: int, r: float, chi: Fraction, coeffs) -> float:
+    # r P_p(r^2) C(2k-1, p) tanh(pi r) / (2^(4k-4) Gamma(k)^2) exactly, then
+    # times pi with the binary exponent split off, so nothing overflows
+    x = Fraction(r)
+    x2 = x * x
+    poly = Fraction(0)
+    for c in reversed(coeffs):
+        poly = poly * x2 + c
+    exact = x * poly * chi * Fraction(tanh_pi(r)) / (2 ** (4 * k - 4) * half_gamma(2 * k) ** 2)
+    e = exact.numerator.bit_length() - exact.denominator.bit_length()
+    try:
+        value = math.ldexp(float(exact * Fraction(2) ** -e) * math.pi, e)
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= abs(value) <= sys.float_info.max:
+        raise ValueError(
+            f"Plancherel density at r={r!r} (n={2 * k}) is outside the float range"
+        )
+    return value

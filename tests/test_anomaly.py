@@ -1,11 +1,15 @@
 """Exact anomaly pipeline: alpha policies, the main formula, tables."""
 
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperzeta import anomaly
 from hyperzeta.anomaly import (
     MAX_DIMENSION,
     TABLE1_DIMS,
@@ -18,7 +22,7 @@ from hyperzeta.anomaly import (
     generate_table,
 )
 from hyperzeta.exact import PiValue
-from hyperzeta.heat_zeta import _bern_weight
+from hyperzeta.heat_zeta import _bern_weight, zeta_identity_terms
 from hyperzeta.plancherel import _expand
 
 
@@ -79,6 +83,7 @@ class TestAnomalySpec:
         # a row at the cap touches k = MAX_DIMENSION/2 sectors and Bernoulli weights
         assert _expand.cache_info().maxsize >= MAX_DIMENSION // 2
         assert _bern_weight.cache_info().maxsize >= MAX_DIMENSION // 2
+        assert anomaly._sector_moment.cache_info().maxsize >= MAX_DIMENSION // 2
 
 
 class TestGoldenTables:
@@ -197,3 +202,69 @@ class TestGenerateTable:
             spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
             rendered = conformal_anomaly(spec).value.render_float(6)
             assert rendered == row["published_float"], (n, p)
+
+
+def per_term_value(n: int, p: int) -> PiValue:
+    """The default-shift anomaly from a freshly built per-(j, l) breakdown."""
+    alpha = alpha_default(n, p)
+    total = sum(
+        (term for j in range(p + 1) for term in zeta_identity_terms(n, p, j, alpha)),
+        Fraction(0),
+    )
+    k = n // 2
+    prefactor = Fraction(1, 4**k * math.factorial(k - 1))
+    return PiValue(prefactor * total, k)
+
+
+@st.composite
+def cells(draw):
+    n = draw(st.integers(min_value=1, max_value=30)) * 2
+    return n, draw(st.integers(min_value=0, max_value=n // 2 - 1))
+
+
+class TestMomentRoute:
+    """The default shift takes its value from per-sector moments; the
+    per-(j, l) terms are an independent route to the same number."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells())
+    def test_matches_per_term_route(self, cell):
+        n, p = cell
+        spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
+        assert conformal_anomaly(spec).value == per_term_value(n, p)
+
+    @pytest.mark.parametrize("n,p", [(120, 59), (200, 99)])
+    def test_matches_per_term_route_at_large_n(self, n, p):
+        spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
+        assert conformal_anomaly(spec).value == per_term_value(n, p)
+
+    def test_default_shift_table_never_builds_terms(self, monkeypatch, capsys):
+        from hyperzeta.cli import main
+
+        def refuse(*args):
+            raise AssertionError("zeta_identity_terms called")
+
+        monkeypatch.setattr(anomaly, "zeta_identity_terms", refuse)
+        argv = ["table", "--which", "custom", "--dims", "24", "--forms"]
+        assert main(argv + [str(p) for p in range(12)] + ["--format", "csv"]) == 0
+        assert main(["table", "--which", "table2"]) == 0
+        capsys.readouterr()
+        cell = generate_table("custom", dims=[10], forms=[4])[0]
+        # the breakdown is built on first read, and only then
+        with pytest.raises(AssertionError, match="zeta_identity_terms called"):
+            cell.result.breakdown
+
+    def test_breakdown_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return zeta_identity_terms(*args)
+
+        monkeypatch.setattr(anomaly, "zeta_identity_terms", counting)
+        res = conformal_anomaly(AnomalySpec(dimension=8, form_order=2, alpha=alpha_default(8, 2)))
+        assert calls == []
+        first = res.breakdown
+        assert len(calls) == 3  # j = 0, 1, 2
+        assert res.breakdown is first
+        assert len(calls) == 3

@@ -218,6 +218,20 @@ class TestTable:
         ]
         assert runs[0] == runs[1] and runs[0]
 
+    def test_row_at_the_cap_within_budget(self):
+        # every cell of the n = 200 row, in a fresh process
+        n = MAX_DIMENSION
+        argv = ["table", "--which", "custom", "--dims", str(n), "--forms"]
+        argv += [str(p) for p in range(n // 2)] + ["--format", "csv"]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperzeta", *argv], capture_output=True, timeout=60
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(b"\n") == 2  # header and one row
+        assert elapsed < 5.0, f"n={n} row took {elapsed:.2f} s"
+
 
 class TestPlancherel:
     def test_coefficients_listed(self, capsys):
@@ -249,6 +263,20 @@ class TestPlancherel:
         code, out, err = run_cli(capsys, "plancherel", "--dim", str(dim), "--form", "0")
         assert time.perf_counter() - start < 1.0
         assert_one_error_line(code, out, err, f"MAX_DIMENSION={MAX_DIMENSION}")
+
+    def test_density_beyond_float_polynomial(self, capsys):
+        # P_0(r^2) alone overflows a double here; the density does not
+        code, out, err = run_cli(
+            capsys, "plancherel", "--dim", "150", "--form", "0", "--eval", "1000"
+        )
+        assert code == 0, err
+        assert "mu(r=1000) = 2.58068e+143" in out
+
+    def test_density_overflow_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "plancherel", "--dim", "6", "--form", "1", "--eval", "1e100"
+        )
+        assert_one_error_line(code, out, err, "r=1e+100 ")
 
     def test_density_outside_float_range_exit_2(self, capsys):
         code, out, err = run_cli(

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperzeta import heat_zeta
 from hyperzeta.heat_zeta import (
@@ -33,7 +35,7 @@ from hyperzeta.heat_zeta import (
 )
 from hyperzeta.exact import MAX_DIMENSION, bernoulli
 from hyperzeta.manifold import GeodesicClass, ManifoldData, synth_spectrum
-from hyperzeta.plancherel import plancherel_density
+from hyperzeta.plancherel import miatello_coefficients, plancherel_density
 from hyperzeta.verify import TANH_TIMES
 
 
@@ -384,6 +386,50 @@ class TestZetaIdentityExact:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
             zeta_identity_at_zero(MAX_DIMENSION + 2, 0, 0, Fraction(1))
+
+
+def fraction_loop_moment(k, q, beta):
+    """zeta_moment_sum as a plain Fraction loop over l (the former implementation)."""
+    beta = Fraction(beta)
+    coeffs = miatello_coefficients(k, q)
+    total = Fraction(0)
+    for ell in range(k):
+        w = Fraction((-1) ** (ell + 1), ell + 1)
+        total += coeffs[ell] * w * (heat_zeta._bern_weight(ell) + beta ** (ell + 1))
+    return total
+
+
+@st.composite
+def moment_cases(draw):
+    k = draw(st.integers(min_value=1, max_value=30))
+    q = draw(st.integers(min_value=-1, max_value=k - 1))
+    beta = draw(
+        st.one_of(
+            st.sampled_from([Fraction(29, 7), Fraction(-5, 3), Fraction(0)]),
+            st.fractions(min_value=-50, max_value=500, max_denominator=99),
+        )
+    )
+    return k, q, beta
+
+
+class TestMomentSum:
+    @settings(max_examples=150, deadline=None)
+    @given(moment_cases())
+    def test_equals_fraction_loop(self, case):
+        assert zeta_moment_sum(*case) == fraction_loop_moment(*case)
+
+    def test_equals_fraction_loop_at_the_cap(self):
+        k = MAX_DIMENSION // 2
+        for q, beta in ((0, Fraction(29, 7)), (k - 1, k - 1 + Fraction(2 * k - 1, 2) ** 2)):
+            assert zeta_moment_sum(k, q, beta) == fraction_loop_moment(k, q, beta)
+
+    def test_parts_share_a_denominator_per_shift_denominator(self):
+        k = 9
+        dens = {
+            heat_zeta.zeta_moment_parts(k, q, q + Fraction(2 * k - 1, 2) ** 2)[1]
+            for q in range(-1, k)
+        }
+        assert len(dens) == 1
 
 
 class TestMomentBridge:

@@ -1,8 +1,11 @@
 """Plancherel coefficients (Miatello's a_{2l}) and the spectral density."""
 
 import math
+import re
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +24,17 @@ def product_form(k: int, p: int, r2: Fraction) -> Fraction:
     for ell in range(p + 2, k + 1):
         out *= r2 + Fraction(2 * (k - ell) + 1, 2) ** 2
     return out
+
+
+def mp_density(k, p, r):
+    """The defining formula of mu_p(r) at 30 digits."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(r)
+        poly = mpmath.mpf(0)
+        for c in reversed(miatello_coefficients(k, p)):
+            poly = poly * x**2 + mpmath.mpf(c.numerator) / c.denominator
+        norm = mpmath.pi / (mpmath.mpf(2) ** (4 * k - 4) * mpmath.factorial(k - 1) ** 2)
+        return norm * math.comb(2 * k - 1, p) * x * poly * mpmath.tanh(mpmath.pi * x)
 
 
 def horner(coeffs, r2):
@@ -151,6 +165,31 @@ class TestDensity:
         assert math.isclose(
             plancherel_density(3, 1, r), prefactor * float(exact), rel_tol=1e-14
         )
+
+    @pytest.mark.parametrize(
+        "n,p,r", [(150, 0, 1000.0), (150, 74, 1000.0), (100, 3, 3000.0), (2, 0, 1e300)]
+    )
+    def test_finite_where_the_polynomial_overflows(self, n, p, r):
+        # the float Horner value of P_p(r^2) is inf at these points
+        want = mp_density(n // 2, p, r)
+        assert abs(plancherel_density(n // 2, p, r) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n,p", [(2, 0), (12, 3), (40, 19), (150, 0), (150, 74)])
+    @pytest.mark.parametrize(
+        "r", [1e-200, 1e-17, 1e-10, 1e-5, 0.01, 0.1, 0.3, 2.5, 40.0, 1e3, 1e30, 1e300]
+    )
+    def test_normal_float_or_value_error(self, n, p, r):
+        want = mp_density(n // 2, p, r)
+        if sys.float_info.min <= want <= sys.float_info.max:
+            assert abs(plancherel_density(n // 2, p, r) - want) <= 1e-12 * want
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"r={r!r} ")):
+                plancherel_density(n // 2, p, r)
+
+    @pytest.mark.parametrize("k,r", [(3, 1e100), (75, 1e30), (75, 1e-200), (1, 1e-200)])
+    def test_density_outside_float_range_rejected(self, k, r):
+        with pytest.raises(ValueError, match=re.escape(f"r={r!r} ")):
+            plancherel_density(k, 0, r)
 
     def test_nonfinite_r_rejected(self):
         with pytest.raises(ValueError):
