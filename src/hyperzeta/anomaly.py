@@ -154,8 +154,14 @@ def _prefactor(n: int, radius_power_scale: Fraction) -> Fraction:
     return Fraction(1, 4**k) / half_gamma(n) / radius_power_scale
 
 
-# Must hold the k sectors of one table row at MAX_DIMENSION (checked in the tests).
-@functools.lru_cache(maxsize=128)
+# One entry for every sector (k, q), 0 <= q < k <= MAX_DIMENSION/2, so nothing
+# is ever evicted: each moment is computed once per process, whatever order
+# rows are asked for in (an LRU smaller than a sweep's sectors misses on
+# almost every lookup of a cyclic sweep).  All 5050 hold about 2.4 MB.
+_SECTORS_TO_CAP = (MAX_DIMENSION // 2) * (MAX_DIMENSION // 2 + 1) // 2
+
+
+@functools.lru_cache(maxsize=_SECTORS_TO_CAP)
 def _sector_moment(k: int, q: int) -> tuple[int, int]:
     # M(q), the sector-q moment at the sector's own shift q + rho0^2, as an
     # unreduced fraction; the shift's denominator is 4 for every q, so all

@@ -85,6 +85,10 @@ class TestAnomalySpec:
         assert _bern_weight.cache_info().maxsize >= MAX_DIMENSION // 2
         assert anomaly._sector_moment.cache_info().maxsize >= MAX_DIMENSION // 2
 
+    def test_moment_memo_holds_every_sector_to_the_cap(self):
+        k_cap = MAX_DIMENSION // 2
+        assert anomaly._sector_moment.cache_info().maxsize >= sum(range(1, k_cap + 1))
+
 
 class TestGoldenTables:
     def test_table2_exact_equality(self, golden):
@@ -268,3 +272,17 @@ class TestMomentRoute:
         assert len(calls) == 3  # j = 0, 1, 2
         assert res.breakdown is first
         assert len(calls) == 3
+
+    def test_moment_work_does_not_depend_on_row_order(self):
+        # two cyclic sweeps of 11 rows (187 sectors) in three orders: every
+        # sector is computed exactly once, whatever the order
+        dims = list(range(24, 46, 2))
+        misses = []
+        for order in (dims, dims[::-1], dims[1::2] + dims[::2]):
+            anomaly._sector_moment.cache_clear()
+            for n in order * 2:
+                for p in range(n // 2):
+                    spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
+                    conformal_anomaly(spec)
+            misses.append(anomaly._sector_moment.cache_info().misses)
+        assert misses == [sum(n // 2 for n in dims)] * 3
