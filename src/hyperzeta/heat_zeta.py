@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import _kernels
-from ._kernels import fallback as _py_kernels
+from ._kernels.fallback import _integrate, _pairwise
 from .exact import Rational, bernoulli, binomial, check_dimension
 from .manifold import ManifoldData
 from .plancherel import miatello_coefficients
@@ -64,11 +64,6 @@ class QuadratureError(RuntimeError):
 
 class EmptySpectrumWarning(UserWarning):
     """A geodesic sum was requested on a manifold with no length spectrum."""
-
-
-def _pairwise(vals: list) -> float:
-    # fixed bottom-up tree, the same one the quadrature kernels sum with
-    return _py_kernels._pairwise(vals, 0, len(vals)) if vals else 0.0
 
 
 def _rho0_sq(n: int) -> Fraction:
@@ -204,21 +199,32 @@ def tanh_moment_series(ell: int, t: float, order: int | None = None) -> TanhMome
 
 
 def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
+    # a_p = chi / j * t * C * chi_p(m), multiplied left to right.  Every
+    # trivial-holonomy class has the same float character C(n-1, p), read
+    # once; an explicit holonomy is looked up (and checked) per class.
     n = manifold.dimension
+    trivial = None
     lengths = []
     amps = []
     for g in manifold.geodesics:
+        if g.holonomy is None:
+            if trivial is None:
+                trivial = g.character(n, p)
+            chi_p = trivial
+        else:
+            chi_p = g.character(n, p)
         lengths.append(g.length)
-        amps.append(g.chi / g.power * g.length * g.c_factor(n) * g.character(n, p))
+        amps.append(g.chi / g.power * g.length * g.c_factor(n) * chi_p)
     return lengths, amps
 
 
 def _hyperbolic_sum(lengths: list, amps: list, shift: float, t: float) -> float:
     # the one expression for the geodesic sum of a sector: hyperbolic_heat_term
     # and coexact_trace both call it, so they agree to the bit
-    vals = [
-        a * math.exp(-t * shift - l * l / (4.0 * t)) for l, a in zip(lengths, amps)
-    ]
+    exp = math.exp
+    decay = -t * shift
+    four_t = 4.0 * t
+    vals = [a * exp(decay - l * l / four_t) for l, a in zip(lengths, amps)]
     return _pairwise(vals) / math.sqrt(4.0 * math.pi * t)
 
 
@@ -333,30 +339,90 @@ def coexact_trace(
 # --- Bessel-K and the Mellin route -------------------------------------------
 
 
-def _scaled_bessel_k(mu: float, z: float, pair: bool) -> tuple[float, float]:
-    # e^z K_mu(z) and, if pair, e^z K_(mu+1)(z), for |mu| <= 1/2, by the
-    # trapezoid rule on e^z K_nu(z) = int_0^inf e^(-z(cosh u - 1)) cosh(nu u) du.
+def _bessel_k_family(orders: Sequence[float]):
+    """K_nu(z) for every nu in ``orders``, as one function of z > 0.
+
+    The orders are sorted into branches once.  Half-integer |nu| uses the
+    finite closed form.  |nu| <= 1/2 is the trapezoid rule on
+    e^z K_nu(z) = int_0^inf e^(-z(cosh u - 1)) cosh(nu u) du; larger |nu|
+    sums mu = |nu| - round(|nu|) and mu + 1 on the same nodes and recurs
+    upward.  For each z the nodes u, z(cosh u - 1), e^(-z(cosh u - 1)) and
+    e^-z are computed once; each trapezoid sum adds its own cosh terms up
+    to its own stop.
+    """
     # The integrand is analytic in |Im u| < pi/2, so the error of step h
     # falls like e^(-pi^2/h) (Trefethen & Weideman, SIAM Rev. 56 (2014));
     # h <= 0.7/sqrt(z) resolves the e^(-z u^2/2) peak for large z.  The
-    # exponent z(cosh u - 1) - nu u is convex and starts at 0, so once it
-    # passes 40 every later node is below e^-40 of the u = 0 node.
-    h = min(0.25, 0.7 / math.sqrt(z))
-    top = abs(mu) + 1.0 if pair else abs(mu)
-    k0 = k1 = 0.5  # the halved u = 0 node
-    j = 1
-    while True:
-        u = j * h
-        half_sinh = math.sinh(0.5 * u)
-        x = 2.0 * z * half_sinh * half_sinh  # z(cosh u - 1) without cancellation
-        if x - top * u > 40.0:
-            break
-        w = math.exp(-x)
-        k0 += w * math.cosh(mu * u)
-        if pair:
-            k1 += w * math.cosh((mu + 1.0) * u)
-        j += 1
-    return h * k0, h * k1
+    # exponent z(cosh u - 1) - top u is convex and starts at 0, so once it
+    # passes 40 every later node is below e^-40 of the u = 0 node.  A sum
+    # stops there, with top = |mu| alone or |mu| + 1 for the pair.
+    branches = []  # (kind, data) per order
+    coefs = []  # the cosh(c u) coefficient of each trapezoid sum
+    tops = []  # the stop slope of each trapezoid sum
+    for order in orders:
+        nu = abs(float(order))
+        half = nu - 0.5
+        if half == int(half) and half >= 0:
+            m = int(half)
+            terms = [
+                math.factorial(m + i) / (math.factorial(i) * math.factorial(m - i))
+                for i in range(m + 1)
+            ]
+            branches.append(("closed", terms))
+        elif nu <= 0.5:
+            branches.append(("low", len(coefs)))
+            coefs.append(nu)
+            tops.append(nu)
+        else:
+            m = round(nu)
+            mu = nu - m
+            branches.append(("up", (len(coefs), mu, m)))
+            coefs += [mu, mu + 1.0]
+            tops += [abs(mu) + 1.0] * 2
+    # a sum with a lower top stops no later, so the nodes end where the
+    # highest top stops
+    top_max = max(tops, default=0.0)
+
+    def values(z: float) -> list[float]:
+        exp, cosh, sinh = math.exp, math.cosh, math.sinh
+        h = min(0.25, 0.7 / math.sqrt(z))
+        nodes = []  # (u, z(cosh u - 1), e^-(z(cosh u - 1))) for u = h, 2h, ...
+        j = 1
+        while coefs:
+            u = j * h
+            half_sinh = sinh(0.5 * u)
+            x = 2.0 * z * half_sinh * half_sinh  # z(cosh u - 1) without cancellation
+            if x - top_max * u > 40.0:
+                break
+            nodes.append((u, x, exp(-x)))
+            j += 1
+        scaled = []
+        for c, top in zip(coefs, tops):
+            acc = 0.5  # the halved u = 0 node
+            for u, x, w in nodes:
+                if x - top * u > 40.0:
+                    break
+                acc += w * cosh(c * u)
+            scaled.append(h * acc)
+        ez = exp(-z)
+        out = []
+        for kind, data in branches:
+            if kind == "closed":
+                acc = 0.0
+                for i, term in enumerate(data):
+                    acc += term / (2.0 * z) ** i
+                out.append(math.sqrt(math.pi / (2.0 * z)) * ez * acc)
+            elif kind == "low":
+                out.append(ez * scaled[data])
+            else:
+                first, mu, m = data
+                prev, cur = scaled[first], scaled[first + 1]
+                for i in range(1, m):
+                    prev, cur = cur, prev + 2.0 * (mu + i) / z * cur
+                out.append(ez * cur)
+        return out
+
+    return values
 
 
 def bessel_k(order: float, z: float) -> float:
@@ -368,56 +434,48 @@ def bessel_k(order: float, z: float) -> float:
     (DLMF 10.32.9); larger orders start from mu = nu - round(nu) and mu + 1
     and recur upward with K_(m+1) = K_(m-1) + (2m/z) K_m, which is stable
     for K.  Accurate to about 1e-13 relative for z in [1e-3, 700] and
-    orders up to 20.
+    orders up to 20.  mellin_hyperbolic evaluates many orders at one z on
+    the same code (_bessel_k_family), to the same bits.
     """
     if not (math.isfinite(z) and z > 0):
         raise ValueError(f"z must be positive and finite, got {z!r}")
-    nu = abs(float(order))
-    half = nu - 0.5
-    if half == int(half) and half >= 0:
-        m = int(half)
-        acc = 0.0
-        for i in range(m + 1):
-            acc += (
-                math.factorial(m + i)
-                / (math.factorial(i) * math.factorial(m - i))
-                / (2.0 * z) ** i
-            )
-        return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * acc
-    if nu <= 0.5:
-        return math.exp(-z) * _scaled_bessel_k(nu, z, False)[0]
-    m = round(nu)
-    mu = nu - m
-    prev, cur = _scaled_bessel_k(mu, z, True)
-    for i in range(1, m):
-        prev, cur = cur, prev + 2.0 * (mu + i) / z * cur
-    return math.exp(-z) * cur
+    return _bessel_k_family((order,))(z)[0]
 
 
-def mellin_hyperbolic(manifold: ManifoldData, p: int, s: float) -> float:
-    """Mellin transform at s of the p-sector hyperbolic heat term, Bessel form.
+def mellin_hyperbolic(
+    manifold: ManifoldData, p: int, s_values: Sequence[float]
+) -> list[float]:
+    """Mellin transform at each s of the p-sector hyperbolic heat term, Bessel form.
 
     sum over classes of (chi/(sqrt(pi) j)) t_gamma C(gamma) chi_p(m)
     (2 sqrt(alpha)/t_gamma)^(1/2-s) K_{1/2-s}(t_gamma sqrt(alpha)),
     with alpha = p + rho0^2 appearing in both the power prefactor and the
     Bessel argument (the two slots carry the same sector shift; the
     time-quadrature route is the arbiter and confirms this reading).
+
+    Returns one value per entry of ``s_values``, in order.  The amplitude
+    table is built once per call, and each geodesic's Bessel nodes are
+    shared by all s.
     """
     n = manifold.dimension
     if not 0 <= p <= n - 1:
         raise ValueError(f"form order p={p} outside 0..{n - 1}")
+    nus = [0.5 - float(s) for s in s_values]
     if not manifold.geodesics:
         warnings.warn("Mellin transform over empty spectrum is 0", EmptySpectrumWarning)
-        return 0.0
+        return [0.0] * len(nus)
     alpha = float(p + _rho0_sq(n))
     sqrt_alpha = math.sqrt(alpha)
-    nu = 0.5 - s
+    root_pi = math.sqrt(math.pi)
+    bessel = _bessel_k_family(nus)
     lengths, amps = _geodesic_amplitudes(manifold, p)
-    vals = [
-        a / math.sqrt(math.pi) * (2.0 * sqrt_alpha / l) ** nu * bessel_k(nu, l * sqrt_alpha)
-        for l, a in zip(lengths, amps)
-    ]
-    return _pairwise(vals)
+    columns = [[] for _ in nus]
+    for l, a in zip(lengths, amps):
+        scaled = a / root_pi
+        ratio = 2.0 * sqrt_alpha / l
+        for column, nu, k in zip(columns, nus, bessel(l * sqrt_alpha)):
+            column.append(scaled * ratio**nu * k)
+    return [_pairwise(column) for column in columns]
 
 
 def mellin_hyperbolic_quadrature(manifold: ManifoldData, p: int, s: float) -> float:
@@ -599,7 +657,7 @@ def zeta_moment_continued(k: int, q: int, beta: float, s: float = 0.0) -> float:
         return (math.pi / 2.0) * math.cosh(u) * r2 * p_val * power * fermi
 
     # cold path: the kernels' trapezoid engine is called directly on this node
-    value, delta, _, ok = _py_kernels._integrate(node, 0.5, 12, 1e-13, 1e-14)
+    value, delta, _, ok = _integrate(node, 0.5, 12, 1e-13, 1e-14)
     if not ok:
         raise QuadratureError(f"moment continuation did not converge (k={k}, q={q})", delta)
     return elementary - 4.0 * value

@@ -35,7 +35,7 @@ FORMAT_VERSION = 1
 
 
 class ManifoldFormatError(ValueError):
-    """Manifold file rejected; message names the violated rule and field."""
+    """Manifold file or data rejected; message names the violated rule and field."""
 
     def __init__(self, message: str, *, line: int | None = None, field_path: str | None = None):
         loc = []
@@ -136,8 +136,16 @@ class ManifoldData:
         if any((not isinstance(b, int)) or b < 0 for b in betti):
             raise ValueError("betti entries must be nonnegative integers")
         object.__setattr__(self, "betti", betti)
+        given = tuple(self.geodesics)
+        for i, g in enumerate(given):
+            if g.holonomy is not None and len(g.holonomy) != n:
+                raise ManifoldFormatError(
+                    f"holonomy must list n={n} character values (orders 0..{n - 1}), "
+                    f"got {len(g.holonomy)}",
+                    field_path=f"geodesics[{i}].holonomy",
+                )
         # keep the spectrum sorted so truncation bounds can use the last entry
-        geos = tuple(sorted(self.geodesics, key=lambda g: g.length))
+        geos = tuple(sorted(given, key=lambda g: g.length))
         object.__setattr__(self, "geodesics", geos)
 
     @property
@@ -213,6 +221,8 @@ def _manifold_from_dict(doc: dict) -> ManifoldData:
             chi_one=float(doc.get("chi_one", 1.0)),
             radius=float(doc.get("radius", 1.0)),
         )
+    except ManifoldFormatError:
+        raise
     except ValueError as exc:
         raise ManifoldFormatError(str(exc)) from exc
 

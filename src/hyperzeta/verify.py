@@ -257,9 +257,9 @@ def _verification_spectrum() -> manifold.ManifoldData:
 def _check_mellin_vs_bessel() -> CheckResult:
     data = _verification_spectrum()
     worst = 0.0
+    s_values = (0.3, 0.5, 0.7)
     for p in (0, 1):
-        for s in (0.3, 0.5, 0.7):
-            bessel = heat_zeta.mellin_hyperbolic(data, p, s)
+        for s, bessel in zip(s_values, heat_zeta.mellin_hyperbolic(data, p, s_values)):
             quad = heat_zeta.mellin_hyperbolic_quadrature(data, p, s)
             rel = abs(bessel - quad) / max(abs(quad), 1e-300)
             worst = max(worst, rel)
@@ -271,9 +271,11 @@ def _check_mellin_vs_bessel() -> CheckResult:
 def _check_s_scaling() -> CheckResult:
     data = _verification_spectrum()
     p = 0
-    f = {}
-    for s in (1e-2, 1e-3):
-        f[s] = heat_zeta.mellin_hyperbolic(data, p, s) / math.gamma(s)
+    s_values = (1e-2, 1e-3)
+    f = {
+        s: value / math.gamma(s)
+        for s, value in zip(s_values, heat_zeta.mellin_hyperbolic(data, p, s_values))
+    }
     if f[1e-3] == 0.0:
         return CheckResult("s-scaling", False, "value at s=1e-3 is exactly zero")
     ratio = f[1e-2] / f[1e-3]

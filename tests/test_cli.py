@@ -382,6 +382,30 @@ class TestHeatTrace:
         assert_one_error_line(code, out, err, f"n={n} ")
 
 
+@pytest.mark.parametrize("command", [
+    ("heat-trace", "--form", "1", "--t", "1.0"),
+    ("zeta-check", "--form", "1"),
+])
+def test_wrong_holonomy_length_is_a_bad_file(capsys, tmp_path, monkeypatch, command):
+    from hyperzeta import heat_zeta
+    from hyperzeta._kernels import fallback
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran on a rejected file")
+
+    # the engine every kernel calls, and heat_zeta's own binding of it
+    monkeypatch.setattr(fallback, "_integrate", no_quadrature)
+    monkeypatch.setattr(heat_zeta, "_integrate", no_quadrature)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "dimension": 4, "volume": 1.0, "betti": [1, 0, 0, 0, 1],
+        "geodesics": [{"length": 1.0, "c": 1.0, "holonomy": [1.0, 3.0]}],
+    }))
+    subcommand, *rest = command
+    code, out, err = run_cli(capsys, subcommand, "--manifold", str(path), *rest)
+    assert_one_error_line(code, out, err, "bad manifold file", "geodesics[0].holonomy")
+
+
 class TestZetaCheck:
     def test_default_passes(self, capsys, manifold_file):
         code, out, _ = run_cli(

@@ -189,6 +189,44 @@ class TestHyperbolicHeatTerm:
         assert hyperbolic_tail_bound(data, 0, 1.0) == 0.0
 
 
+class TestGeodesicAmplitudes:
+    @staticmethod
+    def _mixed():
+        # trivial classes with and without a stored c, beside explicit holonomies
+        geos = synth_spectrum(seed=3, count=20, min_length=0.5, max_power=2, n=4)
+        geos += [
+            GeodesicClass(length=1.7, power=2, chi=0.5),
+            GeodesicClass(length=1.2, c_value=0.3, holonomy=(1.0, -0.7, 2.5, 0.25)),
+            GeodesicClass(length=3.1, c_value=0.01, chi=2.0, holonomy=(1.0, 3.0, 3.0, 1.0)),
+        ]
+        return ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1), geodesics=tuple(geos))
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_same_bits_as_per_class_characters(self, p):
+        data = self._mixed()
+        lengths, amps = heat_zeta._geodesic_amplitudes(data, p)
+        assert lengths == [g.length for g in data.geodesics]
+        want = [g.chi / g.power * g.length * g.c_factor(4) * g.character(4, p)
+                for g in data.geodesics]
+        assert [a.hex() for a in amps] == [a.hex() for a in want]
+
+    def test_trivial_character_read_once_per_sector(self, monkeypatch):
+        data = self._mixed()
+        calls = []
+        character = GeodesicClass.character
+
+        def counted(self, n, p):
+            calls.append((self.holonomy is None, p))
+            return character(self, n, p)
+
+        monkeypatch.setattr(GeodesicClass, "character", counted)
+        coexact_trace(data, 2, [0.5, 1.0])
+        # one trivial read per sector, and every explicit holonomy per sector
+        assert sorted(calls) == sorted(
+            [(True, q) for q in range(3)] + [(False, q) for q in range(3)] * 2
+        )
+
+
 class TestCoexactTrace:
     def test_p0_assembly(self, flat_spectrum_2d):
         (br,) = coexact_trace(flat_spectrum_2d, 0, [1.0])
@@ -317,20 +355,20 @@ class TestMellinHyperbolic:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_bessel_vs_time_quadrature(self, small_spectrum, s):
         for p in (0, 1):
-            a = mellin_hyperbolic(small_spectrum, p, s)
+            [a] = mellin_hyperbolic(small_spectrum, p, [s])
             b = mellin_hyperbolic_quadrature(small_spectrum, p, s)
             assert abs(a - b) <= 1e-8 * abs(b)
 
     def test_s_half_uses_order_zero(self, flat_spectrum_2d):
         # at s = 1/2 the Bessel order is 0
-        got = mellin_hyperbolic(flat_spectrum_2d, 0, 0.5)
+        [got] = mellin_hyperbolic(flat_spectrum_2d, 0, [0.5])
         alpha = 0.25
         amp = 0.5  # chi/j * t * C = 1 * 1 * 0.5
         want = amp / math.sqrt(math.pi) * scipy.special.kv(0, math.sqrt(alpha))
         assert math.isclose(got, want, rel_tol=1e-11)
 
     def test_s_zero_closed_form(self, flat_spectrum_2d):
-        got = mellin_hyperbolic(flat_spectrum_2d, 0, 0.0)
+        [got] = mellin_hyperbolic(flat_spectrum_2d, 0, [0.0])
         alpha = 0.25
         z = math.sqrt(alpha)
         k_half = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
@@ -353,13 +391,14 @@ class TestMellinHyperbolic:
                 * mpmath.besselk(nu, l * sqrt_alpha)
                 for l, a in zip(lengths, amps)
             )
-            got = mellin_hyperbolic(data, 0, s)
+            [got] = mellin_hyperbolic(data, 0, [s])
             assert abs((got - want) / want) <= 1e-12
 
     def test_linear_vanishing_toward_s_zero(self, small_spectrum):
+        s_values = (1e-2, 1e-3)
         f = {
-            s: mellin_hyperbolic(small_spectrum, 0, s) / math.gamma(s)
-            for s in (1e-2, 1e-3)
+            s: value / math.gamma(s)
+            for s, value in zip(s_values, mellin_hyperbolic(small_spectrum, 0, s_values))
         }
         ratio = f[1e-2] / f[1e-3]
         assert 9.8 <= ratio <= 10.2

@@ -1,11 +1,14 @@
 """Quadrature kernels against library oracles."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperzeta._kernels import fallback
 
@@ -106,3 +109,54 @@ class TestBesselKIntegral:
         a = kernels.bessel_k_integral(nu, z)[0]
         b = kernels.bessel_k_integral(-nu, z)[0]
         assert math.isclose(a * (z / 2.0) ** (2 * nu), b, rel_tol=1e-12)
+
+
+def _recursive_pairwise(vals, lo, hi):
+    # the tree as first written, recursively: the reference for _pairwise
+    if hi - lo <= 8:
+        acc = 0.0
+        for i in range(lo, hi):
+            acc += vals[i]
+        return acc
+    mid = (lo + hi) // 2
+    return _recursive_pairwise(vals, lo, mid) + _recursive_pairwise(vals, mid, hi)
+
+
+# Mixed signs at one scale per list, scales from 1e-300 to 1e300.  Within
+# a list the magnitudes span four decades, so the grouping of the additions
+# shows in the last bits; a few huge values would swamp every other term.
+def _summands(scale):
+    return st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** (scale + exponent),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 9.999),
+        st.integers(0, 3),
+    )
+
+
+def _seeded_summands(n, seed):
+    rng = random.Random(seed)
+    scale = rng.randint(-300, 296)
+    return [
+        rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 9.999) * 10.0 ** (scale + rng.randint(0, 3))
+        for _ in range(n)
+    ]
+
+
+class TestPairwise:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.integers(-300, 296).flatmap(lambda scale: st.lists(_summands(scale), max_size=5000)),
+        st.builds(_seeded_summands, st.sampled_from([1, 8, 9, 16, 17, 6000]),
+                  st.integers(0, 2**32 - 1)),
+    ))
+    def test_same_bits_as_the_recursive_tree(self, vals):
+        want = _recursive_pairwise(vals, 0, len(vals))
+        assert fallback._pairwise(vals).hex() == want.hex()
+
+    def test_every_length_up_to_2100(self):
+        # each tree shape, including blocks of 8 beside 9s that split once more
+        vals = _seeded_summands(2100, 3)
+        for n in range(2101):
+            got = fallback._pairwise(vals[:n])
+            assert got.hex() == _recursive_pairwise(vals, 0, n).hex(), n

@@ -105,6 +105,12 @@ class TestManifoldData:
         data = ManifoldData(dimension=2, volume=1.0, betti=(1, 0, 1))
         assert data.max_length is None
 
+    def test_holonomy_length_enforced(self):
+        good = GeodesicClass(length=2.0, c_value=1.0, holonomy=(1.0, 2.0, 2.0, 1.0))
+        short = GeodesicClass(length=1.0, c_value=1.0, holonomy=(1.0, 2.0))
+        with pytest.raises(ValueError, match=r"n=4 character values.*geodesics\[1\]\.holonomy"):
+            ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1), geodesics=(good, short))
+
 
 class TestFileFormat:
     def test_conformance_fixture(self, conformance_path):
@@ -200,6 +206,23 @@ class TestFileFormat:
         }))
         with pytest.raises(ManifoldFormatError, match="format_version"):
             load_manifold(path)
+
+    @pytest.mark.parametrize("length", [2, 5])
+    def test_wrong_holonomy_length_rejected(self, tmp_path, length):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "format_version": FORMAT_VERSION,
+            "dimension": 4,
+            "volume": 1.0,
+            "betti": [1, 0, 0, 0, 1],
+            "geodesics": [
+                {"length": 1.0},
+                {"length": 0.5, "c": 1.0, "holonomy": [1.0] * length},
+            ],
+        }))
+        with pytest.raises(ManifoldFormatError, match="n=4 character values") as err:
+            load_manifold(path)
+        assert err.value.field_path == "geodesics[1].holonomy"
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"

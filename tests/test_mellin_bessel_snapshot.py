@@ -30,7 +30,7 @@ def _records() -> list[dict]:
         {
             "spectrum": name,
             "p": p,
-            "values": [mellin_hyperbolic(data, p, s).hex() for s in S_VALUES],
+            "values": [value.hex() for value in mellin_hyperbolic(data, p, S_VALUES)],
         }
         for name, data in _spectra().items()
         for p in FORMS
