@@ -29,43 +29,35 @@ _HALF_PI = math.pi / 2.0
 
 @functools.lru_cache(maxsize=128)
 def _pairwise_plan(n: int) -> tuple:
-    # The tree halves [0, n) at (lo + hi) // 2 down to blocks of at most 8.
-    # Sizes at one depth differ by at most 1, so every node of the first
-    # depth with a block of <= 8 is a block, or a 9 beside 8s that splits
-    # once more into blocks of 4 and 5.  Returns the blocks in order and,
-    # when some node splits, which nodes do.
-    nodes = [(0, n)]
-    while all(hi - lo > 8 for lo, hi in nodes):
-        nodes = [half for lo, hi in nodes for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))]
-    split = tuple(hi - lo > 8 for lo, hi in nodes)
-    blocks = tuple(
-        half
-        for (lo, hi), halves in zip(nodes, split)
-        for half in (((lo, (lo + hi) // 2), ((lo + hi) // 2, hi)) if halves else ((lo, hi),))
-    )
-    return blocks, split if any(split) else None
+    # the tree in postfix order: a block (lo, hi), or None to add the two
+    # partial sums on top.  Built once per length, so its recursion is cold.
+    def walk(lo: int, hi: int) -> list:
+        if hi - lo <= 8:
+            return [(lo, hi)]
+        mid = (lo + hi) // 2
+        return walk(lo, mid) + walk(mid, hi) + [None]
+
+    return tuple(walk(0, n))
 
 
 def _pairwise(vals: list) -> float:
     """Sum in a fixed pairwise tree: halve at the midpoint, add blocks of <= 8 in order.
 
     The tree depends on len(vals) alone, so the result is reproducible to
-    the bit.  It is evaluated level by level without recursion: each block
-    is added from 0.0, then neighbours are paired up to the root.
+    the bit.  It is evaluated without recursion, from a stack of partial
+    sums: each block is added from 0.0, and each join adds left + right.
     """
-    blocks, split = _pairwise_plan(len(vals))
-    sums = []
-    for lo, hi in blocks:
-        acc = 0.0
-        for v in vals[lo:hi]:
-            acc += v
-        sums.append(acc)
-    if split is not None:
-        it = iter(sums)
-        sums = [next(it) + next(it) if halves else next(it) for halves in split]
-    while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    return sums[0]
+    stack = []
+    for step in _pairwise_plan(len(vals)):
+        if step is None:
+            right = stack.pop()
+            stack[-1] += right
+        else:
+            acc = 0.0
+            for v in vals[step[0]:step[1]]:
+                acc += v
+            stack.append(acc)
+    return stack[0]
 
 
 def _integrate(node, h0: float, max_level: int, abs_tol: float, rel_tol: float):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import _kernels
-from ._kernels.fallback import _integrate, _pairwise
+from ._kernels import fallback as _py_kernels
 from .exact import Rational, bernoulli, binomial, check_dimension
 from .manifold import ManifoldData
 from .plancherel import miatello_coefficients
@@ -225,7 +225,7 @@ def _hyperbolic_sum(lengths: list, amps: list, shift: float, t: float) -> float:
     decay = -t * shift
     four_t = 4.0 * t
     vals = [a * exp(decay - l * l / four_t) for l, a in zip(lengths, amps)]
-    return _pairwise(vals) / math.sqrt(4.0 * math.pi * t)
+    return _py_kernels._pairwise(vals) / math.sqrt(4.0 * math.pi * t)
 
 
 def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
@@ -340,12 +340,12 @@ def coexact_trace(
 
 
 def _bessel_k_family(orders: Sequence[float]):
-    """K_nu(z) for every nu in ``orders``, as one function of z > 0.
+    """K_nu(z) for every nu in ``orders``, as one function of z.
 
-    The orders are sorted into branches once.  Half-integer |nu| uses the
-    finite closed form.  |nu| <= 1/2 is the trapezoid rule on
-    e^z K_nu(z) = int_0^inf e^(-z(cosh u - 1)) cosh(nu u) du; larger |nu|
-    sums mu = |nu| - round(|nu|) and mu + 1 on the same nodes and recurs
+    Half-integer |nu| uses the finite closed form.  Any other order starts
+    from mu = |nu| - round(|nu|), |mu| <= 1/2, by the trapezoid rule on
+    e^z K_mu(z) = int_0^inf e^(-z(cosh u - 1)) cosh(mu u) du; for
+    |nu| > 1/2 mu + 1 is summed on the same nodes and the pair recurs
     upward.  For each z the nodes u, z(cosh u - 1), e^(-z(cosh u - 1)) and
     e^-z are computed once; each trapezoid sum adds its own cosh terms up
     to its own stop.
@@ -356,7 +356,7 @@ def _bessel_k_family(orders: Sequence[float]):
     # exponent z(cosh u - 1) - top u is convex and starts at 0, so once it
     # passes 40 every later node is below e^-40 of the u = 0 node.  A sum
     # stops there, with top = |mu| alone or |mu| + 1 for the pair.
-    branches = []  # (kind, data) per order
+    plans = []  # per order: (closed-form terms or None, first sum, mu, m)
     coefs = []  # the cosh(c u) coefficient of each trapezoid sum
     tops = []  # the stop slope of each trapezoid sum
     for order in orders:
@@ -368,15 +368,15 @@ def _bessel_k_family(orders: Sequence[float]):
                 math.factorial(m + i) / (math.factorial(i) * math.factorial(m - i))
                 for i in range(m + 1)
             ]
-            branches.append(("closed", terms))
-        elif nu <= 0.5:
-            branches.append(("low", len(coefs)))
-            coefs.append(nu)
-            tops.append(nu)
+            plans.append((terms, 0, 0.0, m))
+            continue
+        m = round(nu)
+        mu = nu - m
+        plans.append((None, len(coefs), mu, m))
+        if m == 0:
+            coefs.append(mu)
+            tops.append(abs(mu))
         else:
-            m = round(nu)
-            mu = nu - m
-            branches.append(("up", (len(coefs), mu, m)))
             coefs += [mu, mu + 1.0]
             tops += [abs(mu) + 1.0] * 2
     # a sum with a lower top stops no later, so the nodes end where the
@@ -384,6 +384,8 @@ def _bessel_k_family(orders: Sequence[float]):
     top_max = max(tops, default=0.0)
 
     def values(z: float) -> list[float]:
+        if not (math.isfinite(z) and z > 0):
+            raise ValueError(f"z must be positive and finite, got {z!r}")
         exp, cosh, sinh = math.exp, math.cosh, math.sinh
         h = min(0.25, 0.7 / math.sqrt(z))
         nodes = []  # (u, z(cosh u - 1), e^-(z(cosh u - 1))) for u = h, 2h, ...
@@ -406,20 +408,18 @@ def _bessel_k_family(orders: Sequence[float]):
             scaled.append(h * acc)
         ez = exp(-z)
         out = []
-        for kind, data in branches:
-            if kind == "closed":
+        for terms, first, mu, m in plans:
+            if terms is not None:
                 acc = 0.0
-                for i, term in enumerate(data):
+                for i, term in enumerate(terms):
                     acc += term / (2.0 * z) ** i
                 out.append(math.sqrt(math.pi / (2.0 * z)) * ez * acc)
-            elif kind == "low":
-                out.append(ez * scaled[data])
-            else:
-                first, mu, m = data
-                prev, cur = scaled[first], scaled[first + 1]
-                for i in range(1, m):
-                    prev, cur = cur, prev + 2.0 * (mu + i) / z * cur
-                out.append(ez * cur)
+                continue
+            # m = 0 reads K_mu; otherwise K_(mu+1), recurred up to K_(mu+m)
+            prev, cur = scaled[first], scaled[first + min(m, 1)]
+            for i in range(1, m):
+                prev, cur = cur, prev + 2.0 * (mu + i) / z * cur
+            out.append(ez * cur)
         return out
 
     return values
@@ -437,8 +437,6 @@ def bessel_k(order: float, z: float) -> float:
     orders up to 20.  mellin_hyperbolic evaluates many orders at one z on
     the same code (_bessel_k_family), to the same bits.
     """
-    if not (math.isfinite(z) and z > 0):
-        raise ValueError(f"z must be positive and finite, got {z!r}")
     return _bessel_k_family((order,))(z)[0]
 
 
@@ -475,7 +473,7 @@ def mellin_hyperbolic(
         ratio = 2.0 * sqrt_alpha / l
         for column, nu, k in zip(columns, nus, bessel(l * sqrt_alpha)):
             column.append(scaled * ratio**nu * k)
-    return [_pairwise(column) for column in columns]
+    return [_py_kernels._pairwise(column) for column in columns]
 
 
 def mellin_hyperbolic_quadrature(manifold: ManifoldData, p: int, s: float) -> float:
@@ -657,7 +655,7 @@ def zeta_moment_continued(k: int, q: int, beta: float, s: float = 0.0) -> float:
         return (math.pi / 2.0) * math.cosh(u) * r2 * p_val * power * fermi
 
     # cold path: the kernels' trapezoid engine is called directly on this node
-    value, delta, _, ok = _integrate(node, 0.5, 12, 1e-13, 1e-14)
+    value, delta, _, ok = _py_kernels._integrate(node, 0.5, 12, 1e-13, 1e-14)
     if not ok:
         raise QuadratureError(f"moment continuation did not converge (k={k}, q={q})", delta)
     return elementary - 4.0 * value

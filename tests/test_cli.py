@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -387,15 +388,13 @@ class TestHeatTrace:
     ("zeta-check", "--form", "1"),
 ])
 def test_wrong_holonomy_length_is_a_bad_file(capsys, tmp_path, monkeypatch, command):
-    from hyperzeta import heat_zeta
     from hyperzeta._kernels import fallback
 
     def no_quadrature(*args):
         raise AssertionError("quadrature ran on a rejected file")
 
-    # the engine every kernel calls, and heat_zeta's own binding of it
+    # the engine every quadrature of the package runs on
     monkeypatch.setattr(fallback, "_integrate", no_quadrature)
-    monkeypatch.setattr(heat_zeta, "_integrate", no_quadrature)
     path = tmp_path / "m.json"
     path.write_text(json.dumps({
         "format_version": 1, "dimension": 4, "volume": 1.0, "betti": [1, 0, 0, 0, 1],
@@ -450,6 +449,28 @@ class TestZetaCheck:
             capsys, "zeta-check", "--manifold", str(path), "--form", "0"
         )
         assert_one_error_line(code, out, err, f"n={n} ")
+
+    def test_bessel_argument_overflow_exit_2(self, tmp_path):
+        # length * sqrt(alpha) overflows to inf; an unchecked Bessel node
+        # loop never ends on it, so the child runs with a timeout and a
+        # memory cap
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "dimension": 4, "volume": 1.0, "betti": [1, 0, 0, 0, 1],
+            "geodesics": [{"length": 1.5e308, "c": 1.0}],
+        }))
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperzeta", "zeta-check", "--manifold", str(path),
+             "--form", "0"],
+            capture_output=True, text=True, timeout=20, preexec_fn=cap_memory,
+        )
+        assert_one_error_line(
+            proc.returncode, proc.stdout, proc.stderr, "z must be positive and finite"
+        )
 
 
 class TestSynthSpectrum:

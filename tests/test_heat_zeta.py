@@ -403,6 +403,16 @@ class TestMellinHyperbolic:
         ratio = f[1e-2] / f[1e-3]
         assert 9.8 <= ratio <= 10.2
 
+    @pytest.mark.parametrize("s", [0.3, 0.0, -1.5])
+    def test_bessel_argument_overflow_rejected(self, s):
+        # a finite length whose argument t * sqrt(alpha) overflows to inf
+        data = ManifoldData(
+            dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1),
+            geodesics=(GeodesicClass(length=1.5e308, c_value=1.0),),
+        )
+        with pytest.raises(ValueError, match="z must be positive and finite"):
+            mellin_hyperbolic(data, 0, [s])
+
 
 class TestZetaIdentityExact:
     def test_n2_example(self):
