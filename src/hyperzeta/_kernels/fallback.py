@@ -25,6 +25,9 @@ _REL_TOL = 1e-14
 _SCAN_LIMIT = 400  # level-0 nodes per side; DE decay triggers far earlier
 _NEGLIGIBLE = 1e-300
 _HALF_PI = math.pi / 2.0
+# node values kept per table of plancherel_integrals: a bench op uses about
+# 1500, a call that refines to _MAX_LEVEL about 100,000 (some 30 MB a table)
+_NODE_TABLE_SIZE = 16384
 
 
 @functools.lru_cache(maxsize=128)
@@ -117,6 +120,86 @@ def _tanh_pi_pos(r: float) -> float:
     return 1.0 - 2.0 / (1.0 + math.exp(x))
 
 
+def plancherel_integrals(
+    coeff_sets,
+    h0: float = _H0,
+    max_level: int = _MAX_LEVEL,
+    abs_tol: float = _ABS_TOL,
+    rel_tol: float = _REL_TOL,
+):
+    """plancherel_integral for every coefficient set, as one function of t.
+
+    The returned function maps t to one result per entry of
+    ``coeff_sets``; each integral keeps its own window and level.  The
+    node values that depend on neither the set nor t -- x, r^2,
+    (pi/2) cosh(u) r^2 and tanh(pi r) -- are computed once per node u and
+    shared by every integral of every t; each set multiplies in its
+    P(r^2) once per node, so only e^(-t r^2) and the cut-off test are
+    per t.  The products are those of plancherel_integral's node, in the
+    same order, so every result has the bits of a call of its own.
+    """
+    shared = {}  # u -> (x, r^2, (pi/2) cosh(u) r^2, tanh(pi r)), or () past 2x > 700
+
+    def node_values(u: float) -> tuple:
+        x = _HALF_PI * math.sinh(u)
+        two_x = 2.0 * x
+        if two_x > 700.0:
+            return ()
+        r2 = math.exp(two_x)
+        return x, r2, _HALF_PI * math.cosh(u) * r2, _tanh_pi_pos(math.exp(x))
+
+    def set_nodes(coeffs):
+        # nodes where t e^{2x} - 2kx - |u| > 720 (x = (pi/2) sinh u) are
+        # exactly zero in double precision; they are skipped before P's
+        # value is used, so a P that overflows there is never read
+        cs = [float(c) for c in coeffs]
+        two_k = 2.0 * len(cs)
+        entries = {}  # u -> (r^2, 2kx, |u|, (pi/2) cosh(u) r^2 P(r^2) tanh(pi r)), or ()
+
+        def entry(u: float) -> tuple:
+            values = shared.get(u)
+            if values is None:
+                values = node_values(u)
+                if len(shared) < _NODE_TABLE_SIZE:
+                    shared[u] = values
+            if not values:
+                return ()
+            x, r2, weight, tanh_pi_r = values
+            p_val = 0.0
+            for c in reversed(cs):
+                p_val = p_val * r2 + c
+            return r2, two_k * x, abs(u), weight * p_val * tanh_pi_r
+
+        def at(t: float):
+            exp = math.exp
+
+            def node(u: float) -> float:
+                e = entries.get(u)
+                if e is None:
+                    e = entry(u)
+                    if len(entries) < _NODE_TABLE_SIZE:
+                        entries[u] = e
+                if not e:
+                    return 0.0
+                r2, two_kx, abs_u, weight = e
+                e_arg = t * r2
+                if e_arg - two_kx - abs_u > 720.0:
+                    return 0.0
+                return weight * exp(-e_arg)
+
+            return node
+
+        return at
+
+    nodes = [set_nodes(coeffs) for coeffs in coeff_sets]
+
+    def values(t: float) -> list[tuple]:
+        tt = float(t)
+        return [_integrate(at(tt), h0, max_level, abs_tol, rel_tol) for at in nodes]
+
+    return values
+
+
 def plancherel_integral(
     coeffs,
     t: float,
@@ -130,28 +213,10 @@ def plancherel_integral(
     ``coeffs`` are the even-polynomial coefficients of P (degree k-1 in
     r^2).  The exp-sinh substitution r = exp((pi/2) sinh u) is used; nodes
     where t e^{2x} - 2kx - |u| > 720 (x = (pi/2) sinh u) are exactly zero
-    in double precision and are skipped before P can overflow.
+    in double precision and are skipped before P can overflow.  This is
+    plancherel_integrals with one set and one t.
     """
-    cs = [float(c) for c in coeffs]
-    ncoef = len(cs)
-    tt = float(t)
-
-    def node(u: float) -> float:
-        x = _HALF_PI * math.sinh(u)
-        two_x = 2.0 * x
-        if two_x > 700.0:
-            return 0.0
-        r2 = math.exp(two_x)
-        e_arg = tt * r2
-        if e_arg - 2.0 * ncoef * x - abs(u) > 720.0:
-            return 0.0
-        p_val = 0.0
-        for c in reversed(cs):
-            p_val = p_val * r2 + c
-        r = math.exp(x)
-        return _HALF_PI * math.cosh(u) * r2 * p_val * _tanh_pi_pos(r) * math.exp(-e_arg)
-
-    return _integrate(node, h0, max_level, abs_tol, rel_tol)
+    return plancherel_integrals((coeffs,), h0, max_level, abs_tol, rel_tol)(t)[0]
 
 
 def mellin_time_integral(

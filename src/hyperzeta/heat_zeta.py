@@ -89,6 +89,25 @@ def _check_time(t: float) -> None:
 # --- identity sector ---------------------------------------------------------
 
 
+def _identity_norm(manifold: ManifoldData, p: int) -> float:
+    # chi(1) Vol / (4 pi) times the Plancherel normalisation and C(n-1, p)
+    n = manifold.dimension
+    chi_p = float(binomial(n - 1, p))
+    return _plancherel_norm(n // 2) * chi_p * manifold.chi_one * manifold.volume / (4.0 * math.pi)
+
+
+def _identity_term(norm: float, n: int, p: int, t: float, integral) -> float:
+    # the one assembly of an identity term from its kernel result:
+    # identity_heat_term and coexact_trace both call it, so they agree to the bit
+    value, delta, _, ok = integral
+    if not ok:
+        raise QuadratureError(
+            f"identity heat term did not converge (n={n}, p={p}, t={t})", delta
+        )
+    shift = float(p + _rho0_sq(n))
+    return norm * 2.0 * math.exp(-t * shift) * value
+
+
 def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     """Identity orbital integral of the p-sector at heat time t.
 
@@ -102,17 +121,9 @@ def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
         return 0.0
     if not 0 <= p <= n - 1:
         raise ValueError(f"form order p={p} outside -1..{n - 1}")
-    k = n // 2
-    chi_p = float(binomial(n - 1, p))
-    norm = _plancherel_norm(k) * chi_p * manifold.chi_one * manifold.volume / (4.0 * math.pi)
-    coeffs = miatello_coefficients(k, p)
-    value, delta, _, ok = _kernels.plancherel_integral(coeffs, float(t))
-    if not ok:
-        raise QuadratureError(
-            f"identity heat term did not converge (n={n}, p={p}, t={t})", delta
-        )
-    shift = float(p + _rho0_sq(n))
-    return norm * 2.0 * math.exp(-t * shift) * value
+    norm = _identity_norm(manifold, p)
+    coeffs = miatello_coefficients(n // 2, p)
+    return _identity_term(norm, n, p, t, _kernels.plancherel_integral(coeffs, float(t)))
 
 
 # --- tanh moment series ------------------------------------------------------
@@ -198,33 +209,50 @@ def tanh_moment_series(ell: int, t: float, order: int | None = None) -> TanhMome
 # --- hyperbolic sector -------------------------------------------------------
 
 
-def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
-    # a_p = chi / j * t * C * chi_p(m), multiplied left to right.  Every
-    # trivial-holonomy class has the same float character C(n-1, p), read
-    # once; an explicit holonomy is looked up (and checked) per class.
+def _amplitude_table(manifold: ManifoldData, sectors: Sequence[int]) -> tuple[list, list]:
+    # a_q = chi / j * t * C * chi_q(m), multiplied left to right.  The prefix
+    # chi / j * t * C does not depend on the sector, so it is built once per
+    # class and each sector multiplies it by its character.  Every
+    # trivial-holonomy class has the same float character C(n-1, q), read
+    # once per sector; an explicit holonomy is looked up (and checked) per
+    # class.  Returns the lengths and one amplitude list per sector.
     n = manifold.dimension
-    trivial = None
-    lengths = []
-    amps = []
-    for g in manifold.geodesics:
-        if g.holonomy is None:
-            if trivial is None:
-                trivial = g.character(n, p)
-            chi_p = trivial
+    geos = manifold.geodesics
+    lengths = [g.length for g in geos]
+    prefixes = [g.chi / g.power * g.length * g.c_factor(n) for g in geos]
+    explicit = [i for i, g in enumerate(geos) if g.holonomy is not None]
+    trivial = next((g for g in geos if g.holonomy is None), None)
+    table = []
+    for q in sectors:
+        if trivial is None:
+            amps = prefixes[:]
         else:
-            chi_p = g.character(n, p)
-        lengths.append(g.length)
-        amps.append(g.chi / g.power * g.length * g.c_factor(n) * chi_p)
+            chi_q = trivial.character(n, q)
+            amps = [a * chi_q for a in prefixes]
+        for i in explicit:
+            amps[i] = prefixes[i] * geos[i].character(n, q)
+        table.append(amps)
+    return lengths, table
+
+
+def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
+    # the lengths and the p-sector amplitudes: _amplitude_table for one sector
+    lengths, (amps,) = _amplitude_table(manifold, (p,))
     return lengths, amps
 
 
-def _hyperbolic_sum(lengths: list, amps: list, shift: float, t: float) -> float:
+def _gaussian_exponents(lengths: list, t: float) -> list:
+    # t_gamma^2 / (4t) per class, shared by every sector at this t
+    four_t = 4.0 * t
+    return [l * l / four_t for l in lengths]
+
+
+def _hyperbolic_sum(gauss: list, amps: list, shift: float, t: float) -> float:
     # the one expression for the geodesic sum of a sector: hyperbolic_heat_term
     # and coexact_trace both call it, so they agree to the bit
     exp = math.exp
     decay = -t * shift
-    four_t = 4.0 * t
-    vals = [a * exp(decay - l * l / four_t) for l, a in zip(lengths, amps)]
+    vals = [a * exp(decay - g) for g, a in zip(gauss, amps)]
     return _py_kernels._pairwise(vals) / math.sqrt(4.0 * math.pi * t)
 
 
@@ -246,7 +274,7 @@ def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
         warnings.warn("hyperbolic term over empty spectrum is 0", EmptySpectrumWarning)
         return 0.0
     lengths, amps = _geodesic_amplitudes(manifold, p)
-    return _hyperbolic_sum(lengths, amps, float(p + _rho0_sq(n)), t)
+    return _hyperbolic_sum(_gaussian_exponents(lengths, t), amps, float(p + _rho0_sq(n)), t)
 
 
 def hyperbolic_tail_bound(manifold: ManifoldData, p: int, t: float) -> float:
@@ -295,10 +323,14 @@ def coexact_trace(
     telescopes so that e.g. p=1 reduces to I1 + H1 - b1 + b0.
 
     Returns one breakdown per entry of ``times``, in order.  Every t is
-    checked before any quadrature runs.  The geodesic amplitudes depend
-    on the sector, not on t, so each sector's table is built once per
-    call and shared by all t; each sector term is then evaluated once per
-    t.  The values are bit-identical to assembling identity_heat_term and
+    checked before any quadrature runs.  Each piece of work is done once
+    per call:
+      * the geodesic amplitudes depend on the sector, not on t: one table
+        per sector, from one per-class prefix shared by all sectors;
+      * t_gamma^2/(4t) depends on t, not on the sector: once per t;
+      * the identity integrals of every (sector, t) share the Plancherel
+        node values that depend on neither (plancherel_integrals).
+    The values are bit-identical to assembling identity_heat_term and
     hyperbolic_heat_term sector by sector.
     """
     n = manifold.dimension
@@ -311,17 +343,22 @@ def coexact_trace(
         _check_time(t)
     if not manifold.geodesics:
         warnings.warn("hyperbolic term over empty spectrum is 0", EmptySpectrumWarning)
-    shifts = [float(q + _rho0_sq(n)) for q in range(p + 1)]
-    # the lengths are the same in every sector: keep one list of them
-    lengths, amps0 = _geodesic_amplitudes(manifold, 0)
-    amps = [amps0] + [_geodesic_amplitudes(manifold, q)[1] for q in range(1, p + 1)]
+    if not times:
+        return []
+    sectors = range(p + 1)
+    shifts = [float(q + _rho0_sq(n)) for q in sectors]
+    norms = [_identity_norm(manifold, q) for q in sectors]
+    lengths, amps = _amplitude_table(manifold, sectors)
+    identity_integrals = _kernels.plancherel_integrals(
+        [miatello_coefficients(n // 2, q) for q in sectors]
+    )
     out = []
     for t in times:
         # index -1 is the (-1)-sector, identically zero
-        ident = [identity_heat_term(manifold, q, t) for q in range(p + 1)] + [0.0]
-        hyper = [
-            _hyperbolic_sum(lengths, amps[q], shifts[q], t) for q in range(p + 1)
-        ] + [0.0]
+        integrals = identity_integrals(float(t))
+        ident = [_identity_term(norms[q], n, q, t, integrals[q]) for q in sectors] + [0.0]
+        gauss = _gaussian_exponents(lengths, t)
+        hyper = [_hyperbolic_sum(gauss, amps[q], shifts[q], t) for q in sectors] + [0.0]
         identity = 0.0
         hyperbolic = 0.0
         betti = 0.0
@@ -671,8 +708,5 @@ def identity_zeta_term(manifold: ManifoldData, p: int, s: float = 0.0) -> float:
     n = manifold.dimension
     if not 0 <= p <= n - 1:
         raise ValueError(f"form order p={p} outside 0..{n - 1}")
-    k = n // 2
     alpha = float(p + _rho0_sq(n))
-    chi_p = float(binomial(n - 1, p))
-    norm = _plancherel_norm(k) * chi_p * manifold.chi_one * manifold.volume / (4.0 * math.pi)
-    return norm * zeta_moment_continued(k, p, alpha, s)
+    return _identity_norm(manifold, p) * zeta_moment_continued(n // 2, p, alpha, s)

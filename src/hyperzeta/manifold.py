@@ -15,6 +15,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .exact import binomial, check_dimension
@@ -87,7 +88,8 @@ class GeodesicClass:
             raise ValueError("length must be a finite number")
         if self.length <= 0:
             raise ValueError("length must be positive")
-        if not isinstance(self.power, int) or self.power < 1:
+        # a JSON true is an int to isinstance; it is not a power
+        if not isinstance(self.power, int) or isinstance(self.power, bool) or self.power < 1:
             raise ValueError("power must be a positive integer")
         if self.c_value is not None and self.c_value <= 0:
             raise ValueError("c must be positive")
@@ -95,6 +97,13 @@ class GeodesicClass:
             object.__setattr__(self, "holonomy", tuple(float(x) for x in self.holonomy))
             if self.c_value is None:
                 raise ValueError("c must be supplied explicitly for nontrivial holonomy")
+        # after the checks above, so every value they reject keeps its message
+        if self.c_value is not None and not math.isfinite(self.c_value):
+            raise ValueError("c must be a finite number")
+        if not math.isfinite(self.chi):
+            raise ValueError("chi must be a finite number")
+        if self.holonomy is not None and not all(map(math.isfinite, self.holonomy)):
+            raise ValueError("holonomy character values must be finite")
 
     def c_factor(self, n: int) -> float:
         """The C weight: stored value if given, else the trivial-holonomy formula."""
@@ -133,9 +142,13 @@ class ManifoldData:
         betti = tuple(self.betti)
         if len(betti) != n + 1:
             raise ValueError("betti must list b_0..b_n (length dimension+1)")
-        if any((not isinstance(b, int)) or b < 0 for b in betti):
+        if any(not isinstance(b, int) or isinstance(b, bool) or b < 0 for b in betti):
             raise ValueError("betti entries must be nonnegative integers")
         object.__setattr__(self, "betti", betti)
+        if not math.isfinite(self.radius):
+            raise ValueError("radius must be a finite number")
+        if not math.isfinite(self.chi_one):
+            raise ValueError("chi_one must be a finite number")
         given = tuple(self.geodesics)
         for i, g in enumerate(given):
             if g.holonomy is not None and len(g.holonomy) != n:
@@ -145,7 +158,7 @@ class ManifoldData:
                     field_path=f"geodesics[{i}].holonomy",
                 )
         # keep the spectrum sorted so truncation bounds can use the last entry
-        geos = tuple(sorted(given, key=lambda g: g.length))
+        geos = tuple(sorted(given, key=attrgetter("length")))
         object.__setattr__(self, "geodesics", geos)
 
     @property
@@ -192,13 +205,63 @@ def _geodesic_from_dict(obj: dict, idx: int) -> GeodesicClass:
         raise ManifoldFormatError(str(exc), field_path=path) from exc
 
 
+def _bulk_geodesics(geos: list) -> tuple[GeodesicClass, ...] | None:
+    """The classes of ``geos``, if every entry has the shape save_manifold writes.
+
+    That shape is an object with known keys and a length, trivial
+    holonomy, float length, chi and c (or no c) and an int power.  The
+    values are checked column by column against GeodesicClass's rules,
+    and each class is then built the way copy and pickle rebuild a frozen
+    dataclass, without rerunning __post_init__.  If any entry falls
+    outside that shape or breaks a rule, this returns None and the caller
+    reads the list entry by entry (_geodesic_from_dict), so what is
+    accepted and every error message stay those of that path.
+    """
+    if not geos:
+        return ()
+    if set(map(type, geos)) != {dict} or not set().union(*geos) <= _GEO_KEYS:
+        return None
+    try:
+        lengths = [g["length"] for g in geos]
+    except KeyError:
+        return None
+    holonomy = [g.get("holonomy", "trivial") for g in geos]
+    if holonomy.count("trivial") != len(holonomy):
+        return None
+    powers = [g.get("power", 1) for g in geos]
+    c_values = [g.get("c") for g in geos]
+    chis = [g.get("chi", 1.0) for g in geos]
+    given_c = [c for c in c_values if c is not None]
+    # a sum is finite only if every term is (or it overflowed: then the
+    # entry path decides); type() is exact, so bool and numeric strings
+    # take the entry path too
+    isfinite = math.isfinite
+    for column, low in ((lengths, 0.0), (chis, None), (given_c, 0.0)):
+        if not column:
+            continue
+        if set(map(type, column)) != {float} or not isfinite(sum(column)):
+            return None
+        if low is not None and not min(column) > low:
+            return None
+    if set(map(type, powers)) != {int} or min(powers) < 1:
+        return None
+    new = object.__new__
+    classes = []
+    for length, power, c_value, chi in zip(lengths, powers, c_values, chis):
+        g = new(GeodesicClass)
+        g.__dict__.update(length=length, power=power, c_value=c_value, chi=chi, holonomy=None)
+        classes.append(g)
+    return tuple(classes)
+
+
 def _manifold_from_dict(doc: dict) -> ManifoldData:
     if not isinstance(doc, dict):
         raise ManifoldFormatError("top level must be an object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ManifoldFormatError(f"unknown field {sorted(unknown)[0]!r}")
-    if doc.get("format_version") != FORMAT_VERSION:
+    version = doc.get("format_version")
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ManifoldFormatError(
             f"format_version must be {FORMAT_VERSION}", field_path="format_version"
         )
@@ -208,7 +271,9 @@ def _manifold_from_dict(doc: dict) -> ManifoldData:
     geos = doc.get("geodesics", [])
     if not isinstance(geos, list):
         raise ManifoldFormatError("geodesics must be an array", field_path="geodesics")
-    classes = tuple(_geodesic_from_dict(g, i) for i, g in enumerate(geos))
+    classes = _bulk_geodesics(geos)
+    if classes is None:
+        classes = tuple(_geodesic_from_dict(g, i) for i, g in enumerate(geos))
     betti = doc["betti"]
     if not isinstance(betti, list):
         raise ManifoldFormatError("betti must be an array", field_path="betti")

@@ -324,11 +324,14 @@ class TestHeatTrace:
 
     def test_bad_t_after_good_computes_nothing(self, capsys, manifold_file, monkeypatch):
         from hyperzeta import heat_zeta
+        from hyperzeta._kernels import fallback
 
         calls = []
         monkeypatch.setattr(
             heat_zeta, "identity_heat_term", lambda *a: calls.append(a) or 1.0
         )
+        # the engine every quadrature of the package runs on
+        monkeypatch.setattr(fallback, "_integrate", lambda *a: calls.append(a))
         code, out, err = run_cli(
             capsys, "heat-trace", "--manifold", str(manifold_file),
             "--form", "0", "--t", "1.0", "0.5", "0",
@@ -403,6 +406,31 @@ def test_wrong_holonomy_length_is_a_bad_file(capsys, tmp_path, monkeypatch, comm
     subcommand, *rest = command
     code, out, err = run_cli(capsys, subcommand, "--manifold", str(path), *rest)
     assert_one_error_line(code, out, err, "bad manifold file", "geodesics[0].holonomy")
+
+
+@pytest.mark.parametrize("field,value,needle", [
+    ("c", "NaN", "c must be a finite number (field geodesics[0])"),
+    ("chi", "Infinity", "chi must be a finite number (field geodesics[0])"),
+    ("holonomy", "[1.0, NaN, 3.0, 1.0]", "holonomy character values must be finite"),
+    ("chi_one", "NaN", "chi_one must be a finite number"),
+    ("radius", "NaN", "radius must be a finite number"),
+    ("power", "true", "power must be a positive integer"),
+])
+def test_nonfinite_weight_is_a_bad_file(capsys, tmp_path, field, value, needle):
+    # each of these loaded before and printed nan (or used power 1) with exit 0
+    entry = f'"length": 1.0, "c": 1.0, "{field}": {value}'
+    top = ""
+    if field in ("chi_one", "radius"):
+        entry, top = '"length": 1.0, "c": 1.0', f', "{field}": {value}'
+    path = tmp_path / "m.json"
+    path.write_text(
+        '{"format_version": 1, "dimension": 4, "volume": 1.0, "betti": [1, 0, 0, 0, 1], '
+        f'"geodesics": [{{{entry}}}]{top}}}'
+    )
+    code, out, err = run_cli(
+        capsys, "heat-trace", "--manifold", str(path), "--form", "1", "--t", "0.5"
+    )
+    assert_one_error_line(code, out, err, "bad manifold file", needle)
 
 
 class TestZetaCheck:

@@ -299,6 +299,7 @@ class TestCoexactTrace:
             raise AssertionError("quadrature ran before the times were checked")
 
         monkeypatch.setattr(hz._kernels, "plancherel_integral", no_quadrature)
+        monkeypatch.setattr(hz._kernels, "plancherel_integrals", no_quadrature)
         with pytest.raises(ValueError, match="heat time"):
             coexact_trace(small_spectrum, 1, [1.0, 0.5, bad])
 

@@ -51,6 +51,87 @@ class TestPlancherelIntegral:
         assert delta <= max(1e-12, 1e-14 * abs(value))
 
 
+def _reference_plancherel(coeffs, t):
+    # plancherel_integral as first written, one node function per call: the
+    # reference for the node values plancherel_integrals shares
+    cs = [float(c) for c in coeffs]
+    ncoef = len(cs)
+    half_pi = math.pi / 2.0
+
+    def node(u):
+        x = half_pi * math.sinh(u)
+        two_x = 2.0 * x
+        if two_x > 700.0:
+            return 0.0
+        r2 = math.exp(two_x)
+        e_arg = t * r2
+        if e_arg - 2.0 * ncoef * x - abs(u) > 720.0:
+            return 0.0
+        p_val = 0.0
+        for c in reversed(cs):
+            p_val = p_val * r2 + c
+        r = math.exp(x)
+        return half_pi * math.cosh(u) * r2 * p_val * fallback._tanh_pi_pos(r) * math.exp(-e_arg)
+
+    return fallback._integrate(node, 0.5, 12, 1e-12, 1e-14)
+
+
+def _bits(result):
+    value, delta, level, converged = result
+    return value.hex(), delta.hex(), level, converged
+
+
+class TestPlancherelIntegrals:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeff_sets=st.lists(
+            st.lists(st.floats(0.01, 30.0), min_size=1, max_size=5), min_size=1, max_size=3
+        ),
+        times=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4),
+    )
+    def test_same_bits_as_one_call_each(self, coeff_sets, times):
+        integrals = fallback.plancherel_integrals(coeff_sets)
+        for t in times:
+            for coeffs, got in zip(coeff_sets, integrals(t), strict=True):
+                want = _bits(_reference_plancherel(coeffs, t))
+                assert _bits(got) == want
+                assert _bits(fallback.plancherel_integral(coeffs, t)) == want
+
+    def test_windows_and_levels_differ_per_t(self, monkeypatch):
+        # a heat-trace call: the Plancherel sets of n = 6, p = 2, at t from
+        # 1e-6 to 40, so each t has its own window and level; t = 1e-300
+        # refines to the last level without converging and fills the tables
+        from hyperzeta.plancherel import miatello_coefficients
+
+        coeff_sets = [miatello_coefficients(3, q) for q in range(3)]
+        times = (0.05, 40.0, 1e-6, 0.7, 1e-300, 2.5, 0.05)
+        windows = []
+        integrate = fallback._integrate
+
+        def recording(node, *args):
+            seen = []
+
+            def wrapped(u):
+                seen.append(u)
+                return node(u)
+
+            result = integrate(wrapped, *args)
+            windows.append((min(seen), max(seen)))
+            return result
+
+        monkeypatch.setattr(fallback, "_integrate", recording)
+        integrals = fallback.plancherel_integrals(coeff_sets)
+        got = [integrals(t) for t in times]
+        monkeypatch.undo()
+        levels = set()
+        for t, row in zip(times, got):
+            for coeffs, result in zip(coeff_sets, row):
+                assert _bits(result) == _bits(_reference_plancherel(coeffs, t)), t
+                levels.add(result[2])
+        assert len(set(windows)) >= 4 and len(levels) >= 4
+        assert not got[4][0][3]
+
+
 class TestMellinTimeIntegral:
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_single_length_against_scipy(self, kernels, s):

@@ -2,11 +2,13 @@
 
 import json
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperzeta import manifold
 from hyperzeta.exact import MAX_DIMENSION, binomial
 from hyperzeta.manifold import (
     FORMAT_VERSION,
@@ -19,6 +21,7 @@ from hyperzeta.manifold import (
     synth_spectrum,
     trivial_holonomy_c,
 )
+from test_manifold_loader_snapshot import BAD_ENTRIES, describe, synth_document
 
 
 class TestGeodesicClass:
@@ -53,6 +56,22 @@ class TestGeodesicClass:
     def test_explicit_c_wins(self):
         g = GeodesicClass(length=1.5, c_value=0.125)
         assert g.c_factor(4) == 0.125
+
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("c", {"c_value": math.nan}),
+        ("c", {"c_value": math.inf}),
+        ("chi", {"chi": math.nan}),
+        ("chi", {"chi": -math.inf}),
+        ("holonomy", {"c_value": 1.0, "holonomy": (1.0, math.nan, 1.0, 1.0)}),
+    ])
+    def test_nonfinite_weight_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} .*finite"):
+            GeodesicClass(length=1.0, **kwargs)
+
+    def test_boolean_power_rejected(self):
+        with pytest.raises(ValueError, match="power must be a positive integer"):
+            GeodesicClass(length=1.0, power=True)
 
 
 class TestTrivialHolonomyC:
@@ -104,6 +123,16 @@ class TestManifoldData:
     def test_empty_spectrum_max_length_none(self):
         data = ManifoldData(dimension=2, volume=1.0, betti=(1, 0, 1))
         assert data.max_length is None
+
+    @pytest.mark.parametrize("field", ["radius", "chi_one"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            ManifoldData(dimension=2, volume=1.0, betti=(1, 0, 1), **{field: value})
+
+    def test_boolean_betti_rejected(self):
+        with pytest.raises(ValueError, match="betti entries must be nonnegative integers"):
+            ManifoldData(dimension=2, volume=1.0, betti=(True, False, True))
 
     def test_holonomy_length_enforced(self):
         good = GeodesicClass(length=2.0, c_value=1.0, holonomy=(1.0, 2.0, 2.0, 1.0))
@@ -224,6 +253,40 @@ class TestFileFormat:
             load_manifold(path)
         assert err.value.field_path == "geodesics[1].holonomy"
 
+    @pytest.mark.parametrize("entry,message", [
+        ({"length": 1.0, "c": math.nan}, "c must be a finite number (field geodesics[1])"),
+        ({"length": 1.0, "c": math.inf}, "c must be a finite number (field geodesics[1])"),
+        ({"length": 1.0, "chi": math.inf}, "chi must be a finite number (field geodesics[1])"),
+        ({"length": 1.0, "chi": "nan"}, "chi must be a finite number (field geodesics[1])"),
+        ({"length": 1.0, "c": 1.0, "holonomy": [1.0, math.nan, 1.0, 1.0]},
+         "holonomy character values must be finite (field geodesics[1])"),
+        ({"length": 1.0, "power": True}, "power must be a positive integer (field geodesics[1])"),
+    ])
+    def test_bad_geodesic_value_named(self, tmp_path, entry, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "format_version": FORMAT_VERSION, "dimension": 4, "volume": 1.0,
+            "betti": [1, 0, 0, 0, 1], "geodesics": [{"length": 2.0}, entry],
+        }))
+        with pytest.raises(ManifoldFormatError) as err:
+            load_manifold(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("chi_one", math.nan, "chi_one must be a finite number"),
+        ("radius", math.nan, "radius must be a finite number"),
+        ("radius", math.inf, "radius must be a finite number"),
+        ("format_version", True, "format_version must be 1 (field format_version)"),
+        ("betti", [True, False, True], "betti entries must be nonnegative integers"),
+    ])
+    def test_bad_top_level_value_named(self, tmp_path, field, value, message):
+        doc = {"format_version": FORMAT_VERSION, "dimension": 2, "volume": 1.0, "betti": [1, 0, 1]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(doc, **{field: value})))
+        with pytest.raises(ManifoldFormatError) as err:
+            load_manifold(path)
+        assert str(err.value) == message
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "format_version": 1\n  "dimension": 2\n}')
@@ -234,6 +297,81 @@ class TestFileFormat:
     def test_to_dict_marks_trivial_holonomy(self, small_spectrum):
         doc = manifold_to_dict(small_spectrum)
         assert all(g["holonomy"] == "trivial" for g in doc["geodesics"])
+
+
+def _outcome(doc: dict):
+    try:
+        return "loaded", describe(manifold._manifold_from_dict(doc))
+    except Exception as exc:  # compared, whatever the loader raises
+        return type(exc).__name__, str(exc)
+
+
+_FLOATS = st.floats(min_value=1e-3, max_value=50.0)
+_BULK_ENTRY = st.fixed_dictionaries(
+    {"length": _FLOATS},
+    optional={
+        "power": st.integers(min_value=1, max_value=3),
+        "c": _FLOATS,
+        "chi": st.floats(min_value=-3.0, max_value=3.0),
+        "holonomy": st.just("trivial"),
+    },
+)
+_OTHER_ENTRIES = list(BAD_ENTRIES.values()) + [
+    # accepted, but not in the shape save_manifold writes
+    {"length": 2},
+    {"length": "1.5", "c": "0.5"},
+    {"length": 1.5, "c": None},
+    {"length": True},
+    {"length": 1.5, "chi": 2},
+    {"length": 1.5, "c": 0.5, "holonomy": [1.0, 5.0, 10.0, 10.0, 5.0, 1.0]},
+    # rejected only since weights must be finite and powers not booleans
+    {"length": 1.5, "c": math.nan},
+    {"length": 1.5, "c": math.inf},
+    {"length": 1.5, "chi": -math.inf},
+    {"length": 1.5, "chi": math.nan},
+    {"length": 1.5, "power": True},
+    {"length": 1.5, "c": 0.5, "holonomy": [1.0, math.nan, 10.0, 10.0, 5.0, 1.0]},
+]
+
+
+class TestBulkLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.one_of(
+        # one entry of another kind among saved-shape entries, or any mix
+        st.builds(
+            lambda bulk, other, at: bulk[:at] + [other] + bulk[at:],
+            st.lists(_BULK_ENTRY, max_size=6), st.sampled_from(_OTHER_ENTRIES),
+            st.integers(0, 6),
+        ),
+        st.lists(st.one_of(_BULK_ENTRY, st.sampled_from(_OTHER_ENTRIES)), max_size=8),
+    ))
+    def test_same_outcome_as_entry_by_entry(self, entries):
+        # the bulk path either builds the classes the entry path builds, with
+        # the same types and bits, or leaves the list to it: same result or
+        # the same error, named at the same index
+        doc = {
+            "format_version": FORMAT_VERSION, "dimension": 6, "volume": 1.0,
+            "betti": [1, 0, 0, 0, 0, 0, 1], "geodesics": entries,
+        }
+        bulk = _outcome(doc)
+        with mock.patch.object(manifold, "_bulk_geodesics", lambda geos: None):
+            assert _outcome(doc) == bulk
+
+    def test_bulk_path_taken_for_saved_files(self, small_spectrum):
+        doc = manifold_to_dict(small_spectrum)
+        classes = manifold._bulk_geodesics(doc["geodesics"])
+        assert classes == small_spectrum.geodesics
+
+    def test_last_bad_entry_of_6000_named(self, tmp_path):
+        doc = synth_document()
+        geos = list(doc["geodesics"])
+        assert len(geos) == 6000
+        geos[-1] = dict(geos[-1], c=math.nan)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(doc, geodesics=geos)))
+        with pytest.raises(ManifoldFormatError) as err:
+            load_manifold(path)
+        assert str(err.value) == "c must be a finite number (field geodesics[5999])"
 
 
 class TestSynthSpectrum:
