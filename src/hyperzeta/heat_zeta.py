@@ -344,7 +344,7 @@ def coexact_trace(
     if not manifold.geodesics:
         warnings.warn("hyperbolic term over empty spectrum is 0", EmptySpectrumWarning)
     if not times:
-        return []
+        return []  # nothing to evaluate, so no normalisation check either
     sectors = range(p + 1)
     shifts = [float(q + _rho0_sq(n)) for q in sectors]
     norms = [_identity_norm(manifold, q) for q in sectors]
