@@ -1,8 +1,12 @@
-"""Pure-Python quadrature kernels, the only implementation of the package.
+"""The package's one quadrature engine and the kernels built on it, in pure Python.
 
-All three integrals are evaluated by the trapezoid rule under a
-double-exponential change of variables, with step halving until two
-successive refinements agree:
+de_integrate is the trapezoid rule on the whole line for a node function
+that decays doubly exponentially, with step halving until two successive
+refinements agree (Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)).
+Its step, depth and relative tolerance are the fixed constants below;
+only the absolute tolerance is a parameter.  Every quadrature of the
+package runs on it, and every node sum on pairwise_sum.  The kernels map
+their integrals to the line by a double-exponential change of variables:
 
   * plancherel_integral: r = exp((pi/2) sinh u) maps (0, inf) to the line;
     the integrand then decays doubly exponentially on both sides.
@@ -18,16 +22,17 @@ from __future__ import annotations
 import functools
 import math
 
-_H0 = 0.5
-_MAX_LEVEL = 12
-_ABS_TOL = 1e-12
+_H0 = 0.5  # level-0 step
+_MAX_LEVEL = 12  # step halvings at most
+_ABS_TOL = 1e-12  # the kernels' default; zeta_moment_continued passes 1e-13
 _REL_TOL = 1e-14
 _SCAN_LIMIT = 400  # level-0 nodes per side; DE decay triggers far earlier
 _NEGLIGIBLE = 1e-300
 _HALF_PI = math.pi / 2.0
 # node values kept per table of plancherel_integrals: a 10-t heat-trace call
-# at n = 6 visits about 1500 nodes, one that refines to _MAX_LEVEL without
-# converging about 100,000 (some 25 MB a table)
+# at n = 6 visits about 1500 nodes, one at t = 1e-98 (level 10) about 22,500,
+# and a full _MAX_LEVEL window without converging can pass 100,000 (some
+# 25 MB a table)
 _NODE_TABLE_SIZE = 16384
 
 
@@ -44,7 +49,7 @@ def _pairwise_plan(n: int) -> tuple:
     return tuple(walk(0, n))
 
 
-def _pairwise(vals: list) -> float:
+def pairwise_sum(vals: list) -> float:
     """Sum in a fixed pairwise tree: halve at the midpoint, add blocks of <= 8 in order.
 
     The tree depends on len(vals) alone, so the result is reproducible to
@@ -64,48 +69,53 @@ def _pairwise(vals: list) -> float:
     return stack[0]
 
 
-def _integrate(node, h0: float, max_level: int, abs_tol: float, rel_tol: float):
+def _scan(node, step: float) -> list:
+    # level-0 nodes at step, 2 step, ... until three consecutive negligible ones
+    vals = []
+    run = 0
+    while len(vals) < _SCAN_LIMIT and run < 3:
+        v = node((len(vals) + 1) * step)
+        vals.append(v)
+        run = run + 1 if abs(v) <= _NEGLIGIBLE else 0
+    return vals
+
+
+def de_integrate(node, abs_tol: float = _ABS_TOL):
     """Adaptive trapezoid on the whole line for a DE-decaying node function.
 
-    Level 0 scans outward from u = 0 in steps of h0 until three consecutive
-    negligible nodes fix the truncation window; deeper levels only add the
-    odd-multiple nodes inside that fixed window, so refinement never moves
-    the window and the node set is deterministic.
+    Level 0 scans outward from u = 0 in steps of _H0, first up, then down,
+    until three consecutive negligible nodes fix the truncation window;
+    deeper levels only add the odd-multiple nodes inside that fixed window,
+    so refinement never moves the window and the node set is
+    deterministic.  Level L converges when it differs from level L-1 by at
+    most max(abs_tol, _REL_TOL |S|), for L up to _MAX_LEVEL.  A non-finite
+    estimate never converges, and it ends the refinement at once: halving
+    the step cannot make it finite again.
+
+    Returns (value, last_delta, level, converged).
     """
     center = node(0.0)
-    pos_vals = []
-    run = 0
-    i = 0
-    while i < _SCAN_LIMIT and run < 3:
-        i += 1
-        v = node(i * h0)
-        pos_vals.append(v)
-        run = run + 1 if abs(v) <= _NEGLIGIBLE else 0
-    n_pos = i
-    neg_vals = []
-    run = 0
-    i = 0
-    while i < _SCAN_LIMIT and run < 3:
-        i += 1
-        v = node(-i * h0)
-        neg_vals.append(v)
-        run = run + 1 if abs(v) <= _NEGLIGIBLE else 0
-    n_neg = i
+    pos_vals = _scan(node, _H0)
+    neg_vals = _scan(node, -_H0)
+    n_pos = len(pos_vals)
+    n_neg = len(neg_vals)
 
-    ordered = list(reversed(neg_vals)) + [center] + pos_vals
-    total = h0 * _pairwise(ordered)
+    ordered = neg_vals[::-1] + [center] + pos_vals
+    total = _H0 * pairwise_sum(ordered)
+    if not math.isfinite(total):
+        return total, math.inf, 0, False
 
-    u_lo = -n_neg * h0
-    delta = math.inf
-    level = 0
-    for level in range(1, max_level + 1):
-        h = h0 / (1 << level)
+    u_lo = -n_neg * _H0
+    for level in range(1, _MAX_LEVEL + 1):
+        h = _H0 / (1 << level)
         count = (n_pos + n_neg) << (level - 1)
         new_vals = [node(u_lo + (2 * j + 1) * h) for j in range(count)]
-        refined = 0.5 * total + h * _pairwise(new_vals)
+        refined = 0.5 * total + h * pairwise_sum(new_vals)
         delta = abs(refined - total)
         total = refined
-        if delta <= max(abs_tol, rel_tol * abs(total)):
+        if not math.isfinite(total):
+            return total, delta, level, False
+        if delta <= max(abs_tol, _REL_TOL * abs(total)):
             return total, delta, level, True
     return total, delta, level, False
 
@@ -121,13 +131,7 @@ def _tanh_pi_pos(r: float) -> float:
     return 1.0 - 2.0 / (1.0 + math.exp(x))
 
 
-def plancherel_integrals(
-    coeff_sets,
-    h0: float = _H0,
-    max_level: int = _MAX_LEVEL,
-    abs_tol: float = _ABS_TOL,
-    rel_tol: float = _REL_TOL,
-):
+def plancherel_integrals(coeff_sets):
     """plancherel_integral for every coefficient set, as one function of t.
 
     The returned function maps t to one result per entry of
@@ -196,19 +200,12 @@ def plancherel_integrals(
 
     def values(t: float) -> list[tuple]:
         tt = float(t)
-        return [_integrate(at(tt), h0, max_level, abs_tol, rel_tol) for at in nodes]
+        return [de_integrate(at(tt)) for at in nodes]
 
     return values
 
 
-def plancherel_integral(
-    coeffs,
-    t: float,
-    h0: float = _H0,
-    max_level: int = _MAX_LEVEL,
-    abs_tol: float = _ABS_TOL,
-    rel_tol: float = _REL_TOL,
-):
+def plancherel_integral(coeffs, t: float):
     """integral_0^inf r P(r^2) tanh(pi r) e^(-t r^2) dr.
 
     ``coeffs`` are the even-polynomial coefficients of P (degree k-1 in
@@ -217,19 +214,10 @@ def plancherel_integral(
     in double precision and are skipped before P can overflow.  This is
     plancherel_integrals with one set and one t.
     """
-    return plancherel_integrals((coeffs,), h0, max_level, abs_tol, rel_tol)(t)[0]
+    return plancherel_integrals((coeffs,))(t)[0]
 
 
-def mellin_time_integral(
-    lengths,
-    amps,
-    alpha: float,
-    s: float,
-    h0: float = _H0,
-    max_level: int = _MAX_LEVEL,
-    abs_tol: float = _ABS_TOL,
-    rel_tol: float = _REL_TOL,
-):
+def mellin_time_integral(lengths, amps, alpha: float, s: float):
     """integral_0^inf t^(s-1) t^(-1/2) sum_i amps[i] e^(-alpha t - lengths[i]^2/(4t)) dt.
 
     Under t = e^u both tails decay doubly exponentially (alpha > 0 on the
@@ -266,17 +254,10 @@ def mellin_time_integral(
             acc += amp * exp(e_arg)
         return acc
 
-    return _integrate(node, h0, max_level, abs_tol, rel_tol)
+    return de_integrate(node)
 
 
-def bessel_k_integral(
-    nu: float,
-    z: float,
-    h0: float = _H0,
-    max_level: int = _MAX_LEVEL,
-    abs_tol: float = _ABS_TOL,
-    rel_tol: float = _REL_TOL,
-):
+def bessel_k_integral(nu: float, z: float):
     """integral_0^inf t^(-nu-1) e^(-t - z^2/(4t)) dt, the Bessel-K core.
 
     Multiplying by 2^(-nu-1) z^nu gives K_nu(z); that scaling is left to
@@ -296,4 +277,4 @@ def bessel_k_integral(
             return 0.0
         return math.exp(e_arg)
 
-    return _integrate(node, h0, max_level, abs_tol, rel_tol)
+    return de_integrate(node)

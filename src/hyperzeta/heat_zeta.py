@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import _kernels
-from ._kernels import fallback as _py_kernels
+from ._kernels import fallback as quadrature
 from .exact import Rational, bernoulli, binomial, check_dimension
 from .manifold import ManifoldData
 from .plancherel import miatello_coefficients
@@ -123,7 +122,7 @@ def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
         raise ValueError(f"form order p={p} outside -1..{n - 1}")
     norm = _identity_norm(manifold, p)
     coeffs = miatello_coefficients(n // 2, p)
-    return _identity_term(norm, n, p, t, _kernels.plancherel_integral(coeffs, float(t)))
+    return _identity_term(norm, n, p, t, quadrature.plancherel_integral(coeffs, float(t)))
 
 
 # --- tanh moment series ------------------------------------------------------
@@ -253,7 +252,7 @@ def _hyperbolic_sum(gauss: list, amps: list, shift: float, t: float) -> float:
     exp = math.exp
     decay = -t * shift
     vals = [a * exp(decay - g) for g, a in zip(gauss, amps)]
-    return _py_kernels._pairwise(vals) / math.sqrt(4.0 * math.pi * t)
+    return quadrature.pairwise_sum(vals) / math.sqrt(4.0 * math.pi * t)
 
 
 def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
@@ -349,7 +348,7 @@ def coexact_trace(
     shifts = [float(q + _rho0_sq(n)) for q in sectors]
     norms = [_identity_norm(manifold, q) for q in sectors]
     lengths, amps = _amplitude_table(manifold, sectors)
-    identity_integrals = _kernels.plancherel_integrals(
+    identity_integrals = quadrature.plancherel_integrals(
         [miatello_coefficients(n // 2, q) for q in sectors]
     )
     out = []
@@ -510,7 +509,7 @@ def mellin_hyperbolic(
         ratio = 2.0 * sqrt_alpha / l
         for column, nu, k in zip(columns, nus, bessel(l * sqrt_alpha)):
             column.append(scaled * ratio**nu * k)
-    return [_py_kernels._pairwise(column) for column in columns]
+    return [quadrature.pairwise_sum(column) for column in columns]
 
 
 def mellin_hyperbolic_quadrature(manifold: ManifoldData, p: int, s: float) -> float:
@@ -527,7 +526,7 @@ def mellin_hyperbolic_quadrature(manifold: ManifoldData, p: int, s: float) -> fl
         return 0.0
     alpha = float(p + _rho0_sq(n))
     lengths, amps = _geodesic_amplitudes(manifold, p)
-    value, delta, _, ok = _kernels.mellin_time_integral(lengths, amps, alpha, float(s))
+    value, delta, _, ok = quadrature.mellin_time_integral(lengths, amps, alpha, float(s))
     if not ok:
         raise QuadratureError(
             f"hyperbolic Mellin quadrature did not converge (p={p}, s={s})", delta
@@ -691,8 +690,7 @@ def zeta_moment_continued(k: int, q: int, beta: float, s: float = 0.0) -> float:
         power = (r2 + beta) ** (-s) if s else 1.0
         return (math.pi / 2.0) * math.cosh(u) * r2 * p_val * power * fermi
 
-    # cold path: the kernels' trapezoid engine is called directly on this node
-    value, delta, _, ok = _py_kernels._integrate(node, 0.5, 12, 1e-13, 1e-14)
+    value, delta, _, ok = quadrature.de_integrate(node, 1e-13)
     if not ok:
         raise QuadratureError(f"moment continuation did not converge (k={k}, q={q})", delta)
     return elementary - 4.0 * value

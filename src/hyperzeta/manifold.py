@@ -172,6 +172,14 @@ _TOP_KEYS = {"format_version", "dimension", "volume", "betti", "geodesics", "chi
 _GEO_KEYS = {"length", "power", "c", "chi", "holonomy"}
 
 
+def _number(value, name: str) -> float:
+    # float() reads a JSON true as 1.0; a boolean is not a number here.  The
+    # ValueError is given its field by the caller's check, as float()'s are
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, not {json.dumps(value)}")
+    return float(value)
+
+
 def _geodesic_from_dict(obj: dict, idx: int) -> GeodesicClass:
     path = f"geodesics[{idx}]"
     if not isinstance(obj, dict):
@@ -187,7 +195,10 @@ def _geodesic_from_dict(obj: dict, idx: int) -> GeodesicClass:
     if hol == "trivial":
         holonomy = None
     elif isinstance(hol, list):
-        holonomy = tuple(float(x) for x in hol)
+        try:
+            holonomy = tuple(_number(x, "holonomy character") for x in hol)
+        except (TypeError, ValueError) as exc:
+            raise ManifoldFormatError(str(exc), field_path=f"{path}.holonomy") from exc
     else:
         raise ManifoldFormatError(
             'holonomy must be "trivial" or a list of character values', field_path=path
@@ -195,10 +206,10 @@ def _geodesic_from_dict(obj: dict, idx: int) -> GeodesicClass:
     c_raw = obj.get("c")
     try:
         return GeodesicClass(
-            length=float(obj["length"]),
+            length=_number(obj["length"], "length"),
             power=obj.get("power", 1),
-            c_value=None if c_raw is None else float(c_raw),
-            chi=float(obj.get("chi", 1.0)),
+            c_value=None if c_raw is None else _number(c_raw, "c"),
+            chi=_number(obj.get("chi", 1.0), "chi"),
             holonomy=holonomy,
         )
     except (TypeError, ValueError) as exc:
@@ -280,15 +291,15 @@ def _manifold_from_dict(doc: dict) -> ManifoldData:
     try:
         return ManifoldData(
             dimension=doc["dimension"],
-            volume=float(doc["volume"]),
+            volume=_number(doc["volume"], "volume"),
             betti=tuple(betti),
             geodesics=classes,
-            chi_one=float(doc.get("chi_one", 1.0)),
-            radius=float(doc.get("radius", 1.0)),
+            chi_one=_number(doc.get("chi_one", 1.0), "chi_one"),
+            radius=_number(doc.get("radius", 1.0), "radius"),
         )
     except ManifoldFormatError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ManifoldFormatError(str(exc)) from exc
 
 

@@ -331,7 +331,7 @@ class TestHeatTrace:
             heat_zeta, "identity_heat_term", lambda *a: calls.append(a) or 1.0
         )
         # the engine every quadrature of the package runs on
-        monkeypatch.setattr(fallback, "_integrate", lambda *a: calls.append(a))
+        monkeypatch.setattr(fallback, "de_integrate", lambda *a: calls.append(a))
         code, out, err = run_cli(
             capsys, "heat-trace", "--manifold", str(manifold_file),
             "--form", "0", "--t", "1.0", "0.5", "0",
@@ -351,6 +351,20 @@ class TestHeatTrace:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "did not converge" in err
+
+    def test_infinite_identity_term_exit_2(self, capsys, tmp_path):
+        # at n = 6 the identity integral overflows to inf at t = 1e-100; it
+        # printed "identity inf" with exit 0 while inf counted as converged
+        path = tmp_path / "m.json"
+        code, _, _ = run_cli(
+            capsys, "synth-spectrum", "--seed", "11", "--count", "3", "--dim", "6",
+            "--out", str(path),
+        )
+        assert code == 0
+        code, out, err = run_cli(
+            capsys, "heat-trace", "--manifold", str(path), "--form", "0", "--t", "1e-100",
+        )
+        assert_one_error_line(code, out, err, "did not converge")
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -397,7 +411,7 @@ def test_wrong_holonomy_length_is_a_bad_file(capsys, tmp_path, monkeypatch, comm
         raise AssertionError("quadrature ran on a rejected file")
 
     # the engine every quadrature of the package runs on
-    monkeypatch.setattr(fallback, "_integrate", no_quadrature)
+    monkeypatch.setattr(fallback, "de_integrate", no_quadrature)
     path = tmp_path / "m.json"
     path.write_text(json.dumps({
         "format_version": 1, "dimension": 4, "volume": 1.0, "betti": [1, 0, 0, 0, 1],
@@ -415,9 +429,14 @@ def test_wrong_holonomy_length_is_a_bad_file(capsys, tmp_path, monkeypatch, comm
     ("chi_one", "NaN", "chi_one must be a finite number"),
     ("radius", "NaN", "radius must be a finite number"),
     ("power", "true", "power must be a positive integer"),
+    ("chi", "true", "chi must be a number, not true (field geodesics[0])"),
+    ("radius", "false", "radius must be a number, not false"),
+    ("holonomy", '["a", 1, 1, 1]', "(field geodesics[0].holonomy)"),
 ])
 def test_nonfinite_weight_is_a_bad_file(capsys, tmp_path, field, value, needle):
-    # each of these loaded before and printed nan (or used power 1) with exit 0
+    # each of these loaded before and printed nan (or used power 1, or a
+    # boolean as 1.0) with exit 0; a non-numeric character failed without
+    # naming the file or the field
     entry = f'"length": 1.0, "c": 1.0, "{field}": {value}'
     top = ""
     if field in ("chi_one", "radius"):

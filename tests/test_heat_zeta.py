@@ -69,7 +69,7 @@ class TestIdentityHeatTerm:
     def test_normalisation_outside_float_range_rejected(self, n, monkeypatch):
         # pi / (2^(2n-4) Gamma(n/2)^2) underflows from n = 152 on and its
         # denominator overflows at n = 200; both raise before any quadrature
-        monkeypatch.setattr(heat_zeta._kernels, "plancherel_integral", None)
+        monkeypatch.setattr(heat_zeta.quadrature, "plancherel_integral", None)
         data = ManifoldData(dimension=n, volume=1.0, betti=(1,) + (0,) * (n - 1) + (1,))
         with pytest.raises(ValueError, match=f"n={n} "):
             identity_heat_term(data, 0, 1.0)
@@ -298,8 +298,8 @@ class TestCoexactTrace:
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran before the times were checked")
 
-        monkeypatch.setattr(hz._kernels, "plancherel_integral", no_quadrature)
-        monkeypatch.setattr(hz._kernels, "plancherel_integrals", no_quadrature)
+        monkeypatch.setattr(hz.quadrature, "plancherel_integral", no_quadrature)
+        monkeypatch.setattr(hz.quadrature, "plancherel_integrals", no_quadrature)
         with pytest.raises(ValueError, match="heat time"):
             coexact_trace(small_spectrum, 1, [1.0, 0.5, bad])
 
@@ -539,7 +539,7 @@ class TestQuadratureErrorPath:
         def fake_kernel(*args, **kwargs):
             return 1.0, 0.5, 12, False
 
-        monkeypatch.setattr(hz._kernels, "plancherel_integral", fake_kernel)
+        monkeypatch.setattr(hz.quadrature, "plancherel_integral", fake_kernel)
         with pytest.raises(QuadratureError) as err:
             hz.identity_heat_term(small_spectrum, 0, 1.0)
         assert err.value.estimate == 0.5

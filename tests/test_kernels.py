@@ -73,7 +73,7 @@ def _reference_plancherel(coeffs, t):
         r = math.exp(x)
         return half_pi * math.cosh(u) * r2 * p_val * fallback._tanh_pi_pos(r) * math.exp(-e_arg)
 
-    return fallback._integrate(node, 0.5, 12, 1e-12, 1e-14)
+    return fallback.de_integrate(node)
 
 
 def _bits(result):
@@ -99,14 +99,15 @@ class TestPlancherelIntegrals:
 
     def test_windows_and_levels_differ_per_t(self, monkeypatch):
         # a heat-trace call: the Plancherel sets of n = 6, p = 2, at t from
-        # 1e-6 to 40, so each t has its own window and level; t = 1e-300
-        # refines to the last level without converging and fills the tables
+        # 1e-98 to 40, so each t has its own window and level; t = 1e-300
+        # overflows without converging, and t = 1e-98 converges at level 10
+        # after about 22,500 nodes, past the size of the node tables
         from hyperzeta.plancherel import miatello_coefficients
 
         coeff_sets = [miatello_coefficients(3, q) for q in range(3)]
-        times = (0.05, 40.0, 1e-6, 0.7, 1e-300, 2.5, 0.05)
+        times = (0.05, 40.0, 1e-6, 0.7, 1e-300, 2.5, 0.05, 1e-98)
         windows = []
-        integrate = fallback._integrate
+        integrate = fallback.de_integrate
 
         def recording(node, *args):
             seen = []
@@ -119,7 +120,7 @@ class TestPlancherelIntegrals:
             windows.append((min(seen), max(seen)))
             return result
 
-        monkeypatch.setattr(fallback, "_integrate", recording)
+        monkeypatch.setattr(fallback, "de_integrate", recording)
         integrals = fallback.plancherel_integrals(coeff_sets)
         got = [integrals(t) for t in times]
         monkeypatch.undo()
@@ -130,6 +131,36 @@ class TestPlancherelIntegrals:
                 levels.add(result[2])
         assert len(set(windows)) >= 4 and len(levels) >= 4
         assert not got[4][0][3]
+
+
+class TestDeIntegrate:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_estimate_stops_unconverged(self, bad):
+        # one level-1 node is not finite; level 2 could only add to it
+        seen = []
+
+        def node(u):
+            seen.append(u)
+            return bad if u == 0.25 else math.exp(-u * u)
+
+        value, delta, level, converged = fallback.de_integrate(node)
+        assert not math.isfinite(value) and not converged and level == 1
+        assert all((4 * u).is_integer() for u in seen)
+
+    def test_non_finite_level_zero_stops_there(self):
+        value, delta, level, converged = fallback.de_integrate(
+            lambda u: math.inf if u == 0.0 else math.exp(-u * u)
+        )
+        assert (value, delta, level, converged) == (math.inf, math.inf, 0, False)
+
+    def test_overflowing_plancherel_integral_not_converged(self):
+        # it returned (inf, inf, 5, True): inf <= max(abs_tol, rel_tol * inf)
+        from hyperzeta.plancherel import miatello_coefficients
+
+        value, delta, level, converged = fallback.plancherel_integral(
+            miatello_coefficients(3, 0), 1e-100
+        )
+        assert (value, level, converged) == (math.inf, 5, False)
 
 
 class TestMellinTimeIntegral:
@@ -192,15 +223,15 @@ class TestBesselKIntegral:
         assert math.isclose(a * (z / 2.0) ** (2 * nu), b, rel_tol=1e-12)
 
 
-def _recursive_pairwise(vals, lo, hi):
-    # the tree as first written, recursively: the reference for _pairwise
+def _recursive_tree_sum(vals, lo, hi):
+    # the tree as first written, recursively: the reference for pairwise_sum
     if hi - lo <= 8:
         acc = 0.0
         for i in range(lo, hi):
             acc += vals[i]
         return acc
     mid = (lo + hi) // 2
-    return _recursive_pairwise(vals, lo, mid) + _recursive_pairwise(vals, mid, hi)
+    return _recursive_tree_sum(vals, lo, mid) + _recursive_tree_sum(vals, mid, hi)
 
 
 # Mixed signs at one scale per list, scales from 1e-300 to 1e300.  Within
@@ -232,12 +263,12 @@ class TestPairwise:
                   st.integers(0, 2**32 - 1)),
     ))
     def test_same_bits_as_the_recursive_tree(self, vals):
-        want = _recursive_pairwise(vals, 0, len(vals))
-        assert fallback._pairwise(vals).hex() == want.hex()
+        want = _recursive_tree_sum(vals, 0, len(vals))
+        assert fallback.pairwise_sum(vals).hex() == want.hex()
 
     def test_every_length_up_to_2100(self):
         # each tree shape, including blocks of 8 beside 9s that split once more
         vals = _seeded_summands(2100, 3)
         for n in range(2101):
-            got = fallback._pairwise(vals[:n])
-            assert got.hex() == _recursive_pairwise(vals, 0, n).hex(), n
+            got = fallback.pairwise_sum(vals[:n])
+            assert got.hex() == _recursive_tree_sum(vals, 0, n).hex(), n

@@ -261,6 +261,11 @@ class TestFileFormat:
         ({"length": 1.0, "c": 1.0, "holonomy": [1.0, math.nan, 1.0, 1.0]},
          "holonomy character values must be finite (field geodesics[1])"),
         ({"length": 1.0, "power": True}, "power must be a positive integer (field geodesics[1])"),
+        ({"length": 1.0, "c": 1.0, "holonomy": ["a", 1, 1, 1]},
+         "could not convert string to float: 'a' (field geodesics[1].holonomy)"),
+        ({"length": 1.0, "c": 1.0, "holonomy": [1, None, 1, 1]},
+         "float() argument must be a string or a real number, not 'NoneType' "
+         "(field geodesics[1].holonomy)"),
     ])
     def test_bad_geodesic_value_named(self, tmp_path, entry, message):
         path = tmp_path / "bad.json"
@@ -278,6 +283,8 @@ class TestFileFormat:
         ("radius", math.inf, "radius must be a finite number"),
         ("format_version", True, "format_version must be 1 (field format_version)"),
         ("betti", [True, False, True], "betti entries must be nonnegative integers"),
+        ("volume", None, "float() argument must be a string or a real number, not 'NoneType'"),
+        ("radius", [1.0], "float() argument must be a string or a real number, not 'list'"),
     ])
     def test_bad_top_level_value_named(self, tmp_path, field, value, message):
         doc = {"format_version": FORMAT_VERSION, "dimension": 2, "volume": 1.0, "betti": [1, 0, 1]}
@@ -286,6 +293,35 @@ class TestFileFormat:
         with pytest.raises(ManifoldFormatError) as err:
             load_manifold(path)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("where,field,message", [
+        ("top", "volume", "volume must be a number, not {}"),
+        ("top", "chi_one", "chi_one must be a number, not {}"),
+        ("top", "radius", "radius must be a number, not {}"),
+        ("geodesic", "length", "length must be a number, not {} (field geodesics[1])"),
+        ("geodesic", "c", "c must be a number, not {} (field geodesics[1])"),
+        ("geodesic", "chi", "chi must be a number, not {} (field geodesics[1])"),
+        ("geodesic", "holonomy",
+         "holonomy character must be a number, not {} (field geodesics[1].holonomy)"),
+    ])
+    def test_boolean_is_not_a_number(self, tmp_path, value, where, field, message):
+        # float() reads true as 1.0, so such files loaded and ran
+        doc = {"format_version": FORMAT_VERSION, "dimension": 4, "volume": 1.0,
+               "betti": [1, 0, 0, 0, 1]}
+        entry = {"length": 1.0, "c": 1.0}
+        if where == "top":
+            doc[field] = value
+        elif field == "holonomy":
+            entry[field] = [1.0, value, 1.0, 1.0]
+        else:
+            entry[field] = value
+        doc["geodesics"] = [{"length": 2.0}, entry]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifoldFormatError) as err:
+            load_manifold(path)
+        assert str(err.value) == message.format(json.dumps(value))
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
