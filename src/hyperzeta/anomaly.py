@@ -8,10 +8,10 @@ result is always a rational multiple of pi^(-n/2):
     <T> = 1/((4 pi)^(n/2) Gamma(n/2) R^n) * sum_{j=0}^{p} (contribution of
           the j-shifted sector pair),
 
-with the per-j contributions supplied exactly by heat_zeta.  At the p-form
-shift the contributions collapse onto one moment per sector, summed by a
-prefix sum over j (see _default_shift_sum).  Everything in this module is
-exact arithmetic; floats appear only in rendering.
+with the sum over j supplied exactly by heat_zeta.zeta_identity_zero_total,
+one memoised moment per sector and a prefix sum over j, at every shift.
+Everything in this module is exact arithmetic; floats appear only in
+rendering.
 
 The spectral shift alpha is a policy choice: p + rho0^2 for the p-form
 tables, 1/4 for the conformally coupled scalar, rho0^2 + m^2 R^2 for a
@@ -22,7 +22,6 @@ defaulted across use cases.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -35,7 +34,7 @@ from .exact import (
     check_dimension,
     half_gamma,
 )
-from .heat_zeta import zeta_identity_terms, zeta_moment_parts
+from .heat_zeta import zeta_identity_terms, zeta_identity_zero_total
 from .plancherel import miatello_coefficients
 
 __all__ = [
@@ -141,49 +140,11 @@ class AnomalyResult:
     def breakdown(self) -> tuple[tuple[int, int, Fraction], ...]:
         return self.terms()
 
-    def prefactor_coefficient(self) -> Fraction:
-        total = sum((term for _, _, term in self.breakdown), Fraction(0))
-        if total == 0:
-            return Fraction(0)
-        return self.value.coefficient / total
-
 
 def _prefactor(n: int, radius_power_scale: Fraction) -> Fraction:
     # 1 / ((4 pi)^(n/2) Gamma(n/2) R^n), with the pi part carried separately
     k = n // 2
     return Fraction(1, 4**k) / half_gamma(n) / radius_power_scale
-
-
-# One entry for every sector (k, q), 0 <= q < k <= MAX_DIMENSION/2, so nothing
-# is ever evicted: each moment is computed once per process, whatever order
-# rows are asked for in (an LRU smaller than a sweep's sectors misses on
-# almost every lookup of a cyclic sweep).  All 5050 hold about 2.4 MB.
-_SECTORS_TO_CAP = (MAX_DIMENSION // 2) * (MAX_DIMENSION // 2 + 1) // 2
-
-
-@functools.lru_cache(maxsize=_SECTORS_TO_CAP)
-def _sector_moment(k: int, q: int) -> tuple[int, int]:
-    # M(q), the sector-q moment at the sector's own shift q + rho0^2, as an
-    # unreduced fraction; the shift's denominator is 4 for every q, so all
-    # sectors of one k share the denominator (zeta_moment_parts)
-    return zeta_moment_parts(k, q, q + Fraction(2 * k - 1, 2) ** 2)
-
-
-def _default_shift_sum(n: int, p: int) -> Fraction:
-    # At alpha = p + rho0^2 the j-th term sum depends on q = p - j only:
-    # (-1)^j C(n-1, q) [M(q) + q/(n-p) M(q-1)], with M(-1) = 0.  Summed over
-    # j that is A_p + B_p/(n-p), where A_p = C(n-1, p) M(p) - A_{p-1} and
-    # B_p = p C(n-1, p) M(p-1) - B_{p-1}, from A_{-1} = B_{-1} = 0; both run
-    # over the numerators, and the one fraction is made at the end.
-    k = n // 2
-    a = b = side = 0
-    for q in range(p + 1):
-        chi = math.comb(n - 1, q)
-        main, den = _sector_moment(k, q)
-        a = chi * main - a
-        b = q * chi * side - b
-        side = main
-    return Fraction(a * (n - p) + b, den * (n - p))
 
 
 def _pform_breakdown(n: int, p: int, alpha: Fraction) -> tuple[tuple[int, int, Fraction], ...]:
@@ -205,23 +166,15 @@ def conformal_anomaly(
     zeta value (times volume, R^n, and the bundle multiplier chi_one);
     otherwise unit volume is assumed.
 
-    At the default shift alpha = p + rho0^2 the value comes from one
-    memoised moment per sector and a prefix sum over j; any other alpha
-    sums the per-(j, l) terms.  Either way the breakdown is built from
-    the per-(j, l) terms, and only when it is read.
+    The value comes from zeta_identity_zero_total (one memoised moment per
+    sector and a prefix sum over j) for every alpha.  The breakdown is
+    built from the per-(j, l) terms, and only when it is read.
     """
     n = spec.dimension
     p = spec.form_order
-    k = n // 2
-    if spec.alpha == alpha_default(n, p):
-        total = _default_shift_sum(n, p)
-        terms = functools.partial(_pform_breakdown, n, p, spec.alpha)
-    else:
-        breakdown = _pform_breakdown(n, p, spec.alpha)
-        total = sum((term for _, _, term in breakdown), Fraction(0))
-        terms = functools.partial(tuple, breakdown)
-    pref = _prefactor(n, spec.radius_power_scale)
-    value = PiValue(pref * total, k)
+    total = zeta_identity_zero_total(n, p, spec.alpha)
+    terms = functools.partial(_pform_breakdown, n, p, spec.alpha)
+    value = PiValue(_prefactor(n, spec.radius_power_scale) * total, n // 2)
     vol = Fraction(volume) if volume is not None else Fraction(1)
     zeta_zero = value * (vol * spec.radius_power_scale * Fraction(chi_one))
     return AnomalyResult(value=value, zeta_zero=zeta_zero, terms=terms)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from ._kernels import fallback as quadrature
-from .exact import Rational, bernoulli, binomial, check_dimension
+from .exact import MAX_DIMENSION, Rational, bernoulli, binomial, check_dimension
 from .manifold import ManifoldData
 from .plancherel import miatello_coefficients
 
@@ -543,6 +543,14 @@ def _bern_weight(ell: int) -> Fraction:
     return (1 - Fraction(1, 2 ** (2 * ell + 1))) * bernoulli(2 * (ell + 1))
 
 
+def _check_form(n: int, p: int) -> int:
+    # k = n/2, once n is a checked dimension and p a co-exact form order
+    k = check_dimension(n) // 2
+    if not 0 <= p <= k - 1:
+        raise ValueError(f"form order p={p} outside 0..{k - 1}")
+    return k
+
+
 def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fraction, ...]:
     """Per-l exact terms of the j-th identity-sector contribution to zeta(0).
 
@@ -557,10 +565,7 @@ def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fracti
     (alpha-j-1)^(l+1) are kept over the common denominator of alpha and
     grown by one factor per l.
     """
-    check_dimension(n)
-    k = n // 2
-    if not 0 <= p <= k - 1:
-        raise ValueError(f"form order p={p} outside 0..{k - 1}")
+    k = _check_form(n, p)
     if not 0 <= j <= p:
         raise ValueError(f"shift index j={j} outside 0..{p}")
     alpha = Fraction(alpha)
@@ -599,11 +604,38 @@ def zeta_identity_at_zero(n: int, p: int, j: int, alpha: Rational) -> Fraction:
     return sum(zeta_identity_terms(n, p, j, alpha), Fraction(0))
 
 
+# One entry for every sector (k, q) to the cap, so a sweep at one shift offset
+# evicts nothing whatever its row order (about 2.4 MB at the default shift).
+# The offset is two integers: a Fraction key, hashed in Python, is 3x slower.
+@functools.lru_cache(maxsize=(MAX_DIMENSION // 2) * (MAX_DIMENSION // 2 + 1) // 2)
+def _sector_moment(k: int, q: int, c_num: int, c_den: int) -> tuple[int, int]:
+    # the sector-q moment at shift c + q, c = c_num/c_den in lowest terms, as
+    # an unreduced fraction whose denominator is the same for every q
+    return zeta_moment_parts(k, q, Fraction(c_num + q * c_den, c_den))
+
+
 def zeta_identity_zero_total(n: int, p: int, alpha: Rational) -> Fraction:
-    """Sum over j = 0..p of the identity-sector zeta(0) contributions."""
-    return sum(
-        (zeta_identity_at_zero(n, p, j, alpha) for j in range(p + 1)), Fraction(0)
-    )
+    """Sum over j = 0..p of the identity-sector zeta(0) contributions.
+
+    With c = alpha - p, term j is sector q = p - j at shift c + q, and its
+    side bracket is sector q - 1 at that sector's own shift.  So with M(q)
+    the memoised moment and M(-1) = 0 the sum is A_p + B_p/(n-p), where
+    A_p = C(n-1, p) M(p) - A_(p-1) and B_p = p C(n-1, p) M(p-1) - B_(p-1)
+    run over integer numerators (docs/numerics.md).  zeta_identity_terms is
+    the independent per-(j, l) route to the same value.
+    """
+    k = _check_form(n, p)
+    alpha = Fraction(alpha)
+    c_den = alpha.denominator
+    c_num = alpha.numerator - p * c_den
+    a = b = side = 0
+    for q in range(p + 1):
+        chi = math.comb(n - 1, q)
+        main, den = _sector_moment(k, q, c_num, c_den)
+        a = chi * main - a
+        b = q * chi * side - b
+        side = main
+    return Fraction(a * (n - p) + b, den * (n - p))
 
 
 def zeta_moment_sum(k: int, q: int, beta: Rational) -> Fraction:

@@ -180,6 +180,17 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _top_number(doc: dict, key: str, default: float | None = None) -> float:
+    # float()'s message does not say which field it read; a boolean's does
+    value = doc.get(key, default)
+    try:
+        return _number(value, key)
+    except (TypeError, ValueError) as exc:
+        if isinstance(value, bool):
+            raise
+        raise ManifoldFormatError(str(exc), field_path=key) from exc
+
+
 def _geodesic_from_dict(obj: dict, idx: int) -> GeodesicClass:
     path = f"geodesics[{idx}]"
     if not isinstance(obj, dict):
@@ -291,11 +302,11 @@ def _manifold_from_dict(doc: dict) -> ManifoldData:
     try:
         return ManifoldData(
             dimension=doc["dimension"],
-            volume=_number(doc["volume"], "volume"),
+            volume=_top_number(doc, "volume"),
             betti=tuple(betti),
             geodesics=classes,
-            chi_one=_number(doc.get("chi_one", 1.0), "chi_one"),
-            radius=_number(doc.get("radius", 1.0), "radius"),
+            chi_one=_top_number(doc, "chi_one", 1.0),
+            radius=_top_number(doc, "radius", 1.0),
         )
     except ManifoldFormatError:
         raise

@@ -22,13 +22,11 @@ import mpmath
 from . import heat_zeta, manifold
 from .anomaly import (
     TABLE1_DIMS,
-    TABLE2_DIMS,
     AnomalySpec,
     alpha_conformal_scalar,
     alpha_default,
     conformal_anomaly,
     conformal_scalar_anomaly,
-    generate_table,
 )
 from .exact import PiValue
 

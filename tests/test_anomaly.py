@@ -6,10 +6,10 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperzeta import anomaly
+from hyperzeta import anomaly, heat_zeta
 from hyperzeta.anomaly import (
     MAX_DIMENSION,
     TABLE1_DIMS,
@@ -83,11 +83,11 @@ class TestAnomalySpec:
         # a row at the cap touches k = MAX_DIMENSION/2 sectors and Bernoulli weights
         assert _expand.cache_info().maxsize >= MAX_DIMENSION // 2
         assert _bern_weight.cache_info().maxsize >= MAX_DIMENSION // 2
-        assert anomaly._sector_moment.cache_info().maxsize >= MAX_DIMENSION // 2
+        assert heat_zeta._sector_moment.cache_info().maxsize >= MAX_DIMENSION // 2
 
     def test_moment_memo_holds_every_sector_to_the_cap(self):
         k_cap = MAX_DIMENSION // 2
-        assert anomaly._sector_moment.cache_info().maxsize >= sum(range(1, k_cap + 1))
+        assert heat_zeta._sector_moment.cache_info().maxsize >= sum(range(1, k_cap + 1))
 
 
 class TestGoldenTables:
@@ -139,11 +139,19 @@ class TestStructure:
             assert all(term != 0 for _, _, term in res.breakdown)
 
     def test_breakdown_resums_to_value(self):
-        for n, p in ((4, 1), (8, 3), (10, 2)):
-            spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
+        # (n, p, alpha, R^n): the default shift, R = 3/2, and a custom shift
+        cases = [(n, p, alpha_default(n, p), 1) for n, p in ((4, 1), (8, 3), (10, 2))]
+        cases += [(6, 2, alpha_default(6, 2), Fraction(3, 2) ** 6), (8, 2, Fraction(-7, 3), 1)]
+        for n, p, alpha, radius_power in cases:
+            spec = AnomalySpec(
+                dimension=n, form_order=p, alpha=alpha, radius_power_scale=radius_power
+            )
             res = conformal_anomaly(spec)
             total = sum((t for _, _, t in res.breakdown), Fraction(0))
-            assert res.value == PiValue(res.prefactor_coefficient() * total, n // 2)
+            k = n // 2
+            # 1 / ((4 pi)^(n/2) Gamma(n/2) R^n) without the pi
+            prefactor = Fraction(1, 4**k * math.factorial(k - 1)) / radius_power
+            assert res.value == PiValue(prefactor * total, k), (n, p, alpha)
 
     def test_radius_scaling_is_exact(self):
         n, p = 4, 1
@@ -208,9 +216,10 @@ class TestGenerateTable:
             assert rendered == row["published_float"], (n, p)
 
 
-def per_term_value(n: int, p: int) -> PiValue:
-    """The default-shift anomaly from a freshly built per-(j, l) breakdown."""
-    alpha = alpha_default(n, p)
+def per_term_value(n: int, p: int, alpha: Fraction | None = None) -> PiValue:
+    """The anomaly from a freshly built per-(j, l) breakdown (default shift if no alpha)."""
+    if alpha is None:
+        alpha = alpha_default(n, p)
     total = sum(
         (term for j in range(p + 1) for term in zeta_identity_terms(n, p, j, alpha)),
         Fraction(0),
@@ -226,9 +235,15 @@ def cells(draw):
     return n, draw(st.integers(min_value=0, max_value=n // 2 - 1))
 
 
+# c = alpha - p, the shift of sector q = 0; denominators 1..99, any sign
+shift_offsets = st.builds(
+    Fraction, st.integers(min_value=-500, max_value=500), st.integers(min_value=1, max_value=99)
+)
+
+
 class TestMomentRoute:
-    """The default shift takes its value from per-sector moments; the
-    per-(j, l) terms are an independent route to the same number."""
+    """Every shift takes its value from per-sector moments; the per-(j, l)
+    terms are an independent route to the same number."""
 
     @settings(max_examples=60, deadline=None)
     @given(cells())
@@ -241,6 +256,22 @@ class TestMomentRoute:
     def test_matches_per_term_route_at_large_n(self, n, p):
         spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
         assert conformal_anomaly(spec).value == per_term_value(n, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cells(), shift_offsets)
+    @example((2, 0), Fraction(0))
+    @example((60, 29), Fraction(-401, 99))
+    @example((40, 7), Fraction(13, 98))
+    def test_matches_per_term_route_at_any_rational_shift(self, cell, c):
+        n, p = cell
+        spec = AnomalySpec(dimension=n, form_order=p, alpha=p + c)
+        assert conformal_anomaly(spec).value == per_term_value(n, p, p + c)
+
+    @pytest.mark.parametrize("n,p", [(120, 59), (200, 99)])
+    def test_massive_shift_matches_per_term_route_at_large_n(self, n, p):
+        alpha = alpha_massive_scalar(n, Fraction(7, 3))
+        spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha)
+        assert conformal_anomaly(spec).value == per_term_value(n, p, alpha)
 
     def test_default_shift_table_never_builds_terms(self, monkeypatch, capsys):
         from hyperzeta.cli import main
@@ -279,10 +310,10 @@ class TestMomentRoute:
         dims = list(range(24, 46, 2))
         misses = []
         for order in (dims, dims[::-1], dims[1::2] + dims[::2]):
-            anomaly._sector_moment.cache_clear()
+            heat_zeta._sector_moment.cache_clear()
             for n in order * 2:
                 for p in range(n // 2):
                     spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
                     conformal_anomaly(spec)
-            misses.append(anomaly._sector_moment.cache_info().misses)
+            misses.append(heat_zeta._sector_moment.cache_info().misses)
         assert misses == [sum(n // 2 for n in dims)] * 3

@@ -425,6 +425,27 @@ class TestZetaIdentityExact:
     def test_n4_p1_total(self):
         assert zeta_identity_zero_total(4, 1, Fraction(13, 4)) == Fraction(-67, 10)
 
+    @pytest.mark.parametrize("n,p,alpha", [
+        (4, 1, Fraction(13, 4)),
+        (10, 4, Fraction(0)),
+        (12, 3, Fraction(-17, 5)),
+        (30, 14, Fraction(1, 4)),
+        (44, 20, Fraction(2001, 97)),
+    ])
+    def test_total_is_the_sum_over_j(self, n, p, alpha):
+        by_j = sum(
+            (zeta_identity_at_zero(n, p, j, alpha) for j in range(p + 1)), Fraction(0)
+        )
+        assert zeta_identity_zero_total(n, p, alpha) == by_j
+
+    def test_total_rejects_invalid_indices(self):
+        with pytest.raises(ValueError):
+            zeta_identity_zero_total(4, 2, Fraction(1))  # middle degree
+        with pytest.raises(ValueError):
+            zeta_identity_zero_total(4, -1, Fraction(1))
+        with pytest.raises(ValueError):
+            zeta_identity_zero_total(3, 0, Fraction(1))  # odd n
+
     def test_invalid_indices(self):
         with pytest.raises(ValueError):
             zeta_identity_at_zero(4, 2, 0, Fraction(1))  # middle degree

@@ -283,8 +283,10 @@ class TestFileFormat:
         ("radius", math.inf, "radius must be a finite number"),
         ("format_version", True, "format_version must be 1 (field format_version)"),
         ("betti", [True, False, True], "betti entries must be nonnegative integers"),
-        ("volume", None, "float() argument must be a string or a real number, not 'NoneType'"),
-        ("radius", [1.0], "float() argument must be a string or a real number, not 'list'"),
+        ("volume", None,
+         "float() argument must be a string or a real number, not 'NoneType' (field volume)"),
+        ("radius", [1.0],
+         "float() argument must be a string or a real number, not 'list' (field radius)"),
     ])
     def test_bad_top_level_value_named(self, tmp_path, field, value, message):
         doc = {"format_version": FORMAT_VERSION, "dimension": 2, "volume": 1.0, "betti": [1, 0, 1]}
@@ -293,6 +295,21 @@ class TestFileFormat:
         with pytest.raises(ManifoldFormatError) as err:
             load_manifold(path)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("value,reason", [
+        (None, "float() argument must be a string or a real number, not 'NoneType'"),
+        ([2.5], "float() argument must be a string or a real number, not 'list'"),
+        ("big", "could not convert string to float: 'big'"),
+    ])
+    @pytest.mark.parametrize("field", ["volume", "chi_one", "radius"])
+    def test_non_number_top_level_field_named(self, tmp_path, field, value, reason):
+        doc = {"format_version": FORMAT_VERSION, "dimension": 2, "volume": 1.0, "betti": [1, 0, 1]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(doc, **{field: value})))
+        with pytest.raises(ManifoldFormatError) as err:
+            load_manifold(path)
+        assert str(err.value) == f"{reason} (field {field})"
+        assert err.value.field_path == field
 
     @pytest.mark.parametrize("value", [True, False])
     @pytest.mark.parametrize("where,field,message", [
