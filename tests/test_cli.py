@@ -452,18 +452,6 @@ def test_nonfinite_weight_is_a_bad_file(capsys, tmp_path, field, value, needle):
     assert_one_error_line(code, out, err, "bad manifold file", needle)
 
 
-def test_non_number_volume_names_its_field(capsys, tmp_path):
-    # float()'s message alone did not say which field it read
-    path = tmp_path / "m.json"
-    path.write_text(
-        '{"format_version": 1, "dimension": 4, "volume": null, "betti": [1, 0, 0, 0, 1]}'
-    )
-    code, out, err = run_cli(
-        capsys, "heat-trace", "--manifold", str(path), "--form", "1", "--t", "0.5"
-    )
-    assert_one_error_line(code, out, err, "bad manifold file", "'NoneType' (field volume)")
-
-
 class TestZetaCheck:
     def test_default_passes(self, capsys, manifold_file):
         code, out, _ = run_cli(
