@@ -29,10 +29,9 @@ _REL_TOL = 1e-14
 _SCAN_LIMIT = 400  # level-0 nodes per side; DE decay triggers far earlier
 _NEGLIGIBLE = 1e-300
 _HALF_PI = math.pi / 2.0
-# node values kept per table of plancherel_integrals: a 10-t heat-trace call
-# at n = 6 visits about 1500 nodes, one at t = 1e-98 (level 10) about 22,500,
-# and a full _MAX_LEVEL window without converging can pass 100,000 (some
-# 25 MB a table)
+# node values kept by one plancherel_integrals table: a 10-t heat-trace call
+# at n = 6 (t in [0.05, 2.5]) visits 513 nodes, one at t = 1e-98 (level 10)
+# 22,529; a full table holds about 4 MB
 _NODE_TABLE_SIZE = 16384
 
 
@@ -131,78 +130,54 @@ def _tanh_pi_pos(r: float) -> float:
     return 1.0 - 2.0 / (1.0 + math.exp(x))
 
 
-def plancherel_integrals(coeff_sets):
-    """plancherel_integral for every coefficient set, as one function of t.
+def plancherel_integrals(coeffs):
+    """plancherel_integral for one coefficient set, as one function of t.
 
-    The returned function maps t to one result per entry of
-    ``coeff_sets``; each integral keeps its own window and level.  The
-    node values that depend on neither the set nor t -- x, r^2,
-    (pi/2) cosh(u) r^2 and tanh(pi r) -- are computed once per node u and
-    shared by every integral of every t; each set multiplies in its
-    P(r^2) once per node, so only e^(-t r^2) and the cut-off test are
-    per t.  The products are those of plancherel_integral's node, in the
-    same order, so every result has the bits of a call of its own.
+    Each t keeps its own window and level.  The node values that do not
+    depend on t -- r^2, 2kx, |u| and (pi/2) cosh(u) r^2 P(r^2) tanh(pi r),
+    with x = (pi/2) sinh u -- are computed once per node u and shared by
+    every t, so only e^(-t r^2) and the cut-off test are per t.  Nodes where
+    t e^{2x} - 2kx - |u| > 720 are exactly zero in double precision; they
+    are skipped before P's value is used, so a P that overflows there is
+    never read.
     """
-    shared = {}  # u -> (x, r^2, (pi/2) cosh(u) r^2, tanh(pi r)), or () past 2x > 700
+    cs = [float(c) for c in coeffs]
+    two_k = 2.0 * len(cs)
+    entries = {}  # u -> (r^2, 2kx, |u|, (pi/2) cosh(u) r^2 P(r^2) tanh(pi r)), or () past 2x > 700
 
-    def node_values(u: float) -> tuple:
+    def entry(u: float) -> tuple:
         x = _HALF_PI * math.sinh(u)
         two_x = 2.0 * x
         if two_x > 700.0:
             return ()
         r2 = math.exp(two_x)
-        return x, r2, _HALF_PI * math.cosh(u) * r2, _tanh_pi_pos(math.exp(x))
+        p_val = 0.0
+        for c in reversed(cs):
+            p_val = p_val * r2 + c
+        weight = _HALF_PI * math.cosh(u) * r2
+        return r2, two_k * x, abs(u), weight * p_val * _tanh_pi_pos(math.exp(x))
 
-    def set_nodes(coeffs):
-        # nodes where t e^{2x} - 2kx - |u| > 720 (x = (pi/2) sinh u) are
-        # exactly zero in double precision; they are skipped before P's
-        # value is used, so a P that overflows there is never read
-        cs = [float(c) for c in coeffs]
-        two_k = 2.0 * len(cs)
-        entries = {}  # u -> (r^2, 2kx, |u|, (pi/2) cosh(u) r^2 P(r^2) tanh(pi r)), or ()
-
-        def entry(u: float) -> tuple:
-            values = shared.get(u)
-            if values is None:
-                values = node_values(u)
-                if len(shared) < _NODE_TABLE_SIZE:
-                    shared[u] = values
-            if not values:
-                return ()
-            x, r2, weight, tanh_pi_r = values
-            p_val = 0.0
-            for c in reversed(cs):
-                p_val = p_val * r2 + c
-            return r2, two_k * x, abs(u), weight * p_val * tanh_pi_r
-
-        def at(t: float):
-            exp = math.exp
-
-            def node(u: float) -> float:
-                e = entries.get(u)
-                if e is None:
-                    e = entry(u)
-                    if len(entries) < _NODE_TABLE_SIZE:
-                        entries[u] = e
-                if not e:
-                    return 0.0
-                r2, two_kx, abs_u, weight = e
-                e_arg = t * r2
-                if e_arg - two_kx - abs_u > 720.0:
-                    return 0.0
-                return weight * exp(-e_arg)
-
-            return node
-
-        return at
-
-    nodes = [set_nodes(coeffs) for coeffs in coeff_sets]
-
-    def values(t: float) -> list[tuple]:
+    def at(t: float):
         tt = float(t)
-        return [de_integrate(at(tt)) for at in nodes]
+        exp = math.exp
 
-    return values
+        def node(u: float) -> float:
+            e = entries.get(u)
+            if e is None:
+                e = entry(u)
+                if len(entries) < _NODE_TABLE_SIZE:
+                    entries[u] = e
+            if not e:
+                return 0.0
+            r2, two_kx, abs_u, weight = e
+            e_arg = tt * r2
+            if e_arg - two_kx - abs_u > 720.0:
+                return 0.0
+            return weight * exp(-e_arg)
+
+        return de_integrate(node)
+
+    return at
 
 
 def plancherel_integral(coeffs, t: float):
@@ -212,9 +187,9 @@ def plancherel_integral(coeffs, t: float):
     r^2).  The exp-sinh substitution r = exp((pi/2) sinh u) is used; nodes
     where t e^{2x} - 2kx - |u| > 720 (x = (pi/2) sinh u) are exactly zero
     in double precision and are skipped before P can overflow.  This is
-    plancherel_integrals with one set and one t.
+    plancherel_integrals at one t.
     """
-    return plancherel_integrals((coeffs,))(t)[0]
+    return plancherel_integrals(coeffs)(t)
 
 
 def mellin_time_integral(lengths, amps, alpha: float, s: float):

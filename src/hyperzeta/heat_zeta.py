@@ -11,7 +11,7 @@ cross-checked in the verification suite:
 Conventions.  n = 2k is the (even) dimension, rho0 = (n-1)/2, and the
 spectral shift of the p-sector is alpha = p + rho0^2.  The (-1)-sector
 (identity and hyperbolic alike) is identically zero; that convention is
-what lets alternating co-exact sums run over j without special cases.
+what makes the alternating co-exact sum over j telescope to sector p.
 """
 
 from __future__ import annotations
@@ -208,50 +208,31 @@ def tanh_moment_series(ell: int, t: float, order: int | None = None) -> TanhMome
 # --- hyperbolic sector -------------------------------------------------------
 
 
-def _amplitude_table(manifold: ManifoldData, sectors: Sequence[int]) -> tuple[list, list]:
-    # a_q = chi / j * t * C * chi_q(m), multiplied left to right.  The prefix
-    # chi / j * t * C does not depend on the sector, so it is built once per
-    # class and each sector multiplies it by its character.  Every
-    # trivial-holonomy class has the same float character C(n-1, q), read
-    # once per sector; an explicit holonomy is looked up (and checked) per
-    # class.  Returns the lengths and one amplitude list per sector.
+def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
+    # the lengths and the p-sector amplitudes a_p = chi / j * t * C * chi_p(m),
+    # multiplied left to right.  Every trivial-holonomy class has the same
+    # float character C(n-1, p), read once; an explicit holonomy is looked
+    # up (and checked) per class.
     n = manifold.dimension
     geos = manifold.geodesics
     lengths = [g.length for g in geos]
-    prefixes = [g.chi / g.power * g.length * g.c_factor(n) for g in geos]
-    explicit = [i for i, g in enumerate(geos) if g.holonomy is not None]
     trivial = next((g for g in geos if g.holonomy is None), None)
-    table = []
-    for q in sectors:
-        if trivial is None:
-            amps = prefixes[:]
-        else:
-            chi_q = trivial.character(n, q)
-            amps = [a * chi_q for a in prefixes]
-        for i in explicit:
-            amps[i] = prefixes[i] * geos[i].character(n, q)
-        table.append(amps)
-    return lengths, table
-
-
-def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
-    # the lengths and the p-sector amplitudes: _amplitude_table for one sector
-    lengths, (amps,) = _amplitude_table(manifold, (p,))
+    chi_p = None if trivial is None else trivial.character(n, p)
+    amps = [
+        g.chi / g.power * g.length * g.c_factor(n)
+        * (chi_p if g.holonomy is None else g.character(n, p))
+        for g in geos
+    ]
     return lengths, amps
 
 
-def _gaussian_exponents(lengths: list, t: float) -> list:
-    # t_gamma^2 / (4t) per class, shared by every sector at this t
-    four_t = 4.0 * t
-    return [l * l / four_t for l in lengths]
-
-
-def _hyperbolic_sum(gauss: list, amps: list, shift: float, t: float) -> float:
+def _hyperbolic_sum(lengths: list, amps: list, shift: float, t: float) -> float:
     # the one expression for the geodesic sum of a sector: hyperbolic_heat_term
     # and coexact_trace both call it, so they agree to the bit
     exp = math.exp
     decay = -t * shift
-    vals = [a * exp(decay - g) for g, a in zip(gauss, amps)]
+    four_t = 4.0 * t
+    vals = [a * exp(decay - l * l / four_t) for l, a in zip(lengths, amps)]
     return quadrature.pairwise_sum(vals) / math.sqrt(4.0 * math.pi * t)
 
 
@@ -273,7 +254,7 @@ def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
         warnings.warn("hyperbolic term over empty spectrum is 0", EmptySpectrumWarning)
         return 0.0
     lengths, amps = _geodesic_amplitudes(manifold, p)
-    return _hyperbolic_sum(_gaussian_exponents(lengths, t), amps, float(p + _rho0_sq(n)), t)
+    return _hyperbolic_sum(lengths, amps, float(p + _rho0_sq(n)), t)
 
 
 def hyperbolic_tail_bound(manifold: ManifoldData, p: int, t: float) -> float:
@@ -317,20 +298,18 @@ def coexact_trace(
 ) -> list[HeatTraceBreakdown]:
     """Heat trace of the Laplacian restricted to co-exact p-forms, at each t.
 
-    Alternating assembly over j = 0..p of the (p-j)- and (p-j-1)-sector
-    orbital terms with the Betti number b_{p-j} subtracted; the j-sum
-    telescopes so that e.g. p=1 reduces to I1 + H1 - b1 + b0.
+    The trace formula gives it as the alternating sum over j = 0..p of the
+    full (p-j)-form traces, each the sum of the (p-j)- and (p-j-1)-sector
+    orbital terms, minus the Betti number b_{p-j}.  The orbital terms
+    telescope to the p-sector alone (the (-1)-sector is zero), so the
+    identity and hyperbolic parts are identity_heat_term and
+    hyperbolic_heat_term of sector p, to the bit, and the Betti part is
+    b_p - b_{p-1} + ... +- b_0.
 
     Returns one breakdown per entry of ``times``, in order.  Every t is
-    checked before any quadrature runs.  Each piece of work is done once
-    per call:
-      * the geodesic amplitudes depend on the sector, not on t: one table
-        per sector, from one per-class prefix shared by all sectors;
-      * t_gamma^2/(4t) depends on t, not on the sector: once per t;
-      * the identity integrals of every (sector, t) share the Plancherel
-        node values that depend on neither (plancherel_integrals).
-    The values are bit-identical to assembling identity_heat_term and
-    hyperbolic_heat_term sector by sector.
+    checked before any quadrature runs.  The geodesic amplitudes and the
+    t-free Plancherel node values are computed once per call and shared
+    by every t.
     """
     n = manifold.dimension
     if not 0 <= p <= n - 1:
@@ -344,32 +323,22 @@ def coexact_trace(
         warnings.warn("hyperbolic term over empty spectrum is 0", EmptySpectrumWarning)
     if not times:
         return []  # nothing to evaluate, so no normalisation check either
-    sectors = range(p + 1)
-    shifts = [float(q + _rho0_sq(n)) for q in sectors]
-    norms = [_identity_norm(manifold, q) for q in sectors]
-    lengths, amps = _amplitude_table(manifold, sectors)
-    identity_integrals = quadrature.plancherel_integrals(
-        [miatello_coefficients(n // 2, q) for q in sectors]
-    )
-    out = []
-    for t in times:
-        # index -1 is the (-1)-sector, identically zero
-        integrals = identity_integrals(float(t))
-        ident = [_identity_term(norms[q], n, q, t, integrals[q]) for q in sectors] + [0.0]
-        gauss = _gaussian_exponents(lengths, t)
-        hyper = [_hyperbolic_sum(gauss, amps[q], shifts[q], t) for q in sectors] + [0.0]
-        identity = 0.0
-        hyperbolic = 0.0
-        betti = 0.0
-        for j in range(p + 1):
-            sign = -1.0 if j % 2 else 1.0
-            identity += sign * (ident[p - j] + ident[p - j - 1])
-            hyperbolic += sign * (hyper[p - j] + hyper[p - j - 1])
-            betti += sign * manifold.betti[p - j]
-        out.append(HeatTraceBreakdown(
-            t=t, identity_part=identity, hyperbolic_part=hyperbolic, betti_part=betti
-        ))
-    return out
+    betti = 0.0
+    for j in range(p + 1):
+        betti += (-1.0 if j % 2 else 1.0) * manifold.betti[p - j]
+    shift = float(p + _rho0_sq(n))
+    norm = _identity_norm(manifold, p)
+    identity_integral = quadrature.plancherel_integrals(miatello_coefficients(n // 2, p))
+    lengths, amps = _geodesic_amplitudes(manifold, p)
+    return [
+        HeatTraceBreakdown(
+            t=t,
+            identity_part=_identity_term(norm, n, p, t, identity_integral(float(t))),
+            hyperbolic_part=_hyperbolic_sum(lengths, amps, shift, t),
+            betti_part=betti,
+        )
+        for t in times
+    ]
 
 
 # --- Bessel-K and the Mellin route -------------------------------------------

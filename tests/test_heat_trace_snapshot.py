@@ -7,7 +7,10 @@ p = 0..n-1 at each heat time in ``TIMES``, on three spectra:
 ``small_spectrum`` and ``flat_spectrum_2d`` (built here exactly as the
 conftest fixtures of those names) and a seed-fixed 900-class n = 6
 spectrum.  Any rewrite of the geodesic sums or of the trace assembly must
-reproduce every entry to the bit.
+reproduce every entry to the bit.  The trace's identity and hyperbolic
+parts are the p-sector terms themselves, so their entries equal the
+``identity_heat_term`` and ``hyperbolic_heat_term`` entries of the same
+record.
 
 The trace is read through ``hyperzeta heat-trace --format csv`` at
 ``HYPERZETA_PRECISION=17``: 17 significant digits identify a double
@@ -105,6 +108,11 @@ def test_heat_trace_matches_snapshot(tmp_path):
     assert len(records) == len(pinned["records"])
     for got, want in zip(records, pinned["records"]):
         assert got == want, (got["spectrum"], got["p"])
+    # the orbital part of the trace is sector p alone, so a re-pin cannot
+    # let the trace drift from the per-sector terms
+    for record in pinned["records"]:
+        assert record["identity"] == record["identity_heat_term"], record["p"]
+        assert record["hyperbolic"] == record["hyperbolic_heat_term"], record["p"]
 
 
 if __name__ == "__main__":

@@ -221,10 +221,8 @@ class TestGeodesicAmplitudes:
 
         monkeypatch.setattr(GeodesicClass, "character", counted)
         coexact_trace(data, 2, [0.5, 1.0])
-        # one trivial read per sector, and every explicit holonomy per sector
-        assert sorted(calls) == sorted(
-            [(True, q) for q in range(3)] + [(False, q) for q in range(3)] * 2
-        )
+        # sector 2 only: one trivial read, and one read per explicit holonomy
+        assert sorted(calls) == [(False, 2), (False, 2), (True, 2)]
 
 
 class TestCoexactTrace:
@@ -273,23 +271,34 @@ class TestCoexactTrace:
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_equals_per_sector_assembly(self, small_spectrum, p):
-        # the batched call must reproduce, to the bit, the j-loop over the
-        # scalar sector terms (the (-1)-sector terms are 0.0)
+        # the orbital j-sum telescopes to sector p: its identity and geodesic
+        # parts are the sector-p terms to the bit, and the Betti part is the
+        # j-loop over b_(p-j)
         times = (0.05, 0.7, 2.5)
+        betti = 0.0
+        for j in range(p + 1):
+            betti += (-1.0 if j % 2 else 1.0) * small_spectrum.betti[p - j]
         for t, br in zip(times, coexact_trace(small_spectrum, p, times)):
-            identity = hyperbolic = betti = 0.0
-            for j in range(p + 1):
-                sign = -1.0 if j % 2 else 1.0
-                identity += sign * (
-                    identity_heat_term(small_spectrum, p - j, t)
-                    + identity_heat_term(small_spectrum, p - j - 1, t)
-                )
-                hyperbolic += sign * (
-                    hyperbolic_heat_term(small_spectrum, p - j, t)
-                    + hyperbolic_heat_term(small_spectrum, p - j - 1, t)
-                )
-                betti += sign * small_spectrum.betti[p - j]
-            assert br == HeatTraceBreakdown(t, identity, hyperbolic, betti), (p, t)
+            assert br.identity_part.hex() == identity_heat_term(small_spectrum, p, t).hex()
+            assert br.hyperbolic_part.hex() == hyperbolic_heat_term(small_spectrum, p, t).hex()
+            assert br.betti_part.hex() == betti.hex(), (p, t)
+
+    def test_identity_part_against_mpmath(self, small_spectrum):
+        # sector 3 alone is 2.6e-18 off; summing sectors 0..3 and letting
+        # them cancel was 3.3e-13 off
+        n, p, t = 4, 3, 2.5
+        (br,) = coexact_trace(small_spectrum, p, [t])
+        with mpmath.workdps(40):
+            cs = [mpmath.mpf(c.numerator) / c.denominator for c in miatello_coefficients(2, p)]
+            integral = mpmath.quad(
+                lambda r: r * mpmath.polyval(cs[::-1], r * r) * mpmath.tanh(mpmath.pi * r)
+                * mpmath.exp(-t * r * r),
+                [0, 1, 4, mpmath.inf],
+            )
+            # pi / (2^(4k-4) Gamma(k)^2) * C(n-1, p) * chi(1) Vol / (4 pi), k = 2
+            norm = mpmath.pi / 16 * 1 / (4 * mpmath.pi)
+            want = norm * 2 * mpmath.exp(-t * (p + mpmath.mpf(n - 1) ** 2 / 4)) * integral
+            assert abs((br.identity_part - want) / want) <= 1e-14
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_bad_time_rejected_before_quadrature(self, small_spectrum, monkeypatch, bad):

@@ -53,7 +53,7 @@ class TestPlancherelIntegral:
 
 def _reference_plancherel(coeffs, t):
     # plancherel_integral as first written, one node function per call: the
-    # reference for the node values plancherel_integrals shares
+    # reference for the node values plancherel_integrals shares across t
     cs = [float(c) for c in coeffs]
     ncoef = len(cs)
     half_pi = math.pi / 2.0
@@ -90,18 +90,18 @@ class TestPlancherelIntegrals:
         times=st.lists(st.floats(0.01, 20.0), min_size=1, max_size=4),
     )
     def test_same_bits_as_one_call_each(self, coeff_sets, times):
-        integrals = fallback.plancherel_integrals(coeff_sets)
-        for t in times:
-            for coeffs, got in zip(coeff_sets, integrals(t), strict=True):
+        for coeffs in coeff_sets:
+            integral = fallback.plancherel_integrals(coeffs)
+            for t in times:
                 want = _bits(_reference_plancherel(coeffs, t))
-                assert _bits(got) == want
+                assert _bits(integral(t)) == want
                 assert _bits(fallback.plancherel_integral(coeffs, t)) == want
 
     def test_windows_and_levels_differ_per_t(self, monkeypatch):
-        # a heat-trace call: the Plancherel sets of n = 6, p = 2, at t from
-        # 1e-98 to 40, so each t has its own window and level; t = 1e-300
-        # overflows without converging, and t = 1e-98 converges at level 10
-        # after about 22,500 nodes, past the size of the node tables
+        # the Plancherel sets of n = 6, p = 0..2, each at t from 1e-98 to 40,
+        # so each t has its own window and level; t = 1e-300 overflows
+        # without converging, and t = 1e-98 converges at level 10 after
+        # about 22,500 nodes, past the size of the node table
         from hyperzeta.plancherel import miatello_coefficients
 
         coeff_sets = [miatello_coefficients(3, q) for q in range(3)]
@@ -121,16 +121,18 @@ class TestPlancherelIntegrals:
             return result
 
         monkeypatch.setattr(fallback, "de_integrate", recording)
-        integrals = fallback.plancherel_integrals(coeff_sets)
-        got = [integrals(t) for t in times]
+        got = []
+        for coeffs in coeff_sets:
+            integral = fallback.plancherel_integrals(coeffs)
+            got.append([integral(t) for t in times])
         monkeypatch.undo()
         levels = set()
-        for t, row in zip(times, got):
-            for coeffs, result in zip(coeff_sets, row):
+        for coeffs, row in zip(coeff_sets, got):
+            for t, result in zip(times, row):
                 assert _bits(result) == _bits(_reference_plancherel(coeffs, t)), t
                 levels.add(result[2])
         assert len(set(windows)) >= 4 and len(levels) >= 4
-        assert not got[4][0][3]
+        assert not any(row[4][3] for row in got)
 
 
 class TestDeIntegrate:
