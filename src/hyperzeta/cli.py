@@ -236,8 +236,11 @@ def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
 
 def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
     for s in args.s:
-        if not math.isfinite(s):
-            return _usage_fail(f"--s must be finite, got {s!r}")
+        if not (math.isfinite(s) and abs(0.5 - s) <= heat_zeta.MAX_BESSEL_ORDER):
+            return _usage_fail(
+                f"--s must be finite with Bessel order |1/2 - s| <= "
+                f"{heat_zeta.MAX_BESSEL_ORDER:g}, got {s!r}"
+            )
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         return _usage_fail(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
     data = manifold.load_manifold(args.manifold)

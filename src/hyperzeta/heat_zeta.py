@@ -43,6 +43,7 @@ __all__ = [
     "mellin_hyperbolic",
     "mellin_hyperbolic_quadrature",
     "bessel_k",
+    "MAX_BESSEL_ORDER",
     "zeta_identity_at_zero",
     "zeta_identity_terms",
     "zeta_identity_zero_total",
@@ -344,6 +345,13 @@ def coexact_trace(
 # --- Bessel-K and the Mellin route -------------------------------------------
 
 
+# The largest |order| at which _bessel_k_family gives finite floats on the
+# z range bessel_k documents, [1e-3, 700]: from order 66 on, K at z = 1e-3
+# is past the float range on both the closed-form and the recurrence
+# branch.  Far above it the family fails outright (docs/numerics.md).
+MAX_BESSEL_ORDER = 65.0
+
+
 def _bessel_k_family(orders: Sequence[float]):
     """K_nu(z) for every nu in ``orders``, as one function of z.
 
@@ -473,11 +481,17 @@ def mellin_hyperbolic(
     bessel = _bessel_k_family(nus)
     lengths, amps = _geodesic_amplitudes(manifold, p)
     columns = [[] for _ in nus]
-    for l, a in zip(lengths, amps):
-        scaled = a / root_pi
-        ratio = 2.0 * sqrt_alpha / l
-        for column, nu, k in zip(columns, nus, bessel(l * sqrt_alpha)):
-            column.append(scaled * ratio**nu * k)
+    try:
+        for l, a in zip(lengths, amps):
+            scaled = a / root_pi
+            ratio = 2.0 * sqrt_alpha / l
+            for column, nu, k in zip(columns, nus, bessel(l * sqrt_alpha)):
+                column.append(scaled * ratio**nu * k)
+    except OverflowError:
+        # float ** raises where its result leaves the float range
+        raise ValueError(
+            f"Bessel prefactor (2 sqrt(alpha)/t)^(1/2-s) overflows at length t={l!r}"
+        ) from None
     return [quadrature.pairwise_sum(column) for column in columns]
 
 

@@ -479,6 +479,26 @@ class TestZetaCheck:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: --s ")
 
+    @pytest.mark.parametrize("bad", ["1000", "1000.3", "1e5", "1e6", "65.6", "-64.6"])
+    def test_s_beyond_bessel_order_bound_exit_2(self, capsys, manifold_file, bad):
+        # 1000 and 1000.3 ended in an OverflowError traceback with exit 1, and
+        # 1e6 ran for minutes; the bound is |1/2 - s| <= 65
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "zeta-check", "--manifold", str(manifold_file),
+            "--form", "0", "--s", "0.5", bad,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert_one_error_line(code, out, err, "error: --s ", f"got {float(bad)!r}")
+
+    @pytest.mark.parametrize("s", ["20", "-20", "65.5", "-64.5"])
+    def test_s_inside_bessel_order_bound_passes(self, capsys, manifold_file, s):
+        code, out, _ = run_cli(
+            capsys, "zeta-check", "--manifold", str(manifold_file), "--form", "0", "--s", s
+        )
+        assert code == 0
+        assert out.count("[ok]") == 1
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
     def test_bad_tolerance_exit_2(self, capsys, manifold_file, bad):
         code, out, err = run_cli(

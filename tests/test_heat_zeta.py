@@ -423,6 +423,18 @@ class TestMellinHyperbolic:
         with pytest.raises(ValueError, match="z must be positive and finite"):
             mellin_hyperbolic(data, 0, [s])
 
+    def test_prefactor_overflow_rejected(self):
+        # order 64.5 is inside MAX_BESSEL_ORDER, but at n = 50 a length of
+        # 5e-4 gives (2 sqrt(alpha)/t)^64.5 past the float range, where
+        # float ** raised OverflowError
+        n = 50
+        data = ManifoldData(
+            dimension=n, volume=1.0, betti=(1,) + (0,) * (n - 1) + (1,),
+            geodesics=(GeodesicClass(length=5e-4), GeodesicClass(length=1.0)),
+        )
+        with pytest.raises(ValueError, match="prefactor .* overflows at length t=0.0005"):
+            mellin_hyperbolic(data, 0, [-64.0])
+
 
 class TestZetaIdentityExact:
     def test_n2_example(self):
