@@ -216,8 +216,19 @@ def cmd_plancherel(args: argparse.Namespace, digits: int) -> int:
     return 0
 
 
+def _load_unit_radius(path: str) -> manifold.ManifoldData:
+    """Load a manifold file for heat-trace and zeta-check, which work at R = 1."""
+    data = manifold.load_manifold(path)
+    if data.radius != 1.0:
+        raise ValueError(
+            f"radius must be 1: heat-trace and zeta-check work at unit radius, "
+            f"got {data.radius!r}"
+        )
+    return data
+
+
 def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
-    data = manifold.load_manifold(args.manifold)
+    data = _load_unit_radius(args.manifold)
     # coexact_trace checks every t before it computes anything (ValueError)
     table = OutputTable(
         headers=("t", "identity", "hyperbolic", "betti", "total"),
@@ -243,7 +254,7 @@ def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
             )
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         return _usage_fail(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
-    data = manifold.load_manifold(args.manifold)
+    data = _load_unit_radius(args.manifold)
     p = args.form
     # first, so an identity sector out of float range fails before any output
     ident = heat_zeta.identity_zeta_term(data, p)

@@ -87,8 +87,9 @@ def bernoulli(m: int) -> Fraction:
 
     Even indices are derived from the tangent-number recurrence
     ``B_{2n} = (-1)^(n-1) * 2n * T_n / (4^n (4^n - 1))``; odd indices
-    above one are zero.  Results are memoized; the table may be grown
-    concurrently from multiple threads.
+    above one are zero.  Only the tangent numbers T_n are cached, in a
+    table that may be grown concurrently from multiple threads; each call
+    builds and reduces a new ``Fraction`` from them.
     """
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")

@@ -87,35 +87,39 @@ def float_matches_published(value: PiValue, published: str, digits: int = 6) -> 
     return abs(mine - ref) <= ulp * (1.0 + 1e-9)
 
 
-def _check_golden_table2(golden: dict) -> CheckResult:
-    bad: list[str] = []
-    for row in golden["table2"]:
-        n, p = int(row["n"]), int(row["p"])
-        spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
-        got = conformal_anomaly(spec).value
-        want = PiValue.parse(row["exact"])
-        if got != want:
-            bad.append(f"(n={n},p={p}) exact {got.exact_str()} != {row['exact']}")
-        elif not float_matches_published(got, row["published_float"]):
-            bad.append(f"(n={n},p={p}) float {got.render_float(6)} != {row['published_float']}")
-    if bad:
-        return CheckResult("golden-table2", False, "; ".join(bad[:3]))
-    return CheckResult("golden-table2", True, "15/15 cells exact, floats to 6 digits")
+def _table2_cell(row: dict) -> tuple[str, PiValue]:
+    n, p = int(row["n"]), int(row["p"])
+    spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
+    return f"(n={n},p={p})", conformal_anomaly(spec).value
 
 
-def _check_golden_table1(golden: dict) -> CheckResult:
-    bad: list[str] = []
-    for row in golden["table1"]:
-        n = int(row["n"])
-        got = conformal_scalar_anomaly(n).value
-        want = PiValue.parse(row["exact"])
-        if got != want:
-            bad.append(f"n={n} exact {got.exact_str()} != {row['exact']}")
-        elif not float_matches_published(got, row["published_float"]):
-            bad.append(f"n={n} float {got.render_float(6)} != {row['published_float']}")
-    if bad:
-        return CheckResult("golden-table1", False, "; ".join(bad[:3]))
-    return CheckResult("golden-table1", True, "7/7 values exact, floats to 6 digits")
+def _table1_cell(row: dict) -> tuple[str, PiValue]:
+    n = int(row["n"])
+    return f"n={n}", conformal_scalar_anomaly(n).value
+
+
+# (golden key, label and value of a row, what the PASS detail calls a row),
+# in the order the checks are reported
+_GOLDEN_TABLES = (("table2", _table2_cell, "cells"), ("table1", _table1_cell, "values"))
+
+
+def _check_golden_tables(golden: dict) -> list[CheckResult]:
+    results = []
+    for key, cell, unit in _GOLDEN_TABLES:
+        rows = golden[key]
+        bad: list[str] = []
+        for row in rows:
+            label, got = cell(row)
+            if got != PiValue.parse(row["exact"]):
+                bad.append(f"{label} exact {got.exact_str()} != {row['exact']}")
+            elif not float_matches_published(got, row["published_float"]):
+                bad.append(f"{label} float {got.render_float(6)} != {row['published_float']}")
+        if bad:
+            results.append(CheckResult(f"golden-{key}", False, "; ".join(bad[:3])))
+        else:
+            detail = f"{len(rows)}/{len(rows)} {unit} exact, floats to 6 digits"
+            results.append(CheckResult(f"golden-{key}", True, detail))
+    return results
 
 
 def _check_specialization() -> CheckResult:
@@ -294,8 +298,7 @@ def run_verification(fast: bool = False, golden_path: str | None = None) -> list
         results.append(CheckResult("golden-load", False, str(exc)))
         golden = None
     if golden is not None:
-        results.append(_check_golden_table2(golden))
-        results.append(_check_golden_table1(golden))
+        results += _check_golden_tables(golden)
     results.append(_check_specialization())
     results.append(_check_moment_bridge())
     if not fast:

@@ -422,6 +422,32 @@ def test_wrong_holonomy_length_is_a_bad_file(capsys, tmp_path, monkeypatch, comm
     assert_one_error_line(code, out, err, "bad manifold file", "geodesics[0].holonomy")
 
 
+@pytest.mark.parametrize("command", [
+    ("heat-trace", "--form", "1", "--t", "1.0"),
+    ("zeta-check", "--form", "1"),
+])
+@pytest.mark.parametrize("radius,code", [(2.0, 2), (0.5, 2), (1.0, 0)])
+def test_numeric_commands_need_unit_radius(capsys, tmp_path, monkeypatch, command, radius, code):
+    # the numerics work at R = 1; a radius of 2 printed the same bytes as 1
+    from hyperzeta._kernels import fallback
+
+    integrate = fallback.de_integrate
+
+    def unit_only(*args):
+        assert radius == 1.0, "quadrature ran on a rejected file"
+        return integrate(*args)
+
+    monkeypatch.setattr(fallback, "de_integrate", unit_only)
+    path = one_geodesic_file(tmp_path / "m.json", 4)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), radius=radius)))
+    subcommand, *rest = command
+    got, out, err = run_cli(capsys, subcommand, "--manifold", str(path), *rest)
+    if code:
+        assert_one_error_line(got, out, err, "radius must be 1", f"got {radius!r}")
+    else:
+        assert got == 0 and err == ""
+
+
 @pytest.mark.parametrize("field,value,needle", [
     ("c", "NaN", "c must be a finite number (field geodesics[0])"),
     ("chi", "Infinity", "chi must be a finite number (field geodesics[0])"),

@@ -1,5 +1,7 @@
-"""The tanh-series self-check: its precision rule and its failure modes."""
+"""Self-checks of verify: the golden-table details, and the tanh-series
+check's precision rule and failure modes."""
 
+import json
 from fractions import Fraction
 
 import mpmath
@@ -58,3 +60,28 @@ def test_reports_largest_margin_and_precision_per_t(monkeypatch):
     result = verify._check_tanh_series()
     assert result.passed
     assert result.detail.endswith("worst err/bound 3.00e-01, dps 20/10/5")
+
+
+def test_golden_table_details(tmp_path):
+    # both tables, an exact and a float mismatch each, in report order
+    blob = verify.load_golden()
+    blob["table2"][0]["exact"] = "1/7 * pi^-1"
+    blob["table2"][1]["published_float"] = "1.23456"
+    blob["table1"][0]["published_float"] = "-9.87654"
+    blob["table1"][1]["exact"] = "5/3 * pi^-2"
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(blob))
+    assert verify.run_verification(fast=True, golden_path=str(path))[:2] == [
+        verify.CheckResult(
+            "golden-table2", False,
+            "(n=2,p=0) exact -1/12 * pi^-1 != 1/7 * pi^-1; (n=4,p=0) float 0.012243 != 1.23456",
+        ),
+        verify.CheckResult(
+            "golden-table1", False,
+            "n=2 float -0.0265258 != -9.87654; n=4 exact -1/240 * pi^-2 != 5/3 * pi^-2",
+        ),
+    ]
+    assert verify.run_verification(fast=True)[:2] == [
+        verify.CheckResult("golden-table2", True, "15/15 cells exact, floats to 6 digits"),
+        verify.CheckResult("golden-table1", True, "7/7 values exact, floats to 6 digits"),
+    ]
