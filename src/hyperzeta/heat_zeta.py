@@ -481,17 +481,18 @@ def mellin_hyperbolic(
     bessel = _bessel_k_family(nus)
     lengths, amps = _geodesic_amplitudes(manifold, p)
     columns = [[] for _ in nus]
-    try:
-        for l, a in zip(lengths, amps):
-            scaled = a / root_pi
-            ratio = 2.0 * sqrt_alpha / l
-            for column, nu, k in zip(columns, nus, bessel(l * sqrt_alpha)):
+    for l, a in zip(lengths, amps):
+        scaled = a / root_pi
+        ratio = 2.0 * sqrt_alpha / l
+        ks = bessel(l * sqrt_alpha)
+        try:
+            for column, nu, k in zip(columns, nus, ks):
                 column.append(scaled * ratio**nu * k)
-    except OverflowError:
-        # float ** raises where its result leaves the float range
-        raise ValueError(
-            f"Bessel prefactor (2 sqrt(alpha)/t)^(1/2-s) overflows at length t={l!r}"
-        ) from None
+        except OverflowError:
+            # float ** raises where its result leaves the float range
+            raise ValueError(
+                f"Bessel prefactor (2 sqrt(alpha)/t)^(1/2-s) overflows at length t={l!r}"
+            ) from None
     return [quadrature.pairwise_sum(column) for column in columns]
 
 
