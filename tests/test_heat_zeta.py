@@ -284,8 +284,8 @@ class TestCoexactTrace:
             assert br.betti_part.hex() == betti.hex(), (p, t)
 
     def test_identity_part_against_mpmath(self, small_spectrum):
-        # sector 3 alone is 2.6e-18 off; summing sectors 0..3 and letting
-        # them cancel was 3.3e-13 off
+        # sector 3 alone is 2.6e-18 off; the sum over sectors 0..3, whose
+        # terms cancel, is 3.3e-13 off
         n, p, t = 4, 3, 2.5
         (br,) = coexact_trace(small_spectrum, p, [t])
         with mpmath.workdps(40):
