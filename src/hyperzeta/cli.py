@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_anom.add_argument(
         "--radius", type=_fraction_arg, default=Fraction(1),
-        help="curvature radius R as a rational; scales the result by R^-n",
+        help="curvature radius R > 0 as a rational; scales the result by R^-n",
     )
     p_anom.add_argument(
         "--format", choices=("both", "exact", "float"), default="both",
@@ -162,6 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
     n, p = args.dim, args.form
+    if args.radius <= 0:
+        # R^n is even in R at even n, so a negative radius would pass as |R|
+        return _usage_fail(f"--radius must be positive, got {args.radius}")
     if args.alpha_mode == "conformal-scalar":
         alpha = alpha_conformal_scalar(n)
     elif args.alpha_mode == "massive":
@@ -201,8 +204,6 @@ def cmd_table(args: argparse.Namespace, digits: int) -> int:
 def cmd_plancherel(args: argparse.Namespace, digits: int) -> int:
     n, p = check_dimension(args.dim), args.form
     k = n // 2
-    if not 0 <= p <= n - 1:
-        return _usage_fail(f"form order must satisfy 0 <= p <= {n - 1}")
     coeffs = miatello_coefficients(k, p)
     # densities first, so a failing --eval prints nothing
     densities = [(r, plancherel_density(k, p, r)) for r in args.eval or ()]

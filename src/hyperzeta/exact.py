@@ -214,6 +214,8 @@ class PiValue:
             raise ValueError(f"not a PiValue string: {text!r}")
         num = int(m.group(1))
         den = int(m.group(2)) if m.group(2) else 1
+        if den == 0:
+            raise ValueError(f"zero denominator: {text!r}")
         exp = -int(m.group(3)) if m.group(3) else 0
         if m.group(3) and int(m.group(3)) > 0:
             raise ValueError(f"positive pi powers are not representable: {text!r}")

@@ -9,9 +9,9 @@ cross-checked in the verification suite:
     Bessel-K closed/Mellin forms for the hyperbolic sector.
 
 Conventions.  n = 2k is the (even) dimension, rho0 = (n-1)/2, and the
-spectral shift of the p-sector is alpha = p + rho0^2.  The (-1)-sector
-(identity and hyperbolic alike) is identically zero; that convention is
-what makes the alternating co-exact sum over j telescope to sector p.
+spectral shift of the p-sector is alpha = p + rho0^2.  Every sector
+function takes a form order p in 0..n-1 and rejects any other p before
+it computes anything.
 """
 
 from __future__ import annotations
@@ -66,8 +66,13 @@ class EmptySpectrumWarning(UserWarning):
     """A geodesic sum was requested on a manifold with no length spectrum."""
 
 
-def _rho0_sq(n: int) -> Fraction:
-    return Fraction(n - 1, 2) ** 2
+def _sector(manifold: ManifoldData, p: int) -> tuple[int, float]:
+    # the dimension n and the shift p + rho0^2 of the p-sector, once p is
+    # checked to be a form order of the manifold
+    n = manifold.dimension
+    if not 0 <= p <= n - 1:
+        raise ValueError(f"form order p={p} outside 0..{n - 1}")
+    return n, float(p + Fraction(n - 1, 2) ** 2)
 
 
 def _plancherel_norm(k: int) -> float:
@@ -96,7 +101,9 @@ def _identity_norm(manifold: ManifoldData, p: int) -> float:
     return _plancherel_norm(n // 2) * chi_p * manifold.chi_one * manifold.volume / (4.0 * math.pi)
 
 
-def _identity_term(norm: float, n: int, p: int, t: float, integral) -> float:
+def _identity_term(
+    norm: float, n: int, p: int, shift: float, t: float, integral
+) -> float:
     # the one assembly of an identity term from its kernel result:
     # identity_heat_term and coexact_trace both call it, so they agree to the bit
     value, delta, _, ok = integral
@@ -104,7 +111,6 @@ def _identity_term(norm: float, n: int, p: int, t: float, integral) -> float:
         raise QuadratureError(
             f"identity heat term did not converge (n={n}, p={p}, t={t})", delta
         )
-    shift = float(p + _rho0_sq(n))
     return norm * 2.0 * math.exp(-t * shift) * value
 
 
@@ -113,17 +119,13 @@ def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
 
     chi(1) Vol/(4 pi) * integral over R of mu_p(r) e^{-t(r^2 + p + rho0^2)} dr,
     computed as twice the half-line integral (the integrand is even).
-    p = -1 returns 0 by convention.
     """
     _check_time(t)
-    n = manifold.dimension
-    if p == -1:
-        return 0.0
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"form order p={p} outside -1..{n - 1}")
+    n, shift = _sector(manifold, p)
     norm = _identity_norm(manifold, p)
     coeffs = miatello_coefficients(n // 2, p)
-    return _identity_term(norm, n, p, t, quadrature.plancherel_integral(coeffs, float(t)))
+    integral = quadrature.plancherel_integral(coeffs, float(t))
+    return _identity_term(norm, n, p, shift, t, integral)
 
 
 # --- tanh moment series ------------------------------------------------------
@@ -213,9 +215,12 @@ def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
     # the lengths and the p-sector amplitudes a_p = chi / j * t * C * chi_p(m),
     # multiplied left to right.  Every trivial-holonomy class has the same
     # float character C(n-1, p), read once; an explicit holonomy is looked
-    # up (and checked) per class.
+    # up (and checked) per class.  An empty spectrum warns once here, and
+    # every geodesic sum over it is 0.0.
     n = manifold.dimension
     geos = manifold.geodesics
+    if not geos:
+        warnings.warn("geodesic sum over empty spectrum is 0", EmptySpectrumWarning)
     lengths = [g.length for g in geos]
     trivial = next((g for g in geos if g.holonomy is None), None)
     chi_p = None if trivial is None else trivial.character(n, p)
@@ -246,16 +251,9 @@ def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     the bit for a given manifold.
     """
     _check_time(t)
-    n = manifold.dimension
-    if p == -1:
-        return 0.0
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"form order p={p} outside -1..{n - 1}")
-    if not manifold.geodesics:
-        warnings.warn("hyperbolic term over empty spectrum is 0", EmptySpectrumWarning)
-        return 0.0
+    _, shift = _sector(manifold, p)
     lengths, amps = _geodesic_amplitudes(manifold, p)
-    return _hyperbolic_sum(lengths, amps, float(p + _rho0_sq(n)), t)
+    return _hyperbolic_sum(lengths, amps, shift, t)
 
 
 def hyperbolic_tail_bound(manifold: ManifoldData, p: int, t: float) -> float:
@@ -267,12 +265,11 @@ def hyperbolic_tail_bound(manifold: ManifoldData, p: int, t: float) -> float:
     spectrum needs growth assumptions the data file cannot supply.
     """
     _check_time(t)
+    n, shift = _sector(manifold, p)
     t_max = manifold.max_length
     if t_max is None:
         return 0.0
-    n = manifold.dimension
-    shift = float(max(p, 0) + _rho0_sq(n))
-    chi_p = float(binomial(n - 1, max(p, 0)))
+    chi_p = float(binomial(n - 1, p))
     return (
         chi_p
         * math.exp(-t * shift - t_max * t_max / (4.0 * t))
@@ -300,9 +297,8 @@ def coexact_trace(
     """Heat trace of the Laplacian restricted to co-exact p-forms, at each t.
 
     The trace formula gives it as the alternating sum over j = 0..p of the
-    full (p-j)-form traces, each the sum of the (p-j)- and (p-j-1)-sector
-    orbital terms, minus the Betti number b_{p-j}.  The orbital terms
-    telescope to the p-sector alone (the (-1)-sector is zero), so the
+    full (p-j)-form traces minus the Betti numbers b_{p-j}.  Its orbital
+    terms telescope to the p-sector alone (docs/numerics.md), so the
     identity and hyperbolic parts are identity_heat_term and
     hyperbolic_heat_term of sector p, to the bit, and the Betti part is
     b_p - b_{p-1} + ... +- b_0.
@@ -312,29 +308,22 @@ def coexact_trace(
     t-free Plancherel node values are computed once per call and shared
     by every t.
     """
-    n = manifold.dimension
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"form order p={p} outside 0..{n - 1}")
-    if len(manifold.betti) <= p:
-        raise ValueError("betti numbers b_0..b_p required")
+    n, shift = _sector(manifold, p)
     times = list(times)
     for t in times:
         _check_time(t)
-    if not manifold.geodesics:
-        warnings.warn("hyperbolic term over empty spectrum is 0", EmptySpectrumWarning)
     if not times:
         return []  # nothing to evaluate, so no normalisation check either
     betti = 0.0
     for j in range(p + 1):
         betti += (-1.0 if j % 2 else 1.0) * manifold.betti[p - j]
-    shift = float(p + _rho0_sq(n))
     norm = _identity_norm(manifold, p)
     identity_integral = quadrature.plancherel_integrals(miatello_coefficients(n // 2, p))
     lengths, amps = _geodesic_amplitudes(manifold, p)
     return [
         HeatTraceBreakdown(
             t=t,
-            identity_part=_identity_term(norm, n, p, t, identity_integral(float(t))),
+            identity_part=_identity_term(norm, n, p, shift, t, identity_integral(float(t))),
             hyperbolic_part=_hyperbolic_sum(lengths, amps, shift, t),
             betti_part=betti,
         )
@@ -468,14 +457,8 @@ def mellin_hyperbolic(
     table is built once per call, and each geodesic's Bessel nodes are
     shared by all s.
     """
-    n = manifold.dimension
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"form order p={p} outside 0..{n - 1}")
+    _, alpha = _sector(manifold, p)
     nus = [0.5 - float(s) for s in s_values]
-    if not manifold.geodesics:
-        warnings.warn("Mellin transform over empty spectrum is 0", EmptySpectrumWarning)
-        return [0.0] * len(nus)
-    alpha = float(p + _rho0_sq(n))
     sqrt_alpha = math.sqrt(alpha)
     root_pi = math.sqrt(math.pi)
     bessel = _bessel_k_family(nus)
@@ -502,13 +485,7 @@ def mellin_hyperbolic_quadrature(manifold: ManifoldData, p: int, s: float) -> fl
     Independent check of mellin_hyperbolic: no Bessel functions, just the
     log-substitution t = e^u and the double-exponential trapezoid engine.
     """
-    n = manifold.dimension
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"form order p={p} outside 0..{n - 1}")
-    if not manifold.geodesics:
-        warnings.warn("Mellin transform over empty spectrum is 0", EmptySpectrumWarning)
-        return 0.0
-    alpha = float(p + _rho0_sq(n))
+    _, alpha = _sector(manifold, p)
     lengths, amps = _geodesic_amplitudes(manifold, p)
     value, delta, _, ok = quadrature.mellin_time_integral(lengths, amps, alpha, float(s))
     if not ok:
@@ -541,8 +518,8 @@ def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fracti
     Term l carries the (-1)^j sign, the binomial factor C(n-1, p-j), the
     weight (-1)^(l+1)/(l+1), and the two-sector bracket: the (p-j)-sector
     coefficients at shift alpha-j plus (p-j)/(n-p) times the (p-j-1)-sector
-    coefficients at shift alpha-j-1.  Coefficients of the absent (-1)-sector
-    are zero, so the j = p term has no second bracket.
+    coefficients at shift alpha-j-1.  The j = p term has sector 0 alone:
+    the formula's (-1)-sector is zero, so its second bracket is skipped.
 
     Each term is built as one integer numerator over one integer
     denominator and reduced once: the powers (alpha-j)^(l+1) and
@@ -712,15 +689,12 @@ def zeta_moment_continued(k: int, q: int, beta: float, s: float = 0.0) -> float:
     return elementary - 4.0 * value
 
 
-def identity_zeta_term(manifold: ManifoldData, p: int, s: float = 0.0) -> float:
-    """(1/Gamma(s)) x Mellin of the p-sector identity term, continued to small s.
+def identity_zeta_term(manifold: ManifoldData, p: int) -> float:
+    """Zeta value at s = 0 of the p-sector identity term.
 
-    At s = 0 this is the identity-sector zeta value the exact machinery
-    predicts; evaluating at small positive s and extrapolating provides
-    the numeric consistency check.
+    chi(1) Vol/(4 pi) times the Plancherel normalisation and C(n-1, p),
+    times zeta_moment_continued of sector p at its shift p + rho0^2: the
+    numeric route to the value the exact machinery gives.
     """
-    n = manifold.dimension
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"form order p={p} outside 0..{n - 1}")
-    alpha = float(p + _rho0_sq(n))
-    return _identity_norm(manifold, p) * zeta_moment_continued(n // 2, p, alpha, s)
+    n, alpha = _sector(manifold, p)
+    return _identity_norm(manifold, p) * zeta_moment_continued(n // 2, p, alpha)

@@ -16,14 +16,14 @@ only input the anomaly formula needs.
 
 The roots are the half-odd numbers m/2 with m odd in 1..2k-1, except
 m = 2(k-p)-1, so P_p = 4^-(k-1) * prod (4 r^2 + m^2): the product is
-expanded over integers and scaled by 4^-(k-1) once.  Expansions are
-memoised per (k, folded p) in a bounded cache.  ``miatello_coefficients``
-is the one function that returns them.
+expanded over integers and scaled by 4^-(k-1) once.  Nothing here is
+memoised: the exact core keeps its sector moments in
+heat_zeta._sector_moment, which expands each sector once.
+``miatello_coefficients`` is the one function that returns the expansion.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from fractions import Fraction
@@ -37,9 +37,6 @@ __all__ = [
 ]
 
 
-# Must hold the k sectors of one table row at exact.MAX_DIMENSION, so a
-# row expands each sector once (checked in the tests).
-@functools.lru_cache(maxsize=128)
 def _expand(k: int, p: int) -> tuple[Fraction, ...]:
     # p is already folded; see the module docstring for the integer product
     ints = [1]
@@ -59,17 +56,12 @@ def miatello_coefficients(k: int, p: int) -> tuple[Rational, ...]:
 
     Monic in r^2 with strictly positive coefficients; both properties are
     checked on the integer expansion because downstream sign bookkeeping
-    relies on them.  p runs over 0..2k-1 and is folded by the duality.
-
-    ``p = -1`` is accepted and yields all zeros: the anomaly formula's
-    inner sum touches the (p-j-1)-form coefficients and the convention
-    kills those terms at j = p.
+    relies on them.  The form order p runs over 0..2k-1 and is folded by
+    the duality.
     """
     check_dimension(2 * k)
-    if p == -1:
-        return (Fraction(0),) * k
     if not 0 <= p <= 2 * k - 1:
-        raise ValueError(f"form degree p={p} outside 0..{2 * k - 1} for n={2 * k}")
+        raise ValueError(f"form order p={p} outside 0..{2 * k - 1} for n={2 * k}")
     return _expand(k, min(p, 2 * k - 1 - p))
 
 
@@ -94,7 +86,7 @@ def tanh_pi(r: float) -> float:
 
 
 def plancherel_density(k: int, p: int, r: float) -> float:
-    """Plancherel density mu_p(r) at a real spectral parameter r (0 at p = -1).
+    """Plancherel density mu_p(r) at a real spectral parameter r, 0 <= p <= 2k-1.
 
     The float Horner loop is used wherever every partial product stays a
     normal double.  Elsewhere (for instance P_p(r^2) alone overflows at

@@ -52,8 +52,29 @@ class CheckResult:
     detail: str
 
 
+def _check_row(key: str, index: int, row) -> None:
+    # a row must hold what its table's check reads: a valid (n, p) cell (p
+    # is 0 in table1), an exact PiValue string and a finite published float
+    where = f"golden {key}[{index}]"
+    if not isinstance(row, dict):
+        raise VerificationError(f"{where} is not an object")
+    try:
+        n, p = row["n"], row["p"] if key == "table2" else 0
+        if not (type(n) is int and type(p) is int):
+            raise ValueError(f"n={n!r} and p={p!r} must be integers")
+        AnomalySpec(dimension=n, form_order=p, alpha=Fraction(0))
+        PiValue.parse(row["exact"])
+        published = float(row["published_float"])
+        if not math.isfinite(published):
+            raise ValueError(f"published_float {published!r} is not finite")
+    except KeyError as exc:
+        raise VerificationError(f"{where} has no {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise VerificationError(f"{where}: {exc}") from None
+
+
 def load_golden(path: str | None = None) -> dict:
-    """Load and structurally validate the golden reference tables."""
+    """Load the golden reference tables and validate every row."""
     try:
         if path is None:
             ref = resources.files("hyperzeta").joinpath("data/golden_tables.json")
@@ -67,11 +88,16 @@ def load_golden(path: str | None = None) -> dict:
         blob = json.loads(text)
     except json.JSONDecodeError as exc:
         raise VerificationError(f"golden file is not valid JSON: {exc}") from exc
-    for key in ("table1", "table2"):
-        if key not in blob:
-            raise VerificationError(f"golden file missing {key!r} section")
-    if len(blob["table1"]) != 7 or len(blob["table2"]) != 15:
-        raise VerificationError("golden file has wrong table sizes")
+    if not isinstance(blob, dict):
+        raise VerificationError("golden file is not a JSON object")
+    for key, size in (("table1", 7), ("table2", 15)):
+        rows = blob.get(key)
+        if not isinstance(rows, list):
+            raise VerificationError(f"golden file has no {key!r} list")
+        if len(rows) != size:
+            raise VerificationError("golden file has wrong table sizes")
+        for index, row in enumerate(rows):
+            _check_row(key, index, row)
     return blob
 
 
@@ -88,13 +114,13 @@ def float_matches_published(value: PiValue, published: str, digits: int = 6) -> 
 
 
 def _table2_cell(row: dict) -> tuple[str, PiValue]:
-    n, p = int(row["n"]), int(row["p"])
+    n, p = row["n"], row["p"]
     spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
     return f"(n={n},p={p})", conformal_anomaly(spec).value
 
 
 def _table1_cell(row: dict) -> tuple[str, PiValue]:
-    n = int(row["n"])
+    n = row["n"]
     return f"n={n}", conformal_scalar_anomaly(n).value
 
 

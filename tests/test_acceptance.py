@@ -119,8 +119,6 @@ def test_criterion_7_property_suite(criterion):
             if miatello_coefficients(k, p) != miatello_coefficients(k, 2 * k - 1 - p):
                 problems.append(f"symmetry k={k} p={p}")
     for k in range(1, 8):
-        if any(c != 0 for c in miatello_coefficients(k, -1)):
-            problems.append(f"p=-1 convention k={k}")
         for p in range(2 * k):
             coeffs = miatello_coefficients(k, p)
             if coeffs[-1] != 1:

@@ -168,6 +168,12 @@ class TestAnomaly:
         assert out.strip() == "-1/48 * pi^-1"
         assert base.strip() == "-1/12 * pi^-1"
 
+    @pytest.mark.parametrize("radius", ["-3/2", "-1", "0"])
+    def test_radius_must_be_positive(self, capsys, radius):
+        # R^n is even in R at even n, so a negative R must not pass as |R|
+        code, out, err = run_cli(capsys, "anomaly", "--dim", "4", f"--radius={radius}")
+        assert_one_error_line(code, out, err, "--radius must be positive", radius)
+
     def test_middle_degree_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "anomaly", "--dim", "4", "--form", "2")
         assert code == 2
@@ -627,6 +633,39 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--fast", "--golden", str(bad))
         assert code == 1
         assert "FAIL" in out and "golden-load" in out
+
+    @pytest.mark.parametrize("key,index,field,value,needle", [
+        ("table2", 3, "exact", "1/0 * pi^-1", "table2[3]: zero denominator: '1/0 * pi^-1'"),
+        ("table1", 2, "exact", None, "table1[2] has no 'exact'"),
+        ("table2", 4, None, 7, "table2[4] is not an object"),
+        ("table1", 0, "n", 2.5, "table1[0]: n=2.5 and p=0 must be integers"),
+        ("table2", 1, "p", "0", "table2[1]: n=4 and p='0' must be integers"),
+        ("table2", 1, "p", 2, "table2[1]: form order must satisfy"),
+        ("table1", 1, "n", 3, "table1[1]: odd dimensions"),
+        ("table1", 6, "published_float", "abc", "table1[6]: could not convert string to float"),
+        ("table2", 0, "published_float", "nan", "table2[0]: published_float nan is not finite"),
+    ])
+    def test_malformed_golden_row_named_failure(
+        self, capsys, tmp_path, key, index, field, value, needle
+    ):
+        # one named golden-load failure (exit 1), not a traceback or a usage error
+        from importlib import resources
+
+        blob = json.loads(
+            resources.files("hyperzeta").joinpath("data/golden_tables.json").read_text()
+        )
+        if field is None:
+            blob[key][index] = value
+        elif value is None:
+            del blob[key][index][field]
+        else:
+            blob[key][index][field] = value
+        bad = tmp_path / "golden.json"
+        bad.write_text(json.dumps(blob))
+        code, out, _ = run_cli(capsys, "verify", "--fast", "--golden", str(bad))
+        assert code == 1
+        (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert line.split()[1] == "golden-load" and needle in line
 
     def test_tampered_value_named_failure(self, capsys, tmp_path):
         from importlib import resources

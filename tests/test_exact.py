@@ -130,6 +130,10 @@ class TestPiValue:
         for text in ("-67/160 * pi^-2", "29/240 * pi^-2", "5", "-1/12 * pi^-1"):
             assert PiValue.parse(text).exact_str() == text
 
+    def test_parse_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            PiValue.parse("1/0 * pi^-1")
+
     def test_parse_rejects_positive_power(self):
         with pytest.raises(ValueError):
             PiValue.parse("1/2 * pi^2")

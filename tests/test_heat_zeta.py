@@ -40,9 +40,6 @@ from hyperzeta.verify import TANH_TIMES
 
 
 class TestIdentityHeatTerm:
-    def test_minus_one_sector_is_zero(self, small_spectrum):
-        assert identity_heat_term(small_spectrum, -1, 0.7) == 0.0
-
     def test_n2_against_scipy(self):
         # Vol = 4 pi cancels the prefactor: the term is the bare integral
         # over R of mu_0(r) e^{-t(r^2 + 1/4)}
@@ -156,9 +153,6 @@ class TestHyperbolicHeatTerm:
         want = (1.0 / math.sqrt(4.0 * math.pi)) * 0.5 * math.exp(-0.5)
         assert math.isclose(got, want, rel_tol=1e-15)
         assert abs(got - 0.08555) < 1e-5
-
-    def test_minus_one_sector_is_zero(self, small_spectrum):
-        assert hyperbolic_heat_term(small_spectrum, -1, 1.0) == 0.0
 
     def test_chi_linearity(self):
         base = GeodesicClass(length=1.0, c_value=0.5)
@@ -319,6 +313,56 @@ class TestCoexactTrace:
             got = coexact_trace(data, 3, [0.5, 1.0, 2.0])
         assert [w.category for w in caught] == [EmptySpectrumWarning]
         assert all(br.hyperbolic_part == 0.0 for br in got)
+
+
+# every function that evaluates one sector of a manifold, called at form order p
+SECTOR_ENTRY_POINTS = {
+    "identity_heat_term": lambda m, p: identity_heat_term(m, p, 0.7),
+    "hyperbolic_heat_term": lambda m, p: hyperbolic_heat_term(m, p, 0.7),
+    "hyperbolic_tail_bound": lambda m, p: hyperbolic_tail_bound(m, p, 0.7),
+    "coexact_trace": lambda m, p: coexact_trace(m, p, [0.7]),
+    "mellin_hyperbolic": lambda m, p: mellin_hyperbolic(m, p, [0.3]),
+    "mellin_hyperbolic_quadrature": lambda m, p: mellin_hyperbolic_quadrature(m, p, 0.3),
+    "identity_zeta_term": lambda m, p: identity_zeta_term(m, p),
+}
+
+# the geodesic sums over an empty spectrum, with the values they return
+EMPTY_SPECTRUM_SUMS = {
+    "hyperbolic_heat_term": (lambda m: hyperbolic_heat_term(m, 1, 0.7), 0.0),
+    "coexact_trace": (
+        lambda m: [br.hyperbolic_part for br in coexact_trace(m, 1, [0.5, 2.0])], [0.0, 0.0]
+    ),
+    "mellin_hyperbolic": (lambda m: mellin_hyperbolic(m, 1, [0.3, 0.5, 1e-3]), [0.0] * 3),
+    "mellin_hyperbolic_quadrature": (lambda m: mellin_hyperbolic_quadrature(m, 1, 0.3), 0.0),
+}
+
+
+class TestSectorEntryPoints:
+    @pytest.mark.parametrize("p", [-5, -1, 4, 99])
+    @pytest.mark.parametrize("name", sorted(SECTOR_ENTRY_POINTS))
+    def test_form_order_outside_range_rejected_first(self, small_spectrum, monkeypatch, name, p):
+        # n = 4, so the form orders are 0..3
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the form order was checked")
+
+        for attr in ("plancherel_integral", "plancherel_integrals", "mellin_time_integral",
+                     "de_integrate", "pairwise_sum"):
+            monkeypatch.setattr(heat_zeta.quadrature, attr, no_work)
+        for attr in ("_identity_norm", "_geodesic_amplitudes", "_bessel_k_family"):
+            monkeypatch.setattr(heat_zeta, attr, no_work)
+        with pytest.raises(ValueError, match=rf"^form order p={p} outside 0\.\.3$"):
+            SECTOR_ENTRY_POINTS[name](small_spectrum, p)
+
+    @pytest.mark.parametrize("name", sorted(EMPTY_SPECTRUM_SUMS))
+    def test_empty_spectrum_sums_to_zero_with_one_warning_per_call(self, name):
+        data = ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1))
+        call, want = EMPTY_SPECTRUM_SUMS[name]
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = call(data)
+            assert [w.category for w in caught] == [EmptySpectrumWarning]
+            assert repr(got) == repr(want)  # positive zeros
 
 
 class TestBesselK:
@@ -494,7 +538,7 @@ def fraction_loop_moment(k, q, beta):
 @st.composite
 def moment_cases(draw):
     k = draw(st.integers(min_value=1, max_value=30))
-    q = draw(st.integers(min_value=-1, max_value=k - 1))
+    q = draw(st.integers(min_value=0, max_value=k - 1))
     beta = draw(
         st.one_of(
             st.sampled_from([Fraction(29, 7), Fraction(-5, 3), Fraction(0)]),
@@ -519,7 +563,7 @@ class TestMomentSum:
         k = 9
         dens = {
             heat_zeta.zeta_moment_parts(k, q, q + Fraction(2 * k - 1, 2) ** 2)[1]
-            for q in range(-1, k)
+            for q in range(k)
         }
         assert len(dens) == 1
 

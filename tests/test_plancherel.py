@@ -107,11 +107,9 @@ class TestMiatello:
             Fraction(1),
         )
 
-    def test_minus_one_sector_is_zero(self):
-        assert miatello_coefficients(2, -1) == (Fraction(0), Fraction(0))
-        assert miatello_coefficients(4, -1) == (Fraction(0),) * 4
-
     def test_range_errors(self):
+        with pytest.raises(ValueError, match=r"form order p=-1 outside 0\.\.3 for n=4"):
+            miatello_coefficients(2, -1)
         with pytest.raises(ValueError):
             miatello_coefficients(2, -2)
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from hyperzeta import heat_zeta, verify
 
@@ -85,3 +86,15 @@ def test_golden_table_details(tmp_path):
         verify.CheckResult("golden-table2", True, "15/15 cells exact, floats to 6 digits"),
         verify.CheckResult("golden-table1", True, "7/7 values exact, floats to 6 digits"),
     ]
+
+
+@pytest.mark.parametrize("text,detail", [
+    ("5", "golden file is not a JSON object"),
+    ('{"table1": 7, "table2": []}', "golden file has no 'table1' list"),
+])
+def test_malformed_golden_file_named(tmp_path, text, detail):
+    path = tmp_path / "golden.json"
+    path.write_text(text)
+    assert verify.run_verification(fast=True, golden_path=str(path))[0] == verify.CheckResult(
+        "golden-load", False, detail
+    )
