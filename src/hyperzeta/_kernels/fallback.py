@@ -13,6 +13,11 @@ their integrals to the line by a double-exponential change of variables:
   * mellin_time_integral and bessel_k_integral: t = exp(u); the e^{-at}
     and e^{-b/t} factors each become doubly exponential in u.
 
+plancherel_integrals and mellin_time_integrals return one function of t
+or of s: the node values that do not depend on it are computed once per
+node u and shared by every call, in one table of at most _NODE_TABLE_SIZE
+nodes per function.
+
 The returned tuple is (value, last_delta, level, converged); callers
 decide whether a non-converged result is an error.
 """
@@ -29,9 +34,10 @@ _REL_TOL = 1e-14
 _SCAN_LIMIT = 400  # level-0 nodes per side; DE decay triggers far earlier
 _NEGLIGIBLE = 1e-300
 _HALF_PI = math.pi / 2.0
-# node values kept by one plancherel_integrals table: a 10-t heat-trace call
-# at n = 6 (t in [0.05, 2.5]) visits 513 nodes, one at t = 1e-98 (level 10)
-# 22,529; a full table holds about 4 MB
+# node values kept by one plancherel_integrals or mellin_time_integrals
+# table: a 10-t heat-trace call at n = 6 (t in [0.05, 2.5]) visits 513
+# nodes, one at t = 1e-98 (level 10) 22,529; a full Plancherel table holds
+# about 4 MB
 _NODE_TABLE_SIZE = 16384
 
 
@@ -192,44 +198,82 @@ def plancherel_integral(coeffs, t: float):
     return plancherel_integrals(coeffs)(t)
 
 
-def mellin_time_integral(lengths, amps, alpha: float, s: float):
-    """integral_0^inf t^(s-1) t^(-1/2) sum_i amps[i] e^(-alpha t - lengths[i]^2/(4t)) dt.
+def mellin_time_integrals(lengths, amps, alpha: float):
+    """mellin_time_integral for one spectrum and shift, as one function of s.
 
-    Under t = e^u both tails decay doubly exponentially (alpha > 0 on the
-    right, the shortest length on the left).  The lengths must be
-    nonnegative and ascending, as ManifoldData keeps them: the exponent of
-    a node's geodesic terms then falls along the sum, which stops at the
-    first term that would underflow.
+    With su = s - 1/2 and q_i = lengths[i]^2 / 4, the node at u = log t is
+    H(u) e^(su u + lead(u)), where lead(u) = -alpha e^u - q_0 e^-u is the
+    exponent of the shortest geodesic and H(u) = sum_i amps[i]
+    e^(-(q_i - q_0) e^-u).  Neither lead nor H depends on s, so both sit in
+    one table keyed by the node u and shared by every s; H is summed only
+    at nodes that some s reaches.  Each s keeps its own window and level.
+
+    The lengths must be nonnegative and ascending, as ManifoldData keeps
+    them: the relative exponents of H then fall along the sum, which stops
+    at the first one at or below -745.  A node whose exponent su u + lead is
+    at or below -745 is 0.0 without its sum; one whose exponent leaves the
+    float range is inf, so that estimate never converges.
     """
     ls = [float(x) for x in lengths]
     ams = [float(x) for x in amps]
     if len(ls) != len(ams):
         raise ValueError("lengths and amps must have equal size")
-    if not ls:
-        return 0.0, 0.0, 0, True
-    if ls[0] < 0.0 or any(a > b for a, b in zip(ls, ls[1:])):
+    if ls and (ls[0] < 0.0 or any(a > b for a, b in zip(ls, ls[1:]))):
         raise ValueError("lengths must be nonnegative and ascending")
-    quarters = [0.25 * l * l for l in ls]
+    if not ls:
+        return lambda s: (0.0, 0.0, 0, True)
+    q0 = 0.25 * ls[0] * ls[0]
+    gaps = [0.25 * l * l - q0 for l in ls]  # q_i - q_0, ascending from 0
     a = float(alpha)
-    su = float(s) - 0.5
-
     exp = math.exp
+    entries = {}  # u -> [lead(u), e^-u, H(u) or None until some s needs it]
 
-    def node(u: float) -> float:
-        if u > 690.0 or u < -690.0:
-            return 0.0
-        ea = exp(u)
-        eb = exp(-u)
+    def geodesic_sum(eb: float) -> float:
         acc = 0.0
-        base = su * u - a * ea
-        for q, amp in zip(quarters, ams):
-            e_arg = base - q * eb
+        for gap, amp in zip(gaps, ams):
+            e_arg = -gap * eb
             if e_arg <= -745.0:
-                break  # lengths ascend, so every later exponent is lower: all dropped
+                break  # the gaps ascend, so every later term is lower: all dropped
             acc += amp * exp(e_arg)
         return acc
 
-    return de_integrate(node)
+    def at(s: float):
+        su = float(s) - 0.5
+
+        def node(u: float) -> float:
+            if u > 690.0 or u < -690.0:
+                return 0.0
+            e = entries.get(u)
+            if e is None:
+                eb = exp(-u)
+                e = [-a * exp(u) - q0 * eb, eb, None]
+                if len(entries) < _NODE_TABLE_SIZE:
+                    entries[u] = e
+            x = su * u + e[0]
+            if x <= -745.0:
+                return 0.0
+            try:
+                scale = exp(x)
+            except OverflowError:
+                return math.inf
+            h = e[2]
+            if h is None:
+                h = e[2] = geodesic_sum(e[1])
+            return scale * h
+
+        return de_integrate(node)
+
+    return at
+
+
+def mellin_time_integral(lengths, amps, alpha: float, s: float):
+    """integral_0^inf t^(s-1) t^(-1/2) sum_i amps[i] e^(-alpha t - lengths[i]^2/(4t)) dt.
+
+    Under t = e^u both tails decay doubly exponentially (alpha > 0 on the
+    right, the shortest length on the left).  The lengths must be
+    nonnegative and ascending.  This is mellin_time_integrals at one s.
+    """
+    return mellin_time_integrals(lengths, amps, alpha)(s)
 
 
 def bessel_k_integral(nu: float, z: float):

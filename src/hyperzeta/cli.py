@@ -261,9 +261,9 @@ def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
     ident = heat_zeta.identity_zeta_term(data, p)
     # one Bessel pass for every --s and the two s -> 0 points
     *bessels, at_2, at_3 = heat_zeta.mellin_hyperbolic(data, p, [*args.s, 1e-2, 1e-3])
+    quads = heat_zeta.mellin_hyperbolic_quadrature(data, p, args.s)
     failed = False
-    for s, bessel in zip(args.s, bessels):
-        quad = heat_zeta.mellin_hyperbolic_quadrature(data, p, s)
+    for s, bessel, quad in zip(args.s, bessels, quads):
         rel = abs(bessel - quad) / max(abs(quad), 1e-300)
         ok = rel <= args.tolerance
         failed = failed or not ok

@@ -442,6 +442,23 @@ def bessel_k(order: float, z: float) -> float:
     return _bessel_k_family((order,))(z)[0]
 
 
+def _check_mellin_s(s_values: Sequence[float]) -> list[float]:
+    # the s values as floats, once each is finite with a Bessel order
+    # |1/2 - s| that the Bessel family evaluates (MAX_BESSEL_ORDER)
+    out = [float(s) for s in s_values]
+    for s in out:
+        if not (math.isfinite(s) and abs(0.5 - s) <= MAX_BESSEL_ORDER):
+            raise ValueError(
+                f"s must be finite with Bessel order |1/2 - s| <= {MAX_BESSEL_ORDER:g}, "
+                f"got {s!r}"
+            )
+    return out
+
+
+def _out_of_range(route: str, s: float) -> ValueError:
+    return ValueError(f"{route} Mellin value at s={s!r} is outside the float range")
+
+
 def mellin_hyperbolic(
     manifold: ManifoldData, p: int, s_values: Sequence[float]
 ) -> list[float]:
@@ -453,12 +470,15 @@ def mellin_hyperbolic(
     Bessel argument (the two slots carry the same sector shift; the
     time-quadrature route is the arbiter and confirms this reading).
 
-    Returns one value per entry of ``s_values``, in order.  The amplitude
-    table is built once per call, and each geodesic's Bessel nodes are
-    shared by all s.
+    Returns one value per entry of ``s_values``, in order.  Every s must be
+    finite with |1/2 - s| <= MAX_BESSEL_ORDER, checked before any work; a
+    value outside the float range raises ValueError.  The amplitude table
+    is built once per call, and each geodesic's Bessel nodes are shared by
+    all s.
     """
     _, alpha = _sector(manifold, p)
-    nus = [0.5 - float(s) for s in s_values]
+    s_values = _check_mellin_s(s_values)
+    nus = [0.5 - s for s in s_values]
     sqrt_alpha = math.sqrt(alpha)
     root_pi = math.sqrt(math.pi)
     bessel = _bessel_k_family(nus)
@@ -476,23 +496,44 @@ def mellin_hyperbolic(
             raise ValueError(
                 f"Bessel prefactor (2 sqrt(alpha)/t)^(1/2-s) overflows at length t={l!r}"
             ) from None
-    return [quadrature.pairwise_sum(column) for column in columns]
+    out = []
+    for s, column in zip(s_values, columns):
+        value = quadrature.pairwise_sum(column)
+        if not math.isfinite(value):
+            raise _out_of_range("Bessel-route", s)
+        out.append(value)
+    return out
 
 
-def mellin_hyperbolic_quadrature(manifold: ManifoldData, p: int, s: float) -> float:
-    """Direct t-quadrature of integral_0^inf t^(s-1) H_p(t) dt.
+def mellin_hyperbolic_quadrature(
+    manifold: ManifoldData, p: int, s_values: Sequence[float]
+) -> list[float]:
+    """Direct t-quadrature of integral_0^inf t^(s-1) H_p(t) dt at each s.
 
     Independent check of mellin_hyperbolic: no Bessel functions, just the
     log-substitution t = e^u and the double-exponential trapezoid engine.
+    Returns one value per entry of ``s_values``, in order, after the same
+    s check as mellin_hyperbolic.  The amplitudes and the s-free node
+    values are computed once per call and shared by every s, and each s
+    gets the bits of a call of its own.  A value outside the float range
+    raises ValueError, and a quadrature that does not converge
+    QuadratureError.
     """
     _, alpha = _sector(manifold, p)
+    s_values = _check_mellin_s(s_values)
     lengths, amps = _geodesic_amplitudes(manifold, p)
-    value, delta, _, ok = quadrature.mellin_time_integral(lengths, amps, alpha, float(s))
-    if not ok:
-        raise QuadratureError(
-            f"hyperbolic Mellin quadrature did not converge (p={p}, s={s})", delta
-        )
-    return value / math.sqrt(4.0 * math.pi)
+    integral = quadrature.mellin_time_integrals(lengths, amps, alpha)
+    out = []
+    for s in s_values:
+        value, delta, _, ok = integral(s)
+        if not math.isfinite(value):
+            raise _out_of_range("time-route", s)
+        if not ok:
+            raise QuadratureError(
+                f"hyperbolic Mellin quadrature did not converge (p={p}, s={s})", delta
+            )
+        out.append(value / math.sqrt(4.0 * math.pi))
+    return out
 
 
 # --- identity-sector zeta values ----------------------------------------------

@@ -287,8 +287,9 @@ def _check_mellin_vs_bessel() -> CheckResult:
     worst = 0.0
     s_values = (0.3, 0.5, 0.7)
     for p in (0, 1):
-        for s, bessel in zip(s_values, heat_zeta.mellin_hyperbolic(data, p, s_values)):
-            quad = heat_zeta.mellin_hyperbolic_quadrature(data, p, s)
+        bessels = heat_zeta.mellin_hyperbolic(data, p, s_values)
+        quads = heat_zeta.mellin_hyperbolic_quadrature(data, p, s_values)
+        for bessel, quad in zip(bessels, quads):
             rel = abs(bessel - quad) / max(abs(quad), 1e-300)
             worst = max(worst, rel)
     if worst > 1e-8:

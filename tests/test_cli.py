@@ -531,6 +531,32 @@ class TestZetaCheck:
         assert code == 0
         assert out.count("[ok]") == 1
 
+    def test_s_line_same_alone_or_in_a_list(self, capsys, monkeypatch, manifold_file):
+        monkeypatch.setenv("HYPERZETA_PRECISION", "17")
+        lines = {}
+        for s_values in (["0.5"], ["0.7", "0.5", "0.3"], ["0.3", "0.5", "0.5"]):
+            code, out, _ = run_cli(
+                capsys, "zeta-check", "--manifold", str(manifold_file), "--form", "1",
+                "--s", *s_values,
+            )
+            assert code == 0
+            lines[tuple(s_values)] = [ln for ln in out.splitlines() if ln.startswith("s=0.5:")]
+        assert list(lines.values()) == [lines[("0.5",)]] * 2 + [lines[("0.5",)] * 2]
+
+    @pytest.mark.parametrize("bad", ["-40", "-64"])
+    def test_mellin_value_outside_float_range_exit_2(self, capsys, tmp_path, bad):
+        # one geodesic of length 0.001: -40 ended in an OverflowError
+        # traceback from the time-route node, with exit 1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "dimension": 4, "volume": 1.0, "betti": [1, 0, 0, 0, 1],
+            "geodesics": [{"length": 0.001, "c": 1.0}],
+        }))
+        code, out, err = run_cli(
+            capsys, "zeta-check", "--manifold", str(path), "--form", "0", "--s", "0.3", bad
+        )
+        assert_one_error_line(code, out, err, f"s={float(bad)!r}", "outside the float range")
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
     def test_bad_tolerance_exit_2(self, capsys, manifold_file, bad):
         code, out, err = run_cli(

@@ -2,6 +2,7 @@
 Bessel transforms, and the exact identity-sector zeta values."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -322,7 +323,7 @@ SECTOR_ENTRY_POINTS = {
     "hyperbolic_tail_bound": lambda m, p: hyperbolic_tail_bound(m, p, 0.7),
     "coexact_trace": lambda m, p: coexact_trace(m, p, [0.7]),
     "mellin_hyperbolic": lambda m, p: mellin_hyperbolic(m, p, [0.3]),
-    "mellin_hyperbolic_quadrature": lambda m, p: mellin_hyperbolic_quadrature(m, p, 0.3),
+    "mellin_hyperbolic_quadrature": lambda m, p: mellin_hyperbolic_quadrature(m, p, [0.3]),
     "identity_zeta_term": lambda m, p: identity_zeta_term(m, p),
 }
 
@@ -333,7 +334,9 @@ EMPTY_SPECTRUM_SUMS = {
         lambda m: [br.hyperbolic_part for br in coexact_trace(m, 1, [0.5, 2.0])], [0.0, 0.0]
     ),
     "mellin_hyperbolic": (lambda m: mellin_hyperbolic(m, 1, [0.3, 0.5, 1e-3]), [0.0] * 3),
-    "mellin_hyperbolic_quadrature": (lambda m: mellin_hyperbolic_quadrature(m, 1, 0.3), 0.0),
+    "mellin_hyperbolic_quadrature": (
+        lambda m: mellin_hyperbolic_quadrature(m, 1, [0.3, 0.5, 1e-3]), [0.0] * 3
+    ),
 }
 
 
@@ -346,7 +349,7 @@ class TestSectorEntryPoints:
             raise AssertionError("work ran before the form order was checked")
 
         for attr in ("plancherel_integral", "plancherel_integrals", "mellin_time_integral",
-                     "de_integrate", "pairwise_sum"):
+                     "mellin_time_integrals", "de_integrate", "pairwise_sum"):
             monkeypatch.setattr(heat_zeta.quadrature, attr, no_work)
         for attr in ("_identity_norm", "_geodesic_amplitudes", "_bessel_k_family"):
             monkeypatch.setattr(heat_zeta, attr, no_work)
@@ -410,7 +413,7 @@ class TestMellinHyperbolic:
     def test_bessel_vs_time_quadrature(self, small_spectrum, s):
         for p in (0, 1):
             [a] = mellin_hyperbolic(small_spectrum, p, [s])
-            b = mellin_hyperbolic_quadrature(small_spectrum, p, s)
+            [b] = mellin_hyperbolic_quadrature(small_spectrum, p, [s])
             assert abs(a - b) <= 1e-8 * abs(b)
 
     def test_s_half_uses_order_zero(self, flat_spectrum_2d):
@@ -478,6 +481,51 @@ class TestMellinHyperbolic:
         )
         with pytest.raises(ValueError, match="prefactor .* overflows at length t=0.0005"):
             mellin_hyperbolic(data, 0, [-64.0])
+
+    @pytest.mark.parametrize("route", [mellin_hyperbolic, mellin_hyperbolic_quadrature])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 65.6, -64.6, 1e6])
+    def test_s_outside_bessel_order_bound_rejected_first(self, small_spectrum, monkeypatch,
+                                                         route, bad):
+        # nan raised a ValueError about integer conversion, +-inf an
+        # OverflowError, and the time route reported a QuadratureError
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the s values were checked")
+
+        for attr in ("_geodesic_amplitudes", "_bessel_k_family"):
+            monkeypatch.setattr(heat_zeta, attr, no_work)
+        monkeypatch.setattr(heat_zeta.quadrature, "mellin_time_integrals", no_work)
+        with pytest.raises(ValueError, match=r"^s must be finite with Bessel order "
+                           rf"\|1/2 - s\| <= 65, got {re.escape(repr(bad))}$"):
+            route(small_spectrum, 1, [0.5, bad])
+
+    @pytest.mark.parametrize("route,s", [
+        (mellin_hyperbolic, -40.0),
+        (mellin_hyperbolic, -64.0),
+        (mellin_hyperbolic_quadrature, -40.0),
+        (mellin_hyperbolic_quadrature, -64.0),
+    ])
+    def test_value_outside_float_range_rejected(self, route, s):
+        # one geodesic of length 0.001 at n = 4: the Bessel route returned
+        # inf, and the time route's node ended in an OverflowError
+        data = ManifoldData(
+            dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1),
+            geodesics=(GeodesicClass(length=0.001, c_value=1.0),),
+        )
+        with pytest.raises(ValueError, match=rf"Mellin value at s={s!r} is outside the float"):
+            route(data, 0, [0.3, s])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        p=st.sampled_from([0, 1, 3]),
+        s_values=st.lists(
+            st.sampled_from([-1.5, -0.2, 0.1, 0.3, 0.5, 0.7, 0.9, 1e-3, 2.5]), max_size=6
+        ),
+    )
+    def test_time_route_list_has_the_one_s_bits(self, small_spectrum, p, s_values):
+        # a repeated s, and any order: the shared node table changes no bit
+        together = mellin_hyperbolic_quadrature(small_spectrum, p, s_values)
+        alone = [mellin_hyperbolic_quadrature(small_spectrum, p, [s])[0] for s in s_values]
+        assert [v.hex() for v in together] == [v.hex() for v in alone]
 
 
 class TestZetaIdentityExact:

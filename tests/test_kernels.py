@@ -207,6 +207,86 @@ class TestMellinTimeIntegral:
         assert math.isclose(value, want, rel_tol=1e-12)
 
 
+def _reference_mellin_time(lengths, amps, alpha, s):
+    # the time-route node as first written: every node sums every geodesic
+    # term at its own exponent, for one s.  The reference for
+    # mellin_time_integrals, which factors out the shortest geodesic's
+    # exponent and shares the s-free sum across s
+    quarters = [0.25 * l * l for l in lengths]
+    su = s - 0.5
+
+    def node(u):
+        if u > 690.0 or u < -690.0:
+            return 0.0
+        eb = math.exp(-u)
+        base = su * u - alpha * math.exp(u)
+        acc = 0.0
+        for q, amp in zip(quarters, amps):
+            e_arg = base - q * eb
+            if e_arg <= -745.0:
+                break
+            acc += amp * math.exp(e_arg)
+        return acc
+
+    return fallback.de_integrate(node)
+
+
+MELLIN_S_GRID = (-1.5, -0.7, 0.1, 0.3, 0.5, 0.77, 0.9, 1.6, 2.5)
+
+
+def _signed_spectrum(seed):
+    rng = random.Random(seed)
+    lengths = sorted(rng.uniform(0.5, 6.0) for _ in range(rng.randint(1, 40)))
+    amps = [rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 2.0) for _ in lengths]
+    return lengths, amps, rng.uniform(0.25, 30.0)
+
+
+class TestMellinTimeIntegrals:
+    def test_matches_per_term_loop_on_snapshot_spectra(self):
+        from hyperzeta import heat_zeta
+        from test_mellin_time_snapshot import FORMS, _spectra
+
+        for name, data in _spectra().items():
+            for p in FORMS:
+                _, alpha = heat_zeta._sector(data, p)
+                lengths, amps = heat_zeta._geodesic_amplitudes(data, p)
+                integral = fallback.mellin_time_integrals(lengths, amps, alpha)
+                for s in MELLIN_S_GRID:
+                    got = integral(s)
+                    want = _reference_mellin_time(lengths, amps, alpha, s)
+                    assert got[3] and want[3], (name, p, s)
+                    assert abs(got[0] - want[0]) <= 1e-14 * abs(want[0]), (name, p, s)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_term_loop_on_signed_amplitudes(self, seed):
+        lengths, amps, alpha = _signed_spectrum(seed)
+        integral = fallback.mellin_time_integrals(lengths, amps, alpha)
+        for s in MELLIN_S_GRID:
+            got = integral(s)
+            want = _reference_mellin_time(lengths, amps, alpha, s)
+            assert got[3] and want[3], s
+            assert abs(got[0] - want[0]) <= 1e-14 * abs(want[0]), s
+
+    def test_one_s_call_has_the_shared_bits(self):
+        lengths, amps, alpha = _signed_spectrum(3)
+        integral = fallback.mellin_time_integrals(lengths, amps, alpha)
+        shared = [_bits(integral(s)) for s in MELLIN_S_GRID[::-1]][::-1]
+        alone = [
+            _bits(fallback.mellin_time_integral(lengths, amps, alpha, s)) for s in MELLIN_S_GRID
+        ]
+        assert shared == alone
+
+    @pytest.mark.parametrize("s", [-40.0, -64.0])
+    def test_exponent_past_float_range_not_converged(self, s):
+        # the geodesic's exponent peaks near 1,190 at s = -64: the node is
+        # inf instead of an OverflowError from math.exp.  The tiny amplitude
+        # keeps every node whose exponent is in range far from overflow
+        value, delta, level, converged = fallback.mellin_time_integral(
+            [0.001], [1e-300], 2.25, s
+        )
+        assert value == math.inf and not converged
+
+
 class TestBesselKIntegral:
     @pytest.mark.parametrize(
         "nu,z",

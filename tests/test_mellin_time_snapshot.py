@@ -49,7 +49,7 @@ def _records() -> list[dict]:
         {
             "spectrum": name,
             "p": p,
-            "values": [mellin_hyperbolic_quadrature(data, p, s).hex() for s in S_VALUES],
+            "values": [v.hex() for v in mellin_hyperbolic_quadrature(data, p, S_VALUES)],
         }
         for name, data in _spectra().items()
         for p in FORMS
