@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
         "coupled scalar, or massive scalar via --mass-sq",
     )
     p_anom.add_argument(
-        "--mass-sq", type=_fraction_arg, default=Fraction(0),
-        help="m^2 R^2 as a rational, for --alpha-mode massive",
+        "--mass-sq", type=_fraction_arg, default=None,
+        help="m^2 R^2 as a rational (default 0), only for --alpha-mode massive",
     )
     p_anom.add_argument(
         "--radius", type=_fraction_arg, default=Fraction(1),
@@ -165,10 +165,12 @@ def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
     if args.radius <= 0:
         # R^n is even in R at even n, so a negative radius would pass as |R|
         return _usage_fail(f"--radius must be positive, got {args.radius}")
+    if args.mass_sq is not None and args.alpha_mode != "massive":
+        return _usage_fail("--mass-sq applies only to --alpha-mode massive")
     if args.alpha_mode == "conformal-scalar":
         alpha = alpha_conformal_scalar(n)
     elif args.alpha_mode == "massive":
-        alpha = alpha_massive_scalar(n, args.mass_sq)
+        alpha = alpha_massive_scalar(n, args.mass_sq or 0)
     else:
         alpha = alpha_default(n, p)
     spec = AnomalySpec(
@@ -186,6 +188,9 @@ def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
 
 
 def cmd_table(args: argparse.Namespace, digits: int) -> int:
+    for flag, value in (("--dims", args.dims), ("--forms", args.forms)):
+        if value is not None and args.which != "custom":
+            return _usage_fail(f"{flag} applies only to --which custom, not {args.which}")
     if args.which == "table1":
         cells = generate_table("scalar_table")
         table = scalar_output(cells, digits=digits, format=args.format)

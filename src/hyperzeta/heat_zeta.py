@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 from ._kernels import fallback as quadrature
 from .exact import MAX_DIMENSION, Rational, bernoulli, binomial, check_dimension
 from .manifold import ManifoldData
-from .plancherel import miatello_coefficients
+from .plancherel import integer_coefficients, miatello_coefficients
 
 __all__ = [
     "QuadratureError",
@@ -190,10 +190,7 @@ def tanh_moment_series_exact(
     used = optimal if order is None else min(order, optimal)
     leading = Fraction(math.factorial(ell)) / t ** (ell + 1)
     value = leading - sum(terms[: used + 1])
-    first_omitted = abs(terms[used + 1]) if used + 1 < len(terms) else abs(
-        _series_term(ell, used + 1, t)
-    )
-    return value, first_omitted, used
+    return value, abs(terms[used + 1]), used
 
 
 def tanh_moment_series(ell: int, t: float, order: int | None = None) -> TanhMomentResult:
@@ -560,12 +557,12 @@ def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fracti
     weight (-1)^(l+1)/(l+1), and the two-sector bracket: the (p-j)-sector
     coefficients at shift alpha-j plus (p-j)/(n-p) times the (p-j-1)-sector
     coefficients at shift alpha-j-1.  The j = p term has sector 0 alone:
-    the formula's (-1)-sector is zero, so its second bracket is skipped.
+    the formula's (-1)-sector is zero, and so is its side weight.
 
-    Each term is built as one integer numerator over one integer
-    denominator and reduced once: the powers (alpha-j)^(l+1) and
-    (alpha-j-1)^(l+1) are kept over the common denominator of alpha and
-    grown by one factor per l.
+    Each term is one integer numerator over one integer denominator,
+    reduced once: every bracket sits over 4^(k-1)(n-p), and the powers
+    (alpha-j)^(l+1) and (alpha-j-1)^(l+1) are kept over the common
+    denominator of alpha and grown by one factor per l.
     """
     k = _check_form(n, p)
     if not 0 <= j <= p:
@@ -574,10 +571,10 @@ def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fracti
     d = alpha.denominator
     x_main = alpha.numerator - j * d  # alpha - j = x_main / d
     x_side = x_main - d  # alpha - j - 1 = x_side / d
-    a_main = miatello_coefficients(k, p - j)
-    a_side = miatello_coefficients(k, p - j - 1) if j < p else None
-    side_num, side_den = p - j, n - p  # side_weight = side_num / side_den
+    c_main = integer_coefficients(k, p - j)
+    c_side = integer_coefficients(k, p - j - 1) if j < p else (0,) * k
     signed_chi = (-1) ** j * math.comb(n - 1, p - j)
+    den = 4 ** (k - 1) * (n - p)
     pow_d = pow_main = pow_side = 1
     terms = []
     for ell in range(k):
@@ -586,16 +583,9 @@ def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fracti
         pow_side *= x_side
         bern = _bern_weight(ell)
         bn, bd = bern.numerator, bern.denominator
-        main = a_main[ell]
         # bern + (alpha - j)^(l+1) = (bn d^(l+1) + bd x^(l+1)) / (bd d^(l+1))
-        num = main.numerator * (bn * pow_d + bd * pow_main)
-        den = main.denominator
-        if a_side is not None:
-            side = a_side[ell]
-            num = num * side.denominator * side_den + (
-                den * side_num * side.numerator * (bn * pow_d + bd * pow_side)
-            )
-            den *= side.denominator * side_den
+        num = c_main[ell] * (n - p) * (bn * pow_d + bd * pow_main)
+        num += (p - j) * c_side[ell] * (bn * pow_d + bd * pow_side)
         num *= signed_chi if ell % 2 else -signed_chi
         terms.append(Fraction(num, den * bd * pow_d * (ell + 1)))
     return tuple(terms)
@@ -608,12 +598,25 @@ def zeta_identity_at_zero(n: int, p: int, j: int, alpha: Rational) -> Fraction:
 
 # One entry for every sector (k, q) to the cap, so a sweep at one shift offset
 # evicts nothing whatever its row order (about 2.4 MB at the default shift).
-# The offset is two integers: a Fraction key, hashed in Python, is 3x slower.
+# The shift is two integers: a Fraction key, hashed in Python, is 3x slower.
 @functools.lru_cache(maxsize=(MAX_DIMENSION // 2) * (MAX_DIMENSION // 2 + 1) // 2)
-def _sector_moment(k: int, q: int, c_num: int, c_den: int) -> tuple[int, int]:
-    # the sector-q moment at shift c + q, c = c_num/c_den in lowest terms, as
-    # an unreduced fraction whose denominator is the same for every q
-    return zeta_moment_parts(k, q, Fraction(c_num + q * c_den, c_den))
+def _moment_parts(k: int, q: int, x: int, d: int) -> tuple[int, int]:
+    # zeta_moment_parts at beta = x/d in lowest terms; see its docstring
+    coeffs = integer_coefficients(k, q)
+    berns = [_bern_weight(ell) for ell in range(k)]
+    bern_den = math.lcm(*(b.denominator * (ell + 1) for ell, b in enumerate(berns)))
+    pow_den = math.lcm(*range(1, k + 1))
+    bern_num = pow_num = 0
+    pow_x = 1
+    for ell, (c, b) in enumerate(zip(coeffs, berns)):
+        # (-1)^(l+1) c_l, the coefficient over the expansion's 4^(k-1)
+        c = c if ell % 2 else -c
+        bern_num += c * b.numerator * (bern_den // (b.denominator * (ell + 1)))
+        pow_x *= x
+        # sum over l of c_l lcm/(l+1) x^(l+1) d^(k-1-l)
+        pow_num = pow_num * d + c * (pow_den // (ell + 1)) * pow_x
+    pow_den *= d**k
+    return bern_num * pow_den + pow_num * bern_den, bern_den * pow_den * 4 ** (k - 1)
 
 
 def zeta_identity_zero_total(n: int, p: int, alpha: Rational) -> Fraction:
@@ -628,12 +631,12 @@ def zeta_identity_zero_total(n: int, p: int, alpha: Rational) -> Fraction:
     """
     k = _check_form(n, p)
     alpha = Fraction(alpha)
-    c_den = alpha.denominator
-    c_num = alpha.numerator - p * c_den
+    d = alpha.denominator
+    x = alpha.numerator - p * d  # c = x / d
     a = b = side = 0
     for q in range(p + 1):
         chi = math.comb(n - 1, q)
-        main, den = _sector_moment(k, q, c_num, c_den)
+        main, den = _moment_parts(k, q, x + q * d, d)
         a = chi * main - a
         b = q * chi * side - b
         side = main
@@ -655,31 +658,15 @@ def zeta_moment_parts(k: int, q: int, beta: Rational) -> tuple[int, int]:
     """zeta_moment_sum(k, q, beta) as an unreduced (numerator, denominator).
 
     Each part is one integer dot product over one common denominator:
-    with a_{2l} = c_l / 4^(k-1) and beta = x / d, the Bernoulli part sits
-    over lcm_l((l+1) bd_l) and the power part over lcm(1..k) d^k, its
-    powers grown by Horner's rule.  The denominator depends on k and d
-    only, so moments of one k whose shifts share d add as integers.
+    with a_{2l} = c_l / 4^(k-1) (integer_coefficients, no Fraction per
+    coefficient) and beta = x / d, the Bernoulli part sits over
+    lcm_l((l+1) bd_l) and the power part over lcm(1..k) d^k, its powers
+    grown by Horner's rule.  The denominator depends on k and d only, so
+    moments of one k whose shifts share d add as integers.  The pair is
+    memoised on (k, q, x, d), the memo zeta_identity_zero_total reads.
     """
     beta = Fraction(beta)
-    x, d = beta.numerator, beta.denominator
-    coeffs = miatello_coefficients(k, q)
-    scale = 4 ** (k - 1)
-    berns = [_bern_weight(ell) for ell in range(k)]
-    bern_den = math.lcm(*(b.denominator * (ell + 1) for ell, b in enumerate(berns)))
-    pow_den = math.lcm(*range(1, k + 1))
-    bern_num = pow_num = 0
-    pow_x = 1
-    for ell, (a, b) in enumerate(zip(coeffs, berns)):
-        # (-1)^(l+1) c_l, the coefficient over the expansion's 4^(k-1)
-        c = a.numerator * (scale // a.denominator)
-        if ell % 2 == 0:
-            c = -c
-        bern_num += c * b.numerator * (bern_den // (b.denominator * (ell + 1)))
-        pow_x *= x
-        # sum over l of c_l lcm/(l+1) x^(l+1) d^(k-1-l)
-        pow_num = pow_num * d + c * (pow_den // (ell + 1)) * pow_x
-    pow_den *= d**k
-    return bern_num * pow_den + pow_num * bern_den, bern_den * pow_den * scale
+    return _moment_parts(k, q, beta.numerator, beta.denominator)
 
 
 def zeta_moment_continued(k: int, q: int, beta: float, s: float = 0.0) -> float:

@@ -16,10 +16,10 @@ only input the anomaly formula needs.
 
 The roots are the half-odd numbers m/2 with m odd in 1..2k-1, except
 m = 2(k-p)-1, so P_p = 4^-(k-1) * prod (4 r^2 + m^2): the product is
-expanded over integers and scaled by 4^-(k-1) once.  Nothing here is
-memoised: the exact core keeps its sector moments in
-heat_zeta._sector_moment, which expands each sector once.
-``miatello_coefficients`` is the one function that returns the expansion.
+expanded over integers: ``integer_coefficients``, which the exact core
+reads, and ``miatello_coefficients``, its Fraction view over 4^(k-1) for
+the numeric routes.  Nothing here is memoised: the exact core keeps its
+sector moments in heat_zeta._moment_parts, which expands each sector once.
 """
 
 from __future__ import annotations
@@ -31,38 +31,44 @@ from fractions import Fraction
 from .exact import Rational, binomial, check_dimension, half_gamma
 
 __all__ = [
+    "integer_coefficients",
     "miatello_coefficients",
     "plancherel_density",
     "tanh_pi",
 ]
 
 
-def _expand(k: int, p: int) -> tuple[Fraction, ...]:
-    # p is already folded; see the module docstring for the integer product
+def integer_coefficients(k: int, p: int) -> tuple[int, ...]:
+    """miatello_coefficients(k, p) times 4^(k-1), as integers c_0..c_(k-1).
+
+    Checked: k of them, all positive, the last 4^(k-1).  The form order p
+    runs over 0..2k-1 and is folded by the duality.
+    """
+    check_dimension(2 * k)
+    if not 0 <= p <= 2 * k - 1:
+        raise ValueError(f"form order p={p} outside 0..{2 * k - 1} for n={2 * k}")
+    p = min(p, 2 * k - 1 - p)
     ints = [1]
     for m in range(1, 2 * k, 2):
         if m == 2 * (k - p) - 1:
             continue
         m2 = m * m
         ints = [m2 * lo + 4 * hi for lo, hi in zip(ints + [0], [0] + ints)]
-    scale = 4 ** (k - 1)
-    if len(ints) != k or ints[-1] != scale or any(c <= 0 for c in ints):
+    if len(ints) != k or ints[-1] != 4 ** (k - 1) or any(c <= 0 for c in ints):
         raise RuntimeError(f"Plancherel polynomial invariant violated for k={k}, p={p}")
-    return tuple(Fraction(c, scale) for c in ints)
+    return tuple(ints)
 
 
 def miatello_coefficients(k: int, p: int) -> tuple[Rational, ...]:
     """Coefficients a_0, a_2, ..., a_{2(k-1)} of P_p in powers of r^2.
 
-    Monic in r^2 with strictly positive coefficients; both properties are
-    checked on the integer expansion because downstream sign bookkeeping
-    relies on them.  The form order p runs over 0..2k-1 and is folded by
-    the duality.
+    The Fraction view of integer_coefficients, each integer over 4^(k-1):
+    monic in r^2 with strictly positive coefficients, both checked on the
+    integers because downstream sign bookkeeping relies on them.  The form
+    order p runs over 0..2k-1 and is folded by the duality.
     """
-    check_dimension(2 * k)
-    if not 0 <= p <= 2 * k - 1:
-        raise ValueError(f"form order p={p} outside 0..{2 * k - 1} for n={2 * k}")
-    return _expand(k, min(p, 2 * k - 1 - p))
+    ints = integer_coefficients(k, p)
+    return tuple(Fraction(c, ints[-1]) for c in ints)
 
 
 def tanh_pi(r: float) -> float:

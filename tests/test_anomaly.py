@@ -22,7 +22,13 @@ from hyperzeta.anomaly import (
     generate_table,
 )
 from hyperzeta.exact import PiValue
-from hyperzeta.heat_zeta import _bern_weight, zeta_identity_terms
+from hyperzeta.heat_zeta import (
+    _bern_weight,
+    zeta_identity_terms,
+    zeta_identity_zero_total,
+    zeta_moment_parts,
+)
+from hyperzeta.plancherel import miatello_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +87,11 @@ class TestAnomalySpec:
     def test_memos_hold_a_table_row_at_the_cap(self):
         # a row at the cap touches k = MAX_DIMENSION/2 sectors and Bernoulli weights
         assert _bern_weight.cache_info().maxsize >= MAX_DIMENSION // 2
-        assert heat_zeta._sector_moment.cache_info().maxsize >= MAX_DIMENSION // 2
+        assert heat_zeta._moment_parts.cache_info().maxsize >= MAX_DIMENSION // 2
 
     def test_moment_memo_holds_every_sector_to_the_cap(self):
         k_cap = MAX_DIMENSION // 2
-        assert heat_zeta._sector_moment.cache_info().maxsize >= sum(range(1, k_cap + 1))
+        assert heat_zeta._moment_parts.cache_info().maxsize >= sum(range(1, k_cap + 1))
 
 
 class TestGoldenTables:
@@ -239,6 +245,74 @@ shift_offsets = st.builds(
 )
 
 
+def reference_identity_terms(n: int, p: int, j: int, alpha: Fraction) -> tuple[Fraction, ...]:
+    """zeta_identity_terms on the Fraction coefficients, multiplied through
+    their reduced denominators one by one: an independent reference."""
+    k = n // 2
+    alpha = Fraction(alpha)
+    d = alpha.denominator
+    x_main = alpha.numerator - j * d
+    x_side = x_main - d
+    a_main = miatello_coefficients(k, p - j)
+    a_side = miatello_coefficients(k, p - j - 1) if j < p else None
+    side_num, side_den = p - j, n - p
+    signed_chi = (-1) ** j * math.comb(n - 1, p - j)
+    pow_d = pow_main = pow_side = 1
+    terms = []
+    for ell in range(k):
+        pow_d *= d
+        pow_main *= x_main
+        pow_side *= x_side
+        bern = _bern_weight(ell)
+        bn, bd = bern.numerator, bern.denominator
+        main = a_main[ell]
+        num = main.numerator * (bn * pow_d + bd * pow_main)
+        den = main.denominator
+        if a_side is not None:
+            side = a_side[ell]
+            num = num * side.denominator * side_den + (
+                den * side_num * side.numerator * (bn * pow_d + bd * pow_side)
+            )
+            den *= side.denominator * side_den
+        num *= signed_chi if ell % 2 else -signed_chi
+        terms.append(Fraction(num, den * bd * pow_d * (ell + 1)))
+    return tuple(terms)
+
+
+def reference_moment_parts(k: int, q: int, beta: Fraction) -> tuple[int, int]:
+    """zeta_moment_parts on the Fraction coefficients, each unwrapped back to
+    its integer over 4^(k-1): an independent reference."""
+    beta = Fraction(beta)
+    x, d = beta.numerator, beta.denominator
+    coeffs = miatello_coefficients(k, q)
+    scale = 4 ** (k - 1)
+    berns = [_bern_weight(ell) for ell in range(k)]
+    bern_den = math.lcm(*(b.denominator * (ell + 1) for ell, b in enumerate(berns)))
+    pow_den = math.lcm(*range(1, k + 1))
+    bern_num = pow_num = 0
+    pow_x = 1
+    for ell, (a, b) in enumerate(zip(coeffs, berns)):
+        c = a.numerator * (scale // a.denominator)
+        if ell % 2 == 0:
+            c = -c
+        bern_num += c * b.numerator * (bern_den // (b.denominator * (ell + 1)))
+        pow_x *= x
+        pow_num = pow_num * d + c * (pow_den // (ell + 1)) * pow_x
+    pow_den *= d**k
+    return bern_num * pow_den + pow_num * bern_den, bern_den * pow_den * scale
+
+
+def assert_routes_match_reference(n: int, p: int, alpha: Fraction) -> None:
+    # every j of the per-(j, l) route, term by term, and every sector moment
+    # of the cell at its own shift c + q, c = alpha - p
+    k = n // 2
+    for j in range(p + 1):
+        assert zeta_identity_terms(n, p, j, alpha) == reference_identity_terms(n, p, j, alpha), j
+    for q in range(p + 1):
+        shift = alpha - p + q
+        assert zeta_moment_parts(k, q, shift) == reference_moment_parts(k, q, shift), q
+
+
 class TestMomentRoute:
     """Every shift takes its value from per-sector moments; the per-(j, l)
     terms are an independent route to the same number."""
@@ -250,10 +324,16 @@ class TestMomentRoute:
         spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
         assert conformal_anomaly(spec).value == per_term_value(n, p)
 
-    @pytest.mark.parametrize("n,p", [(120, 59), (200, 99)])
+    def test_routes_match_reference_at_every_cell_to_n_40(self):
+        for n in range(2, 42, 2):
+            for p in range(n // 2):
+                assert_routes_match_reference(n, p, alpha_default(n, p))
+
+    @pytest.mark.parametrize("n,p", [(120, 59), (200, 0), (200, 99)])
     def test_matches_per_term_route_at_large_n(self, n, p):
         spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
         assert conformal_anomaly(spec).value == per_term_value(n, p)
+        assert_routes_match_reference(n, p, spec.alpha)
 
     @settings(max_examples=60, deadline=None)
     @given(cells(), shift_offsets)
@@ -264,6 +344,7 @@ class TestMomentRoute:
         n, p = cell
         spec = AnomalySpec(dimension=n, form_order=p, alpha=p + c)
         assert conformal_anomaly(spec).value == per_term_value(n, p, p + c)
+        assert_routes_match_reference(n, p, p + c)
 
     @pytest.mark.parametrize("n,p", [(120, 59), (200, 99)])
     def test_massive_shift_matches_per_term_route_at_large_n(self, n, p):
@@ -308,10 +389,49 @@ class TestMomentRoute:
         dims = list(range(24, 46, 2))
         misses = []
         for order in (dims, dims[::-1], dims[1::2] + dims[::2]):
-            heat_zeta._sector_moment.cache_clear()
+            heat_zeta._moment_parts.cache_clear()
             for n in order * 2:
                 for p in range(n // 2):
                     spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
                     conformal_anomaly(spec)
-            misses.append(heat_zeta._sector_moment.cache_info().misses)
+            misses.append(heat_zeta._moment_parts.cache_info().misses)
         assert misses == [sum(n // 2 for n in dims)] * 3
+
+
+@pytest.fixture()
+def fractions_built(monkeypatch):
+    """A list that records every Fraction constructed while the test runs."""
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return built
+
+
+class TestFractionCount:
+    N, P = MAX_DIMENSION, MAX_DIMENSION // 2 - 1
+
+    @pytest.fixture(autouse=True)
+    def warm_bernoulli_cold_moments(self):
+        for ell in range(self.N // 2):
+            _bern_weight(ell)
+        heat_zeta._moment_parts.cache_clear()
+
+    def test_cold_moment_route_builds_at_most_two(self, fractions_built):
+        # alpha parsed once and the total built once; no Fraction per coefficient
+        alpha = alpha_default(self.N, self.P)
+        fractions_built.clear()
+        zeta_identity_zero_total(self.N, self.P, alpha)
+        assert len(fractions_built) <= 2
+        assert heat_zeta._moment_parts.cache_info().misses == self.P + 1
+
+    def test_identity_terms_build_one_per_term_plus_alpha(self, fractions_built):
+        alpha = alpha_default(self.N, self.P)
+        for j in (0, self.P // 2, self.P):
+            fractions_built.clear()
+            terms = zeta_identity_terms(self.N, self.P, j, alpha)
+            assert len(fractions_built) == len(terms) + 1

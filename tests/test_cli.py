@@ -159,6 +159,21 @@ class TestAnomaly:
         assert code == 2
         assert "mass" in err
 
+    @pytest.mark.parametrize("mode", [(), ("--alpha-mode", "conformal-scalar")])
+    def test_mass_sq_outside_massive_mode_exit_2(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys, "anomaly", "--dim", "4", "--form", "1", *mode, "--mass-sq", "5"
+        )
+        assert_one_error_line(code, out, err, "--mass-sq", "--alpha-mode massive")
+
+    def test_massive_mode_defaults_to_zero_mass(self, capsys):
+        # at p = 0 a massless shift is the default shift rho0^2
+        _, base, _ = run_cli(capsys, "anomaly", "--dim", "4", "--format", "exact")
+        code, out, _ = run_cli(
+            capsys, "anomaly", "--dim", "4", "--alpha-mode", "massive", "--format", "exact"
+        )
+        assert code == 0 and out == base
+
     def test_radius_scaling(self, capsys):
         _, base, _ = run_cli(capsys, "anomaly", "--dim", "2", "--format", "exact")
         code, out, _ = run_cli(
@@ -213,6 +228,18 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "--which", "custom")
         assert code == 2
         assert "--dims" in err
+
+    @pytest.mark.parametrize(
+        "which,flag,values",
+        [
+            ("table1", "--dims", ["4"]),
+            ("table2", "--forms", ["9"]),
+            ("table2", "--dims", ["4", "6"]),
+        ],
+    )
+    def test_custom_flags_on_fixed_table_exit_2(self, capsys, which, flag, values):
+        code, out, err = run_cli(capsys, "table", "--which", which, flag, *values)
+        assert_one_error_line(code, out, err, flag, "--which custom")
 
     def test_csv_byte_stable_across_processes(self):
         runs = [
