@@ -8,43 +8,11 @@ evaluation against stored length spectra, and Mellin/Bessel zeta checks.
 The exact layer (``exact``, ``plancherel``, ``anomaly``) works entirely
 in rational arithmetic; floats only appear at render time.  The numeric
 layer (``heat_zeta``, ``_kernels``) uses double-exponential quadrature in
-pure Python (``hyperzeta.BACKEND`` is always ``"python"``).
+pure Python (``hyperzeta.BACKEND`` is always ``"python"``).  Each name is
+imported on first use, so an exact process loads no numeric code.
 """
 
-from ._kernels import BACKEND
-from .anomaly import (
-    AnomalyResult,
-    AnomalySpec,
-    TableCell,
-    alpha_conformal_scalar,
-    alpha_default,
-    alpha_massive_scalar,
-    conformal_anomaly,
-    conformal_scalar_anomaly,
-    generate_table,
-)
-from .exact import PiPowerMismatchError, PiValue, Rational, bernoulli, binomial
-from .heat_zeta import (
-    HeatTraceBreakdown,
-    QuadratureError,
-    bessel_k,
-    coexact_trace,
-    hyperbolic_heat_term,
-    identity_heat_term,
-    mellin_hyperbolic,
-    mellin_hyperbolic_quadrature,
-    tanh_moment_series,
-    zeta_identity_at_zero,
-)
-from .manifold import (
-    GeodesicClass,
-    ManifoldData,
-    ManifoldFormatError,
-    load_manifold,
-    save_manifold,
-    synth_spectrum,
-)
-from .plancherel import miatello_coefficients, plancherel_density
+import importlib
 
 __version__ = "0.1.0"
 
@@ -89,3 +57,31 @@ __all__ = [
     "conformal_scalar_anomaly",
     "generate_table",
 ]
+
+# the submodule that defines each exported name
+_SOURCES = {
+    name: module
+    for module, names in (
+        ("_kernels", ("BACKEND",)),
+        ("exact", ("Rational", "PiValue", "PiPowerMismatchError", "bernoulli", "binomial")),
+        ("plancherel", ("miatello_coefficients", "plancherel_density")),
+        ("manifold", ("GeodesicClass", "ManifoldData", "ManifoldFormatError",
+                      "load_manifold", "save_manifold", "synth_spectrum")),
+        ("heat_zeta", ("HeatTraceBreakdown", "QuadratureError", "identity_heat_term",
+                       "hyperbolic_heat_term", "coexact_trace", "tanh_moment_series",
+                       "bessel_k", "mellin_hyperbolic", "mellin_hyperbolic_quadrature")),
+        ("anomaly", ("zeta_identity_at_zero", "AnomalySpec", "AnomalyResult", "TableCell",
+                     "alpha_default", "alpha_conformal_scalar", "alpha_massive_scalar",
+                     "conformal_anomaly", "conformal_scalar_anomaly", "generate_table")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    # PEP 562: called for a name not bound yet; binding it makes later reads plain
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCES[name]}"), name)
+    globals()[name] = value
+    return value

@@ -11,13 +11,15 @@ here reads the locale, the clock, or anything else ambient.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
-from . import __version__, heat_zeta, manifold
+from . import __version__
 from .anomaly import (
     AnomalySpec,
     alpha_conformal_scalar,
@@ -29,7 +31,6 @@ from .anomaly import (
 from .exact import check_dimension
 from .output import FORMATS, OutputTable, pform_output, scalar_output
 from .plancherel import miatello_coefficients, plancherel_density
-from .verify import run_verification
 
 __all__ = ["main", "build_parser"]
 
@@ -178,12 +179,19 @@ def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
         radius_power_scale=args.radius ** n,
     )
     value = conformal_anomaly(spec).value
-    if args.format == "exact":
-        print(value.exact_str())
-    elif args.format == "float":
+    if args.format == "float":
         print(value.render_float(digits))
-    else:
-        print(f"{value.exact_str()} = {value.render_float(digits)}")
+        return 0
+    try:
+        exact = value.exact_str()
+    except ValueError:
+        # an int longer than sys.get_int_max_str_digits() has no str()
+        return _usage_fail(
+            f"the exact value has more than {sys.get_int_max_str_digits()} digits, "
+            f"which grow with the digits of --radius and --mass-sq: "
+            f"use --format float"
+        )
+    print(exact if args.format == "exact" else f"{exact} = {value.render_float(digits)}")
     return 0
 
 
@@ -222,9 +230,13 @@ def cmd_plancherel(args: argparse.Namespace, digits: int) -> int:
     return 0
 
 
-def _load_unit_radius(path: str) -> manifold.ManifoldData:
+def _load_unit_radius(path: str):
     """Load a manifold file for heat-trace and zeta-check, which work at R = 1."""
-    data = manifold.load_manifold(path)
+    from . import manifold
+    try:
+        data = manifold.load_manifold(path)
+    except manifold.ManifoldFormatError as exc:
+        raise ValueError(f"bad manifold file: {exc}") from exc
     if data.radius != 1.0:
         raise ValueError(
             f"radius must be 1: heat-trace and zeta-check work at unit radius, "
@@ -234,6 +246,7 @@ def _load_unit_radius(path: str) -> manifold.ManifoldData:
 
 
 def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
+    from . import heat_zeta
     data = _load_unit_radius(args.manifold)
     # coexact_trace checks every t before it computes anything (ValueError)
     table = OutputTable(
@@ -252,6 +265,7 @@ def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
 
 
 def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
+    from . import heat_zeta
     for s in args.s:
         if not (math.isfinite(s) and abs(0.5 - s) <= heat_zeta.MAX_BESSEL_ORDER):
             return _usage_fail(
@@ -285,11 +299,15 @@ def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
 
 
 def cmd_synth_spectrum(args: argparse.Namespace, digits: int) -> int:
+    from . import manifold
     n = args.dim
-    geos = manifold.synth_spectrum(
-        seed=args.seed, count=args.count, min_length=args.min_length,
-        max_power=args.max_power, n=n,
-    )
+    try:
+        geos = manifold.synth_spectrum(
+            seed=args.seed, count=args.count, min_length=args.min_length,
+            max_power=args.max_power, n=n,
+        )
+    except OverflowError as exc:
+        return _usage_fail(f"{exc}; lower --min-length or --max-power")
     betti = tuple(args.betti) if args.betti else (1,) + (0,) * (n - 1) + (1,)
     data = manifold.ManifoldData(
         dimension=n, volume=args.volume, betti=betti, geodesics=tuple(geos),
@@ -303,6 +321,7 @@ def cmd_synth_spectrum(args: argparse.Namespace, digits: int) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, digits: int) -> int:
+    from .verify import run_verification
     results = run_verification(fast=args.fast, golden_path=args.golden)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -312,6 +331,17 @@ def cmd_verify(args: argparse.Namespace, digits: int) -> int:
     return 1 if n_fail else 0
 
 
+@contextlib.contextmanager
+def _one_line_warnings():
+    """Print each distinct warning raised inside as one stderr line."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            yield
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     digits = _display_digits()
     if digits is None:
@@ -319,14 +349,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, digits)
-    except manifold.ManifoldFormatError as exc:
-        return _usage_fail(f"bad manifold file: {exc}")
-    except heat_zeta.QuadratureError as exc:
+        with _one_line_warnings():
+            return args.func(args, digits)
+    except (OSError, ValueError) as exc:
         return _usage_fail(str(exc))
-    except OSError as exc:
-        return _usage_fail(str(exc))
-    except ValueError as exc:
+    except Exception as exc:
+        from .heat_zeta import QuadratureError  # raised only by the numeric commands
+        if not isinstance(exc, QuadratureError):
+            raise
         return _usage_fail(str(exc))
 
 

@@ -1,12 +1,9 @@
 """Heat-kernel traces and zeta-function machinery on hyperbolic quotients.
 
-Two independent computational routes are maintained throughout and are
-cross-checked in the verification suite:
-
-  * exact: Bernoulli/tanh moment identities give closed rational values
-    for the identity-sector zeta function at s = 0;
-  * numeric: double-exponential quadrature of the orbital integrals, plus
-    Bessel-K closed/Mellin forms for the hyperbolic sector.
+The numeric half: double-exponential quadrature of the orbital integrals,
+Bessel-K closed/Mellin forms for the hyperbolic sector, the numeric moment
+continuation and the tanh moment series.  The verification suite checks
+them against the exact half, whose moment routes live in ``anomaly``.
 
 Conventions.  n = 2k is the (even) dimension, rho0 = (n-1)/2, and the
 spectral shift of the p-sector is alpha = p + rho0^2.  Every sector
@@ -16,7 +13,6 @@ it computes anything.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
@@ -25,9 +21,9 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from ._kernels import fallback as quadrature
-from .exact import MAX_DIMENSION, Rational, bernoulli, binomial, check_dimension
+from .exact import Rational, bernoulli, binomial
 from .manifold import ManifoldData
-from .plancherel import integer_coefficients, miatello_coefficients
+from .plancherel import miatello_coefficients
 
 __all__ = [
     "QuadratureError",
@@ -44,11 +40,6 @@ __all__ = [
     "mellin_hyperbolic_quadrature",
     "bessel_k",
     "MAX_BESSEL_ORDER",
-    "zeta_identity_at_zero",
-    "zeta_identity_terms",
-    "zeta_identity_zero_total",
-    "zeta_moment_sum",
-    "zeta_moment_parts",
     "zeta_moment_continued",
     "identity_zeta_term",
 ]
@@ -534,139 +525,6 @@ def mellin_hyperbolic_quadrature(
 
 
 # --- identity-sector zeta values ----------------------------------------------
-
-
-# Must cover ell = 0..k-1 at exact.MAX_DIMENSION (checked in the tests).
-@functools.lru_cache(maxsize=128)
-def _bern_weight(ell: int) -> Fraction:
-    return (1 - Fraction(1, 2 ** (2 * ell + 1))) * bernoulli(2 * (ell + 1))
-
-
-def _check_form(n: int, p: int) -> int:
-    # k = n/2, once n is a checked dimension and p a co-exact form order
-    k = check_dimension(n) // 2
-    if not 0 <= p <= k - 1:
-        raise ValueError(f"form order p={p} outside 0..{k - 1}")
-    return k
-
-
-def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fraction, ...]:
-    """Per-l exact terms of the j-th identity-sector contribution to zeta(0).
-
-    Term l carries the (-1)^j sign, the binomial factor C(n-1, p-j), the
-    weight (-1)^(l+1)/(l+1), and the two-sector bracket: the (p-j)-sector
-    coefficients at shift alpha-j plus (p-j)/(n-p) times the (p-j-1)-sector
-    coefficients at shift alpha-j-1.  The j = p term has sector 0 alone:
-    the formula's (-1)-sector is zero, and so is its side weight.
-
-    Each term is one integer numerator over one integer denominator,
-    reduced once: every bracket sits over 4^(k-1)(n-p), and the powers
-    (alpha-j)^(l+1) and (alpha-j-1)^(l+1) are kept over the common
-    denominator of alpha and grown by one factor per l.
-    """
-    k = _check_form(n, p)
-    if not 0 <= j <= p:
-        raise ValueError(f"shift index j={j} outside 0..{p}")
-    alpha = Fraction(alpha)
-    d = alpha.denominator
-    x_main = alpha.numerator - j * d  # alpha - j = x_main / d
-    x_side = x_main - d  # alpha - j - 1 = x_side / d
-    c_main = integer_coefficients(k, p - j)
-    c_side = integer_coefficients(k, p - j - 1) if j < p else (0,) * k
-    signed_chi = (-1) ** j * math.comb(n - 1, p - j)
-    den = 4 ** (k - 1) * (n - p)
-    pow_d = pow_main = pow_side = 1
-    terms = []
-    for ell in range(k):
-        pow_d *= d
-        pow_main *= x_main
-        pow_side *= x_side
-        bern = _bern_weight(ell)
-        bn, bd = bern.numerator, bern.denominator
-        # bern + (alpha - j)^(l+1) = (bn d^(l+1) + bd x^(l+1)) / (bd d^(l+1))
-        num = c_main[ell] * (n - p) * (bn * pow_d + bd * pow_main)
-        num += (p - j) * c_side[ell] * (bn * pow_d + bd * pow_side)
-        num *= signed_chi if ell % 2 else -signed_chi
-        terms.append(Fraction(num, den * bd * pow_d * (ell + 1)))
-    return tuple(terms)
-
-
-def zeta_identity_at_zero(n: int, p: int, j: int, alpha: Rational) -> Fraction:
-    """Exact j-th identity-sector contribution to zeta(0); see zeta_identity_terms."""
-    return sum(zeta_identity_terms(n, p, j, alpha), Fraction(0))
-
-
-# One entry for every sector (k, q) to the cap, so a sweep at one shift offset
-# evicts nothing whatever its row order (about 2.4 MB at the default shift).
-# The shift is two integers: a Fraction key, hashed in Python, is 3x slower.
-@functools.lru_cache(maxsize=(MAX_DIMENSION // 2) * (MAX_DIMENSION // 2 + 1) // 2)
-def _moment_parts(k: int, q: int, x: int, d: int) -> tuple[int, int]:
-    # zeta_moment_parts at beta = x/d in lowest terms; see its docstring
-    coeffs = integer_coefficients(k, q)
-    berns = [_bern_weight(ell) for ell in range(k)]
-    bern_den = math.lcm(*(b.denominator * (ell + 1) for ell, b in enumerate(berns)))
-    pow_den = math.lcm(*range(1, k + 1))
-    bern_num = pow_num = 0
-    pow_x = 1
-    for ell, (c, b) in enumerate(zip(coeffs, berns)):
-        # (-1)^(l+1) c_l, the coefficient over the expansion's 4^(k-1)
-        c = c if ell % 2 else -c
-        bern_num += c * b.numerator * (bern_den // (b.denominator * (ell + 1)))
-        pow_x *= x
-        # sum over l of c_l lcm/(l+1) x^(l+1) d^(k-1-l)
-        pow_num = pow_num * d + c * (pow_den // (ell + 1)) * pow_x
-    pow_den *= d**k
-    return bern_num * pow_den + pow_num * bern_den, bern_den * pow_den * 4 ** (k - 1)
-
-
-def zeta_identity_zero_total(n: int, p: int, alpha: Rational) -> Fraction:
-    """Sum over j = 0..p of the identity-sector zeta(0) contributions.
-
-    With c = alpha - p, term j is sector q = p - j at shift c + q, and its
-    side bracket is sector q - 1 at that sector's own shift.  So with M(q)
-    the memoised moment and M(-1) = 0 the sum is A_p + B_p/(n-p), where
-    A_p = C(n-1, p) M(p) - A_(p-1) and B_p = p C(n-1, p) M(p-1) - B_(p-1)
-    run over integer numerators (docs/numerics.md).  zeta_identity_terms is
-    the independent per-(j, l) route to the same value.
-    """
-    k = _check_form(n, p)
-    alpha = Fraction(alpha)
-    d = alpha.denominator
-    x = alpha.numerator - p * d  # c = x / d
-    a = b = side = 0
-    for q in range(p + 1):
-        chi = math.comb(n - 1, q)
-        main, den = _moment_parts(k, q, x + q * d, d)
-        a = chi * main - a
-        b = q * chi * side - b
-        side = main
-    return Fraction(a * (n - p) + b, den * (n - p))
-
-
-def zeta_moment_sum(k: int, q: int, beta: Rational) -> Fraction:
-    """Exact s=0 value of the continued sector moment functional.
-
-    sum over l of a_{2l}^{(q)} (-1)^(l+1)/(l+1) [(1-2^(-2l-1)) B_{2(l+1)} + beta^(l+1)],
-    the analytic continuation to s = 0 of
-    2 integral_0^inf r P_q(r^2) tanh(pi r) (r^2 + beta)^(-s) dr.
-    It is the single building block every zeta_identity term reduces to.
-    """
-    return Fraction(*zeta_moment_parts(k, q, beta))
-
-
-def zeta_moment_parts(k: int, q: int, beta: Rational) -> tuple[int, int]:
-    """zeta_moment_sum(k, q, beta) as an unreduced (numerator, denominator).
-
-    Each part is one integer dot product over one common denominator:
-    with a_{2l} = c_l / 4^(k-1) (integer_coefficients, no Fraction per
-    coefficient) and beta = x / d, the Bernoulli part sits over
-    lcm_l((l+1) bd_l) and the power part over lcm(1..k) d^k, its powers
-    grown by Horner's rule.  The denominator depends on k and d only, so
-    moments of one k whose shifts share d add as integers.  The pair is
-    memoised on (k, q, x, d), the memo zeta_identity_zero_total reads.
-    """
-    beta = Fraction(beta)
-    return _moment_parts(k, q, beta.numerator, beta.denominator)
 
 
 def zeta_moment_continued(k: int, q: int, beta: float, s: float = 0.0) -> float:

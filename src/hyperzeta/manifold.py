@@ -361,7 +361,8 @@ def synth_spectrum(
     min_length + 10) and expands each into iterates j = 1..max_power with
     length j * t and power j.  Holonomy is trivial throughout and the C
     weight is stored explicitly (computed from the trivial-holonomy formula)
-    so saved spectra are self-contained.
+    so saved spectra are self-contained.  A length whose weight underflows
+    to 0.0 (rho0 t past about 745) raises OverflowError.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -376,11 +377,17 @@ def synth_spectrum(
         t_prim = min_length + 10.0 * rng.random()
         for j in range(1, max_power + 1):
             t = j * t_prim
+            c_value = trivial_holonomy_c(n, t)
+            if c_value == 0.0:
+                raise OverflowError(
+                    f"geodesic length {t:.6g} is too long at n={n}: its class weight "
+                    f"C = e^(-rho0 t) (1 - e^-t)^(1-n) is below the float range"
+                )
             classes.append(
                 GeodesicClass(
                     length=t,
                     power=j,
-                    c_value=trivial_holonomy_c(n, t),
+                    c_value=c_value,
                     chi=1.0,
                     holonomy=None,
                 )

@@ -19,7 +19,7 @@ m = 2(k-p)-1, so P_p = 4^-(k-1) * prod (4 r^2 + m^2): the product is
 expanded over integers: ``integer_coefficients``, which the exact core
 reads, and ``miatello_coefficients``, its Fraction view over 4^(k-1) for
 the numeric routes.  Nothing here is memoised: the exact core keeps its
-sector moments in heat_zeta._moment_parts, which expands each sector once.
+sector moments in anomaly._moment_parts, which expands each sector once.
 """
 
 from __future__ import annotations

@@ -9,25 +9,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperzeta import anomaly, heat_zeta
+from hyperzeta import anomaly
 from hyperzeta.anomaly import (
     MAX_DIMENSION,
     TABLE1_DIMS,
     AnomalySpec,
+    _bern_weight,
     alpha_conformal_scalar,
     alpha_default,
     alpha_massive_scalar,
     conformal_anomaly,
     conformal_scalar_anomaly,
     generate_table,
-)
-from hyperzeta.exact import PiValue
-from hyperzeta.heat_zeta import (
-    _bern_weight,
     zeta_identity_terms,
     zeta_identity_zero_total,
     zeta_moment_parts,
 )
+from hyperzeta.exact import PiValue
 from hyperzeta.plancherel import miatello_coefficients
 
 
@@ -87,11 +85,11 @@ class TestAnomalySpec:
     def test_memos_hold_a_table_row_at_the_cap(self):
         # a row at the cap touches k = MAX_DIMENSION/2 sectors and Bernoulli weights
         assert _bern_weight.cache_info().maxsize >= MAX_DIMENSION // 2
-        assert heat_zeta._moment_parts.cache_info().maxsize >= MAX_DIMENSION // 2
+        assert anomaly._moment_parts.cache_info().maxsize >= MAX_DIMENSION // 2
 
     def test_moment_memo_holds_every_sector_to_the_cap(self):
         k_cap = MAX_DIMENSION // 2
-        assert heat_zeta._moment_parts.cache_info().maxsize >= sum(range(1, k_cap + 1))
+        assert anomaly._moment_parts.cache_info().maxsize >= sum(range(1, k_cap + 1))
 
 
 class TestGoldenTables:
@@ -389,12 +387,12 @@ class TestMomentRoute:
         dims = list(range(24, 46, 2))
         misses = []
         for order in (dims, dims[::-1], dims[1::2] + dims[::2]):
-            heat_zeta._moment_parts.cache_clear()
+            anomaly._moment_parts.cache_clear()
             for n in order * 2:
                 for p in range(n // 2):
                     spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
                     conformal_anomaly(spec)
-            misses.append(heat_zeta._moment_parts.cache_info().misses)
+            misses.append(anomaly._moment_parts.cache_info().misses)
         assert misses == [sum(n // 2 for n in dims)] * 3
 
 
@@ -419,7 +417,7 @@ class TestFractionCount:
     def warm_bernoulli_cold_moments(self):
         for ell in range(self.N // 2):
             _bern_weight(ell)
-        heat_zeta._moment_parts.cache_clear()
+        anomaly._moment_parts.cache_clear()
 
     def test_cold_moment_route_builds_at_most_two(self, fractions_built):
         # alpha parsed once and the total built once; no Fraction per coefficient
@@ -427,7 +425,7 @@ class TestFractionCount:
         fractions_built.clear()
         zeta_identity_zero_total(self.N, self.P, alpha)
         assert len(fractions_built) <= 2
-        assert heat_zeta._moment_parts.cache_info().misses == self.P + 1
+        assert anomaly._moment_parts.cache_info().misses == self.P + 1
 
     def test_identity_terms_build_one_per_term_plus_alpha(self, fractions_built):
         alpha = alpha_default(self.N, self.P)

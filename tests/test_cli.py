@@ -10,6 +10,7 @@ import subprocess
 import sys
 import sysconfig
 import time
+import warnings
 
 import pytest
 
@@ -188,6 +189,25 @@ class TestAnomaly:
         # R^n is even in R at even n, so a negative R must not pass as |R|
         code, out, err = run_cli(capsys, "anomaly", "--dim", "4", f"--radius={radius}")
         assert_one_error_line(code, out, err, "--radius must be positive", radius)
+
+    @pytest.mark.parametrize("flags,value", [
+        pytest.param(
+            ("--form", "99", "--radius", "1/1" + "0" * 25), "4.20484e+5163", id="radius"
+        ),
+        pytest.param(
+            ("--alpha-mode", "massive", "--mass-sq", "1/1" + "0" * 40), "8.14476e+105",
+            id="mass-sq",
+        ),
+    ])
+    def test_exact_string_past_int_digit_limit_exit_2(self, capsys, flags, value):
+        # the exact numerator passes the 4300 digits Python converts to str
+        for fmt in ("both", "exact"):
+            code, out, err = run_cli(
+                capsys, "anomaly", "--dim", "200", *flags, "--format", fmt
+            )
+            assert_one_error_line(code, out, err, "--radius", "--mass-sq", "--format float")
+        code, out, _ = run_cli(capsys, "anomaly", "--dim", "200", *flags, "--format", "float")
+        assert code == 0 and out == f"{value}\n"
 
     def test_middle_degree_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "anomaly", "--dim", "4", "--form", "2")
@@ -625,6 +645,24 @@ class TestZetaCheck:
         )
 
 
+@pytest.mark.parametrize("command", [("heat-trace", "--t", "0.5", "1"), ("zeta-check",)])
+def test_empty_spectrum_warns_in_one_line(capsys, tmp_path, command):
+    path = tmp_path / "empty.json"
+    code, _, _ = run_cli(
+        capsys, "synth-spectrum", "--seed", "1", "--count", "0", "--dim", "4",
+        "--out", str(path),
+    )
+    assert code == 0
+    name, *flags = command
+    code, out, err = run_cli(capsys, name, "--manifold", str(path), *flags)
+    assert code == 0
+    assert err == "warning: geodesic sum over empty spectrum is 0\n"
+    # the warning filters still apply, and stdout is the same either way
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli(capsys, name, "--manifold", str(path), *flags) == (0, out, "")
+
+
 class TestSynthSpectrum:
     def test_stdout_document(self, capsys):
         code, out, _ = run_cli(
@@ -664,6 +702,20 @@ class TestSynthSpectrum:
             "--dim", str(MAX_DIMENSION + 2),
         )
         assert_one_error_line(code, out, err, f"MAX_DIMENSION={MAX_DIMENSION}")
+
+    @pytest.mark.parametrize("flags", [
+        ("--count", "20", "--dim", "100", "--min-length", "1", "--max-power", "3"),
+        ("--count", "1", "--dim", "200", "--min-length", "8"),
+        ("--count", "5", "--dim", "4", "--min-length", "1e308"),
+    ])
+    def test_weight_below_float_range_exit_2(self, capsys, tmp_path, flags):
+        # C = e^(-rho0 t)(1 - e^-t)^(1-n) underflows to 0.0 once rho0 t passes ~745
+        path = tmp_path / "m.json"
+        code, out, err = run_cli(
+            capsys, "synth-spectrum", "--seed", "1", *flags, "--out", str(path)
+        )
+        assert_one_error_line(code, out, err, "--min-length", "--max-power", "float range")
+        assert not path.exists()
 
 
 class TestVerify:

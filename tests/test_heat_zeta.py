@@ -15,6 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperzeta import heat_zeta
+from hyperzeta.anomaly import (
+    _bern_weight,
+    zeta_identity_at_zero,
+    zeta_identity_zero_total,
+    zeta_moment_parts,
+    zeta_moment_sum,
+)
+from hyperzeta.exact import MAX_DIMENSION, bernoulli
 from hyperzeta.heat_zeta import (
     EmptySpectrumWarning,
     HeatTraceBreakdown,
@@ -29,12 +37,8 @@ from hyperzeta.heat_zeta import (
     mellin_hyperbolic_quadrature,
     tanh_moment_series,
     tanh_moment_series_exact,
-    zeta_identity_at_zero,
-    zeta_identity_zero_total,
     zeta_moment_continued,
-    zeta_moment_sum,
 )
-from hyperzeta.exact import MAX_DIMENSION, bernoulli
 from hyperzeta.manifold import GeodesicClass, ManifoldData, synth_spectrum
 from hyperzeta.plancherel import miatello_coefficients, plancherel_density
 from hyperzeta.verify import TANH_TIMES
@@ -579,7 +583,7 @@ def fraction_loop_moment(k, q, beta):
     total = Fraction(0)
     for ell in range(k):
         w = Fraction((-1) ** (ell + 1), ell + 1)
-        total += coeffs[ell] * w * (heat_zeta._bern_weight(ell) + beta ** (ell + 1))
+        total += coeffs[ell] * w * (_bern_weight(ell) + beta ** (ell + 1))
     return total
 
 
@@ -610,7 +614,7 @@ class TestMomentSum:
     def test_parts_share_a_denominator_per_shift_denominator(self):
         k = 9
         dens = {
-            heat_zeta.zeta_moment_parts(k, q, q + Fraction(2 * k - 1, 2) ** 2)[1]
+            zeta_moment_parts(k, q, q + Fraction(2 * k - 1, 2) ** 2)[1]
             for q in range(k)
         }
         assert len(dens) == 1

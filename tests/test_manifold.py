@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from unittest import mock
 
 import pytest
@@ -459,6 +460,15 @@ class TestSynthSpectrum:
         geos = synth_spectrum(seed=3, count=1, min_length=1.0, max_power=2, n=4)
         for g in geos:
             assert g.c_value == pytest.approx(trivial_holonomy_c(4, g.length), abs=0)
+
+    def test_weight_below_float_range_raises(self):
+        # at n = 40, rho0 = 39/2 and C = e^(-rho0 t)(1 - e^-t)^-39 underflows
+        # to 0.0 near t = 38; a subnormal weight below that is still kept
+        geos = synth_spectrum(seed=1, count=50, min_length=27.0, max_power=1, n=40)
+        assert all(g.c_value > 0 for g in geos)
+        assert min(g.c_value for g in geos) < sys.float_info.min
+        with pytest.raises(OverflowError, match=r"length (3[89]|40)\S* is too long at n=40"):
+            synth_spectrum(seed=1, count=50, min_length=30.0, max_power=1, n=40)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
