@@ -20,6 +20,12 @@ nodes per function.
 
 The returned tuple is (value, last_delta, level, converged); callers
 decide whether a non-converged result is an error.
+
+The geodesic sums of the package (the heat sum, the Bessel route and the
+time route's geodesic_sum) share one stop rule: suffix_bounds bounds the
+amplitudes from class K on, and tail_bounds, checked every CUT_BLOCK
+classes, stops a sum once that bound times class K's own factor is at most
+2^-54 of the partial sum.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ _HALF_PI = math.pi / 2.0
 # nodes, one at t = 1e-98 (level 10) 22,529; a full Plancherel table holds
 # about 4 MB
 _NODE_TABLE_SIZE = 16384
+# a length-sorted geodesic sum adds CUT_BLOCK classes between two checks
+# of its stop rule (tail_bounds), which drops a tail below 2^-54 of the sum
+CUT_BLOCK = 64
+_CUT_REL = 2.0**-54
 
 
 @functools.lru_cache(maxsize=128)
@@ -72,6 +82,39 @@ def pairwise_sum(vals: list) -> float:
                 acc += v
             stack.append(acc)
     return stack[0]
+
+
+def suffix_bounds(amps) -> list:
+    """S_i >= sum over j >= i of |amps[j]|, for i = 0..len(amps); the last is 0.0.
+
+    Built once per call from the end, each step rounded up to the next
+    float, so every S_i bounds the exact suffix sum.  A suffix past the
+    float range is inf, and a nan amplitude makes every S_i up to it nan;
+    neither ever stops a sum (tail_bounds).
+    """
+    bounds = [0.0]
+    nextafter, inf = math.nextafter, math.inf
+    for a in reversed(amps):
+        bounds.append(nextafter(bounds[-1] + abs(a), inf))
+    bounds.reverse()
+    return bounds
+
+
+def tail_bounds(bound: float, factors, partials):
+    """The stop rule of a length-sorted sum, before the block that starts at class K.
+
+    ``bound`` is S_K of suffix_bounds, and each factor bounds the factor of
+    every class from K on in one sum, whose partial sum it is paired with.
+    Returns the tail bounds S_K f when each is finite and at most 2^-54 of
+    its partial sum's magnitude, so that every term left out is below half
+    an ulp of it; otherwise None, and the sums go on.  A bound that
+    overflows, or is nan, never stops a sum.
+    """
+    tails = [bound * f for f in factors]
+    for tail, partial in zip(tails, partials):
+        if not (tail < math.inf and tail <= _CUT_REL * abs(partial)):
+            return None
+    return tails
 
 
 def _scan(node, step: float) -> list:
@@ -198,6 +241,27 @@ def plancherel_integral(coeffs, t: float):
     return plancherel_integrals(coeffs)(t)
 
 
+def geodesic_sum(gaps, amps, bounds, eb: float) -> tuple[float, float, int]:
+    """H = sum_i amps[i] e^(-gaps[i] eb) in order, cut by the stop rule.
+
+    The gaps ascend from 0 and ``bounds`` are suffix_bounds(amps), so
+    before the block that starts at class K every later term is at most
+    S_K e^(-gaps[K] eb).  The sum stops there once tail_bounds allows it.
+    Returns H, that bound (0.0 when every class is in) and the number of
+    classes in H.
+    """
+    exp = math.exp
+    acc = 0.0
+    for lo in range(0, len(gaps), CUT_BLOCK):
+        tails = tail_bounds(bounds[lo], (exp(-gaps[lo] * eb),), (acc,))
+        if tails is not None:
+            return acc, tails[0], lo
+        hi = lo + CUT_BLOCK
+        for gap, amp in zip(gaps[lo:hi], amps[lo:hi]):
+            acc += amp * exp(-gap * eb)
+    return acc, 0.0, len(gaps)
+
+
 def mellin_time_integrals(lengths, amps, alpha: float):
     """mellin_time_integral for one spectrum and shift, as one function of s.
 
@@ -209,10 +273,12 @@ def mellin_time_integrals(lengths, amps, alpha: float):
     at nodes that some s reaches.  Each s keeps its own window and level.
 
     The lengths must be nonnegative and ascending, as ManifoldData keeps
-    them: the relative exponents of H then fall along the sum, which stops
-    at the first one at or below -745.  A node whose exponent su u + lead is
-    at or below -745 is 0.0 without its sum; one whose exponent leaves the
-    float range is inf, so that estimate never converges.
+    them: the relative exponents of H then fall along the sum, which is
+    geodesic_sum, cut where the rest is below 2^-54 of the partial sum.
+    Adding those terms in order would leave every bit of H as it is.  A
+    node whose exponent su u + lead is at or below -745 is 0.0 without its
+    sum; one whose exponent leaves the float range is inf, so that
+    estimate never converges.
     """
     ls = [float(x) for x in lengths]
     ams = [float(x) for x in amps]
@@ -226,16 +292,8 @@ def mellin_time_integrals(lengths, amps, alpha: float):
     gaps = [0.25 * l * l - q0 for l in ls]  # q_i - q_0, ascending from 0
     a = float(alpha)
     exp = math.exp
+    bounds = suffix_bounds(ams)
     entries = {}  # u -> [lead(u), e^-u, H(u) or None until some s needs it]
-
-    def geodesic_sum(eb: float) -> float:
-        acc = 0.0
-        for gap, amp in zip(gaps, ams):
-            e_arg = -gap * eb
-            if e_arg <= -745.0:
-                break  # the gaps ascend, so every later term is lower: all dropped
-            acc += amp * exp(e_arg)
-        return acc
 
     def at(s: float):
         su = float(s) - 0.5
@@ -258,7 +316,7 @@ def mellin_time_integrals(lengths, amps, alpha: float):
                 return math.inf
             h = e[2]
             if h is None:
-                h = e[2] = geodesic_sum(e[1])
+                h = e[2] = geodesic_sum(gaps, ams, bounds, e[1])[0]
             return scale * h
 
         return de_integrate(node)

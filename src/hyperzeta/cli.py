@@ -302,6 +302,25 @@ def cmd_synth_spectrum(args: argparse.Namespace, digits: int) -> int:
     from . import manifold
     n = args.dim
     try:
+        check_dimension(n)
+    except ValueError as exc:
+        return _usage_fail(f"--dim {n}: {exc}")
+    if args.count < 0:
+        return _usage_fail(f"--count must be nonnegative, got {args.count}")
+    if not (math.isfinite(args.min_length) and args.min_length > 0):
+        return _usage_fail(f"--min-length must be positive and finite, got {args.min_length!r}")
+    if args.max_power < 1:
+        return _usage_fail(f"--max-power must be at least 1, got {args.max_power}")
+    if not (math.isfinite(args.volume) and args.volume > 0):
+        return _usage_fail(f"--volume must be positive and finite, got {args.volume!r}")
+    if args.betti is not None:
+        if len(args.betti) != n + 1:
+            return _usage_fail(
+                f"--betti must list n + 1 = {n + 1} numbers b_0..b_n, got {len(args.betti)}"
+            )
+        if min(args.betti) < 0:
+            return _usage_fail(f"--betti entries must be nonnegative, got {args.betti}")
+    try:
         geos = manifold.synth_spectrum(
             seed=args.seed, count=args.count, min_length=args.min_length,
             max_power=args.max_power, n=n,

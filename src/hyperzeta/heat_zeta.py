@@ -220,37 +220,62 @@ def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
     return lengths, amps
 
 
-def _hyperbolic_sum(lengths: list, amps: list, shift: float, t: float) -> float:
+def _hyperbolic_sum(
+    lengths: list, amps: list, bounds: list, shift: float, t: float
+) -> tuple[float, float, int]:
     # the one expression for the geodesic sum of a sector: hyperbolic_heat_term
-    # and coexact_trace both call it, so they agree to the bit
+    # and coexact_trace both call it, so they agree to the bit.  Classes are
+    # added block by block until the stop rule (quadrature.tail_bounds) cuts
+    # the rest, and the kept terms go through the pairwise tree.  A class's
+    # factor e^(-t shift - l^2/4t) bounds that of every longer class.
+    # Returns the sum, the bound on the tail it leaves out (0.0 when every
+    # class is in) and the number of classes in it.
     exp = math.exp
     decay = -t * shift
     four_t = 4.0 * t
-    vals = [a * exp(decay - l * l / four_t) for l, a in zip(lengths, amps)]
-    return quadrature.pairwise_sum(vals) / math.sqrt(4.0 * math.pi * t)
+    norm = math.sqrt(4.0 * math.pi * t)
+    vals = []
+    partial = 0.0
+    tail = 0.0
+    for lo in range(0, len(lengths), quadrature.CUT_BLOCK):
+        l = lengths[lo]
+        tails = quadrature.tail_bounds(bounds[lo], (exp(decay - l * l / four_t),), (partial,))
+        if tails is not None:
+            tail = tails[0]
+            break
+        hi = lo + quadrature.CUT_BLOCK
+        block = [a * exp(decay - l * l / four_t) for l, a in zip(lengths[lo:hi], amps[lo:hi])]
+        vals += block
+        partial += sum(block)
+    return quadrature.pairwise_sum(vals) / norm, tail / norm, len(vals)
 
 
 def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     """Hyperbolic orbital sum of the p-sector at heat time t.
 
     (4 pi t)^(-1/2) sum over classes of (chi/j) t_gamma C(gamma) chi_p(m)
-    exp(-t(rho0^2+p) - t_gamma^2/(4t)).  Summation uses a fixed pairwise
-    tree over the length-sorted spectrum, so results are reproducible to
-    the bit for a given manifold.
+    exp(-t(rho0^2+p) - t_gamma^2/(4t)).  The length-sorted classes are
+    added in blocks until a bound computed from the file shows that the
+    rest is below 2^-54 of the sum (docs/numerics.md); the kept terms go
+    through a fixed pairwise tree, so results are reproducible to the bit
+    for a given manifold.
     """
     _check_time(t)
     _, shift = _sector(manifold, p)
     lengths, amps = _geodesic_amplitudes(manifold, p)
-    return _hyperbolic_sum(lengths, amps, shift, t)
+    return _hyperbolic_sum(lengths, amps, quadrature.suffix_bounds(amps), shift, t)[0]
 
 
 def hyperbolic_tail_bound(manifold: ManifoldData, p: int, t: float) -> float:
-    """Gaussian decay indicator for the truncated part of the geodesic sum.
+    """Gaussian decay indicator for the classes beyond the file's spectrum.
 
     exp(-t_max^2/(4t)) scaled by the prefactors of a unit-weight class at
-    the largest included length.  This makes the truncation error visible;
-    it is an indicator, not a rigorous bound, since bounding the unseen
-    spectrum needs growth assumptions the data file cannot supply.
+    the longest stored length.  It covers only the classes the file does
+    not list: an indicator, not a rigorous bound, since bounding them needs
+    growth assumptions on the length spectrum that the file cannot supply
+    (Huber's count of geodesics up to a length).  The classes the file
+    does list are summed until a rigorous bound computed from the file
+    shows the rest below 2^-54 of the sum (hyperbolic_heat_term).
     """
     _check_time(t)
     n, shift = _sector(manifold, p)
@@ -292,9 +317,10 @@ def coexact_trace(
     b_p - b_{p-1} + ... +- b_0.
 
     Returns one breakdown per entry of ``times``, in order.  Every t is
-    checked before any quadrature runs.  The geodesic amplitudes and the
-    t-free Plancherel node values are computed once per call and shared
-    by every t.
+    checked before any quadrature runs.  The geodesic amplitudes, their
+    suffix bounds (where each t's geodesic sum stops) and the t-free
+    Plancherel node values are computed once per call and shared by every
+    t.
     """
     n, shift = _sector(manifold, p)
     times = list(times)
@@ -308,11 +334,12 @@ def coexact_trace(
     norm = _identity_norm(manifold, p)
     identity_integral = quadrature.plancherel_integrals(miatello_coefficients(n // 2, p))
     lengths, amps = _geodesic_amplitudes(manifold, p)
+    bounds = quadrature.suffix_bounds(amps)
     return [
         HeatTraceBreakdown(
             t=t,
             identity_part=_identity_term(norm, n, p, shift, t, identity_integral(float(t))),
-            hyperbolic_part=_hyperbolic_sum(lengths, amps, shift, t),
+            hyperbolic_part=_hyperbolic_sum(lengths, amps, bounds, shift, t)[0],
             betti_part=betti,
         )
         for t in times
@@ -462,20 +489,64 @@ def mellin_hyperbolic(
     finite with |1/2 - s| <= MAX_BESSEL_ORDER, checked before any work; a
     value outside the float range raises ValueError.  The amplitude table
     is built once per call, and each geodesic's Bessel nodes are shared by
-    all s.
+    all s.  The classes are summed until a bound computed from the file
+    shows the rest below 2^-54 of the sum for every s; the classes past
+    that point are never evaluated (docs/numerics.md).
     """
     _, alpha = _sector(manifold, p)
     s_values = _check_mellin_s(s_values)
-    nus = [0.5 - s for s in s_values]
+    lengths, amps = _geodesic_amplitudes(manifold, p)
+    values, _, _ = _bessel_sums(lengths, amps, alpha, [0.5 - s for s in s_values])
+    for s, value in zip(s_values, values):
+        if not math.isfinite(value):
+            raise _out_of_range("Bessel-route", s)
+    return values
+
+
+def _power_bound(ratio: float, nu: float) -> float:
+    # ratio**nu, or inf where it leaves the float range: a bound that
+    # overflows only keeps a sum going, it raises nothing
+    try:
+        return ratio**nu
+    except OverflowError:
+        return math.inf
+
+
+def _bessel_sums(
+    lengths: list, amps: list, alpha: float, nus: list
+) -> tuple[list, list, int]:
+    # the Bessel-route sums, one per order nu; the bound on the tail each
+    # leaves out (0.0 when every class is in); and the number of classes in
+    # them.  Before the block that starts at class K, K_nu(l_K sqrt(alpha))
+    # from K's own family values bounds K_nu at every longer length (K
+    # decreases in z), and the prefactor (2 sqrt(alpha)/l)^nu is largest at
+    # l_K for nu >= 0 and at the longest length for nu < 0.  A class is
+    # skipped only when every order passes.
     sqrt_alpha = math.sqrt(alpha)
     root_pi = math.sqrt(math.pi)
     bessel = _bessel_k_family(nus)
-    lengths, amps = _geodesic_amplitudes(manifold, p)
+    bounds = quadrature.suffix_bounds(amps)
+    far = [_power_bound(2.0 * sqrt_alpha / lengths[-1], nu) if lengths else 0.0 for nu in nus]
     columns = [[] for _ in nus]
-    for l, a in zip(lengths, amps):
-        scaled = a / root_pi
+    partials = [0.0] * len(nus)
+    tails = [0.0] * len(nus)
+    for i, (l, a) in enumerate(zip(lengths, amps)):
         ratio = 2.0 * sqrt_alpha / l
         ks = bessel(l * sqrt_alpha)
+        if not i % quadrature.CUT_BLOCK:
+            partials = [
+                partial + sum(column[i - quadrature.CUT_BLOCK:])
+                for partial, column in zip(partials, columns)
+            ]
+            factors = [
+                k * (_power_bound(ratio, nu) if nu >= 0 else top) / root_pi
+                for nu, k, top in zip(nus, ks, far)
+            ]
+            cut = quadrature.tail_bounds(bounds[i], factors, partials)
+            if cut is not None:
+                tails = cut
+                break
+        scaled = a / root_pi
         try:
             for column, nu, k in zip(columns, nus, ks):
                 column.append(scaled * ratio**nu * k)
@@ -484,13 +555,8 @@ def mellin_hyperbolic(
             raise ValueError(
                 f"Bessel prefactor (2 sqrt(alpha)/t)^(1/2-s) overflows at length t={l!r}"
             ) from None
-    out = []
-    for s, column in zip(s_values, columns):
-        value = quadrature.pairwise_sum(column)
-        if not math.isfinite(value):
-            raise _out_of_range("Bessel-route", s)
-        out.append(value)
-    return out
+    kept = len(columns[0]) if columns else 0
+    return [quadrature.pairwise_sum(column) for column in columns], tails, kept
 
 
 def mellin_hyperbolic_quadrature(

@@ -717,6 +717,30 @@ class TestSynthSpectrum:
         assert_one_error_line(code, out, err, "--min-length", "--max-power", "float range")
         assert not path.exists()
 
+    @pytest.mark.parametrize("flags,flag", [
+        (("--count", "-1"), "--count"),
+        (("--count", "3", "--max-power", "0"), "--max-power"),
+        (("--count", "3", "--min-length", "nan"), "--min-length"),
+        (("--count", "3", "--min-length", "-1"), "--min-length"),
+        (("--count", "3", "--min-length", "0"), "--min-length"),
+        (("--count", "3", "--min-length", "inf"), "--min-length"),
+        (("--count", "3", "--volume", "nan"), "--volume"),
+        (("--count", "3", "--volume", "inf"), "--volume"),
+        (("--count", "3", "--volume", "0"), "--volume"),
+        (("--count", "3", "--betti", "1", "0"), "--betti"),
+        (("--count", "3", "--betti", "1", "0", "-1", "0", "1"), "--betti"),
+        (("--count", "3", "--dim", "5"), "--dim"),
+    ])
+    def test_bad_flag_named_exit_2(self, capsys, tmp_path, flags, flag):
+        # these failed inside the library, in words that named no flag
+        path = tmp_path / "m.json"
+        dim = () if "--dim" in flags else ("--dim", "4")
+        code, out, err = run_cli(
+            capsys, "synth-spectrum", "--seed", "1", *dim, *flags, "--out", str(path)
+        )
+        assert_one_error_line(code, out, err, flag)
+        assert not path.exists()
+
 
 class TestVerify:
     def test_fast_passes(self, capsys):
