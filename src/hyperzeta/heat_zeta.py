@@ -357,25 +357,28 @@ MAX_BESSEL_ORDER = 65.0
 
 
 def _bessel_k_family(orders: Sequence[float]):
-    """K_nu(z) for every nu in ``orders``, as one function of z.
+    """K_nu(z) for every nu in ``orders``, on one node grid per z range.
 
+    ``_bessel_k_family(orders)(z_lo, z_hi)`` builds a grid that serves
+    every z in [z_lo, z_hi]; calling it at such a z gives the values.
     Half-integer |nu| uses the finite closed form.  Any other order starts
     from mu = |nu| - round(|nu|), |mu| <= 1/2, by the trapezoid rule on
     e^z K_mu(z) = int_0^inf e^(-z(cosh u - 1)) cosh(mu u) du; for
     |nu| > 1/2 mu + 1 is summed on the same nodes and the pair recurs
-    upward.  For each z the nodes u, z(cosh u - 1), e^(-z(cosh u - 1)) and
-    e^-z are computed once; each trapezoid sum adds its own cosh terms up
-    to its own stop.
+    upward.  The grid computes the nodes u, sinh(u/2) and cosh(c u) for
+    every trapezoid coefficient c once; each z then pays one exp per node
+    and one dot product per sum.
     """
     # The integrand is analytic in |Im u| < pi/2, so the error of step h
     # falls like e^(-pi^2/h) (Trefethen & Weideman, SIAM Rev. 56 (2014));
-    # h <= 0.7/sqrt(z) resolves the e^(-z u^2/2) peak for large z.  The
-    # exponent z(cosh u - 1) - top u is convex and starts at 0, so once it
-    # passes 40 every later node is below e^-40 of the u = 0 node.  A sum
-    # stops there, with top = |mu| alone or |mu| + 1 for the pair.
+    # h <= 0.7/sqrt(z) resolves the e^(-z u^2/2) peak for large z, and the
+    # grid takes it at z_hi, so no z in the range gets a coarser step.  The
+    # exponent z(cosh u - 1) - top u is convex, starts at 0 and grows with
+    # z, so once it passes 40 at z_lo every later node is below e^-40 of
+    # the u = 0 node for every z in the range and every sum.
     plans = []  # per order: (closed-form terms or None, first sum, mu, m)
     coefs = []  # the cosh(c u) coefficient of each trapezoid sum
-    tops = []  # the stop slope of each trapezoid sum
+    top_max = 0.0  # the largest stop slope: |mu|, or |mu| + 1 for a pair
     for order in orders:
         nu = abs(float(order))
         half = nu - 0.5
@@ -392,54 +395,64 @@ def _bessel_k_family(orders: Sequence[float]):
         plans.append((None, len(coefs), mu, m))
         if m == 0:
             coefs.append(mu)
-            tops.append(abs(mu))
+            top_max = max(top_max, abs(mu))
         else:
             coefs += [mu, mu + 1.0]
-            tops += [abs(mu) + 1.0] * 2
-    # a sum with a lower top stops no later, so the nodes end where the
-    # highest top stops
-    top_max = max(tops, default=0.0)
+            top_max = max(top_max, abs(mu) + 1.0)
+    # when every order is one trapezoid sum (m = 0), the sums times e^-z
+    # are the values, in order
+    direct = all(terms is None and m == 0 for terms, _, _, m in plans)
 
-    def values(z: float) -> list[float]:
-        if not (math.isfinite(z) and z > 0):
-            raise ValueError(f"z must be positive and finite, got {z!r}")
-        exp, cosh, sinh = math.exp, math.cosh, math.sinh
-        h = min(0.25, 0.7 / math.sqrt(z))
-        nodes = []  # (u, z(cosh u - 1), e^-(z(cosh u - 1))) for u = h, 2h, ...
+    def grid(z_lo: float, z_hi: float):
+        for z in (z_lo, z_hi):
+            if not (math.isfinite(z) and z > 0):
+                raise ValueError(f"z must be positive and finite, got {z!r}")
+        exp = math.exp
+        h = min(0.25, 0.7 / math.sqrt(z_hi))
+        us = []  # u = h, 2h, ... out to where z_lo stops
+        half_sinhs = []  # sinh(u/2), so that z(cosh u - 1) = 2z sinh(u/2)^2
         j = 1
         while coefs:
             u = j * h
-            half_sinh = sinh(0.5 * u)
-            x = 2.0 * z * half_sinh * half_sinh  # z(cosh u - 1) without cancellation
-            if x - top_max * u > 40.0:
+            half_sinh = math.sinh(0.5 * u)
+            if 2.0 * z_lo * half_sinh * half_sinh - top_max * u > 40.0:
                 break
-            nodes.append((u, x, exp(-x)))
+            us.append(u)
+            half_sinhs.append(half_sinh)
             j += 1
-        scaled = []
-        for c, top in zip(coefs, tops):
-            acc = 0.5  # the halved u = 0 node
-            for u, x, w in nodes:
-                if x - top * u > 40.0:
-                    break
-                acc += w * cosh(c * u)
-            scaled.append(h * acc)
-        ez = exp(-z)
-        out = []
-        for terms, first, mu, m in plans:
-            if terms is not None:
-                acc = 0.0
-                for i, term in enumerate(terms):
-                    acc += term / (2.0 * z) ** i
-                out.append(math.sqrt(math.pi / (2.0 * z)) * ez * acc)
-                continue
-            # m = 0 reads K_mu; otherwise K_(mu+1), recurred up to K_(mu+m)
-            prev, cur = scaled[first], scaled[first + min(m, 1)]
-            for i in range(1, m):
-                prev, cur = cur, prev + 2.0 * (mu + i) / z * cur
-            out.append(ez * cur)
-        return out
+        rows = [[math.cosh(c * u) for u in us] for c in coefs]
 
-    return values
+        def values(z: float) -> list[float]:
+            two_z = 2.0 * z
+            ws = [exp(-(two_z * s) * s) for s in half_sinhs]
+            scaled = []
+            for row in rows:
+                acc = 0.5  # the halved u = 0 node
+                for w, cosh_cu in zip(ws, row):
+                    acc += w * cosh_cu
+                scaled.append(h * acc)
+            ez = exp(-z)
+            if direct:
+                return [ez * value for value in scaled]
+            out = []
+            for terms, first, mu, m in plans:
+                if terms is not None:
+                    # a power past the float range is inf, so its term is 0.0
+                    acc = 0.0
+                    for i, term in enumerate(terms):
+                        acc += term / _power_bound(two_z, i)
+                    out.append(math.sqrt(math.pi / two_z) * ez * acc)
+                    continue
+                # m = 0 reads K_mu; otherwise K_(mu+1), recurred up to K_(mu+m)
+                prev, cur = scaled[first], scaled[first + min(m, 1)]
+                for i in range(1, m):
+                    prev, cur = cur, prev + 2.0 * (mu + i) / z * cur
+                out.append(ez * cur)
+            return out
+
+        return values
+
+    return grid
 
 
 def bessel_k(order: float, z: float) -> float:
@@ -451,10 +464,11 @@ def bessel_k(order: float, z: float) -> float:
     (DLMF 10.32.9); larger orders start from mu = nu - round(nu) and mu + 1
     and recur upward with K_(m+1) = K_(m-1) + (2m/z) K_m, which is stable
     for K.  Accurate to about 1e-13 relative for z in [1e-3, 700] and
-    orders up to 20.  mellin_hyperbolic evaluates many orders at one z on
-    the same code (_bessel_k_family), to the same bits.
+    orders up to 65.  It is _bessel_k_family on a grid of one z;
+    mellin_hyperbolic evaluates many orders on one grid per run of
+    classes, so its values can differ from this in the last bits.
     """
-    return _bessel_k_family((order,))(z)[0]
+    return _bessel_k_family((order,))(z, z)(z)[0]
 
 
 def _check_mellin_s(s_values: Sequence[float]) -> list[float]:
@@ -488,10 +502,14 @@ def mellin_hyperbolic(
     Returns one value per entry of ``s_values``, in order.  Every s must be
     finite with |1/2 - s| <= MAX_BESSEL_ORDER, checked before any work; a
     value outside the float range raises ValueError.  The amplitude table
-    is built once per call, and each geodesic's Bessel nodes are shared by
-    all s.  The classes are summed until a bound computed from the file
-    shows the rest below 2^-54 of the sum for every s; the classes past
-    that point are never evaluated (docs/numerics.md).
+    is built once per call, and one Bessel node grid serves every s and a
+    run of up to CUT_BLOCK length-sorted classes, so a class's K values
+    can differ from bessel_k's in the last bits; like bessel_k's, they are
+    within about 1e-13 relative of mpmath.besselk at orders up to 65.  The
+    classes are summed
+    until a bound computed from the file shows the rest below 2^-54 of the
+    sum for every s; the classes past that point are never evaluated
+    (docs/numerics.md).
     """
     _, alpha = _sector(manifold, p)
     s_values = _check_mellin_s(s_values)
@@ -512,6 +530,26 @@ def _power_bound(ratio: float, nu: float) -> float:
         return math.inf
 
 
+def _run_grids(family, zs: list):
+    # for each z of a length-sorted list, the values function of the family
+    # grid that serves it.  One grid serves a run of classes: a run starts at every
+    # CUT_BLOCK boundary, so that a block the cut skips builds no grid, and
+    # at the first class whose z passes 4x the run's first z, so that no
+    # grid spans a wide z range (its step is set by its largest z, its
+    # extent by its smallest).
+    block = quadrature.CUT_BLOCK
+    i = 0
+    while i < len(zs):
+        end = min(i - i % block + block, len(zs))
+        j = i + 1
+        while j < end and zs[j] <= 4.0 * zs[i]:
+            j += 1
+        values = family(zs[i], zs[j - 1])
+        for _ in range(i, j):
+            yield values
+        i = j
+
+
 def _bessel_sums(
     lengths: list, amps: list, alpha: float, nus: list
 ) -> tuple[list, list, int]:
@@ -524,15 +562,16 @@ def _bessel_sums(
     # skipped only when every order passes.
     sqrt_alpha = math.sqrt(alpha)
     root_pi = math.sqrt(math.pi)
-    bessel = _bessel_k_family(nus)
+    zs = [l * sqrt_alpha for l in lengths]
+    grids = _run_grids(_bessel_k_family(nus), zs)
     bounds = quadrature.suffix_bounds(amps)
     far = [_power_bound(2.0 * sqrt_alpha / lengths[-1], nu) if lengths else 0.0 for nu in nus]
     columns = [[] for _ in nus]
     partials = [0.0] * len(nus)
     tails = [0.0] * len(nus)
-    for i, (l, a) in enumerate(zip(lengths, amps)):
+    for i, (l, a, values) in enumerate(zip(lengths, amps, grids)):
         ratio = 2.0 * sqrt_alpha / l
-        ks = bessel(l * sqrt_alpha)
+        ks = values(zs[i])
         if not i % quadrature.CUT_BLOCK:
             partials = [
                 partial + sum(column[i - quadrature.CUT_BLOCK:])

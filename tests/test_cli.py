@@ -644,6 +644,27 @@ class TestZetaCheck:
             proc.returncode, proc.stdout, proc.stderr, "z must be positive and finite"
         )
 
+    def test_half_integer_order_at_large_z_no_traceback(self, capsys, tmp_path):
+        # order 64.5 at z = 4.5e6 in the first block, before any cut check:
+        # the closed form's (2z)^i overflowed with an OverflowError traceback
+        path = tmp_path / "m.json"
+        code, _, _ = run_cli(
+            capsys, "synth-spectrum", "--seed", "3", "--count", "30", "--min-length", "1.0",
+            "--dim", "4", "--out", str(path),
+        )
+        assert code == 0
+        doc = json.loads(path.read_text())
+        doc["geodesics"].append({"length": 3e6, "c": 1.0})
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "zeta-check", "--manifold", str(path), "--form", "0", "--s", "-64"
+        )
+        if code == 2:
+            assert_one_error_line(code, out, err)
+        else:
+            assert code == 0 and err == ""
+            assert out.startswith("s=-64: bessel=")
+
 
 @pytest.mark.parametrize("command", [("heat-trace", "--t", "0.5", "1"), ("zeta-check",)])
 def test_empty_spectrum_warns_in_one_line(capsys, tmp_path, command):

@@ -122,11 +122,13 @@ def _heat_case(lengths, amps, shift, t):
 def _bessel_case(lengths, amps, alpha, nus):
     values, tails, kept = heat_zeta._bessel_sums(lengths, amps, alpha, nus)
     sqrt_alpha, root_pi = math.sqrt(alpha), math.sqrt(math.pi)
-    family = heat_zeta._bessel_k_family(nus)
+    # every class on the node grid of its run, as the route evaluates it
+    zs = [l * sqrt_alpha for l in lengths]
+    grids = heat_zeta._run_grids(heat_zeta._bessel_k_family(nus), zs)
     columns = [[] for _ in nus]
-    for l, a in zip(lengths, amps):
+    for l, a, z, grid in zip(lengths, amps, zs, grids):
         ratio = 2.0 * sqrt_alpha / l
-        for column, nu, k in zip(columns, nus, family(l * sqrt_alpha)):
+        for column, nu, k in zip(columns, nus, grid(z)):
             column.append(a / root_pi * ratio**nu * k)
     for value, tail, column in zip(values, tails, columns):
         _check_cut(value, tail, kept, column)
