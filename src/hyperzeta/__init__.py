@@ -16,48 +16,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND",
-    "__version__",
-    # exact arithmetic
-    "Rational",
-    "PiValue",
-    "PiPowerMismatchError",
-    "bernoulli",
-    "binomial",
-    # Plancherel layer
-    "miatello_coefficients",
-    "plancherel_density",
-    # manifold data
-    "GeodesicClass",
-    "ManifoldData",
-    "ManifoldFormatError",
-    "load_manifold",
-    "save_manifold",
-    "synth_spectrum",
-    # heat trace and zeta
-    "HeatTraceBreakdown",
-    "QuadratureError",
-    "identity_heat_term",
-    "hyperbolic_heat_term",
-    "coexact_trace",
-    "tanh_moment_series",
-    "bessel_k",
-    "mellin_hyperbolic",
-    "mellin_hyperbolic_quadrature",
-    "zeta_identity_at_zero",
-    # anomaly pipeline
-    "AnomalySpec",
-    "AnomalyResult",
-    "TableCell",
-    "alpha_default",
-    "alpha_conformal_scalar",
-    "alpha_massive_scalar",
-    "conformal_anomaly",
-    "conformal_scalar_anomaly",
-    "generate_table",
-]
-
 # the submodule that defines each exported name
 _SOURCES = {
     name: module
@@ -76,6 +34,8 @@ _SOURCES = {
     )
     for name in names
 }
+
+__all__ = ["__version__", *_SOURCES]
 
 
 def __getattr__(name: str):

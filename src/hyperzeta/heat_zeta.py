@@ -317,10 +317,11 @@ def coexact_trace(
     b_p - b_{p-1} + ... +- b_0.
 
     Returns one breakdown per entry of ``times``, in order.  Every t is
-    checked before any quadrature runs.  The geodesic amplitudes, their
-    suffix bounds (where each t's geodesic sum stops) and the t-free
-    Plancherel node values are computed once per call and shared by every
-    t.
+    checked before any quadrature runs; an identity part, hyperbolic part
+    or total outside the float range raises ValueError.  The geodesic
+    amplitudes, their suffix bounds (where each t's geodesic sum stops)
+    and the t-free Plancherel node values are computed once per call and
+    shared by every t.
     """
     n, shift = _sector(manifold, p)
     times = list(times)
@@ -335,15 +336,21 @@ def coexact_trace(
     identity_integral = quadrature.plancherel_integrals(miatello_coefficients(n // 2, p))
     lengths, amps = _geodesic_amplitudes(manifold, p)
     bounds = quadrature.suffix_bounds(amps)
-    return [
-        HeatTraceBreakdown(
+    rows = []
+    for t in times:
+        row = HeatTraceBreakdown(
             t=t,
             identity_part=_identity_term(norm, n, p, shift, t, identity_integral(float(t))),
             hyperbolic_part=_hyperbolic_sum(lengths, amps, bounds, shift, t)[0],
             betti_part=betti,
         )
-        for t in times
-    ]
+        parts = (("identity", row.identity_part), ("hyperbolic", row.hyperbolic_part),
+                 ("total", row.total))
+        for part, value in parts:
+            if not math.isfinite(value):
+                raise ValueError(f"heat trace {part} at t={t!r} is outside the float range")
+        rows.append(row)
+    return rows
 
 
 # --- Bessel-K and the Mellin route -------------------------------------------
@@ -685,7 +692,11 @@ def identity_zeta_term(manifold: ManifoldData, p: int) -> float:
 
     chi(1) Vol/(4 pi) times the Plancherel normalisation and C(n-1, p),
     times zeta_moment_continued of sector p at its shift p + rho0^2: the
-    numeric route to the value the exact machinery gives.
+    numeric route to the value the exact machinery gives.  A value outside
+    the float range raises ValueError.
     """
     n, alpha = _sector(manifold, p)
-    return _identity_norm(manifold, p) * zeta_moment_continued(n // 2, p, alpha)
+    value = _identity_norm(manifold, p) * zeta_moment_continued(n // 2, p, alpha)
+    if not math.isfinite(value):
+        raise ValueError("identity zeta value at s=0 is outside the float range")
+    return value

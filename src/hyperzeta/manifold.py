@@ -84,6 +84,10 @@ class GeodesicClass:
     holonomy: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        # a bool is an int to isinstance and to float(); it is not a number here
+        for name in ("length", "c_value", "chi"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if not (isinstance(self.length, (int, float)) and math.isfinite(self.length)):
             raise ValueError("length must be a finite number")
         if self.length <= 0:
@@ -135,6 +139,9 @@ class ManifoldData:
 
     def __post_init__(self) -> None:
         n = check_dimension(self.dimension)
+        for name in ("volume", "radius", "chi_one"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a boolean")
         if not (math.isfinite(self.volume) and self.volume > 0):
             raise ValueError("volume must be positive")
         if self.radius <= 0:
@@ -191,87 +198,95 @@ def _top_number(doc: dict, key: str, default: float | None = None) -> float:
         raise ManifoldFormatError(str(exc), field_path=key) from exc
 
 
-def _geodesic_from_dict(obj: dict, idx: int) -> GeodesicClass:
-    path = f"geodesics[{idx}]"
-    if not isinstance(obj, dict):
-        raise ManifoldFormatError("geodesic entry must be an object", field_path=path)
-    unknown = set(obj) - _GEO_KEYS
-    if unknown:
-        raise ManifoldFormatError(
-            f"unknown field {sorted(unknown)[0]!r}", field_path=path
-        )
-    if "length" not in obj:
-        raise ManifoldFormatError("length is required", field_path=path)
-    hol = obj.get("holonomy", "trivial")
-    if hol == "trivial":
-        holonomy = None
-    elif isinstance(hol, list):
-        try:
-            holonomy = tuple(_number(x, "holonomy character") for x in hol)
-        except (TypeError, ValueError) as exc:
-            raise ManifoldFormatError(str(exc), field_path=f"{path}.holonomy") from exc
-    else:
-        raise ManifoldFormatError(
-            'holonomy must be "trivial" or a list of character values', field_path=path
-        )
-    c_raw = obj.get("c")
-    try:
-        return GeodesicClass(
-            length=_number(obj["length"], "length"),
-            power=obj.get("power", 1),
-            c_value=None if c_raw is None else _number(c_raw, "c"),
-            chi=_number(obj.get("chi", 1.0), "chi"),
-            holonomy=holonomy,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ManifoldFormatError(str(exc), field_path=path) from exc
+def _finite(column) -> bool:
+    # one sum for the common case; a sum of finite terms can still overflow
+    return math.isfinite(sum(column)) or all(map(math.isfinite, column))
 
 
-def _bulk_geodesics(geos: list) -> tuple[GeodesicClass, ...] | None:
-    """The classes of ``geos``, if every entry has the shape save_manifold writes.
+def _geodesic_classes(geos: list, index: int = 0) -> tuple[GeodesicClass, ...]:
+    """The classes of a file's ``geodesics`` list; ``index`` is that of ``geos[0]``.
 
-    That shape is an object with known keys and a length, trivial
-    holonomy, float length, chi and c (or no c) and an int power.  The
-    values are checked column by column against GeodesicClass's rules,
-    and each class is then built the way copy and pickle rebuild a frozen
-    dataclass, without rerunning __post_init__.  If any entry falls
-    outside that shape or breaks a rule, this returns None and the caller
-    reads the list entry by entry (_geodesic_from_dict), so what is
-    accepted and every error message stay those of that path.
+    Every rule of an entry is applied to whole columns, in the order one
+    entry is checked: an object, no unknown field, a length, a holonomy
+    that is "trivial" or a list of numbers, then length, c and chi
+    converted to floats and GeodesicClass's rules in __post_init__'s
+    order.  Each class is then built the way copy and pickle rebuild a
+    frozen dataclass, without rerunning __post_init__.  If a rule fails,
+    each entry is checked alone, in order, so the error names the first
+    bad entry (``geodesics[i]``) and the first rule it breaks.
     """
     if not geos:
         return ()
-    if set(map(type, geos)) != {dict} or not set().union(*geos) <= _GEO_KEYS:
-        return None
     try:
-        lengths = [g["length"] for g in geos]
-    except KeyError:
-        return None
-    holonomy = [g.get("holonomy", "trivial") for g in geos]
-    if holonomy.count("trivial") != len(holonomy):
-        return None
-    powers = [g.get("power", 1) for g in geos]
-    c_values = [g.get("c") for g in geos]
-    chis = [g.get("chi", 1.0) for g in geos]
-    given_c = [c for c in c_values if c is not None]
-    # a sum is finite only if every term is (or it overflowed: then the
-    # entry path decides); type() is exact, so bool and numeric strings
-    # take the entry path too
-    isfinite = math.isfinite
-    for column, low in ((lengths, 0.0), (chis, None), (given_c, 0.0)):
-        if not column:
-            continue
-        if set(map(type, column)) != {float} or not isfinite(sum(column)):
-            return None
-        if low is not None and not min(column) > low:
-            return None
-    if set(map(type, powers)) != {int} or min(powers) < 1:
-        return None
+        if set(map(type, geos)) - {dict}:
+            raise ValueError("geodesic entry must be an object")
+        unknown = set().union(*geos) - _GEO_KEYS
+        if unknown:
+            raise ValueError(f"unknown field {sorted(unknown)[0]!r}")
+        try:
+            lengths = [g["length"] for g in geos]
+        except KeyError:
+            raise ValueError("length is required") from None
+        hols = [g.get("holonomy", "trivial") for g in geos]
+        trivial = hols.count("trivial") == len(hols)
+        holonomy = [None] * len(geos)
+        if not trivial:
+            if not all(h == "trivial" or isinstance(h, list) for h in hols):
+                raise ValueError('holonomy must be "trivial" or a list of character values')
+            try:
+                holonomy = [
+                    None if h == "trivial" else tuple(_number(x, "holonomy character") for x in h)
+                    for h in hols
+                ]
+            except (TypeError, ValueError) as exc:
+                raise ManifoldFormatError(
+                    str(exc), field_path=f"geodesics[{index}].holonomy"
+                ) from exc
+        powers = [g.get("power", 1) for g in geos]
+        c_values = [g.get("c") for g in geos]
+        chis = [g.get("chi", 1.0) for g in geos]
+        # type() is exact, so a boolean or a numeric string is converted
+        # (and a boolean rejected) by _number
+        if set(map(type, lengths)) - {float}:
+            lengths = [_number(x, "length") for x in lengths]
+        if set(map(type, c_values)) - {float, type(None)}:
+            c_values = [None if c is None else _number(c, "c") for c in c_values]
+        if set(map(type, chis)) - {float}:
+            chis = [_number(x, "chi") for x in chis]
+        given_c = [c for c in c_values if c is not None] if None in c_values else c_values
+        if not _finite(lengths):
+            raise ValueError("length must be a finite number")
+        # every length is finite by now, so min() is exact
+        if min(lengths) <= 0:
+            raise ValueError("length must be positive")
+        if set(map(type, powers)) - {int} or min(powers) < 1:
+            raise ValueError("power must be a positive integer")
+        # c <= 0 written as 0.0 >= c: false for nan, as in __post_init__
+        if any(map((0.0).__ge__, given_c)):
+            raise ValueError("c must be positive")
+        if not trivial and any(h is not None and c is None for h, c in zip(holonomy, c_values)):
+            raise ValueError("c must be supplied explicitly for nontrivial holonomy")
+        if not _finite(given_c):
+            raise ValueError("c must be a finite number")
+        if not _finite(chis):
+            raise ValueError("chi must be a finite number")
+        if not trivial and not all(_finite(h) for h in holonomy if h is not None):
+            raise ValueError("holonomy character values must be finite")
+    except (TypeError, ValueError, OverflowError) as exc:
+        if len(geos) > 1:
+            # raise what the first entry that fails alone raises
+            for i, entry in enumerate(geos, index):
+                _geodesic_classes([entry], i)
+            raise
+        # the OverflowError of float() on a huge integer propagates as it is
+        if isinstance(exc, (ManifoldFormatError, OverflowError)):
+            raise
+        raise ManifoldFormatError(str(exc), field_path=f"geodesics[{index}]") from exc
     new = object.__new__
     classes = []
-    for length, power, c_value, chi in zip(lengths, powers, c_values, chis):
+    for length, power, c_value, chi, hol in zip(lengths, powers, c_values, chis, holonomy):
         g = new(GeodesicClass)
-        g.__dict__.update(length=length, power=power, c_value=c_value, chi=chi, holonomy=None)
+        g.__dict__.update(length=length, power=power, c_value=c_value, chi=chi, holonomy=hol)
         classes.append(g)
     return tuple(classes)
 
@@ -293,9 +308,7 @@ def _manifold_from_dict(doc: dict) -> ManifoldData:
     geos = doc.get("geodesics", [])
     if not isinstance(geos, list):
         raise ManifoldFormatError("geodesics must be an array", field_path="geodesics")
-    classes = _bulk_geodesics(geos)
-    if classes is None:
-        classes = tuple(_geodesic_from_dict(g, i) for i, g in enumerate(geos))
+    classes = _geodesic_classes(geos)
     betti = doc["betti"]
     if not isinstance(betti, list):
         raise ManifoldFormatError("betti must be an array", field_path="betti")
@@ -321,6 +334,8 @@ def load_manifold(path) -> ManifoldData:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifoldFormatError(f"not valid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:  # nested deeper than the parser's recursion limit
+        raise ManifoldFormatError(f"not valid JSON: {exc}") from exc
     return _manifold_from_dict(doc)
 
 

@@ -87,7 +87,7 @@ def load_golden(path: str | None = None) -> dict:
         raise VerificationError(f"cannot read golden file: {exc}") from exc
     try:
         blob = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # malformed, or nested too deeply
         raise VerificationError(f"golden file is not valid JSON: {exc}") from exc
     if not isinstance(blob, dict):
         raise VerificationError("golden file is not a JSON object")

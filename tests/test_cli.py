@@ -531,6 +531,42 @@ def test_nonfinite_weight_is_a_bad_file(capsys, tmp_path, field, value, needle):
     assert_one_error_line(code, out, err, "bad manifold file", needle)
 
 
+@pytest.mark.parametrize("command", [
+    ("heat-trace", "--form", "0", "--t", "1.0"),
+    ("zeta-check", "--form", "0"),
+])
+def test_deeply_nested_file_is_a_bad_file(capsys, tmp_path, command):
+    # json.loads raised RecursionError, which ended in a traceback with exit 1
+    path = tmp_path / "m.json"
+    path.write_text(
+        '{"format_version": 1, "dimension": 2, "volume": 1.0, "betti": [1, 0, 1], '
+        '"geodesics": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    )
+    code, out, err = run_cli(capsys, command[0], "--manifold", str(path), *command[1:])
+    assert_one_error_line(code, out, err, "bad manifold file: not valid JSON: ")
+
+
+@pytest.mark.parametrize("command,chi_one,entry,needle", [
+    (("heat-trace", "--t", "0.5", "1.0"), -1e308, {},
+     "heat trace identity at t=0.5 is outside the float range"),
+    (("heat-trace", "--t", "0.5", "1.0"), 1.0, {"chi": 1e308},
+     "heat trace hyperbolic at t=0.5 is outside the float range"),
+    (("zeta-check",), -1e308, {},
+     "identity zeta value at s=0 is outside the float range"),
+], ids=["heat-identity", "heat-hyperbolic", "zeta-identity"])
+def test_value_outside_float_range_exit_2(capsys, tmp_path, command, chi_one, entry, needle):
+    # each printed inf (or -inf) in a table with exit 0
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "dimension": 2, "volume": 10.0, "chi_one": chi_one,
+        "betti": [1, 0, 1], "geodesics": [dict({"length": 1.5, "c": 10.0}, **entry)],
+    }))
+    code, out, err = run_cli(
+        capsys, command[0], "--manifold", str(path), "--form", "0", *command[1:]
+    )
+    assert_one_error_line(code, out, err, needle)
+
+
 class TestZetaCheck:
     def test_default_passes(self, capsys, manifold_file):
         code, out, _ = run_cli(
@@ -783,6 +819,16 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--fast", "--golden", str(bad))
         assert code == 1
         assert "FAIL" in out and "golden-load" in out
+
+    def test_deeply_nested_golden_named_failure(self, capsys, tmp_path):
+        # json.loads raised RecursionError, which ended in a traceback with exit 1
+        bad = tmp_path / "golden.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, _ = run_cli(capsys, "verify", "--fast", "--golden", str(bad))
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and "golden-load" in failed[0]
+        assert "golden file is not valid JSON: " in failed[0]
 
     @pytest.mark.parametrize("key,index,field,value,needle", [
         ("table2", 3, "exact", "1/0 * pi^-1", "table2[3]: zero denominator: '1/0 * pi^-1'"),

@@ -268,6 +268,21 @@ class TestCoexactTrace:
         assert got[0] == got[2] and got[1] == got[4]
         assert got[0] != got[1]
 
+    @pytest.mark.parametrize("chi_one,c_value,chi,part", [
+        # chi(1) Vol past the float range; one amplitude past it; two finite
+        # parts whose sum is past it.  Each printed inf with exit 0
+        (-1e308, 1.0, 1.0, "identity"),
+        (1.0, 10.0, 1e308, "hyperbolic"),
+        (3e307, 1e154, 2e154, "total"),
+    ])
+    def test_part_outside_float_range_rejected(self, chi_one, c_value, chi, part):
+        geodesic = GeodesicClass(length=0.5, c_value=c_value, chi=chi)
+        data = ManifoldData(
+            dimension=2, volume=1.0, chi_one=chi_one, betti=(1, 0, 1), geodesics=(geodesic,)
+        )
+        with pytest.raises(ValueError, match=rf"^heat trace {part} at t=0\.05 is outside"):
+            coexact_trace(data, 0, [0.05, 1.0])
+
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_equals_per_sector_assembly(self, small_spectrum, p):
         # the orbital j-sum telescopes to sector p: its identity and geodesic
@@ -342,6 +357,12 @@ EMPTY_SPECTRUM_SUMS = {
         lambda m: mellin_hyperbolic_quadrature(m, 1, [0.3, 0.5, 1e-3]), [0.0] * 3
     ),
 }
+
+
+def test_identity_zeta_term_outside_float_range_rejected():
+    data = ManifoldData(dimension=2, volume=10.0, chi_one=-1e308, betti=(1, 0, 1))
+    with pytest.raises(ValueError, match=r"^identity zeta value at s=0 is outside the float range$"):
+        identity_zeta_term(data, 0)
 
 
 class TestSectorEntryPoints:

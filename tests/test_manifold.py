@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,7 @@ from hyperzeta.manifold import (
     synth_spectrum,
     trivial_holonomy_c,
 )
-from test_manifold_loader_snapshot import BAD_ENTRIES, describe, synth_document
+from test_manifold_loader_snapshot import BAD_ENTRIES, synth_document
 
 
 class TestGeodesicClass:
@@ -73,6 +72,14 @@ class TestGeodesicClass:
     def test_boolean_power_rejected(self):
         with pytest.raises(ValueError, match="power must be a positive integer"):
             GeodesicClass(length=1.0, power=True)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["length", "c_value", "chi"])
+    def test_boolean_number_rejected(self, field, value):
+        # isinstance(True, int) holds, so length=True, c_value=True was a class
+        kwargs = {"length": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a number, not a boolean$"):
+            GeodesicClass(**kwargs)
 
 
 class TestTrivialHolonomyC:
@@ -130,6 +137,13 @@ class TestManifoldData:
     def test_nonfinite_number_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
             ManifoldData(dimension=2, volume=1.0, betti=(1, 0, 1), **{field: value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["volume", "radius", "chi_one"])
+    def test_boolean_number_rejected(self, field, value):
+        kwargs = {"dimension": 2, "volume": 1.0, "betti": (1, 0, 1), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a number, not a boolean$"):
+            ManifoldData(**kwargs)
 
     def test_boolean_betti_rejected(self):
         with pytest.raises(ValueError, match="betti entries must be nonnegative integers"):
@@ -353,11 +367,21 @@ class TestFileFormat:
         assert all(g["holonomy"] == "trivial" for g in doc["geodesics"])
 
 
-def _outcome(doc: dict):
+def _typed(classes) -> list:
+    # every field of every class, with its type (and the holonomy's values')
+    return [
+        [f"{type(x).__name__}:{x!r}" for x in (g.length, g.power, g.c_value, g.chi)]
+        + [g.holonomy if g.holonomy is None else [f"{type(x).__name__}:{x!r}" for x in g.holonomy]]
+        for g in classes
+    ]
+
+
+def _classes(entries: list):
+    # what _geodesic_classes reads from ``entries``, or the error it raises
     try:
-        return "loaded", describe(manifold._manifold_from_dict(doc))
-    except Exception as exc:  # compared, whatever the loader raises
-        return type(exc).__name__, str(exc)
+        return _typed(manifold._geodesic_classes(entries))
+    except Exception as exc:  # compared, whatever the reader raises
+        return type(exc).__name__, str(exc), getattr(exc, "field_path", None)
 
 
 _FLOATS = st.floats(min_value=1e-3, max_value=50.0)
@@ -399,22 +423,30 @@ class TestBulkLoad:
         ),
         st.lists(st.one_of(_BULK_ENTRY, st.sampled_from(_OTHER_ENTRIES)), max_size=8),
     ))
-    def test_same_outcome_as_entry_by_entry(self, entries):
-        # the bulk path either builds the classes the entry path builds, with
-        # the same types and bits, or leaves the list to it: same result or
-        # the same error, named at the same index
-        doc = {
-            "format_version": FORMAT_VERSION, "dimension": 6, "volume": 1.0,
-            "betti": [1, 0, 0, 0, 0, 0, 1], "geodesics": entries,
-        }
-        bulk = _outcome(doc)
-        with mock.patch.object(manifold, "_bulk_geodesics", lambda geos: None):
-            assert _outcome(doc) == bulk
+    def test_list_loads_as_its_entries_alone(self, entries):
+        # a list loads as the concatenation of its entries loaded alone, or
+        # raises the error of its first entry that fails alone, renumbered
+        # from geodesics[0] to that entry's index
+        alone = [_classes([entry]) for entry in entries]
+        bad = next((i for i, got in enumerate(alone) if isinstance(got, tuple)), None)
+        if bad is None:
+            assert _classes(entries) == [g for got in alone for g in got]
+            return
+        kind, message, path = alone[bad]
+        if path is not None:
+            renumbered = path.replace("geodesics[0]", f"geodesics[{bad}]", 1)
+            message = message.replace(f"(field {path})", f"(field {renumbered})")
+            path = renumbered
+        assert _classes(entries) == (kind, message, path)
 
-    def test_bulk_path_taken_for_saved_files(self, small_spectrum):
-        doc = manifold_to_dict(small_spectrum)
-        classes = manifold._bulk_geodesics(doc["geodesics"])
-        assert classes == small_spectrum.geodesics
+    def test_saved_file_round_trip(self, small_spectrum):
+        twisted = GeodesicClass(length=0.5, c_value=0.25, chi=-1.0, holonomy=(1, 0.5, 0.5, 1))
+        geodesics = small_spectrum.geodesics + (twisted,)
+        data = ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1), geodesics=geodesics)
+        doc = json.loads(json.dumps(manifold_to_dict(data)))
+        classes = manifold._geodesic_classes(doc["geodesics"])
+        assert classes == data.geodesics
+        assert _typed(classes) == _typed(data.geodesics)
 
     def test_last_bad_entry_of_6000_named(self, tmp_path):
         doc = synth_document()

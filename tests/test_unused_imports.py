@@ -32,7 +32,10 @@ def exported_names(tree: ast.Module) -> set[str]:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            return set(ast.literal_eval(node.value))
+            try:
+                return set(ast.literal_eval(node.value))
+            except ValueError:  # computed: it vouches for no import
+                return set()
     return set()
 
 
@@ -58,6 +61,7 @@ def test_no_unused_import(path):
     pytest.param("import os.path\nos.sep\n", [], id="dotted-import-used"),
     pytest.param("from a import b as c\nb\n", ["c (line 1)"], id="alias-unused"),
     pytest.param("from a import b\n__all__ = ['b']\n", [], id="re-exported"),
+    pytest.param("from a import b\n__all__ = [*c]\n", ["b (line 1)"], id="computed-all"),
     pytest.param("from __future__ import annotations\n", [], id="future"),
     pytest.param("def f():\n    from a import b\n    return b\n", [], id="local-used"),
     pytest.param("def f():\n    from a import b\n", ["b (line 2)"], id="local-unused"),
