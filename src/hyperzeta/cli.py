@@ -230,24 +230,18 @@ def cmd_plancherel(args: argparse.Namespace, digits: int) -> int:
     return 0
 
 
-def _load_unit_radius(path: str):
-    """Load a manifold file for heat-trace and zeta-check, which work at R = 1."""
+def _load_manifold(path: str):
+    """Load a manifold file for heat-trace and zeta-check; a bad file is a ValueError."""
     from . import manifold
     try:
-        data = manifold.load_manifold(path)
+        return manifold.load_manifold(path)
     except manifold.ManifoldFormatError as exc:
         raise ValueError(f"bad manifold file: {exc}") from exc
-    if data.radius != 1.0:
-        raise ValueError(
-            f"radius must be 1: heat-trace and zeta-check work at unit radius, "
-            f"got {data.radius!r}"
-        )
-    return data
 
 
 def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
     from . import heat_zeta
-    data = _load_unit_radius(args.manifold)
+    data = _load_manifold(args.manifold)
     # coexact_trace checks every t before it computes anything (ValueError)
     table = OutputTable(
         headers=("t", "identity", "hyperbolic", "betti", "total"),
@@ -274,7 +268,7 @@ def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
             )
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         return _usage_fail(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
-    data = _load_unit_radius(args.manifold)
+    data = _load_manifold(args.manifold)
     p = args.form
     # first, so an identity sector out of float range fails before any output
     ident = heat_zeta.identity_zeta_term(data, p)

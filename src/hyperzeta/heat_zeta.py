@@ -7,8 +7,8 @@ them against the exact half, whose moment routes live in ``anomaly``.
 
 Conventions.  n = 2k is the (even) dimension, rho0 = (n-1)/2, and the
 spectral shift of the p-sector is alpha = p + rho0^2.  Every sector
-function takes a form order p in 0..n-1 and rejects any other p before
-it computes anything.
+function takes a manifold at unit radius and a form order p in 0..n-1,
+and rejects any other radius or p before it computes anything.
 """
 
 from __future__ import annotations
@@ -58,8 +58,14 @@ class EmptySpectrumWarning(UserWarning):
 
 
 def _sector(manifold: ManifoldData, p: int) -> tuple[int, float]:
-    # the dimension n and the shift p + rho0^2 of the p-sector, once p is
-    # checked to be a form order of the manifold
+    # the dimension n and the shift p + rho0^2 of the p-sector, once the
+    # manifold is checked to be at unit radius (no term here scales with R)
+    # and p to be one of its form orders
+    if manifold.radius != 1.0:
+        raise ValueError(
+            f"radius must be 1: the heat and zeta terms work at unit radius, "
+            f"got {manifold.radius!r}"
+        )
     n = manifold.dimension
     if not 0 <= p <= n - 1:
         raise ValueError(f"form order p={p} outside 0..{n - 1}")
@@ -80,6 +86,24 @@ def _plancherel_norm(k: int) -> float:
 def _check_time(t: float) -> None:
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"heat time t must be positive and finite, got {t!r}")
+
+
+def _heat_value(part: str, t: float, value: float) -> float:
+    # a heat term or total, once it is inside the float range
+    if not math.isfinite(value):
+        raise ValueError(f"heat trace {part} at t={t!r} is outside the float range")
+    return value
+
+
+def _plain_sum(values) -> float:
+    # left to right from 0.0, as the builtin sum adds floats up to Python
+    # 3.11.  From 3.12 on the builtin compensates, so a cut partial summed
+    # by it could stop a geodesic sum a block apart, and move printed bits,
+    # from one interpreter to the next
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
 
 
 # --- identity sector ---------------------------------------------------------
@@ -109,14 +133,15 @@ def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     """Identity orbital integral of the p-sector at heat time t.
 
     chi(1) Vol/(4 pi) * integral over R of mu_p(r) e^{-t(r^2 + p + rho0^2)} dr,
-    computed as twice the half-line integral (the integrand is even).
+    computed as twice the half-line integral (the integrand is even).  A
+    value outside the float range raises ValueError, as in coexact_trace.
     """
     _check_time(t)
     n, shift = _sector(manifold, p)
     norm = _identity_norm(manifold, p)
     coeffs = miatello_coefficients(n // 2, p)
     integral = quadrature.plancherel_integral(coeffs, float(t))
-    return _identity_term(norm, n, p, shift, t, integral)
+    return _heat_value("identity", t, _identity_term(norm, n, p, shift, t, integral))
 
 
 # --- tanh moment series ------------------------------------------------------
@@ -246,7 +271,7 @@ def _hyperbolic_sum(
         hi = lo + quadrature.CUT_BLOCK
         block = [a * exp(decay - l * l / four_t) for l, a in zip(lengths[lo:hi], amps[lo:hi])]
         vals += block
-        partial += sum(block)
+        partial += _plain_sum(block)
     return quadrature.pairwise_sum(vals) / norm, tail / norm, len(vals)
 
 
@@ -258,12 +283,14 @@ def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     added in blocks until a bound computed from the file shows that the
     rest is below 2^-54 of the sum (docs/numerics.md); the kept terms go
     through a fixed pairwise tree, so results are reproducible to the bit
-    for a given manifold.
+    for a given manifold.  A value outside the float range raises
+    ValueError, as in coexact_trace.
     """
     _check_time(t)
     _, shift = _sector(manifold, p)
     lengths, amps = _geodesic_amplitudes(manifold, p)
-    return _hyperbolic_sum(lengths, amps, quadrature.suffix_bounds(amps), shift, t)[0]
+    value = _hyperbolic_sum(lengths, amps, quadrature.suffix_bounds(amps), shift, t)[0]
+    return _heat_value("hyperbolic", t, value)
 
 
 def hyperbolic_tail_bound(manifold: ManifoldData, p: int, t: float) -> float:
@@ -347,8 +374,7 @@ def coexact_trace(
         parts = (("identity", row.identity_part), ("hyperbolic", row.hyperbolic_part),
                  ("total", row.total))
         for part, value in parts:
-            if not math.isfinite(value):
-                raise ValueError(f"heat trace {part} at t={t!r} is outside the float range")
+            _heat_value(part, t, value)
         rows.append(row)
     return rows
 
@@ -581,7 +607,7 @@ def _bessel_sums(
         ks = values(zs[i])
         if not i % quadrature.CUT_BLOCK:
             partials = [
-                partial + sum(column[i - quadrature.CUT_BLOCK:])
+                partial + _plain_sum(column[i - quadrature.CUT_BLOCK:])
                 for partial, column in zip(partials, columns)
             ]
             factors = [

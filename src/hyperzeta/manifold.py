@@ -188,11 +188,12 @@ def _number(value, name: str) -> float:
 
 
 def _top_number(doc: dict, key: str, default: float | None = None) -> float:
-    # float()'s message does not say which field it read; a boolean's does
+    # float()'s message does not say which field it read (nor does its
+    # OverflowError on an integer past the float range); a boolean's does
     value = doc.get(key, default)
     try:
         return _number(value, key)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(value, bool):
             raise
         raise ManifoldFormatError(str(exc), field_path=key) from exc
@@ -238,7 +239,7 @@ def _geodesic_classes(geos: list, index: int = 0) -> tuple[GeodesicClass, ...]:
                     None if h == "trivial" else tuple(_number(x, "holonomy character") for x in h)
                     for h in hols
                 ]
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ManifoldFormatError(
                     str(exc), field_path=f"geodesics[{index}].holonomy"
                 ) from exc
@@ -278,8 +279,7 @@ def _geodesic_classes(geos: list, index: int = 0) -> tuple[GeodesicClass, ...]:
             for i, entry in enumerate(geos, index):
                 _geodesic_classes([entry], i)
             raise
-        # the OverflowError of float() on a huge integer propagates as it is
-        if isinstance(exc, (ManifoldFormatError, OverflowError)):
+        if isinstance(exc, ManifoldFormatError):
             raise
         raise ManifoldFormatError(str(exc), field_path=f"geodesics[{index}]") from exc
     new = object.__new__
@@ -334,7 +334,9 @@ def load_manifold(path) -> ManifoldData:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifoldFormatError(f"not valid JSON: {exc.msg}", line=exc.lineno) from exc
-    except RecursionError as exc:  # nested deeper than the parser's recursion limit
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past Python's digit limit, or nesting deeper
+        # than the parser's recursion limit
         raise ManifoldFormatError(f"not valid JSON: {exc}") from exc
     return _manifold_from_dict(doc)
 

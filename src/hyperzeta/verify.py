@@ -70,7 +70,7 @@ def _check_row(key: str, index: int, row) -> None:
             raise ValueError(f"published_float {published!r} is not finite")
     except KeyError as exc:
         raise VerificationError(f"{where} has no {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise VerificationError(f"{where}: {exc}") from None
 
 
@@ -87,7 +87,8 @@ def load_golden(path: str | None = None) -> dict:
         raise VerificationError(f"cannot read golden file: {exc}") from exc
     try:
         blob = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # malformed, or nested too deeply
+    # malformed, an integer past Python's digit limit, or nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise VerificationError(f"golden file is not valid JSON: {exc}") from exc
     if not isinstance(blob, dict):
         raise VerificationError("golden file is not a JSON object")

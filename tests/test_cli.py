@@ -546,6 +546,35 @@ def test_deeply_nested_file_is_a_bad_file(capsys, tmp_path, command):
     assert_one_error_line(code, out, err, "bad manifold file: not valid JSON: ")
 
 
+# a JSON integer past the float range, and one past Python's 4300-digit
+# limit for converting a string to an int
+BIG = "1" + "0" * 400
+HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("command", [
+    ("heat-trace", "--form", "0", "--t", "1.0"),
+    ("zeta-check", "--form", "0"),
+])
+@pytest.mark.parametrize("old,new,needle", [
+    ('"volume": 1.0', f'"volume": {BIG}', "int too large to convert to float (field volume)"),
+    ('"length": 1.0', f'"length": {BIG}',
+     "int too large to convert to float (field geodesics[0])"),
+    ('"c": 1.0', f'"c": 1.0, "holonomy": [1, {BIG}, 3, 1]',
+     "int too large to convert to float (field geodesics[0].holonomy)"),
+    ('"volume": 1.0', f'"volume": {HUGE}', "not valid JSON: Exceeds the limit (4300 digits)"),
+], ids=["volume", "length", "holonomy", "5000-digit"])
+def test_huge_integer_is_a_bad_file(capsys, tmp_path, command, old, new, needle):
+    # 400 digits ended in an OverflowError traceback with exit 1; 5000
+    # digits exited 2 with json's message alone, not naming the file as bad
+    path = one_geodesic_file(tmp_path / "m.json", 4)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    code, out, err = run_cli(capsys, command[0], "--manifold", str(path), *command[1:])
+    assert_one_error_line(code, out, err, "bad manifold file: ", needle)
+
+
 @pytest.mark.parametrize("command,chi_one,entry,needle", [
     (("heat-trace", "--t", "0.5", "1.0"), -1e308, {},
      "heat trace identity at t=0.5 is outside the float range"),
@@ -830,6 +859,19 @@ class TestVerify:
         assert len(failed) == 1 and "golden-load" in failed[0]
         assert "golden file is not valid JSON: " in failed[0]
 
+    def test_integer_past_digit_limit_golden_named_failure(self, capsys, tmp_path):
+        # json.loads' ValueError made verify exit 2 with one error line
+        from importlib import resources
+
+        text = resources.files("hyperzeta").joinpath("data/golden_tables.json").read_text()
+        bad = tmp_path / "golden.json"
+        bad.write_text(text.replace('"n": 2', '"n": 1' + "0" * 5000, 1))
+        code, out, _ = run_cli(capsys, "verify", "--fast", "--golden", str(bad))
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].split()[1] == "golden-load"
+        assert "golden file is not valid JSON: Exceeds the limit (4300 digits)" in failed[0]
+
     @pytest.mark.parametrize("key,index,field,value,needle", [
         ("table2", 3, "exact", "1/0 * pi^-1", "table2[3]: zero denominator: '1/0 * pi^-1'"),
         ("table1", 2, "exact", None, "table1[2] has no 'exact'"),
@@ -840,6 +882,8 @@ class TestVerify:
         ("table1", 1, "n", 3, "table1[1]: odd dimensions"),
         ("table1", 6, "published_float", "abc", "table1[6]: could not convert string to float"),
         ("table2", 0, "published_float", "nan", "table2[0]: published_float nan is not finite"),
+        # ended in an OverflowError traceback
+        ("table1", 3, "published_float", 10**400, "table1[3]: int too large to convert to float"),
     ])
     def test_malformed_golden_row_named_failure(
         self, capsys, tmp_path, key, index, field, value, needle

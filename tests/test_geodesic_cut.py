@@ -310,3 +310,38 @@ def test_cut_changes_no_error(n, extra, s, want, tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and re.search(want, captured.err)
+
+
+# A straddle block: 1, 62 terms of 2^-54 and -1, all with one factor, then
+# class 64 with amplitude 1 and a factor far smaller.  Left to right (the
+# builtin sum of floats up to Python 3.11) each 2^-54 term is below half an
+# ulp of the running 1.0, so the first-block partial is exactly 0.0 and no
+# cut fires before class 64.  Compensated (math.fsum, or the builtin sum
+# from Python 3.12 on) it is 62 * 2^-54, and class 64's tail bound is below
+# 2^-54 of that.
+_STRADDLE_AMPS = [1.0] + [2.0**-54] * 62 + [-1.0, 1.0]
+
+
+@pytest.mark.parametrize("name", ["heat", "bessel"])
+def test_cut_partials_are_summed_left_to_right(name, monkeypatch):
+    amps = _STRADDLE_AMPS
+    if name == "heat":
+        # at t = 1 and shift 0 the first block's factor e^(-l^2/4) is 1.0
+        lengths = [1e-10] * 64 + [17.0]
+
+        def kept():
+            bounds = fallback.suffix_bounds(amps)
+            return heat_zeta._hyperbolic_sum(lengths, amps, bounds, 0.0, 1.0)[2]
+    else:
+        # one length, so the first block's terms are exact multiples of one term
+        lengths = [1.0] * 64 + [144.0]
+
+        def kept():
+            return heat_zeta._bessel_sums(lengths, amps, 0.25, [0.0])[2]
+
+    # Python 3.12's builtin sum compensates, as math.fsum does
+    monkeypatch.setattr(heat_zeta, "sum", math.fsum, raising=False)
+    assert kept() == 65
+    # the construction: a compensated partial cuts before class 64
+    monkeypatch.setattr(heat_zeta, "_plain_sum", math.fsum)
+    assert kept() == 64

@@ -1,16 +1,14 @@
 """Heat-trace and zeta machinery: identity/hyperbolic sectors, series,
 Bessel transforms, and the exact identity-sector zeta values."""
 
+import dataclasses
 import math
 import re
 import warnings
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
-import scipy.integrate
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,22 +38,23 @@ from hyperzeta.heat_zeta import (
     zeta_moment_continued,
 )
 from hyperzeta.manifold import GeodesicClass, ManifoldData, synth_spectrum
-from hyperzeta.plancherel import miatello_coefficients, plancherel_density
+from hyperzeta.plancherel import miatello_coefficients
 from hyperzeta.verify import TANH_TIMES
 
 
 class TestIdentityHeatTerm:
-    def test_n2_against_scipy(self):
+    def test_n2_against_mpmath(self):
         # Vol = 4 pi cancels the prefactor: the term is the bare integral
-        # over R of mu_0(r) e^{-t(r^2 + 1/4)}
+        # over R of mu_0(r) e^{-t(r^2 + 1/4)}, with mu_0(r) = pi r tanh(pi r)
         data = ManifoldData(dimension=2, volume=4.0 * math.pi, betti=(1, 0, 1))
         got = identity_heat_term(data, 0, 1.0)
-        want, err = scipy.integrate.quad(
-            lambda r: 2.0 * plancherel_density(1, 0, r) * math.exp(-(r * r + 0.25)),
-            0,
-            np.inf,
-        )
-        assert abs(got - want) <= max(1e-10, 10 * err)
+        pi = mpmath.pi
+        with mpmath.workdps(30):
+            want = mpmath.quad(
+                lambda r: 2 * pi * r * mpmath.tanh(pi * r) * mpmath.exp(-(r * r + 0.25)),
+                [0, 1, mpmath.inf],
+            )
+            assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_monotone_decay_in_t(self, small_spectrum):
         values = [identity_heat_term(small_spectrum, 1, t) for t in (1.0, 1.5, 2.0, 3.0)]
@@ -98,12 +97,14 @@ class TestTanhMomentSeries:
 
     def test_optimal_vs_quadrature_t01(self):
         res = tanh_moment_series(0, 0.1)
-        want, err = scipy.integrate.quad(
-            lambda r: 2.0 * r * math.exp(-0.1 * r * r) * math.tanh(math.pi * r),
-            0,
-            np.inf,
-        )
-        assert abs(res.value - want) <= max(res.first_omitted, 10 * err, 1e-12)
+        with mpmath.workdps(30):
+            t = mpmath.mpf(0.1)  # the binary t the series is evaluated at
+            want = mpmath.quad(
+                lambda r: 2 * r * mpmath.exp(-t * r * r) * mpmath.tanh(mpmath.pi * r),
+                [0, 1, mpmath.inf],
+            )
+            # the series error plus the rounding of its value to a float
+            assert abs(res.value - want) <= res.first_omitted + math.ulp(res.value)
 
     def test_leading_term_dominates_small_t(self):
         res = tanh_moment_series(2, 0.01)
@@ -359,10 +360,40 @@ EMPTY_SPECTRUM_SUMS = {
 }
 
 
+def test_identity_heat_term_outside_float_range_rejected():
+    # it returned -inf; coexact_trace rejected the same value per row
+    data = ManifoldData(dimension=4, volume=10.0, chi_one=-1e308, betti=(1, 0, 0, 0, 1))
+    with pytest.raises(
+        ValueError, match=r"^heat trace identity at t=0\.5 is outside the float range$"
+    ):
+        identity_heat_term(data, 0, 0.5)
+
+
+def test_hyperbolic_heat_term_outside_float_range_rejected():
+    # it returned inf; coexact_trace rejected the same value per row
+    geo = GeodesicClass(length=1.0, c_value=10.0, chi=1e308)
+    data = ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1), geodesics=(geo,))
+    with pytest.raises(
+        ValueError, match=r"^heat trace hyperbolic at t=0\.5 is outside the float range$"
+    ):
+        hyperbolic_heat_term(data, 0, 0.5)
+
+
 def test_identity_zeta_term_outside_float_range_rejected():
     data = ManifoldData(dimension=2, volume=10.0, chi_one=-1e308, betti=(1, 0, 1))
     with pytest.raises(ValueError, match=r"^identity zeta value at s=0 is outside the float range$"):
         identity_zeta_term(data, 0)
+
+
+def _forbid_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the manifold and form order were checked")
+
+    for attr in ("plancherel_integral", "plancherel_integrals", "mellin_time_integral",
+                 "mellin_time_integrals", "de_integrate", "pairwise_sum"):
+        monkeypatch.setattr(heat_zeta.quadrature, attr, no_work)
+    for attr in ("_identity_norm", "_geodesic_amplitudes", "_bessel_k_family"):
+        monkeypatch.setattr(heat_zeta, attr, no_work)
 
 
 class TestSectorEntryPoints:
@@ -370,16 +401,18 @@ class TestSectorEntryPoints:
     @pytest.mark.parametrize("name", sorted(SECTOR_ENTRY_POINTS))
     def test_form_order_outside_range_rejected_first(self, small_spectrum, monkeypatch, name, p):
         # n = 4, so the form orders are 0..3
-        def no_work(*args, **kwargs):
-            raise AssertionError("work ran before the form order was checked")
-
-        for attr in ("plancherel_integral", "plancherel_integrals", "mellin_time_integral",
-                     "mellin_time_integrals", "de_integrate", "pairwise_sum"):
-            monkeypatch.setattr(heat_zeta.quadrature, attr, no_work)
-        for attr in ("_identity_norm", "_geodesic_amplitudes", "_bessel_k_family"):
-            monkeypatch.setattr(heat_zeta, attr, no_work)
+        _forbid_work(monkeypatch)
         with pytest.raises(ValueError, match=rf"^form order p={p} outside 0\.\.3$"):
             SECTOR_ENTRY_POINTS[name](small_spectrum, p)
+
+    @pytest.mark.parametrize("radius", [2.0, 0.5])
+    @pytest.mark.parametrize("name", sorted(SECTOR_ENTRY_POINTS))
+    def test_non_unit_radius_rejected_first(self, small_spectrum, monkeypatch, name, radius):
+        # no term scales with R: each returned its unit-radius value
+        _forbid_work(monkeypatch)
+        data = dataclasses.replace(small_spectrum, radius=radius)
+        with pytest.raises(ValueError, match=rf"^radius must be 1: .*, got {radius!r}$"):
+            SECTOR_ENTRY_POINTS[name](data, 1)
 
     @pytest.mark.parametrize("name", sorted(EMPTY_SPECTRUM_SUMS))
     def test_empty_spectrum_sums_to_zero_with_one_warning_per_call(self, name):
@@ -402,19 +435,21 @@ class TestBesselK:
 
     def test_order_zero(self):
         assert abs(bessel_k(0.0, 1.0) - 0.421024) < 1e-6
-        assert math.isclose(bessel_k(0.0, 1.0), scipy.special.kv(0, 1.0), rel_tol=1e-12)
+        with mpmath.workdps(30):
+            want = mpmath.besselk(0, 1)
+            assert abs(bessel_k(0.0, 1.0) - want) <= 1e-13 * want
 
     def test_symmetry_in_order(self):
         for nu in (0.2, 0.5, 1.3, 2.5):
             for z in (0.6, 1.0, 3.0):
                 assert math.isclose(bessel_k(-nu, z), bessel_k(nu, z), rel_tol=1e-11)
 
-    def test_against_scipy_grid(self):
-        for nu in (-1.5, -0.5, -0.2, 0.0, 0.3, 0.5, 1.5, 2.5):
-            for z in (0.3, 1.0, 2.0, 8.0):
-                assert math.isclose(
-                    bessel_k(nu, z), scipy.special.kv(nu, z), rel_tol=1e-11
-                ), (nu, z)
+    def test_against_mpmath_coarse_grid(self):
+        with mpmath.workdps(30):
+            for nu in (-1.5, -0.5, -0.2, 0.0, 0.3, 0.5, 1.5, 2.5):
+                for z in (0.3, 1.0, 2.0, 8.0):
+                    want = mpmath.besselk(nu, z)
+                    assert abs(bessel_k(nu, z) - want) <= 1e-12 * want, (nu, z)
 
     def test_nonpositive_z_rejected(self):
         with pytest.raises(ValueError):
@@ -446,8 +481,9 @@ class TestMellinHyperbolic:
         [got] = mellin_hyperbolic(flat_spectrum_2d, 0, [0.5])
         alpha = 0.25
         amp = 0.5  # chi/j * t * C = 1 * 1 * 0.5
-        want = amp / math.sqrt(math.pi) * scipy.special.kv(0, math.sqrt(alpha))
-        assert math.isclose(got, want, rel_tol=1e-11)
+        with mpmath.workdps(30):
+            want = amp / mpmath.sqrt(mpmath.pi) * mpmath.besselk(0, mpmath.sqrt(alpha))
+            assert abs(got - want) <= 1e-13 * want
 
     def test_s_zero_closed_form(self, flat_spectrum_2d):
         [got] = mellin_hyperbolic(flat_spectrum_2d, 0, [0.0])

@@ -6,6 +6,11 @@ The exact half is ``exact``, ``plancherel``, ``anomaly`` and ``output``;
 package ``__init__`` resolves its exports on first use.  So an
 ``anomaly``, ``table`` or ``plancherel`` process never loads a numeric
 module.
+
+Beyond the standard library, the package imports only mpmath, and its
+tests add only pytest and hypothesis.  All three are pure Python and mpmath
+is the one high-precision reference, so the suite collects in full on any
+interpreter that has them.
 """
 
 import ast
@@ -86,6 +91,52 @@ def test_cli_imports_numeric_modules_only_inside_functions():
 ])
 def test_guard_finds_every_import_form(source, found):
     assert package_imports(ast.walk(ast.parse(source))) == found
+
+
+def top_level_imports(tree: ast.Module) -> set[str]:
+    """The top-level module of every absolute import in ``tree``, at any level."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+# what a module may import besides the standard library, by where it lives
+ALLOWED_IMPORTS = {
+    "src": {"hyperzeta", "mpmath"},
+    "tests": {"hyperzeta", "mpmath", "pytest", "hypothesis"},
+}
+
+
+@pytest.mark.parametrize("where", sorted(ALLOWED_IMPORTS))
+def test_only_pure_python_dependencies_imported(where):
+    root = PACKAGE if where == "src" else pathlib.Path(__file__).resolve().parent
+    files = sorted(root.rglob("*.py"))
+    # the test modules import one another by name
+    local = {path.stem for path in files} if where == "tests" else set()
+    allowed = set(sys.stdlib_module_names) | ALLOWED_IMPORTS[where] | local
+    assert len(files) > 10
+    bad = [
+        f"{path.name}: {name}"
+        for path in files
+        for name in sorted(top_level_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        if name not in allowed
+    ]
+    assert bad == []
+
+
+@pytest.mark.parametrize("source,found", [
+    pytest.param("import mpmath as mp\n", {"mpmath"}, id="alias"),
+    pytest.param("import os.path\n", {"os"}, id="dotted"),
+    pytest.param("from hypothesis.strategies import floats\n", {"hypothesis"}, id="from"),
+    pytest.param("def f():\n    import json\n", {"json"}, id="local"),
+    pytest.param("from . import heat_zeta\nfrom .exact import f\n", set(), id="relative"),
+])
+def test_top_level_imports_guard(source, found):
+    assert top_level_imports(ast.parse(source)) == found
 
 
 def test_every_export_has_one_source():

@@ -281,6 +281,13 @@ class TestFileFormat:
         ({"length": 1.0, "c": 1.0, "holonomy": [1, None, 1, 1]},
          "float() argument must be a string or a real number, not 'NoneType' "
          "(field geodesics[1].holonomy)"),
+        # integers past the float range ended in float()'s OverflowError
+        ({"length": 10**400}, "int too large to convert to float (field geodesics[1])"),
+        ({"length": 1.0, "c": 10**400}, "int too large to convert to float (field geodesics[1])"),
+        ({"length": 1.0, "chi": -(10**400)},
+         "int too large to convert to float (field geodesics[1])"),
+        ({"length": 1.0, "c": 1.0, "holonomy": [1, 10**400, 1, 1]},
+         "int too large to convert to float (field geodesics[1].holonomy)"),
     ])
     def test_bad_geodesic_value_named(self, tmp_path, entry, message):
         path = tmp_path / "bad.json"
@@ -315,6 +322,7 @@ class TestFileFormat:
         (None, "float() argument must be a string or a real number, not 'NoneType'"),
         ([2.5], "float() argument must be a string or a real number, not 'list'"),
         ("big", "could not convert string to float: 'big'"),
+        (10**400, "int too large to convert to float"),
     ])
     @pytest.mark.parametrize("field", ["volume", "chi_one", "radius"])
     def test_non_number_top_level_field_named(self, tmp_path, field, value, reason):
