@@ -64,7 +64,14 @@ def trivial_holonomy_c(n: int, t: float) -> float:
     if t <= 0:
         raise ValueError("length must be positive")
     rho0 = (n - 1) / 2.0
-    return math.exp(-rho0 * t) * (1.0 - math.exp(-t)) ** (-(n - 1))
+    try:
+        return math.exp(-rho0 * t) * (1.0 - math.exp(-t)) ** (-(n - 1))
+    except (ZeroDivisionError, OverflowError):
+        # 1 - e^-t rounds to 0, or its power leaves the float range
+        raise ValueError(
+            f"geodesic length {t:.6g} is too short at n={n}: its class weight "
+            f"C = e^(-rho0 t) (1 - e^-t)^(1-n) is past the float range"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -88,26 +95,12 @@ class GeodesicClass:
         for name in ("length", "c_value", "chi"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, not a boolean")
-        if not (isinstance(self.length, (int, float)) and math.isfinite(self.length)):
+        # a length save_manifold can write; c and chi may be any real
+        if not isinstance(self.length, (int, float)):
             raise ValueError("length must be a finite number")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
-        # a JSON true is an int to isinstance; it is not a power
-        if not isinstance(self.power, int) or isinstance(self.power, bool) or self.power < 1:
-            raise ValueError("power must be a positive integer")
-        if self.c_value is not None and self.c_value <= 0:
-            raise ValueError("c must be positive")
         if self.holonomy is not None:
-            object.__setattr__(self, "holonomy", tuple(float(x) for x in self.holonomy))
-            if self.c_value is None:
-                raise ValueError("c must be supplied explicitly for nontrivial holonomy")
-        # after the checks above, so every value they reject keeps its message
-        if self.c_value is not None and not math.isfinite(self.c_value):
-            raise ValueError("c must be a finite number")
-        if not math.isfinite(self.chi):
-            raise ValueError("chi must be a finite number")
-        if self.holonomy is not None and not all(map(math.isfinite, self.holonomy)):
-            raise ValueError("holonomy character values must be finite")
+            object.__setattr__(self, "holonomy", tuple(map(_character, self.holonomy)))
+        _check_classes([self.length], [self.power], [self.c_value], [self.chi], [self.holonomy])
 
     def c_factor(self, n: int) -> float:
         """The C weight: stored value if given, else the trivial-holonomy formula."""
@@ -142,7 +135,7 @@ class ManifoldData:
         for name in ("volume", "radius", "chi_one"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a number, not a boolean")
-        if not (math.isfinite(self.volume) and self.volume > 0):
+        if not (_isfinite(self.volume) and self.volume > 0):
             raise ValueError("volume must be positive")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
@@ -151,10 +144,12 @@ class ManifoldData:
             raise ValueError("betti must list b_0..b_n (length dimension+1)")
         if any(not isinstance(b, int) or isinstance(b, bool) or b < 0 for b in betti):
             raise ValueError("betti entries must be nonnegative integers")
+        if not _isfinite(max(betti)):
+            raise ManifoldFormatError("int too large to convert to float", field_path="betti")
         object.__setattr__(self, "betti", betti)
-        if not math.isfinite(self.radius):
+        if not _isfinite(self.radius):
             raise ValueError("radius must be a finite number")
-        if not math.isfinite(self.chi_one):
+        if not _isfinite(self.chi_one):
             raise ValueError("chi_one must be a finite number")
         given = tuple(self.geodesics)
         for i, g in enumerate(given):
@@ -199,9 +194,77 @@ def _top_number(doc: dict, key: str, default: float | None = None) -> float:
         raise ManifoldFormatError(str(exc), field_path=key) from exc
 
 
+def _isfinite(x) -> bool:
+    # math.isfinite, with an integer past the float range not finite
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _finite(column) -> bool:
-    # one sum for the common case; a sum of finite terms can still overflow
-    return math.isfinite(sum(column)) or all(map(math.isfinite, column))
+    # one sum for the common case; a sum of finite terms can still overflow.
+    # A non-number gets math.isfinite's TypeError, not sum's
+    try:
+        return math.isfinite(sum(column)) or all(map(math.isfinite, column))
+    except (TypeError, OverflowError):
+        return all(map(_isfinite, column))
+
+
+def _character(x) -> float:
+    # a holonomy character as a float; one past the float range is not finite
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _check_classes(lengths, powers, c_values, chis, holonomy) -> None:
+    """Raise the ValueError of the first value rule a column of classes breaks.
+
+    The value rules of a class (docs/manifold-format.md, steps 6 to 10),
+    for GeodesicClass on one-element columns, the loader and synth_spectrum.
+    Longer columns hold floats (ints for powers); ``holonomy`` holds None
+    or float tuples.
+    """
+    if not lengths:
+        return
+    given_c = [c for c in c_values if c is not None] if None in c_values else c_values
+    twisted = holonomy.count(None) != len(holonomy)
+    if not _finite(lengths):
+        raise ValueError("length must be a finite number")
+    # every length is finite by now, so min() is exact
+    if min(lengths) <= 0:
+        raise ValueError("length must be positive")
+    # a bool is an int to isinstance; it is not a power
+    kinds = set(map(type, powers))
+    if any(k is bool or not issubclass(k, int) for k in kinds) or min(powers) < 1:
+        raise ValueError("power must be a positive integer")
+    if not _isfinite(max(powers)):
+        raise ValueError("int too large to convert to float")
+    # false for nan, so a nan c breaks the finiteness rule below
+    if any(c <= 0 for c in given_c):
+        raise ValueError("c must be positive")
+    if twisted and any(h is not None and c is None for h, c in zip(holonomy, c_values)):
+        raise ValueError("c must be supplied explicitly for nontrivial holonomy")
+    if not _finite(given_c):
+        raise ValueError("c must be a finite number")
+    if not _finite(chis):
+        raise ValueError("chi must be a finite number")
+    if twisted and not all(_finite(h) for h in holonomy if h is not None):
+        raise ValueError("holonomy character values must be finite")
+
+
+def _build(lengths, powers, c_values, chis, holonomy) -> tuple[GeodesicClass, ...]:
+    # classes from checked columns, built the way copy and pickle rebuild a
+    # frozen dataclass: without rerunning __post_init__
+    new = object.__new__
+    classes = []
+    for length, power, c_value, chi, hol in zip(lengths, powers, c_values, chis, holonomy):
+        g = new(GeodesicClass)
+        g.__dict__.update(length=length, power=power, c_value=c_value, chi=chi, holonomy=hol)
+        classes.append(g)
+    return tuple(classes)
 
 
 def _geodesic_classes(geos: list, index: int = 0) -> tuple[GeodesicClass, ...]:
@@ -210,11 +273,10 @@ def _geodesic_classes(geos: list, index: int = 0) -> tuple[GeodesicClass, ...]:
     Every rule of an entry is applied to whole columns, in the order one
     entry is checked: an object, no unknown field, a length, a holonomy
     that is "trivial" or a list of numbers, then length, c and chi
-    converted to floats and GeodesicClass's rules in __post_init__'s
-    order.  Each class is then built the way copy and pickle rebuild a
-    frozen dataclass, without rerunning __post_init__.  If a rule fails,
-    each entry is checked alone, in order, so the error names the first
-    bad entry (``geodesics[i]``) and the first rule it breaks.
+    converted to floats, then _check_classes; _build then makes the
+    classes without rerunning __post_init__.  If a rule fails, each
+    entry is checked alone, in order, so the error names the first bad
+    entry (``geodesics[i]``) and the first rule it breaks.
     """
     if not geos:
         return ()
@@ -254,25 +316,7 @@ def _geodesic_classes(geos: list, index: int = 0) -> tuple[GeodesicClass, ...]:
             c_values = [None if c is None else _number(c, "c") for c in c_values]
         if set(map(type, chis)) - {float}:
             chis = [_number(x, "chi") for x in chis]
-        given_c = [c for c in c_values if c is not None] if None in c_values else c_values
-        if not _finite(lengths):
-            raise ValueError("length must be a finite number")
-        # every length is finite by now, so min() is exact
-        if min(lengths) <= 0:
-            raise ValueError("length must be positive")
-        if set(map(type, powers)) - {int} or min(powers) < 1:
-            raise ValueError("power must be a positive integer")
-        # c <= 0 written as 0.0 >= c: false for nan, as in __post_init__
-        if any(map((0.0).__ge__, given_c)):
-            raise ValueError("c must be positive")
-        if not trivial and any(h is not None and c is None for h, c in zip(holonomy, c_values)):
-            raise ValueError("c must be supplied explicitly for nontrivial holonomy")
-        if not _finite(given_c):
-            raise ValueError("c must be a finite number")
-        if not _finite(chis):
-            raise ValueError("chi must be a finite number")
-        if not trivial and not all(_finite(h) for h in holonomy if h is not None):
-            raise ValueError("holonomy character values must be finite")
+        _check_classes(lengths, powers, c_values, chis, holonomy)
     except (TypeError, ValueError, OverflowError) as exc:
         if len(geos) > 1:
             # raise what the first entry that fails alone raises
@@ -282,13 +326,7 @@ def _geodesic_classes(geos: list, index: int = 0) -> tuple[GeodesicClass, ...]:
         if isinstance(exc, ManifoldFormatError):
             raise
         raise ManifoldFormatError(str(exc), field_path=f"geodesics[{index}]") from exc
-    new = object.__new__
-    classes = []
-    for length, power, c_value, chi, hol in zip(lengths, powers, c_values, chis, holonomy):
-        g = new(GeodesicClass)
-        g.__dict__.update(length=length, power=power, c_value=c_value, chi=chi, holonomy=hol)
-        classes.append(g)
-    return tuple(classes)
+    return _build(lengths, powers, c_values, chis, holonomy)
 
 
 def _manifold_from_dict(doc: dict) -> ManifoldData:
@@ -379,7 +417,8 @@ def synth_spectrum(
     length j * t and power j.  Holonomy is trivial throughout and the C
     weight is stored explicitly (computed from the trivial-holonomy formula)
     so saved spectra are self-contained.  A length whose weight underflows
-    to 0.0 (rho0 t past about 745) raises OverflowError.
+    to 0.0 (rho0 t past about 745) raises OverflowError; one too short for
+    the weight to be a float raises trivial_holonomy_c's ValueError.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -389,24 +428,15 @@ def synth_spectrum(
         raise ValueError("max_power must be at least 1")
     check_dimension(n)
     rng = random.Random(seed)
-    classes = []
-    for _ in range(count):
-        t_prim = min_length + 10.0 * rng.random()
-        for j in range(1, max_power + 1):
-            t = j * t_prim
-            c_value = trivial_holonomy_c(n, t)
-            if c_value == 0.0:
-                raise OverflowError(
-                    f"geodesic length {t:.6g} is too long at n={n}: its class weight "
-                    f"C = e^(-rho0 t) (1 - e^-t)^(1-n) is below the float range"
-                )
-            classes.append(
-                GeodesicClass(
-                    length=t,
-                    power=j,
-                    c_value=c_value,
-                    chi=1.0,
-                    holonomy=None,
-                )
-            )
-    return sorted(classes, key=lambda g: g.length)
+    primitive = [min_length + 10.0 * rng.random() for _ in range(count)]
+    lengths = [j * t for t in primitive for j in range(1, max_power + 1)]
+    c_values = [trivial_holonomy_c(n, t) for t in lengths]
+    if 0.0 in c_values:
+        raise OverflowError(
+            f"geodesic length {lengths[c_values.index(0.0)]:.6g} is too long at n={n}: "
+            f"its class weight C = e^(-rho0 t) (1 - e^-t)^(1-n) is below the float range"
+        )
+    ones, trivial = [1.0] * len(lengths), [None] * len(lengths)
+    columns = (lengths, list(range(1, max_power + 1)) * count, c_values, ones, trivial)
+    _check_classes(*columns)
+    return sorted(_build(*columns), key=attrgetter("length"))

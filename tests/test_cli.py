@@ -563,7 +563,11 @@ HUGE = "1" + "0" * 5000
     ('"c": 1.0', f'"c": 1.0, "holonomy": [1, {BIG}, 3, 1]',
      "int too large to convert to float (field geodesics[0].holonomy)"),
     ('"volume": 1.0', f'"volume": {HUGE}', "not valid JSON: Exceeds the limit (4300 digits)"),
-], ids=["volume", "length", "holonomy", "5000-digit"])
+    ('"c": 1.0', f'"c": 1.0, "power": {BIG}',
+     "int too large to convert to float (field geodesics[0])"),
+    ('"betti": [1, ', f'"betti": [{BIG}, ', "int too large to convert to float (field betti)"),
+    ('"betti": [1, 0, ', f'"betti": [1, {BIG}, ', "int too large to convert to float (field betti)"),
+], ids=["volume", "length", "holonomy", "5000-digit", "power", "betti0", "betti1"])
 def test_huge_integer_is_a_bad_file(capsys, tmp_path, command, old, new, needle):
     # 400 digits ended in an OverflowError traceback with exit 1; 5000
     # digits exited 2 with json's message alone, not naming the file as bad
@@ -573,6 +577,23 @@ def test_huge_integer_is_a_bad_file(capsys, tmp_path, command, old, new, needle)
     path.write_text(text.replace(old, new))
     code, out, err = run_cli(capsys, command[0], "--manifold", str(path), *command[1:])
     assert_one_error_line(code, out, err, "bad manifold file: ", needle)
+
+
+@pytest.mark.parametrize("command,n,length", [
+    (("heat-trace", "--form", "0", "--t", "1.0"), 4, 1e-17),
+    (("zeta-check", "--form", "0"), 4, 1e-17),
+    # zeta-check stops at n = 100 before the geodesics (ROADMAP item 3)
+    (("heat-trace", "--form", "0", "--t", "1.0"), 100, 1e-4),
+], ids=["heat-trace-n4", "zeta-check-n4", "heat-trace-n100"])
+def test_trivial_weight_past_float_range_exit_2(capsys, tmp_path, command, n, length):
+    # a class with no c takes C from the closed form, whose 1 - e^-t rounded
+    # to 0 (ZeroDivisionError) or whose power overflowed: exit 1, traceback
+    path = one_geodesic_file(tmp_path / "m.json", n)
+    doc = json.loads(path.read_text())
+    doc["geodesics"].append({"length": length})
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command[0], "--manifold", str(path), *command[1:])
+    assert_one_error_line(code, out, err, f"geodesic length {length:g} is too short at n={n}")
 
 
 @pytest.mark.parametrize("command,chi_one,entry,needle", [

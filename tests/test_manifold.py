@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,32 @@ class TestGeodesicClass:
         with pytest.raises(ValueError, match=f"^{field} must be a number, not a boolean$"):
             GeodesicClass(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"length": 10**400}, "length must be a finite number"),
+        ({"length": 1.0, "c_value": 10**400}, "c must be a finite number"),
+        ({"length": 1.0, "chi": -(10**400)}, "chi must be a finite number"),
+        ({"length": 1.0, "c_value": 1.0, "holonomy": (1, 10**400, 1, 1)},
+         "holonomy character values must be finite"),
+        ({"length": 1.0, "power": 10**400}, "int too large to convert to float"),
+    ], ids=["length", "c", "chi", "holonomy", "power"])
+    def test_integer_past_float_range_rejected(self, kwargs, message):
+        # each raised OverflowError, and a power of 10**400 was a class
+        with pytest.raises(ValueError) as err:
+            GeodesicClass(**kwargs)
+        assert type(err.value) is ValueError and str(err.value) == message
+
+    @pytest.mark.parametrize("kwargs", [
+        {"length": 1.0, "c_value": Fraction(1, 2)},
+        {"length": 2, "chi": Fraction(1, 3)},
+        {"length": 1.5, "power": type("Iterate", (int,), {})(3)},
+    ])
+    def test_any_real_weight_kept_as_given(self, kwargs):
+        # ``(0.0).__ge__(Fraction(1, 2))`` is NotImplemented, which is
+        # truthy: a c <= 0 rule written with it rejects a positive Fraction
+        g = GeodesicClass(**kwargs)
+        for name, value in kwargs.items():
+            assert getattr(g, name) == value and type(getattr(g, name)) is type(value)
+
 
 class TestTrivialHolonomyC:
     def test_n2_value(self):
@@ -101,6 +128,19 @@ class TestTrivialHolonomyC:
     def test_nonpositive_t_rejected(self):
         with pytest.raises(ValueError):
             trivial_holonomy_c(2, 0.0)
+
+    @pytest.mark.parametrize("n,t", [(4, 1e-17), (4, 1e-300), (100, 1e-4)])
+    def test_weight_past_float_range_rejected(self, n, t):
+        # 1 - e^-t rounded to 0 (ZeroDivisionError) or its power overflowed
+        with pytest.raises(ValueError) as err:
+            trivial_holonomy_c(n, t)
+        assert str(err.value).startswith(f"geodesic length {t:.6g} is too short at n={n}: ")
+        assert str(err.value).endswith(" is past the float range")
+
+    def test_smallest_weights_in_range_unchanged(self):
+        # just above the limit the closed form is evaluated as before
+        assert trivial_holonomy_c(4, 1e-15) == math.exp(-1.5e-15) * (1.0 - math.exp(-1e-15)) ** -3
+        assert math.isfinite(trivial_holonomy_c(100, 1e-3))
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
@@ -144,6 +184,26 @@ class TestManifoldData:
         kwargs = {"dimension": 2, "volume": 1.0, "betti": (1, 0, 1), field: value}
         with pytest.raises(ValueError, match=f"^{field} must be a number, not a boolean$"):
             ManifoldData(**kwargs)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("volume", 10**400, "volume must be positive"),
+        ("chi_one", -(10**400), "chi_one must be a finite number"),
+        ("radius", 10**400, "radius must be a finite number"),
+    ], ids=["volume", "chi_one", "radius"])
+    def test_integer_past_float_range_rejected(self, field, value, message):
+        # each raised math.isfinite's OverflowError
+        kwargs = {"dimension": 2, "volume": 1.0, "betti": (1, 0, 1), field: value}
+        with pytest.raises(ValueError) as err:
+            ManifoldData(**kwargs)
+        assert type(err.value) is ValueError and str(err.value) == message
+
+    @pytest.mark.parametrize("betti", [(10**400, 0, 1), (1, 10**400, 1)], ids=["b0", "b1"])
+    def test_betti_past_float_range_rejected(self, betti):
+        # coexact_trace's float Betti sum raised OverflowError on these
+        with pytest.raises(ManifoldFormatError) as err:
+            ManifoldData(dimension=2, volume=1.0, betti=betti)
+        assert str(err.value) == "int too large to convert to float (field betti)"
+        assert err.value.field_path == "betti"
 
     def test_boolean_betti_rejected(self):
         with pytest.raises(ValueError, match="betti entries must be nonnegative integers"):
@@ -288,6 +348,8 @@ class TestFileFormat:
          "int too large to convert to float (field geodesics[1])"),
         ({"length": 1.0, "c": 1.0, "holonomy": [1, 10**400, 1, 1]},
          "int too large to convert to float (field geodesics[1].holonomy)"),
+        ({"length": 1.0, "power": 10**400},
+         "int too large to convert to float (field geodesics[1])"),
     ])
     def test_bad_geodesic_value_named(self, tmp_path, entry, message):
         path = tmp_path / "bad.json"
@@ -417,7 +479,82 @@ _OTHER_ENTRIES = list(BAD_ENTRIES.values()) + [
     {"length": 1.5, "chi": math.nan},
     {"length": 1.5, "power": True},
     {"length": 1.5, "c": 0.5, "holonomy": [1.0, math.nan, 10.0, 10.0, 5.0, 1.0]},
+    # rejected only since a power must be in the float range
+    {"length": 1.5, "power": 10**400},
 ]
+
+
+def _constructor_kwargs(entry):
+    """The GeodesicClass arguments an entry stands for, or None.
+
+    None where no value rule decides the entry: it is not an object with a
+    length and known fields, or a length, c, chi or holonomy character is
+    not an int or a float, so the loader's conversion judges it first.
+    """
+    if not isinstance(entry, dict) or "length" not in entry or set(entry) - manifold._GEO_KEYS:
+        return None
+    holonomy = entry.get("holonomy", "trivial")
+    # a null c is an absent one
+    numbers = [entry[key] for key in ("length", "chi") if key in entry]
+    numbers += [] if entry.get("c") is None else [entry["c"]]
+    if holonomy != "trivial":
+        if not isinstance(holonomy, list):
+            return None
+        numbers += holonomy
+    if any(type(x) not in (int, float) or abs(x) > sys.float_info.max for x in numbers):
+        return None
+    return {
+        "length": entry["length"], "power": entry.get("power", 1), "c_value": entry.get("c"),
+        "chi": entry.get("chi", 1.0), "holonomy": None if holonomy == "trivial" else tuple(holonomy),
+    }
+
+
+_RULE_CASES = [entry for entry in _OTHER_ENTRIES if _constructor_kwargs(entry) is not None]
+
+
+class TestOneRuleSet:
+    @pytest.mark.parametrize("entry", _RULE_CASES, ids=lambda entry: json.dumps(entry)[:60])
+    def test_constructor_and_loader_agree(self, entry):
+        # GeodesicClass raises what the loader raises for geodesics[0], less
+        # the field, and accepts what it accepts
+        try:
+            manifold._geodesic_classes([entry])
+            loader = None
+        except ManifoldFormatError as exc:
+            assert exc.field_path == "geodesics[0]"
+            loader = str(exc).removesuffix(" (field geodesics[0])")
+        try:
+            GeodesicClass(**_constructor_kwargs(entry))
+            constructor = None
+        except ValueError as exc:
+            constructor = str(exc)
+        assert constructor == loader
+
+    def test_every_class_rule_is_compared(self):
+        messages = set()
+        for entry in _RULE_CASES:
+            try:
+                manifold._geodesic_classes([entry])
+            except ManifoldFormatError as exc:
+                messages.add(str(exc).removesuffix(" (field geodesics[0])"))
+        assert messages == {
+            "length must be a finite number", "length must be positive",
+            "power must be a positive integer", "int too large to convert to float",
+            "c must be positive", "c must be supplied explicitly for nontrivial holonomy",
+            "c must be a finite number", "chi must be a finite number",
+            "holonomy character values must be finite",
+        }
+
+    def test_synth_spectrum_checks_its_columns(self, monkeypatch):
+        # one check of every drawn column, and no __post_init__ per class
+        calls = []
+        monkeypatch.setattr(manifold, "_check_classes", lambda *cols: calls.append(cols))
+        monkeypatch.setattr(GeodesicClass, "__post_init__", lambda self: calls.append(self))
+        geos = synth_spectrum(seed=4, count=3, min_length=1.0, max_power=2, n=4)
+        assert len(calls) == 1
+        lengths, powers, c_values, chis, holonomy = calls[0]
+        assert sorted(zip(lengths, powers, c_values)) == [(g.length, g.power, g.c_value) for g in geos]
+        assert chis == [1.0] * 6 and holonomy == [None] * 6
 
 
 class TestBulkLoad:
