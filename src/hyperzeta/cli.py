@@ -268,24 +268,17 @@ def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
             )
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         return _usage_fail(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
-    data = _load_manifold(args.manifold)
-    p = args.form
-    # first, so an identity sector out of float range fails before any output
-    ident = heat_zeta.identity_zeta_term(data, p)
-    # one Bessel pass for every --s and the two s -> 0 points
-    *bessels, at_2, at_3 = heat_zeta.mellin_hyperbolic(data, p, [*args.s, 1e-2, 1e-3])
-    quads = heat_zeta.mellin_hyperbolic_quadrature(data, p, args.s)
+    ident, bessels, quads, gaps, f_2, f_3 = heat_zeta.zeta_check(
+        _load_manifold(args.manifold), args.form, args.s
+    )
     failed = False
-    for s, bessel, quad in zip(args.s, bessels, quads):
-        rel = abs(bessel - quad) / max(abs(quad), 1e-300)
+    for s, bessel, quad, rel in zip(args.s, bessels, quads, gaps):
         ok = rel <= args.tolerance
         failed = failed or not ok
         print(
             f"s={s:g}: bessel={bessel:.{digits}g} quadrature={quad:.{digits}g} "
             f"rel={rel:.3e} [{'ok' if ok else 'MISMATCH'}]"
         )
-    f_2 = at_2 / math.gamma(1e-2)
-    f_3 = at_3 / math.gamma(1e-3)
     if f_3 != 0.0:
         print(f"s->0 scaling ratio f(1e-2)/f(1e-3) = {f_2 / f_3:.4f} (linear => 10)")
     print(f"identity-sector zeta(0) = {ident:.{digits}g}; hyperbolic part at s=1e-2: {f_2:.3e}")

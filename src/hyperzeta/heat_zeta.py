@@ -42,6 +42,8 @@ __all__ = [
     "MAX_BESSEL_ORDER",
     "zeta_moment_continued",
     "identity_zeta_term",
+    "ZetaCheck",
+    "zeta_check",
 ]
 
 
@@ -662,7 +664,7 @@ def mellin_hyperbolic_quadrature(
     return out
 
 
-# --- identity-sector zeta values ----------------------------------------------
+# --- identity-sector zeta values and the zeta check ---------------------------
 
 
 def zeta_moment_continued(k: int, q: int, beta: float, s: float = 0.0) -> float:
@@ -726,3 +728,30 @@ def identity_zeta_term(manifold: ManifoldData, p: int) -> float:
     if not math.isfinite(value):
         raise ValueError("identity zeta value at s=0 is outside the float range")
     return value
+
+
+class ZetaCheck(NamedTuple):
+    identity: float
+    bessel: list[float]
+    quadrature: list[float]
+    gaps: list[float]
+    f_2: float
+    f_3: float
+
+
+def zeta_check(manifold: ManifoldData, p: int, s_values: Sequence[float]) -> ZetaCheck:
+    """Identity-sector zeta(0), then the Bessel and time Mellin routes at each s.
+
+    The identity term comes first, so one outside the float range fails
+    before any Mellin work.  gaps are |bessel - time| / |time| per s.  The
+    Bessel pass also gives f = M/Gamma at s = 1e-2 and 1e-3 (f_2, f_3),
+    whose ratio is 10 when the geodesic sector vanishes linearly at s = 0.
+    Only this function is shared; the two routes stay independent.
+    """
+    s_values = _check_mellin_s(s_values)
+    identity = identity_zeta_term(manifold, p)
+    *bessel, at_2, at_3 = mellin_hyperbolic(manifold, p, [*s_values, 1e-2, 1e-3])
+    quads = mellin_hyperbolic_quadrature(manifold, p, s_values)
+    gaps = [abs(b - q) / max(abs(q), 1e-300) for b, q in zip(bessel, quads)]
+    f_2, f_3 = at_2 / math.gamma(1e-2), at_3 / math.gamma(1e-3)
+    return ZetaCheck(identity, bessel, quads, gaps, f_2, f_3)

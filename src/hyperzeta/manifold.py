@@ -74,7 +74,7 @@ def trivial_holonomy_c(n: int, t: float) -> float:
         ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeodesicClass:
     """One closed-geodesic conjugacy class in the length spectrum.
 
@@ -255,14 +255,26 @@ def _check_classes(lengths, powers, c_values, chis, holonomy) -> None:
         raise ValueError("holonomy character values must be finite")
 
 
+# the slot setters of a class's fields, in _build's column order
+_SETTERS = tuple(
+    GeodesicClass.__dict__[name].__set__
+    for name in ("length", "power", "c_value", "chi", "holonomy")
+)
+
+
 def _build(lengths, powers, c_values, chis, holonomy) -> tuple[GeodesicClass, ...]:
-    # classes from checked columns, built the way copy and pickle rebuild a
-    # frozen dataclass: without rerunning __post_init__
+    # classes from checked columns, filled through the slot setters, as
+    # copy and pickle rebuild a class: without rerunning __post_init__
     new = object.__new__
+    set_length, set_power, set_c, set_chi, set_holonomy = _SETTERS
     classes = []
     for length, power, c_value, chi, hol in zip(lengths, powers, c_values, chis, holonomy):
         g = new(GeodesicClass)
-        g.__dict__.update(length=length, power=power, c_value=c_value, chi=chi, holonomy=hol)
+        set_length(g, length)
+        set_power(g, power)
+        set_c(g, c_value)
+        set_chi(g, chi)
+        set_holonomy(g, hol)
         classes.append(g)
     return tuple(classes)
 

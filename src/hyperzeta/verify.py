@@ -24,9 +24,9 @@ from .anomaly import (
     TABLE1_DIMS,
     AnomalySpec,
     alpha_conformal_scalar,
-    alpha_default,
     conformal_anomaly,
     conformal_scalar_anomaly,
+    generate_table,
     zeta_moment_sum,
 )
 from .exact import PiValue
@@ -116,9 +116,10 @@ def float_matches_published(value: PiValue, published: str, digits: int = 6) -> 
 
 
 def _table2_cell(row: dict) -> tuple[str, PiValue]:
+    # the cell the table command prints; _check_row has made (n, p) a populated one
     n, p = row["n"], row["p"]
-    spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
-    return f"(n={n},p={p})", conformal_anomaly(spec).value
+    (cell,) = generate_table("custom", dims=[n], forms=[p])
+    return f"(n={n},p={p})", cell.result.value
 
 
 def _table1_cell(row: dict) -> tuple[str, PiValue]:
@@ -284,34 +285,25 @@ def _verification_spectrum() -> manifold.ManifoldData:
     )
 
 
-def _check_mellin_vs_bessel() -> CheckResult:
+def _zeta_checks() -> list[heat_zeta.ZetaCheck]:
+    # the zeta-check records of p = 0 and 1; s-scaling grades p = 0's
     data = _verification_spectrum()
-    worst = 0.0
-    s_values = (0.3, 0.5, 0.7)
-    for p in (0, 1):
-        bessels = heat_zeta.mellin_hyperbolic(data, p, s_values)
-        quads = heat_zeta.mellin_hyperbolic_quadrature(data, p, s_values)
-        for bessel, quad in zip(bessels, quads):
-            rel = abs(bessel - quad) / max(abs(quad), 1e-300)
-            worst = max(worst, rel)
+    return [heat_zeta.zeta_check(data, p, (0.3, 0.5, 0.7)) for p in (0, 1)]
+
+
+def _check_mellin_vs_bessel(checks: list[heat_zeta.ZetaCheck]) -> CheckResult:
+    worst = max(gap for check in checks for gap in check.gaps)
     if worst > 1e-8:
         return CheckResult("mellin-vs-bessel", False, f"worst rel diff {worst:.3e} > 1e-8")
     return CheckResult("mellin-vs-bessel", True, f"worst rel diff {worst:.3e}")
 
 
-def _check_s_scaling() -> CheckResult:
-    data = _verification_spectrum()
-    p = 0
-    s_values = (1e-2, 1e-3)
-    f = {
-        s: value / math.gamma(s)
-        for s, value in zip(s_values, heat_zeta.mellin_hyperbolic(data, p, s_values))
-    }
-    if f[1e-3] == 0.0:
+def _check_s_scaling(check: heat_zeta.ZetaCheck) -> CheckResult:
+    if check.f_3 == 0.0:
         return CheckResult("s-scaling", False, "value at s=1e-3 is exactly zero")
-    ratio = f[1e-2] / f[1e-3]
-    ident = abs(heat_zeta.identity_zeta_term(data, p))
-    small = max(abs(f[1e-2]), abs(f[1e-3]))
+    ratio = check.f_2 / check.f_3
+    ident = abs(check.identity)
+    small = max(abs(check.f_2), abs(check.f_3))
     if not (9.8 <= ratio <= 10.2):
         return CheckResult("s-scaling", False, f"ratio {ratio:.4f} outside [9.8, 10.2]")
     if small >= 1e-2 * ident:
@@ -332,6 +324,7 @@ def run_verification(fast: bool = False, golden_path: str | None = None) -> list
     results.append(_check_moment_bridge())
     if not fast:
         results.append(_check_tanh_series())
-        results.append(_check_mellin_vs_bessel())
-        results.append(_check_s_scaling())
+        checks = _zeta_checks()
+        results.append(_check_mellin_vs_bessel(checks))
+        results.append(_check_s_scaling(checks[0]))
     return results

@@ -23,6 +23,7 @@ from hyperzeta.verify import (
     _check_mellin_vs_bessel,
     _check_s_scaling,
     _check_specialization,
+    _zeta_checks,
     float_matches_published,
     load_golden,
     tanh_series_pairs,
@@ -97,7 +98,7 @@ def test_criterion_4_tanh_series_vs_quadrature(criterion):
 
 def test_criterion_5_bessel_vs_time_quadrature(criterion):
     start = time.perf_counter()
-    result = _check_mellin_vs_bessel()
+    result = _check_mellin_vs_bessel(_zeta_checks())
     elapsed = time.perf_counter() - start
     ok = result.passed and elapsed < 30.0
     criterion(5, "Bessel-K geodesic sum vs direct time quadrature", ok,
@@ -105,7 +106,7 @@ def test_criterion_5_bessel_vs_time_quadrature(criterion):
 
 
 def test_criterion_6_hyperbolic_vanishes_at_s0(criterion):
-    result = _check_s_scaling()
+    result = _check_s_scaling(_zeta_checks()[0])
     criterion(6, "geodesic zeta term scales linearly to zero at s=0", result.passed,
               result.detail)
 

@@ -1,7 +1,10 @@
 """Manifold data model, file format, and the synthetic spectrum generator."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -603,6 +606,41 @@ class TestBulkLoad:
         with pytest.raises(ManifoldFormatError) as err:
             load_manifold(path)
         assert str(err.value) == "c must be a finite number (field geodesics[5999])"
+
+
+class TestSlots:
+    """A class keeps its five fields in slots, however it is made: no instance dict."""
+
+    @staticmethod
+    def _made_every_way(tmp_path):
+        twisted = GeodesicClass(length=0.5, c_value=0.25, chi=-1.0, holonomy=(1, 0.5, 0.5, 1))
+        synthesised = synth_spectrum(seed=7, count=2, min_length=1.0, max_power=2, n=4)
+        path = tmp_path / "m.json"
+        save_manifold(
+            ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1),
+                         geodesics=(twisted, *synthesised)),
+            path,
+        )
+        loaded = load_manifold(path).geodesics
+        return {"constructor": [twisted, GeodesicClass(length=1.5)],
+                "synth_spectrum": synthesised, "loader": list(loaded)}
+
+    def test_no_instance_dict(self, tmp_path):
+        for how, classes in self._made_every_way(tmp_path).items():
+            for g in classes:
+                assert not hasattr(g, "__dict__"), how
+
+    def test_pickle_copy_and_replace_round_trip(self, tmp_path):
+        for how, classes in self._made_every_way(tmp_path).items():
+            for g in classes:
+                assert pickle.loads(pickle.dumps(g)) == g, how
+                assert copy.deepcopy(g) == g and copy.copy(g) == g, how
+                assert dataclasses.replace(g) == g, how
+                assert dataclasses.replace(g, chi=2.0).chi == 2.0, how
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            GeodesicClass(length=1.5).length = 2.0
 
 
 class TestSynthSpectrum:
