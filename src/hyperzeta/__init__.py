@@ -26,11 +26,11 @@ _SOURCES = {
         ("manifold", ("GeodesicClass", "ManifoldData", "ManifoldFormatError",
                       "load_manifold", "save_manifold", "synth_spectrum")),
         ("heat_zeta", ("HeatTraceBreakdown", "QuadratureError", "identity_heat_term",
-                       "hyperbolic_heat_term", "coexact_trace", "tanh_moment_series",
-                       "bessel_k", "mellin_hyperbolic", "mellin_hyperbolic_quadrature")),
-        ("anomaly", ("zeta_identity_at_zero", "AnomalySpec", "AnomalyResult", "TableCell",
-                     "alpha_default", "alpha_conformal_scalar", "alpha_massive_scalar",
-                     "conformal_anomaly", "conformal_scalar_anomaly", "generate_table")),
+                       "hyperbolic_heat_term", "coexact_trace", "bessel_k",
+                       "mellin_hyperbolic", "mellin_hyperbolic_quadrature")),
+        ("anomaly", ("AnomalySpec", "AnomalyResult", "TableCell", "alpha_default",
+                     "alpha_conformal_scalar", "alpha_massive_scalar", "conformal_anomaly",
+                     "conformal_scalar_anomaly", "generate_table")),
     )
     for name in names
 }

@@ -1,9 +1,10 @@
 """Exact conformal anomaly of co-exact p-form fields on H^n quotients.
 
 The anomaly is the s = 0 value of the co-exact zeta function divided by
-the volume factor; only the identity sector contributes (the hyperbolic
-sector vanishes linearly in s, which the numeric suite checks).  The
-result is always a rational multiple of pi^(-n/2):
+the volume factor, zeta(0) = anomaly * Vol * R^n * chi(1); only the
+identity sector contributes (the hyperbolic sector vanishes linearly in
+s, which the numeric suite checks).  The result is always a rational
+multiple of pi^(-n/2):
 
     <T> = 1/((4 pi)^(n/2) Gamma(n/2) R^n) * sum_{j=0}^{p} (contribution of
           the j-shifted sector pair),
@@ -51,10 +52,8 @@ __all__ = [
     "TABLE2_DIMS",
     "MAX_DIMENSION",
     "zeta_identity_terms",
-    "zeta_identity_at_zero",
     "zeta_identity_zero_total",
     "zeta_moment_sum",
-    "zeta_moment_parts",
 ]
 
 TABLE1_DIMS = tuple(range(2, 15, 2))
@@ -150,17 +149,21 @@ def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fracti
     return tuple(terms)
 
 
-def zeta_identity_at_zero(n: int, p: int, j: int, alpha: Rational) -> Fraction:
-    """Exact j-th identity-sector contribution to zeta(0); see zeta_identity_terms."""
-    return sum(zeta_identity_terms(n, p, j, alpha), Fraction(0))
-
-
 # One entry for every sector (k, q) to the cap, so a sweep at one shift offset
 # evicts nothing whatever its row order (about 2.4 MB at the default shift).
 # The shift is two integers: a Fraction key, hashed in Python, is 3x slower.
 @functools.lru_cache(maxsize=(MAX_DIMENSION // 2) * (MAX_DIMENSION // 2 + 1) // 2)
 def _moment_parts(k: int, q: int, x: int, d: int) -> tuple[int, int]:
-    # zeta_moment_parts at beta = x/d in lowest terms; see its docstring
+    """zeta_moment_sum at beta = x/d in lowest terms, as an unreduced
+    (numerator, denominator).
+
+    Each part is one integer dot product over one common denominator:
+    with a_{2l} = c_l / 4^(k-1) (integer_coefficients, no Fraction per
+    coefficient), the Bernoulli part sits over lcm_l((l+1) bd_l) and the
+    power part over lcm(1..k) d^k, its powers grown by Horner's rule.  The
+    denominator depends on k and d only, so moments of one k whose shifts
+    share d add as integers; zeta_identity_zero_total reads this memo.
+    """
     coeffs = integer_coefficients(k, q)
     berns = [_bern_weight(ell) for ell in range(k)]
     bern_den = math.lcm(*(b.denominator * (ell + 1) for ell, b in enumerate(berns)))
@@ -210,22 +213,8 @@ def zeta_moment_sum(k: int, q: int, beta: Rational) -> Fraction:
     2 integral_0^inf r P_q(r^2) tanh(pi r) (r^2 + beta)^(-s) dr.
     It is the single building block every zeta_identity term reduces to.
     """
-    return Fraction(*zeta_moment_parts(k, q, beta))
-
-
-def zeta_moment_parts(k: int, q: int, beta: Rational) -> tuple[int, int]:
-    """zeta_moment_sum(k, q, beta) as an unreduced (numerator, denominator).
-
-    Each part is one integer dot product over one common denominator:
-    with a_{2l} = c_l / 4^(k-1) (integer_coefficients, no Fraction per
-    coefficient) and beta = x / d, the Bernoulli part sits over
-    lcm_l((l+1) bd_l) and the power part over lcm(1..k) d^k, its powers
-    grown by Horner's rule.  The denominator depends on k and d only, so
-    moments of one k whose shifts share d add as integers.  The pair is
-    memoised on (k, q, x, d), the memo zeta_identity_zero_total reads.
-    """
     beta = Fraction(beta)
-    return _moment_parts(k, q, beta.numerator, beta.denominator)
+    return Fraction(*_moment_parts(k, q, beta.numerator, beta.denominator))
 
 
 @dataclass(frozen=True)
@@ -261,15 +250,12 @@ class AnomalySpec:
 class AnomalyResult:
     """Exact anomaly value with its per-(j, l) term breakdown.
 
-    ``value`` is the anomaly itself; ``zeta_zero`` is the zeta value at 0
-    (anomaly times volume times R^n, times the bundle multiplier).  Each
-    breakdown entry is (j, l, term) with the terms summing, under the
+    Each breakdown entry is (j, l, term) with the terms summing, under the
     global prefactor, back to ``value`` exactly.  The breakdown is built
     by ``terms`` the first time it is read; the value never needs it.
     """
 
     value: PiValue
-    zeta_zero: PiValue
     terms: Callable[[], tuple[tuple[int, int, Fraction], ...]] = field(
         repr=False, compare=False
     )
@@ -293,16 +279,8 @@ def _pform_breakdown(n: int, p: int, alpha: Fraction) -> tuple[tuple[int, int, F
     )
 
 
-def conformal_anomaly(
-    spec: AnomalySpec,
-    volume: Rational | None = None,
-    chi_one: Rational = 1,
-) -> AnomalyResult:
+def conformal_anomaly(spec: AnomalySpec) -> AnomalyResult:
     """Exact anomaly for the given spec; pi exponent is always n/2.
-
-    When ``volume`` is given, zeta_zero is the anomaly scaled back to the
-    zeta value (times volume, R^n, and the bundle multiplier chi_one);
-    otherwise unit volume is assumed.
 
     The value comes from zeta_identity_zero_total (one memoised moment per
     sector and a prefix sum over j) for every alpha.  The breakdown is
@@ -313,9 +291,7 @@ def conformal_anomaly(
     total = zeta_identity_zero_total(n, p, spec.alpha)
     terms = functools.partial(_pform_breakdown, n, p, spec.alpha)
     value = PiValue(_prefactor(n, spec.radius_power_scale) * total, n // 2)
-    vol = Fraction(volume) if volume is not None else Fraction(1)
-    zeta_zero = value * (vol * spec.radius_power_scale * Fraction(chi_one))
-    return AnomalyResult(value=value, zeta_zero=zeta_zero, terms=terms)
+    return AnomalyResult(value=value, terms=terms)
 
 
 def conformal_scalar_anomaly(n: int) -> AnomalyResult:
@@ -343,9 +319,7 @@ def conformal_scalar_anomaly(n: int) -> AnomalyResult:
     pref = _prefactor(n, Fraction(1))
     total = sum((term for _, _, term in breakdown), Fraction(0))
     value = PiValue(pref * total, k)
-    return AnomalyResult(
-        value=value, zeta_zero=value, terms=functools.partial(tuple, breakdown)
-    )
+    return AnomalyResult(value=value, terms=functools.partial(tuple, breakdown))
 
 
 @dataclass(frozen=True)
@@ -355,7 +329,6 @@ class TableCell:
     dimension: int
     form_order: int
     result: AnomalyResult | None
-    note: str = ""
 
     @property
     def excluded(self) -> bool:
@@ -366,7 +339,7 @@ def _pform_cell(n: int, p: int) -> TableCell:
     if 0 <= p <= n // 2 - 1:
         spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
         return TableCell(n, p, conformal_anomaly(spec))
-    return TableCell(n, p, None, note="excluded: middle degree or out of range")
+    return TableCell(n, p, None)
 
 
 def generate_table(
@@ -376,29 +349,24 @@ def generate_table(
 ) -> list[TableCell]:
     """Grid of anomaly values in row-major (dimension, form) order.
 
-    kind 'scalar_table': conformal scalar, one cell per dimension (default
-    n = 2..14).  kind 'pform_table': default dims 2..10 and forms 0..4,
-    the triangular shape of the p-form table (15 populated cells, the
-    rest explicit exclusion markers).  kind 'custom': both lists required.
+    kind 'scalar_table': the conformal scalar, one cell per dimension
+    n = 2..14.  kind 'pform_table': dims 2..10 and forms 0..4, the
+    triangular shape of the p-form table (15 populated cells, the rest
+    explicit exclusion markers).  kind 'custom': p-form cells over dims and
+    forms, both required; the fixed kinds take neither.
     """
+    if kind in ("scalar_table", "pform_table"):
+        if dims is not None or forms is not None:
+            raise ValueError(f"dims and forms apply only to custom tables, not {kind!r}")
+        if kind == "scalar_table":
+            return [TableCell(n, 0, conformal_scalar_anomaly(n)) for n in TABLE1_DIMS]
+        dims, forms = TABLE2_DIMS, range(_TABLE2_MAX_FORM + 1)
+    elif kind != "custom":
+        raise ValueError(f"unknown table kind {kind!r}")
+    elif not dims or forms is None:
+        raise ValueError("custom tables need explicit dims and forms")
     # every dimension is checked before any cell is computed, so an
     # out-of-range one fails at once rather than after the cells before it
-    if dims:
-        dims = [check_dimension(int(d)) for d in dims]
-    if kind == "scalar_table":
-        use_dims = dims or list(TABLE1_DIMS)
-        cells = []
-        for n in use_dims:
-            cells.append(TableCell(n, 0, conformal_scalar_anomaly(n)))
-        return cells
-    if kind == "pform_table":
-        use_dims = dims or list(TABLE2_DIMS)
-        use_forms = [int(p) for p in forms] if forms else list(range(_TABLE2_MAX_FORM + 1))
-    elif kind == "custom":
-        if not dims or forms is None:
-            raise ValueError("custom tables need explicit dims and forms")
-        use_dims = dims
-        use_forms = [int(p) for p in forms]
-    else:
-        raise ValueError(f"unknown table kind {kind!r}")
-    return [_pform_cell(n, p) for n in use_dims for p in use_forms]
+    dims = [check_dimension(int(d)) for d in dims]
+    forms = [int(p) for p in forms]
+    return [_pform_cell(n, p) for n in dims for p in forms]

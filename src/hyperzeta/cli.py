@@ -260,12 +260,11 @@ def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
 
 def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
     from . import heat_zeta
-    for s in args.s:
-        if not (math.isfinite(s) and abs(0.5 - s) <= heat_zeta.MAX_BESSEL_ORDER):
-            return _usage_fail(
-                f"--s must be finite with Bessel order |1/2 - s| <= "
-                f"{heat_zeta.MAX_BESSEL_ORDER:g}, got {s!r}"
-            )
+    try:
+        heat_zeta._check_mellin_s(args.s)
+    except ValueError as exc:
+        # checked before the file is read, so a bad --s is reported first
+        return _usage_fail(f"--{exc}")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         return _usage_fail(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
     ident, bessels, quads, gaps, f_2, f_3 = heat_zeta.zeta_check(

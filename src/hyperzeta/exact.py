@@ -70,8 +70,6 @@ _bernoulli_lock = threading.Lock()
 
 def _extend_tangent(n: int) -> None:
     # caller holds _bernoulli_lock
-    if len(_tangent_cache) >= n:
-        return
     t = [0] * (n + 1)
     t[1] = 1
     for k in range(2, n + 1):

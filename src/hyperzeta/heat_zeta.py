@@ -29,9 +29,7 @@ __all__ = [
     "QuadratureError",
     "EmptySpectrumWarning",
     "HeatTraceBreakdown",
-    "TanhMomentResult",
     "identity_heat_term",
-    "tanh_moment_series",
     "tanh_moment_series_exact",
     "hyperbolic_heat_term",
     "hyperbolic_tail_bound",
@@ -149,12 +147,6 @@ def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
 # --- tanh moment series ------------------------------------------------------
 
 
-class TanhMomentResult(NamedTuple):
-    value: float
-    first_omitted: float
-    order_used: int
-
-
 _MAX_SERIES_TERMS = 400
 
 
@@ -168,21 +160,18 @@ def _series_term(ell: int, k: int, t: Fraction) -> Fraction:
     return Fraction(-num if ell % 2 else num, den)
 
 
-def tanh_moment_series_exact(
-    ell: int, t: Rational, order: int | None = None
-) -> tuple[Fraction, Fraction, int]:
+def tanh_moment_series_exact(ell: int, t: Rational) -> tuple[Fraction, Fraction, int]:
     """Exact-core evaluation of the odd tanh moment's asymptotic expansion.
 
     integral over R of r^(2l+1) e^(-t r^2) tanh(pi r) dr
         ~  l! t^(-l-1)  -  sum_k (-1)^l (1 - 2^(-2l-2k-1)) B_{2(l+k+1)} t^k / (k! (l+k+1))
 
     The series diverges for every t (Bernoulli numbers grow factorially),
-    so it is summed at most to the smallest-magnitude term; requesting a
-    higher order silently truncates there instead.  Terms alternate in
+    so it is summed to the smallest-magnitude term.  Terms alternate in
     sign, and the remainder after a truncation inside the decreasing range
     is bounded by the first omitted term.
 
-    Returns (value, |first omitted term|, order actually used), all exact.
+    Returns (value, |first omitted term|, last index summed), all exact.
     The optimal-index scan is capped at 400 terms, which covers every
     t >= 0.025 (the optimal index grows like pi^2/t); beyond the cap the
     remainder bound is still valid, merely not the sharpest available.
@@ -192,8 +181,6 @@ def tanh_moment_series_exact(
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
-    if order is not None and order < 0:
-        raise ValueError("order must be nonnegative")
 
     terms = [_series_term(ell, 0, t)]
     optimal = _MAX_SERIES_TERMS
@@ -202,25 +189,10 @@ def tanh_moment_series_exact(
         if abs(terms[k]) >= abs(terms[k - 1]):
             optimal = k - 1
             break
-        if order is not None and k > order:
-            break
 
-    used = optimal if order is None else min(order, optimal)
     leading = Fraction(math.factorial(ell)) / t ** (ell + 1)
-    value = leading - sum(terms[: used + 1])
-    return value, abs(terms[used + 1]), used
-
-
-def tanh_moment_series(ell: int, t: float, order: int | None = None) -> TanhMomentResult:
-    """Float front end of tanh_moment_series_exact; see that docstring.
-
-    The float t is converted to its exact binary rational, so the series
-    is evaluated at precisely the number the caller holds.  first_omitted
-    may underflow to 0.0 near the optimal index for small t; use the
-    exact variant when the bound itself is the object of interest.
-    """
-    value, first_omitted, used = tanh_moment_series_exact(ell, Fraction(float(t)), order)
-    return TanhMomentResult(float(value), float(first_omitted), used)
+    value = leading - sum(terms[: optimal + 1])
+    return value, abs(terms[optimal + 1]), optimal
 
 
 # --- hyperbolic sector -------------------------------------------------------

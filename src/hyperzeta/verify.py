@@ -103,15 +103,15 @@ def load_golden(path: str | None = None) -> dict:
     return blob
 
 
-def float_matches_published(value: PiValue, published: str, digits: int = 6) -> bool:
-    """Compare against a published float allowing one unit in the last
+def float_matches_published(value: PiValue, published: str) -> bool:
+    """Compare against a published float allowing one unit in its sixth
     significant digit (reference columns were truncated, not rounded,
     in two places)."""
     ref = float(published)
     mine = float(value)
     if ref == 0.0:
         return mine == 0.0
-    ulp = 10.0 ** (math.floor(math.log10(abs(ref))) - (digits - 1))
+    ulp = 10.0 ** (math.floor(math.log10(abs(ref))) - 5)
     return abs(mine - ref) <= ulp * (1.0 + 1e-9)
 
 

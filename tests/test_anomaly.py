@@ -23,7 +23,6 @@ from hyperzeta.anomaly import (
     generate_table,
     zeta_identity_terms,
     zeta_identity_zero_total,
-    zeta_moment_parts,
 )
 from hyperzeta.exact import PiValue
 from hyperzeta.plancherel import miatello_coefficients
@@ -170,11 +169,6 @@ class TestStructure:
         ).value
         assert scaled == base * Fraction(2, 3) ** n
 
-    def test_zeta_zero_volume_scaling(self):
-        spec = AnomalySpec(dimension=4, form_order=1, alpha=alpha_default(4, 1))
-        res = conformal_anomaly(spec, volume=Fraction(7, 2))
-        assert res.zeta_zero == res.value * Fraction(7, 2)
-
     def test_pi_exponent_is_half_dimension(self):
         for n in (2, 6, 12):
             spec = AnomalySpec(dimension=n, form_order=0, alpha=alpha_default(n, 0))
@@ -189,7 +183,6 @@ class TestGenerateTable:
         excluded = [c for c in cells if c.excluded]
         assert len(populated) == 15
         assert len(excluded) == 10
-        assert all("excluded" in c.note for c in excluded)
 
     def test_scalar_defaults_shape(self):
         cells = generate_table("scalar_table")
@@ -209,6 +202,12 @@ class TestGenerateTable:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate_table("mystery")
+
+    @pytest.mark.parametrize("kind", ["scalar_table", "pform_table"])
+    @pytest.mark.parametrize("grid", [{"dims": [4]}, {"forms": [1]}, {"dims": [], "forms": []}])
+    def test_fixed_kinds_reject_a_grid(self, kind, grid):
+        with pytest.raises(ValueError, match=f"only to custom tables, not '{kind}'"):
+            generate_table(kind, **grid)
 
     def test_float_rendering_matches_published(self, golden):
         for row in golden["table2"]:
@@ -278,7 +277,7 @@ def reference_identity_terms(n: int, p: int, j: int, alpha: Fraction) -> tuple[F
 
 
 def reference_moment_parts(k: int, q: int, beta: Fraction) -> tuple[int, int]:
-    """zeta_moment_parts on the Fraction coefficients, each unwrapped back to
+    """_moment_parts on the Fraction coefficients, each unwrapped back to
     its integer over 4^(k-1): an independent reference."""
     beta = Fraction(beta)
     x, d = beta.numerator, beta.denominator
@@ -308,7 +307,8 @@ def assert_routes_match_reference(n: int, p: int, alpha: Fraction) -> None:
         assert zeta_identity_terms(n, p, j, alpha) == reference_identity_terms(n, p, j, alpha), j
     for q in range(p + 1):
         shift = alpha - p + q
-        assert zeta_moment_parts(k, q, shift) == reference_moment_parts(k, q, shift), q
+        got = anomaly._moment_parts(k, q, shift.numerator, shift.denominator)
+        assert got == reference_moment_parts(k, q, shift), q
 
 
 class TestMomentRoute:

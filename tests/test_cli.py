@@ -14,6 +14,7 @@ import warnings
 
 import pytest
 
+from hyperzeta import cli
 from hyperzeta.anomaly import MAX_DIMENSION
 from hyperzeta.cli import main
 
@@ -959,6 +960,16 @@ class TestEnvAndParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_unexpected_error_is_a_traceback(self, capsys, monkeypatch):
+        # only bad input exits 2; a bug in a command stays a traceback
+        def broken(args, digits):
+            raise KeyError("not a usage error")
+
+        monkeypatch.setattr(cli, "cmd_anomaly", broken)
+        with pytest.raises(KeyError, match="not a usage error"):
+            main(["anomaly", "--dim", "2"])
+        assert capsys.readouterr().err == ""
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -142,6 +142,30 @@ class TestPiValue:
         # n=2 anomaly cell; fixes both the 6-digit convention and rounding
         assert PiValue(Fraction(-1, 12), 1).render_float(6) == "-0.0265258"
 
+    def test_int_coefficient_becomes_a_fraction(self):
+        v = PiValue(1, 2)
+        assert type(v.coefficient) is Fraction
+        assert v == PiValue(Fraction(1), 2)
+
+    def test_adding_zero_returns_the_other_value(self):
+        x = PiValue(Fraction(1, 3), 2)
+        assert x + PiValue(Fraction(0)) is x
+        assert PiValue(Fraction(0)) + x is x
+
+    def test_subtraction(self):
+        x, y = PiValue(Fraction(1, 3), 2), PiValue(Fraction(1, 6), 2)
+        assert x - y == PiValue(Fraction(1, 6), 2)
+
+    def test_arithmetic_with_other_types_is_a_type_error(self):
+        x = PiValue(Fraction(1, 3), 2)
+        with pytest.raises(TypeError):
+            x + 1
+        with pytest.raises(TypeError):
+            x * 0.5
+
+    def test_str_is_exact_str(self):
+        assert str(PiValue(Fraction(-67, 160), 2)) == "-67/160 * pi^-2"
+
     def test_float_conversion(self):
         import math
 

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from hyperzeta import heat_zeta
 from hyperzeta.anomaly import (
     _bern_weight,
-    zeta_identity_at_zero,
+    _moment_parts,
+    zeta_identity_terms,
     zeta_identity_zero_total,
-    zeta_moment_parts,
     zeta_moment_sum,
 )
 from hyperzeta.exact import MAX_DIMENSION, bernoulli
@@ -33,7 +33,6 @@ from hyperzeta.heat_zeta import (
     identity_zeta_term,
     mellin_hyperbolic,
     mellin_hyperbolic_quadrature,
-    tanh_moment_series,
     tanh_moment_series_exact,
     zeta_moment_continued,
 )
@@ -91,42 +90,33 @@ class TestIdentityHeatTerm:
 class TestTanhMomentSeries:
     def test_order_zero_closed_form(self):
         # l=0, k=0 term: (1 - 2^-1) B_2 / (0! * 1) = 1/12
-        value, omitted, used = tanh_moment_series_exact(0, Fraction(1), order=0)
-        assert used == 0
-        assert value == Fraction(1) - Fraction(1, 12)
+        assert heat_zeta._series_term(0, 0, Fraction(1)) == Fraction(1, 12)
 
     def test_optimal_vs_quadrature_t01(self):
-        res = tanh_moment_series(0, 0.1)
+        t = Fraction(0.1)  # the binary t a float caller holds
+        value, omitted, _ = tanh_moment_series_exact(0, t)
         with mpmath.workdps(30):
-            t = mpmath.mpf(0.1)  # the binary t the series is evaluated at
+            tm = mpmath.mpf(0.1)
             want = mpmath.quad(
-                lambda r: 2 * r * mpmath.exp(-t * r * r) * mpmath.tanh(mpmath.pi * r),
+                lambda r: 2 * r * mpmath.exp(-tm * r * r) * mpmath.tanh(mpmath.pi * r),
                 [0, 1, mpmath.inf],
             )
-            # the series error plus the rounding of its value to a float
-            assert abs(res.value - want) <= res.first_omitted + math.ulp(res.value)
+            got = mpmath.mpf(value.numerator) / value.denominator
+            assert abs(got - want) <= mpmath.mpf(omitted.numerator) / omitted.denominator
 
     def test_leading_term_dominates_small_t(self):
-        res = tanh_moment_series(2, 0.01)
-        assert math.isclose(res.value, 2.0 * 0.01**-3, rel_tol=1e-3)
-
-    def test_requested_order_beyond_optimal_truncates(self):
-        _, _, used_opt = tanh_moment_series_exact(1, Fraction(1, 2))
-        _, _, used_big = tanh_moment_series_exact(1, Fraction(1, 2), order=10_000)
-        assert used_big == used_opt
-
-    def test_low_order_request_honored(self):
-        _, _, used = tanh_moment_series_exact(0, Fraction(1, 10), order=3)
-        assert used == 3
+        value, _, _ = tanh_moment_series_exact(2, Fraction(1, 100))
+        assert math.isclose(value, 2 * Fraction(1, 100) ** -3, rel_tol=1e-3)
 
     def test_omitted_magnitudes_shrink_up_to_optimal(self):
         t = Fraction(1, 10)
         _, om_opt, u0 = tanh_moment_series_exact(0, t)
         assert u0 > 5
-        # before the optimal index the omitted-term magnitudes decrease;
-        # crossing it they turn around (that is what defines the optimum)
-        _, om1, _ = tanh_moment_series_exact(0, t, order=u0 - 2)
-        _, om2, _ = tanh_moment_series_exact(0, t, order=u0 - 1)
+        assert om_opt == abs(heat_zeta._series_term(0, u0 + 1, t))
+        # before the optimal index the term magnitudes decrease; crossing
+        # it they turn around (that is what defines the optimum)
+        om1 = abs(heat_zeta._series_term(0, u0 - 1, t))
+        om2 = abs(heat_zeta._series_term(0, u0, t))
         assert om1 > om2
         assert om_opt >= om2
 
@@ -149,8 +139,6 @@ class TestTanhMomentSeries:
             tanh_moment_series_exact(-1, Fraction(1))
         with pytest.raises(ValueError):
             tanh_moment_series_exact(0, Fraction(0))
-        with pytest.raises(ValueError):
-            tanh_moment_series_exact(0, Fraction(1), order=-1)
 
 
 class TestHyperbolicHeatTerm:
@@ -589,12 +577,17 @@ class TestMellinHyperbolic:
         assert [v.hex() for v in together] == [v.hex() for v in alone]
 
 
+def identity_term_sum(n, p, j, alpha):
+    """The j-th identity-sector contribution to zeta(0), by the per-l route."""
+    return sum(zeta_identity_terms(n, p, j, alpha), Fraction(0))
+
+
 class TestZetaIdentityExact:
     def test_n2_example(self):
-        assert zeta_identity_at_zero(2, 0, 0, Fraction(1, 4)) == Fraction(-1, 3)
+        assert identity_term_sum(2, 0, 0, Fraction(1, 4)) == Fraction(-1, 3)
 
     def test_n4_scalar_example(self):
-        assert zeta_identity_at_zero(4, 0, 0, Fraction(9, 4)) == Fraction(29, 15)
+        assert identity_term_sum(4, 0, 0, Fraction(9, 4)) == Fraction(29, 15)
 
     def test_n4_p1_total(self):
         assert zeta_identity_zero_total(4, 1, Fraction(13, 4)) == Fraction(-67, 10)
@@ -608,7 +601,7 @@ class TestZetaIdentityExact:
     ])
     def test_total_is_the_sum_over_j(self, n, p, alpha):
         by_j = sum(
-            (zeta_identity_at_zero(n, p, j, alpha) for j in range(p + 1)), Fraction(0)
+            (identity_term_sum(n, p, j, alpha) for j in range(p + 1)), Fraction(0)
         )
         assert zeta_identity_zero_total(n, p, alpha) == by_j
 
@@ -622,15 +615,15 @@ class TestZetaIdentityExact:
 
     def test_invalid_indices(self):
         with pytest.raises(ValueError):
-            zeta_identity_at_zero(4, 2, 0, Fraction(1))  # middle degree
+            zeta_identity_terms(4, 2, 0, Fraction(1))  # middle degree
         with pytest.raises(ValueError):
-            zeta_identity_at_zero(4, 1, 2, Fraction(1))  # j > p
+            zeta_identity_terms(4, 1, 2, Fraction(1))  # j > p
         with pytest.raises(ValueError):
-            zeta_identity_at_zero(3, 0, 0, Fraction(1))  # odd n
+            zeta_identity_terms(3, 0, 0, Fraction(1))  # odd n
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
-            zeta_identity_at_zero(MAX_DIMENSION + 2, 0, 0, Fraction(1))
+            zeta_identity_terms(MAX_DIMENSION + 2, 0, 0, Fraction(1))
 
 
 def fraction_loop_moment(k, q, beta):
@@ -670,9 +663,10 @@ class TestMomentSum:
 
     def test_parts_share_a_denominator_per_shift_denominator(self):
         k = 9
+        shifts = [q + Fraction(2 * k - 1, 2) ** 2 for q in range(k)]
         dens = {
-            zeta_moment_parts(k, q, q + Fraction(2 * k - 1, 2) ** 2)[1]
-            for q in range(k)
+            _moment_parts(k, q, shift.numerator, shift.denominator)[1]
+            for q, shift in enumerate(shifts)
         }
         assert len(dens) == 1
 

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperzeta.exact import MAX_DIMENSION
-from hyperzeta.plancherel import miatello_coefficients, plancherel_density
+from hyperzeta.plancherel import miatello_coefficients, plancherel_density, tanh_pi
 
 
 def product_form(k: int, p: int, r2: Fraction) -> Fraction:
@@ -149,6 +149,11 @@ class TestDensity:
         for k in range(1, 5):
             for p in range(2 * k):
                 assert plancherel_density(k, p, 0.7) > 0
+
+    def test_tanh_pi_saturates_at_both_ends(self):
+        # past |2 pi r| = 709 e^(2 pi r) would overflow, so the limit is returned
+        assert tanh_pi(200.0) == 1.0
+        assert tanh_pi(-200.0) == -1.0
 
     def test_large_r_no_overflow(self):
         val = plancherel_density(2, 0, 500.0)
