@@ -90,7 +90,7 @@ def alpha_massive_scalar(n: int, mass_sq_R_sq: Rational) -> Fraction:
     check_dimension(n)
     mass_sq_R_sq = Fraction(mass_sq_R_sq)
     if mass_sq_R_sq < 0:
-        raise ValueError("mass squared must be nonnegative")
+        raise ValueError("mass_sq_R_sq must be nonnegative")
     return Fraction(n - 1, 2) ** 2 + mass_sq_R_sq
 
 
@@ -104,7 +104,10 @@ def _check_form(n: int, p: int) -> int:
     # k = n/2, once n is a checked dimension and p a co-exact form order
     k = check_dimension(n) // 2
     if not 0 <= p <= k - 1:
-        raise ValueError(f"form order p={p} outside 0..{k - 1}")
+        raise ValueError(
+            f"form order must satisfy 0 <= p <= n/2 - 1 "
+            f"(middle degree excluded); got p={p}, n={n}"
+        )
     return k
 
 
@@ -233,12 +236,7 @@ class AnomalySpec:
     radius_power_scale: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        n = check_dimension(self.dimension)
-        if not 0 <= self.form_order <= n // 2 - 1:
-            raise ValueError(
-                f"form order must satisfy 0 <= p <= n/2 - 1 "
-                f"(middle degree excluded); got p={self.form_order}, n={n}"
-            )
+        _check_form(self.dimension, self.form_order)
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         scale = Fraction(self.radius_power_scale)
         if scale <= 0:
@@ -349,22 +347,26 @@ def generate_table(
 ) -> list[TableCell]:
     """Grid of anomaly values in row-major (dimension, form) order.
 
-    kind 'scalar_table': the conformal scalar, one cell per dimension
-    n = 2..14.  kind 'pform_table': dims 2..10 and forms 0..4, the
-    triangular shape of the p-form table (15 populated cells, the rest
-    explicit exclusion markers).  kind 'custom': p-form cells over dims and
-    forms, both required; the fixed kinds take neither.
+    kind 'table1': the conformal scalar, one cell per dimension n = 2..14.
+    kind 'table2': dims 2..10 and forms 0..4, the triangular shape of the
+    p-form table (15 populated cells, the rest explicit exclusion markers).
+    kind 'custom': p-form cells over dims (at least one) and forms, both
+    required.  The fixed kinds take neither: a ValueError names the first
+    of dims and forms given.
     """
-    if kind in ("scalar_table", "pform_table"):
-        if dims is not None or forms is not None:
-            raise ValueError(f"dims and forms apply only to custom tables, not {kind!r}")
-        if kind == "scalar_table":
+    if kind in ("table1", "table2"):
+        for name, grid in (("dims", dims), ("forms", forms)):
+            if grid is not None:
+                raise ValueError(f"{name} applies only to custom tables, not {kind!r}")
+        if kind == "table1":
             return [TableCell(n, 0, conformal_scalar_anomaly(n)) for n in TABLE1_DIMS]
         dims, forms = TABLE2_DIMS, range(_TABLE2_MAX_FORM + 1)
     elif kind != "custom":
         raise ValueError(f"unknown table kind {kind!r}")
-    elif not dims or forms is None:
-        raise ValueError("custom tables need explicit dims and forms")
+    elif not dims:
+        raise ValueError("dims must list at least one dimension for custom tables")
+    elif forms is None:
+        raise ValueError("forms are required for custom tables")
     # every dimension is checked before any cell is computed, so an
     # out-of-range one fails at once rather than after the cells before it
     dims = [check_dimension(int(d)) for d in dims]

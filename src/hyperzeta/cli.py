@@ -56,6 +56,16 @@ def _usage_fail(message: str) -> int:
     return 2
 
 
+# The flag that sets each library parameter whose rule the library states.
+# A library ValueError about a caller's argument starts with the
+# parameter's name; main prints the flag in its place.
+_FLAGS = {
+    "count": "--count", "min_length": "--min-length", "max_power": "--max-power",
+    "volume": "--volume", "betti": "--betti", "dims": "--dims", "forms": "--forms",
+    "s": "--s", "t": "--t", "mass_sq_R_sq": "--mass-sq", "r": "--eval",
+}
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -196,19 +206,10 @@ def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
 
 
 def cmd_table(args: argparse.Namespace, digits: int) -> int:
-    for flag, value in (("--dims", args.dims), ("--forms", args.forms)):
-        if value is not None and args.which != "custom":
-            return _usage_fail(f"{flag} applies only to --which custom, not {args.which}")
+    cells = generate_table(args.which, args.dims, args.forms)
     if args.which == "table1":
-        cells = generate_table("scalar_table")
         table = scalar_output(cells, digits=digits, format=args.format)
-    elif args.which == "table2":
-        cells = generate_table("pform_table")
-        table = pform_output(cells, digits=digits, format=args.format)
     else:
-        if not args.dims or args.forms is None:
-            return _usage_fail("custom tables need --dims and --forms")
-        cells = generate_table("custom", dims=args.dims, forms=args.forms)
         table = pform_output(cells, digits=digits, format=args.format)
     sys.stdout.write(table.render())
     return 0
@@ -241,8 +242,10 @@ def _load_manifold(path: str):
 
 def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
     from . import heat_zeta
+    # checked before the file is read, so a bad --t is reported first
+    for t in args.t:
+        heat_zeta._check_time(t)
     data = _load_manifold(args.manifold)
-    # coexact_trace checks every t before it computes anything (ValueError)
     table = OutputTable(
         headers=("t", "identity", "hyperbolic", "betti", "total"),
         rows=tuple(
@@ -260,11 +263,8 @@ def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
 
 def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
     from . import heat_zeta
-    try:
-        heat_zeta._check_mellin_s(args.s)
-    except ValueError as exc:
-        # checked before the file is read, so a bad --s is reported first
-        return _usage_fail(f"--{exc}")
+    # checked before the file is read, so a bad --s is reported first
+    heat_zeta._check_mellin_s(args.s)
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         return _usage_fail(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
     ident, bessels, quads, gaps, f_2, f_3 = heat_zeta.zeta_check(
@@ -291,21 +291,10 @@ def cmd_synth_spectrum(args: argparse.Namespace, digits: int) -> int:
         check_dimension(n)
     except ValueError as exc:
         return _usage_fail(f"--dim {n}: {exc}")
-    if args.count < 0:
-        return _usage_fail(f"--count must be nonnegative, got {args.count}")
-    if not (math.isfinite(args.min_length) and args.min_length > 0):
-        return _usage_fail(f"--min-length must be positive and finite, got {args.min_length!r}")
-    if args.max_power < 1:
-        return _usage_fail(f"--max-power must be at least 1, got {args.max_power}")
-    if not (math.isfinite(args.volume) and args.volume > 0):
-        return _usage_fail(f"--volume must be positive and finite, got {args.volume!r}")
-    if args.betti is not None:
-        if len(args.betti) != n + 1:
-            return _usage_fail(
-                f"--betti must list n + 1 = {n + 1} numbers b_0..b_n, got {len(args.betti)}"
-            )
-        if min(args.betti) < 0:
-            return _usage_fail(f"--betti entries must be nonnegative, got {args.betti}")
+    betti = tuple(args.betti) if args.betti else (1,) + (0,) * (n - 1) + (1,)
+    # the --volume and --betti rules, on an empty spectrum, and then
+    # synth_spectrum's argument rules all run before any class is drawn
+    manifold.ManifoldData(dimension=n, volume=args.volume, betti=betti, geodesics=())
     try:
         geos = manifold.synth_spectrum(
             seed=args.seed, count=args.count, min_length=args.min_length,
@@ -313,7 +302,6 @@ def cmd_synth_spectrum(args: argparse.Namespace, digits: int) -> int:
         )
     except OverflowError as exc:
         return _usage_fail(f"{exc}; lower --min-length or --max-power")
-    betti = tuple(args.betti) if args.betti else (1,) + (0,) * (n - 1) + (1,)
     data = manifold.ManifoldData(
         dimension=n, volume=args.volume, betti=betti, geodesics=tuple(geos),
     )
@@ -357,7 +345,9 @@ def main(argv: list[str] | None = None) -> int:
         with _one_line_warnings():
             return args.func(args, digits)
     except (OSError, ValueError) as exc:
-        return _usage_fail(str(exc))
+        # an OSError's text starts with its errno, never a parameter name
+        name, space, rest = str(exc).partition(" ")
+        return _usage_fail(_FLAGS.get(name, name) + space + rest)
     except Exception as exc:
         from .heat_zeta import QuadratureError  # raised only by the numeric commands
         if not isinstance(exc, QuadratureError):

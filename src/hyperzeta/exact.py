@@ -51,8 +51,14 @@ def check_dimension(n: int) -> int:
     Plancherel layer, manifold data) checks it here, so one rule bounds
     all of them.
     """
-    if not isinstance(n, int) or n % 2 != 0 or n < 2:
+    # a bool is an int to isinstance; it is not a dimension
+    integer = isinstance(n, int) and not isinstance(n, bool)
+    if integer and n % 2:
         raise ValueError("odd dimensions out of scope")
+    if not integer or n < 2:
+        raise ValueError(
+            f"dimension must be an even integer from 2 to MAX_DIMENSION={MAX_DIMENSION}"
+        )
     if n > MAX_DIMENSION:
         raise ValueError(f"dimension n={n} exceeds the limit MAX_DIMENSION={MAX_DIMENSION}")
     return n

@@ -85,7 +85,7 @@ def _plancherel_norm(k: int) -> float:
 
 def _check_time(t: float) -> None:
     if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"heat time t must be positive and finite, got {t!r}")
+        raise ValueError(f"t must be positive and finite, got {t!r}")
 
 
 def _heat_value(part: str, t: float, value: float) -> float:

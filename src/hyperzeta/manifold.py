@@ -432,13 +432,13 @@ def synth_spectrum(
     to 0.0 (rho0 t past about 745) raises OverflowError; one too short for
     the weight to be a float raises trivial_holonomy_c's ValueError.
     """
+    check_dimension(n)
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if min_length <= 0:
-        raise ValueError("length must be positive")
+    if not (_isfinite(min_length) and min_length > 0):
+        raise ValueError("min_length must be positive and finite")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    check_dimension(n)
     rng = random.Random(seed)
     primitive = [min_length + 10.0 * rng.random() for _ in range(count)]
     lengths = [j * t for t in primitive for j in range(1, max_power + 1)]

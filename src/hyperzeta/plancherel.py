@@ -101,7 +101,7 @@ def plancherel_density(k: int, p: int, r: float) -> float:
     """
     check_dimension(2 * k)
     if not math.isfinite(r):
-        raise ValueError("spectral parameter r must be finite")
+        raise ValueError("r must be finite")
     try:
         norm = math.pi / (2.0 ** (4 * k - 4) * float(half_gamma(2 * k)) ** 2)
     except OverflowError:

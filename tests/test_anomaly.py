@@ -177,7 +177,7 @@ class TestStructure:
 
 class TestGenerateTable:
     def test_pform_defaults_shape(self):
-        cells = generate_table("pform_table")
+        cells = generate_table("table2")
         assert len(cells) == 25  # 5 dims x forms 0..4
         populated = [c for c in cells if not c.excluded]
         excluded = [c for c in cells if c.excluded]
@@ -185,7 +185,7 @@ class TestGenerateTable:
         assert len(excluded) == 10
 
     def test_scalar_defaults_shape(self):
-        cells = generate_table("scalar_table")
+        cells = generate_table("table1")
         assert [c.dimension for c in cells] == list(range(2, 15, 2))
         assert all(not c.excluded for c in cells)
 
@@ -203,7 +203,7 @@ class TestGenerateTable:
         with pytest.raises(ValueError):
             generate_table("mystery")
 
-    @pytest.mark.parametrize("kind", ["scalar_table", "pform_table"])
+    @pytest.mark.parametrize("kind", ["table1", "table2"])
     @pytest.mark.parametrize("grid", [{"dims": [4]}, {"forms": [1]}, {"dims": [], "forms": []}])
     def test_fixed_kinds_reject_a_grid(self, kind, grid):
         with pytest.raises(ValueError, match=f"only to custom tables, not '{kind}'"):

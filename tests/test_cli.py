@@ -154,12 +154,11 @@ class TestAnomaly:
         assert out.strip().endswith("* pi^-2")
 
     def test_massive_rejects_negative(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "anomaly", "--dim", "4", "--form", "0",
             "--alpha-mode", "massive", "--mass-sq", "-1",
         )
-        assert code == 2
-        assert "mass" in err
+        assert_one_error_line(code, out, err, "error: --mass-sq must be nonnegative")
 
     @pytest.mark.parametrize("mode", [(), ("--alpha-mode", "conformal-scalar")])
     def test_mass_sq_outside_massive_mode_exit_2(self, capsys, mode):
@@ -260,7 +259,7 @@ class TestTable:
     )
     def test_custom_flags_on_fixed_table_exit_2(self, capsys, which, flag, values):
         code, out, err = run_cli(capsys, "table", "--which", which, flag, *values)
-        assert_one_error_line(code, out, err, flag, "--which custom")
+        assert_one_error_line(code, out, err, flag, f"only to custom tables, not '{which}'")
 
     def test_csv_byte_stable_across_processes(self):
         runs = [
@@ -327,6 +326,13 @@ class TestPlancherel:
         assert code == 0, err
         assert "mu(r=1000) = 2.58068e+143" in out
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_eval_named_exit_2(self, capsys, bad):
+        code, out, err = run_cli(
+            capsys, "plancherel", "--dim", "6", "--form", "0", "--eval", "1", f"--eval={bad}"
+        )
+        assert_one_error_line(code, out, err, "error: --eval must be finite")
+
     def test_density_overflow_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "plancherel", "--dim", "6", "--form", "1", "--eval", "1e100"
@@ -374,7 +380,7 @@ class TestHeatTrace:
         )
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: heat time t ")
+        assert err.count("\n") == 1 and err.startswith("error: --t ")
 
     def test_bad_t_after_good_computes_nothing(self, capsys, manifold_file, monkeypatch):
         from hyperzeta import heat_zeta
@@ -393,7 +399,7 @@ class TestHeatTrace:
         assert code == 2
         assert calls == []
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: heat time t ")
+        assert err.count("\n") == 1 and err.startswith("error: --t ")
 
     def test_quadrature_failure_exit_2(self, capsys, manifold_file):
         # t = 1e-300 passes the input check but no quadrature level converges
@@ -753,6 +759,40 @@ class TestZetaCheck:
             assert out.startswith("s=-64: bessel=")
 
 
+@pytest.mark.parametrize("command,flag", [
+    (("heat-trace", "--t", "1", "-1"), "--t"),
+    (("heat-trace", "--t", "nan"), "--t"),
+    (("zeta-check", "--s", "0.5", "nan"), "--s"),
+])
+def test_bad_flag_reported_before_missing_file(capsys, tmp_path, command, flag):
+    name, *flags = command
+    code, out, err = run_cli(capsys, name, "--manifold", str(tmp_path / "none.json"), *flags)
+    assert_one_error_line(code, out, err, f"error: {flag} must be ")
+
+
+@pytest.mark.parametrize("command", [("heat-trace", "--t", "1"), ("zeta-check",)])
+def test_bad_file_field_names_no_flag(capsys, tmp_path, command):
+    # "volume" is a parameter with a flag, but a file's volume is no flag
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"format_version": 1, "dimension": 4, "volume": 0, "betti": [1, 0, 0, 0, 1]}
+    ))
+    name, *flags = command
+    code, out, err = run_cli(capsys, name, "--manifold", str(path), *flags)
+    assert_one_error_line(code, out, err)
+    assert err == "error: bad manifold file: volume must be positive\n"
+
+
+def test_every_flag_of_the_table_is_an_option():
+    options = {
+        option
+        for action in cli.build_parser()._subparsers._group_actions
+        for command in action.choices.values()
+        for option in command._option_string_actions
+    }
+    assert set(cli._FLAGS.values()) <= options
+
+
 @pytest.mark.parametrize("command", [("heat-trace", "--t", "0.5", "1"), ("zeta-check",)])
 def test_empty_spectrum_warns_in_one_line(capsys, tmp_path, command):
     path = tmp_path / "empty.json"
@@ -839,8 +879,15 @@ class TestSynthSpectrum:
         (("--count", "3", "--betti", "1", "0", "-1", "0", "1"), "--betti"),
         (("--count", "3", "--dim", "5"), "--dim"),
     ])
-    def test_bad_flag_named_exit_2(self, capsys, tmp_path, flags, flag):
-        # these failed inside the library, in words that named no flag
+    def test_bad_flag_named_exit_2(self, capsys, tmp_path, monkeypatch, flags, flag):
+        # these failed inside the library, in words that named no flag;
+        # each flag's rule runs before a class is drawn
+        from hyperzeta import manifold
+
+        def drawn(*args):
+            raise AssertionError("a class was drawn before the flags were checked")
+
+        monkeypatch.setattr(manifold, "trivial_holonomy_c", drawn)
         path = tmp_path / "m.json"
         dim = () if "--dim" in flags else ("--dim", "4")
         code, out, err = run_cli(

@@ -88,10 +88,18 @@ class TestCheckDimension:
         for n in (2, 4, 44, MAX_DIMENSION):
             assert check_dimension(n) == n
 
-    @pytest.mark.parametrize("n", [3, 0, -2, 4.0, "4", True])
-    def test_odd_small_and_non_int_rejected(self, n):
-        with pytest.raises(ValueError, match="odd dimensions out of scope"):
+    @pytest.mark.parametrize("n", [3, -3, MAX_DIMENSION + 1])
+    def test_odd_rejected(self, n):
+        with pytest.raises(ValueError, match="^odd dimensions out of scope$"):
             check_dimension(n)
+
+    @pytest.mark.parametrize("n", [0, -2, 4.0, "4", True])
+    def test_small_and_non_int_rejected(self, n):
+        with pytest.raises(ValueError) as err:
+            check_dimension(n)
+        assert str(err.value) == (
+            f"dimension must be an even integer from 2 to MAX_DIMENSION={MAX_DIMENSION}"
+        )
 
     def test_cap_rejected(self):
         with pytest.raises(ValueError, match=f"n=202 exceeds the limit MAX_DIMENSION={MAX_DIMENSION}"):

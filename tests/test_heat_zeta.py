@@ -312,7 +312,7 @@ class TestCoexactTrace:
 
         monkeypatch.setattr(hz.quadrature, "plancherel_integral", no_quadrature)
         monkeypatch.setattr(hz.quadrature, "plancherel_integrals", no_quadrature)
-        with pytest.raises(ValueError, match="heat time"):
+        with pytest.raises(ValueError, match="^t must be positive and finite, got "):
             coexact_trace(small_spectrum, 1, [1.0, 0.5, bad])
 
     def test_empty_spectrum_warns_once_per_call(self):

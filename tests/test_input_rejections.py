@@ -77,8 +77,13 @@ def test_character_holonomy_length_must_be_n():
 
 
 @pytest.mark.parametrize("changes,message", [
-    ({"min_length": 0.0}, "length must be positive"),
+    ({"min_length": 0.0}, "min_length must be positive and finite"),
+    # nan failed as "length must be a finite number", inf as an OverflowError
+    ({"min_length": float("nan")}, "min_length must be positive and finite"),
+    ({"min_length": float("inf")}, "min_length must be positive and finite"),
     ({"max_power": 0}, "max_power must be at least 1"),
+    # the dimension is checked first
+    ({"n": 5, "count": -1}, "odd dimensions out of scope"),
 ])
 def test_synth_spectrum_argument_rejected(changes, message):
     args = dict(seed=1, count=2, min_length=1.0, max_power=1, n=4)

@@ -8,7 +8,7 @@ from hyperzeta.output import OutputTable, pform_output, scalar_output
 
 @pytest.fixture(scope="module")
 def pform_cells():
-    return generate_table("pform_table")
+    return generate_table("table2")
 
 
 class TestOutputTable:
@@ -54,7 +54,7 @@ class TestOutputTable:
 
     def test_csv_byte_stable(self, pform_cells):
         a = pform_output(pform_cells, format="csv").render().encode()
-        b = pform_output(generate_table("pform_table"), format="csv").render().encode()
+        b = pform_output(generate_table("table2"), format="csv").render().encode()
         assert a == b
 
 
@@ -67,7 +67,7 @@ class TestBuilders:
         assert table.rows[0][2] == "excluded"
 
     def test_scalar_rows(self):
-        table = scalar_output(generate_table("scalar_table"))
+        table = scalar_output(generate_table("table1"))
         assert table.headers == ("n", "anomaly")
         assert len(table.rows) == 7
         assert table.rows[-1][0] == "14"
