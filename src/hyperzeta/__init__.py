@@ -9,7 +9,10 @@ The exact layer (``exact``, ``plancherel``, ``anomaly``) works entirely
 in rational arithmetic; floats only appear at render time.  The numeric
 layer (``heat_zeta``, ``_kernels``) uses double-exponential quadrature in
 pure Python (``hyperzeta.BACKEND`` is always ``"python"``).  Each name is
-imported on first use, so an exact process loads no numeric code.
+imported on first use, and each command of ``cli`` imports what it uses
+inside its handler: an exact process loads no numeric code, and a numeric
+one (``heat-trace``, ``zeta-check``, ``synth-spectrum``) loads neither
+``anomaly`` nor mpmath, which ``exact`` imports only to render a value.
 """
 
 import importlib

@@ -12,25 +12,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
 import warnings
 from fractions import Fraction
 
+# Each command imports the package modules it uses inside its handler, so a
+# process loads only its own command's: no numeric command loads mpmath or
+# the anomaly layer, and zeta-check and synth-spectrum load no renderer.
 from . import __version__
-from .anomaly import (
-    AnomalySpec,
-    alpha_conformal_scalar,
-    alpha_default,
-    alpha_massive_scalar,
-    conformal_anomaly,
-    generate_table,
-)
 from .exact import check_dimension
-from .output import FORMATS, OutputTable, pform_output, scalar_output
-from .plancherel import miatello_coefficients, plancherel_density
 
 __all__ = ["main", "build_parser"]
 
@@ -64,6 +56,11 @@ _FLAGS = {
     "volume": "--volume", "betti": "--betti", "dims": "--dims", "forms": "--forms",
     "s": "--s", "t": "--t", "mass_sq_R_sq": "--mass-sq", "r": "--eval",
 }
+
+
+# the --format choices of table and heat-trace: output.FORMATS, which a test
+# holds equal, stated here so that building the parser loads no renderer
+_FORMATS = ("markdown", "csv", "plain")
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -114,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--dims", type=int, nargs="+", help="dimensions for custom grids")
     p_table.add_argument("--forms", type=int, nargs="+", help="form orders for custom grids")
-    p_table.add_argument("--format", choices=FORMATS, default="markdown")
+    p_table.add_argument("--format", choices=_FORMATS, default="markdown")
     p_table.set_defaults(func=cmd_table)
 
     p_plan = sub.add_parser("plancherel", help="inspect a Plancherel polynomial/density")
@@ -130,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--manifold", required=True, help="path to a manifold file")
     p_heat.add_argument("--form", type=int, default=0, help="co-exact form order p")
     p_heat.add_argument("--t", type=float, nargs="+", required=True, help="heat times")
-    p_heat.add_argument("--format", choices=FORMATS, default="markdown")
+    p_heat.add_argument("--format", choices=_FORMATS, default="markdown")
     p_heat.set_defaults(func=cmd_heat_trace)
 
     p_zeta = sub.add_parser(
@@ -172,6 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
+    from .anomaly import (
+        AnomalySpec, alpha_conformal_scalar, alpha_default, alpha_massive_scalar,
+        conformal_anomaly,
+    )
     n, p = args.dim, args.form
     if args.radius <= 0:
         # R^n is even in R at even n, so a negative radius would pass as |R|
@@ -206,6 +207,8 @@ def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
 
 
 def cmd_table(args: argparse.Namespace, digits: int) -> int:
+    from .anomaly import generate_table
+    from .output import pform_output, scalar_output
     cells = generate_table(args.which, args.dims, args.forms)
     if args.which == "table1":
         table = scalar_output(cells, digits=digits, format=args.format)
@@ -216,6 +219,7 @@ def cmd_table(args: argparse.Namespace, digits: int) -> int:
 
 
 def cmd_plancherel(args: argparse.Namespace, digits: int) -> int:
+    from .plancherel import miatello_coefficients, plancherel_density
     n, p = check_dimension(args.dim), args.form
     k = n // 2
     coeffs = miatello_coefficients(k, p)
@@ -242,6 +246,7 @@ def _load_manifold(path: str):
 
 def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
     from . import heat_zeta
+    from .output import OutputTable
     # checked before the file is read, so a bad --t is reported first
     for t in args.t:
         heat_zeta._check_time(t)
@@ -308,8 +313,7 @@ def cmd_synth_spectrum(args: argparse.Namespace, digits: int) -> int:
     if args.out:
         manifold.save_manifold(data, args.out)
     else:
-        json.dump(manifold.manifold_to_dict(data), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        manifold._write_manifold(data, sys.stdout)
     return 0
 
 

@@ -20,8 +20,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 Rational = Fraction
 
 __all__ = [
@@ -60,7 +58,9 @@ def check_dimension(n: int) -> int:
             f"dimension must be an even integer from 2 to MAX_DIMENSION={MAX_DIMENSION}"
         )
     if n > MAX_DIMENSION:
-        raise ValueError(f"dimension n={n} exceeds the limit MAX_DIMENSION={MAX_DIMENSION}")
+        # n is named only while short: an int past Python's digit limit has no str()
+        shown = f" n={n}" if n < 10**100 else ""
+        raise ValueError(f"dimension{shown} exceeds the limit MAX_DIMENSION={MAX_DIMENSION}")
     return n
 
 
@@ -227,6 +227,8 @@ class PiValue:
 
     def to_mpf(self, dps: int = 50) -> mpmath.mpf:
         """Value as an mpmath float computed with at least 50 digits of pi."""
+        import mpmath  # here, so a process that renders nothing never loads it
+
         with mpmath.workdps(max(dps, 50)):
             num = mpmath.mpf(self.coefficient.numerator)
             val = num / self.coefficient.denominator
@@ -245,6 +247,8 @@ class PiValue:
         """
         if digits < 1:
             raise ValueError("digits must be positive")
+        import mpmath
+
         with mpmath.workdps(max(digits + 15, 50)):
             val = self.to_mpf(dps=max(digits + 15, 50))
             return mpmath.nstr(val, digits)

@@ -126,7 +126,16 @@ def _identity_term(
         raise QuadratureError(
             f"identity heat term did not converge (n={n}, p={p}, t={t})", delta
         )
-    return norm * 2.0 * math.exp(-t * shift) * value
+    scale = norm * 2.0 * math.exp(-t * shift)
+    if scale >= sys.float_info.min or not value > 0.0:  # logs need value > 0
+        return scale * value
+    # the scale left the normal floats before the integral was applied (at
+    # n = 130, t = 0.05 it is 0.0 and the term 2.2e-152): apply the integral
+    # first, or where that leaves the normal floats too, take the product in logs
+    weighted = math.exp(-t * shift) * value
+    if sys.float_info.min <= weighted < math.inf:
+        return norm * 2.0 * weighted
+    return math.exp(math.log(norm * 2.0) + math.log(value) - t * shift)
 
 
 def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:

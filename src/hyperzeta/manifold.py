@@ -145,7 +145,10 @@ class ManifoldData:
         if any(not isinstance(b, int) or isinstance(b, bool) or b < 0 for b in betti):
             raise ValueError("betti entries must be nonnegative integers")
         if not _isfinite(max(betti)):
-            raise ManifoldFormatError("int too large to convert to float", field_path="betti")
+            # led by the field's name, which the command line reads as --betti
+            raise ManifoldFormatError(
+                "betti entry too large to convert to float", field_path="betti"
+            )
         object.__setattr__(self, "betti", betti)
         if not _isfinite(self.radius):
             raise ValueError("radius must be a finite number")
@@ -391,16 +394,18 @@ def load_manifold(path) -> ManifoldData:
     return _manifold_from_dict(doc)
 
 
-def manifold_to_dict(data: ManifoldData) -> dict:
-    geos = []
-    for g in data.geodesics:
-        entry: dict = {"length": g.length, "power": g.power}
-        if g.c_value is not None:
-            entry["c"] = g.c_value
-        if g.chi != 1.0:
-            entry["chi"] = g.chi
-        entry["holonomy"] = "trivial" if g.holonomy is None else list(g.holonomy)
-        geos.append(entry)
+def _entry(g: GeodesicClass) -> dict:
+    # one class's object in a file's geodesics list
+    entry: dict = {"length": g.length, "power": g.power}
+    if g.c_value is not None:
+        entry["c"] = g.c_value
+    if g.chi != 1.0:
+        entry["chi"] = g.chi
+    entry["holonomy"] = "trivial" if g.holonomy is None else list(g.holonomy)
+    return entry
+
+
+def _header(data: ManifoldData) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "dimension": data.dimension,
@@ -408,15 +413,39 @@ def manifold_to_dict(data: ManifoldData) -> dict:
         "chi_one": data.chi_one,
         "radius": data.radius,
         "betti": list(data.betti),
-        "geodesics": geos,
     }
+
+
+def manifold_to_dict(data: ManifoldData) -> dict:
+    return {**_header(data), "geodesics": [_entry(g) for g in data.geodesics]}
+
+
+# geodesic lines per write: large enough that writes are few, small enough
+# that no string holds more than a sliver of a large spectrum
+_CHUNK = 4096
+
+
+def _write_manifold(data: ManifoldData, out) -> None:
+    """Write ``data``'s file to the text stream ``out``, one geodesic per line.
+
+    The header is laid out as json.dumps(indent=2) lays it out.  Each class
+    is encoded alone by json.dumps without indent, which runs the C
+    encoder, and lines go out in chunks, so no list of every class's
+    object is built.
+    """
+    # the indented header without its closing "\n}"
+    out.write(json.dumps(_header(data), indent=2)[:-2] + ',\n  "geodesics": [')
+    geos = data.geodesics
+    for start in range(0, len(geos), _CHUNK):
+        lines = ",\n    ".join(json.dumps(_entry(g)) for g in geos[start:start + _CHUNK])
+        out.write(("," if start else "") + "\n    " + lines)
+    out.write("\n  ]\n}\n" if geos else "]\n}\n")
 
 
 def save_manifold(data: ManifoldData, path) -> None:
     """Write a manifold file that load_manifold reads back equal."""
-    Path(path).write_text(
-        json.dumps(manifold_to_dict(data), indent=2) + "\n", encoding="utf-8"
-    )
+    with open(path, "w", encoding="utf-8") as out:
+        _write_manifold(data, out)
 
 
 def synth_spectrum(

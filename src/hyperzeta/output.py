@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .anomaly import TableCell
+if TYPE_CHECKING:  # heat-trace renders a table without loading the anomaly layer
+    from .anomaly import TableCell
 
 __all__ = ["OutputTable", "pform_output", "scalar_output", "FORMATS"]
 

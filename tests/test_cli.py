@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every documented flag combination and exit code."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -572,8 +573,10 @@ HUGE = "1" + "0" * 5000
     ('"volume": 1.0', f'"volume": {HUGE}', "not valid JSON: Exceeds the limit (4300 digits)"),
     ('"c": 1.0', f'"c": 1.0, "power": {BIG}',
      "int too large to convert to float (field geodesics[0])"),
-    ('"betti": [1, ', f'"betti": [{BIG}, ', "int too large to convert to float (field betti)"),
-    ('"betti": [1, 0, ', f'"betti": [1, {BIG}, ', "int too large to convert to float (field betti)"),
+    ('"betti": [1, ', f'"betti": [{BIG}, ',
+     "betti entry too large to convert to float (field betti)"),
+    ('"betti": [1, 0, ', f'"betti": [1, {BIG}, ',
+     "betti entry too large to convert to float (field betti)"),
 ], ids=["volume", "length", "holonomy", "5000-digit", "power", "betti0", "betti1"])
 def test_huge_integer_is_a_bad_file(capsys, tmp_path, command, old, new, needle):
     # 400 digits ended in an OverflowError traceback with exit 1; 5000
@@ -822,6 +825,52 @@ class TestSynthSpectrum:
         assert doc["format_version"] == 1
         assert doc["dimension"] == 2
         assert len(doc["geodesics"]) == 6
+
+    @pytest.mark.parametrize("flags,digest", [
+        (("--seed", "7", "--count", "2", "--dim", "2"),
+         "0f856800c6dbbd737622da0c7c291e165f0ab28775a55c6f3d6a9e237cdf31a4"),
+        # the two bench spectra's sizes: 6000 classes at n = 6, 1500 at n = 4
+        (("--seed", "11", "--count", "2000", "--dim", "6"),
+         "ad9f689f37120322882aca5b5e69d54ba481e7d62ec4c207d1dd73836b4e7044"),
+        (("--seed", "11", "--count", "500", "--dim", "4"),
+         "02f4bb3163b4682af9ac1ecaff5d03aad6697379ec4ce6fa48abd865001b64cb"),
+    ], ids=["small", "heat-bench", "zeta-bench"])
+    def test_same_json_value_as_the_indented_writer(self, capsys, flags, digest):
+        # each digest is of the file that json.dumps(indent=2) wrote before
+        # the writer went one class a line: only the whitespace moved
+        code, out, _ = run_cli(capsys, "synth-spectrum", *flags, "--max-power", "3")
+        assert code == 0
+        indented = json.dumps(json.loads(out), indent=2) + "\n"
+        assert hashlib.sha256(indented.encode()).hexdigest() == digest
+
+    def test_stdout_equals_out_file(self, capsys, tmp_path):
+        args = ("synth-spectrum", "--seed", "5", "--count", "3000", "--max-power", "2",
+                "--dim", "4")
+        path = tmp_path / "m.json"
+        _, out, _ = run_cli(capsys, *args)
+        assert run_cli(capsys, *args, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
+    def test_one_geodesic_per_line(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "synth-spectrum", "--seed", "2", "--count", "3", "--max-power", "2",
+            "--dim", "4",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        lines = [line for line in out.splitlines() if line.startswith("    {")]
+        assert [json.loads(line.rstrip(",")) for line in lines] == doc["geodesics"]
+        assert len(doc["geodesics"]) == 6
+
+    def test_betti_past_float_range_names_flag(self, capsys, tmp_path):
+        # ended in "error: int too large to convert to float (field betti)"
+        path = tmp_path / "m.json"
+        code, out, err = run_cli(
+            capsys, "synth-spectrum", "--seed", "1", "--count", "1", "--dim", "2",
+            "--betti", "1", "0", BIG, "--out", str(path),
+        )
+        assert_one_error_line(code, out, err, "error: --betti entry too large")
+        assert not path.exists()
 
     def test_deterministic_output(self, capsys):
         args = ("synth-spectrum", "--seed", "3", "--count", "2", "--dim", "4")

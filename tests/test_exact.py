@@ -105,6 +105,12 @@ class TestCheckDimension:
         with pytest.raises(ValueError, match=f"n=202 exceeds the limit MAX_DIMENSION={MAX_DIMENSION}"):
             check_dimension(MAX_DIMENSION + 2)
 
+    def test_cap_rejected_for_an_int_with_no_str(self):
+        # formatting n raised Python's "Exceeds the limit (4300 digits)" text
+        with pytest.raises(ValueError) as err:
+            check_dimension(10**5000)
+        assert str(err.value) == f"dimension exceeds the limit MAX_DIMENSION={MAX_DIMENSION}"
+
 
 class TestPiValue:
     def test_zero_normalizes_exponent(self):

@@ -55,6 +55,44 @@ class TestIdentityHeatTerm:
             )
             assert abs(got - want) <= 1e-13 * abs(want)
 
+    def test_n130_not_a_silent_zero(self):
+        # norm * 2 * e^(-t shift), 1.34e-256 * 2 * 4.58e-91, underflowed to
+        # 0.0 before the integral (1.77e194) applied, and 0 was printed.
+        # Reference: with tanh(pi r) = 1 the integral over r > 0 is the sum
+        # of a_j j! / (2 t^(j+1)); tanh's 2 / (1 + e^(2 pi r)) part is below
+        # `bound`, from the integral of r^(2j+1) e^(-2 pi r)
+        n, p, t = 130, 0, 0.05
+        k = n // 2
+        data = ManifoldData(dimension=n, volume=1.0, betti=(1,) + (0,) * (n - 1) + (1,))
+        got = identity_heat_term(data, p, t)
+        coeffs = miatello_coefficients(k, p)
+        assert min(coeffs) > 0
+        with mpmath.workdps(40):
+            tt = mpmath.mpf(t)
+            a = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
+            half = sum(c * mpmath.factorial(j) / (2 * tt ** (j + 1)) for j, c in enumerate(a))
+            bound = sum(
+                2 * c * mpmath.factorial(2 * j + 1) / (2 * mpmath.pi) ** (2 * j + 2)
+                for j, c in enumerate(a)
+            )
+            norm = mpmath.pi / (mpmath.mpf(2) ** (4 * k - 4) * mpmath.factorial(k - 1) ** 2)
+            shift = p + mpmath.mpf(n - 1) ** 2 / 4
+            want = norm * math.comb(n - 1, p) * 2 * half * mpmath.exp(-tt * shift)
+            want /= 4 * mpmath.pi
+            assert bound < 1e-18 * half
+            assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("norm,shift,value", [
+        (0.5e-300, 700.0, 1e300),  # the integral applied first
+        (0.5, 800.0, 1e300),  # e^(-t shift) is 0.0 too: in logs
+    ], ids=["integral-first", "logs"])
+    def test_assembly_leaves_no_intermediate_below_normal(self, norm, shift, value):
+        got = heat_zeta._identity_term(norm, 4, 0, shift, 1.0, (value, 0.0, 0, True))
+        assert norm * 2.0 * math.exp(-shift) * value == 0.0  # the old order
+        with mpmath.workdps(30):
+            want = 2 * mpmath.mpf(norm) * mpmath.exp(-shift) * value
+            assert abs(got - want) <= 1e-12 * want
+
     def test_monotone_decay_in_t(self, small_spectrum):
         values = [identity_heat_term(small_spectrum, 1, t) for t in (1.0, 1.5, 2.0, 3.0)]
         assert all(v > 0 for v in values)

@@ -5,7 +5,10 @@ The exact half is ``exact``, ``plancherel``, ``anomaly`` and ``output``;
 ``_kernels``, ``verify``) only inside the commands that use it, and the
 package ``__init__`` resolves its exports on first use.  So an
 ``anomaly``, ``table`` or ``plancherel`` process never loads a numeric
-module.
+module.  The other way round, ``cli`` imports the exact half's modules
+inside the commands too, and ``exact`` imports mpmath only to render: a
+``heat-trace``, ``zeta-check`` or ``synth-spectrum`` process loads neither
+mpmath nor ``anomaly``.
 
 Beyond the standard library, the package imports only mpmath, and its
 tests add only pytest and hypothesis.  All three are pure Python and mpmath
@@ -23,6 +26,7 @@ import sys
 import pytest
 
 import hyperzeta
+from hyperzeta.manifold import ManifoldData, save_manifold, synth_spectrum
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hyperzeta"
 EXACT_HALF = ("exact", "plancherel", "anomaly", "output")
@@ -144,7 +148,7 @@ def test_every_export_has_one_source():
 
 
 # runs the command line as `python -m hyperzeta` does, then prints the
-# hyperzeta modules that the process loaded
+# hyperzeta and mpmath modules that the process loaded
 _PROBE = """
 import json, runpy, sys
 sys.argv = ["hyperzeta", *json.loads(sys.argv[1])]
@@ -154,7 +158,9 @@ except SystemExit as exc:
     code = exc.code
 else:
     code = None
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("hyperzeta"))]))
+print(json.dumps([code, sorted(
+    m for m in sys.modules if m.partition(".")[0] in ("hyperzeta", "mpmath")
+)]))
 """
 
 
@@ -171,6 +177,11 @@ def loaded_modules(argv: list[str]) -> tuple[object, list[str]]:
     return code, modules
 
 
+# a module each exact command does use, so the probe is seen to see loads
+USED = {"anomaly": "hyperzeta.anomaly", "table": "hyperzeta.anomaly",
+        "plancherel": "hyperzeta.plancherel"}
+
+
 @pytest.mark.parametrize("argv", [
     ["anomaly", "--dim", "10", "--form", "2"],
     ["table", "--which", "table2"],
@@ -181,5 +192,35 @@ def test_exact_commands_load_no_numeric_module(argv):
     assert code == 0
     numeric = {f"hyperzeta.{m}" for m in NUMERIC_HALF} | {"hyperzeta._kernels.fallback"}
     assert numeric & set(modules) == set()
-    assert "hyperzeta.anomaly" in modules
+    assert USED[argv[0]] in modules
 
+
+@pytest.mark.parametrize("command,renders", [
+    ("synth-spectrum", False),
+    ("heat-trace", True),
+    ("zeta-check", False),
+])
+def test_numeric_commands_load_no_exact_half_code(tmp_path, command, renders):
+    # the anomaly layer and mpmath were loaded by cli's imports, for nothing
+    path = tmp_path / "m.json"
+    data = ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1),
+                        geodesics=tuple(synth_spectrum(1, 3, 1.0, 2, 4)))
+    save_manifold(data, path)
+    argv = {
+        "synth-spectrum": ["--seed", "1", "--count", "3", "--dim", "4",
+                           "--out", str(tmp_path / "out.json")],
+        "heat-trace": ["--manifold", str(path), "--t", "0.5", "1"],
+        "zeta-check": ["--manifold", str(path)],
+    }[command]
+    code, modules = loaded_modules([command, *argv])
+    assert code == 0
+    assert {"mpmath", "hyperzeta.anomaly"} & set(modules) == set()
+    assert ("hyperzeta.output" in modules) == renders
+    assert "hyperzeta.manifold" in modules
+
+
+def test_cli_format_choices_are_the_renderers():
+    # cli states them so that building its parser loads no renderer
+    from hyperzeta import cli, output
+
+    assert cli._FORMATS == output.FORMATS

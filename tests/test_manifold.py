@@ -205,7 +205,7 @@ class TestManifoldData:
         # coexact_trace's float Betti sum raised OverflowError on these
         with pytest.raises(ManifoldFormatError) as err:
             ManifoldData(dimension=2, volume=1.0, betti=betti)
-        assert str(err.value) == "int too large to convert to float (field betti)"
+        assert str(err.value) == "betti entry too large to convert to float (field betti)"
         assert err.value.field_path == "betti"
 
     def test_boolean_betti_rejected(self):
@@ -250,6 +250,32 @@ class TestFileFormat:
         path = tmp_path / "spec.json"
         save_manifold(small_spectrum, path)
         assert load_manifold(path) == small_spectrum
+
+    @pytest.mark.parametrize("geodesics", [
+        (),
+        (GeodesicClass(length=1.25, c_value=1 / 3),),
+        (GeodesicClass(length=2.5, power=2, c_value=5e-324, chi=-0.0),
+         GeodesicClass(length=0.1, chi=-1 / 7)),
+        (GeodesicClass(length=3.0, c_value=0.1, chi=2.0,
+                       holonomy=(1.0, -0.0, 1 / 3, -2.5)),
+         GeodesicClass(length=3.0, c_value=0.2, holonomy=(1, 0, 0, 1))),
+    ], ids=["empty", "c", "chi", "holonomy"])
+    def test_round_trip_bit_exact(self, tmp_path, geodesics):
+        data = ManifoldData(dimension=4, volume=1 / 3, betti=(1, 0, 7, 0, 1),
+                            geodesics=geodesics, chi_one=-0.5)
+        path = tmp_path / "m.json"
+        save_manifold(data, path)
+        back = load_manifold(path)
+        # repr tells -0.0 from 0.0, which == does not
+        assert back == data and repr(back) == repr(data)
+
+    def test_one_geodesic_per_line(self, tmp_path, small_spectrum):
+        path = tmp_path / "m.json"
+        save_manifold(small_spectrum, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        entries = [json.loads(line.rstrip(",")) for line in lines if line.startswith("    {")]
+        assert entries == manifold_to_dict(small_spectrum)["geodesics"]
+        assert len(entries) == len(small_spectrum.geodesics) > 1
 
     @given(
         n=st.integers(min_value=1, max_value=3).map(lambda k: 2 * k),
