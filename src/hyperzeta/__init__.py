@@ -31,9 +31,9 @@ _SOURCES = {
         ("heat_zeta", ("HeatTraceBreakdown", "QuadratureError", "identity_heat_term",
                        "hyperbolic_heat_term", "coexact_trace", "bessel_k",
                        "mellin_hyperbolic", "mellin_hyperbolic_quadrature")),
-        ("anomaly", ("AnomalySpec", "AnomalyResult", "TableCell", "alpha_default",
-                     "alpha_conformal_scalar", "alpha_massive_scalar", "conformal_anomaly",
-                     "conformal_scalar_anomaly", "generate_table")),
+        ("anomaly", ("AnomalySpec", "TableCell", "alpha_default", "alpha_conformal_scalar",
+                     "alpha_massive_scalar", "conformal_anomaly", "conformal_scalar_anomaly",
+                     "generate_table")),
     )
     for name in names
 }

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .exact import (
     MAX_DIMENSION,
@@ -40,7 +39,6 @@ from .plancherel import integer_coefficients, miatello_coefficients
 
 __all__ = [
     "AnomalySpec",
-    "AnomalyResult",
     "alpha_default",
     "alpha_conformal_scalar",
     "alpha_massive_scalar",
@@ -51,7 +49,6 @@ __all__ = [
     "TABLE1_DIMS",
     "TABLE2_DIMS",
     "MAX_DIMENSION",
-    "zeta_identity_terms",
     "zeta_identity_zero_total",
     "zeta_moment_sum",
 ]
@@ -111,47 +108,6 @@ def _check_form(n: int, p: int) -> int:
     return k
 
 
-def zeta_identity_terms(n: int, p: int, j: int, alpha: Rational) -> tuple[Fraction, ...]:
-    """Per-l exact terms of the j-th identity-sector contribution to zeta(0).
-
-    Term l carries the (-1)^j sign, the binomial factor C(n-1, p-j), the
-    weight (-1)^(l+1)/(l+1), and the two-sector bracket: the (p-j)-sector
-    coefficients at shift alpha-j plus (p-j)/(n-p) times the (p-j-1)-sector
-    coefficients at shift alpha-j-1.  The j = p term has sector 0 alone:
-    the formula's (-1)-sector is zero, and so is its side weight.
-
-    Each term is one integer numerator over one integer denominator,
-    reduced once: every bracket sits over 4^(k-1)(n-p), and the powers
-    (alpha-j)^(l+1) and (alpha-j-1)^(l+1) are kept over the common
-    denominator of alpha and grown by one factor per l.
-    """
-    k = _check_form(n, p)
-    if not 0 <= j <= p:
-        raise ValueError(f"shift index j={j} outside 0..{p}")
-    alpha = Fraction(alpha)
-    d = alpha.denominator
-    x_main = alpha.numerator - j * d  # alpha - j = x_main / d
-    x_side = x_main - d  # alpha - j - 1 = x_side / d
-    c_main = integer_coefficients(k, p - j)
-    c_side = integer_coefficients(k, p - j - 1) if j < p else (0,) * k
-    signed_chi = (-1) ** j * math.comb(n - 1, p - j)
-    den = 4 ** (k - 1) * (n - p)
-    pow_d = pow_main = pow_side = 1
-    terms = []
-    for ell in range(k):
-        pow_d *= d
-        pow_main *= x_main
-        pow_side *= x_side
-        bern = _bern_weight(ell)
-        bn, bd = bern.numerator, bern.denominator
-        # bern + (alpha - j)^(l+1) = (bn d^(l+1) + bd x^(l+1)) / (bd d^(l+1))
-        num = c_main[ell] * (n - p) * (bn * pow_d + bd * pow_main)
-        num += (p - j) * c_side[ell] * (bn * pow_d + bd * pow_side)
-        num *= signed_chi if ell % 2 else -signed_chi
-        terms.append(Fraction(num, den * bd * pow_d * (ell + 1)))
-    return tuple(terms)
-
-
 # One entry for every sector (k, q) to the cap, so a sweep at one shift offset
 # evicts nothing whatever its row order (about 2.4 MB at the default shift).
 # The shift is two integers: a Fraction key, hashed in Python, is 3x slower.
@@ -191,8 +147,7 @@ def zeta_identity_zero_total(n: int, p: int, alpha: Rational) -> Fraction:
     side bracket is sector q - 1 at that sector's own shift.  So with M(q)
     the memoised moment and M(-1) = 0 the sum is A_p + B_p/(n-p), where
     A_p = C(n-1, p) M(p) - A_(p-1) and B_p = p C(n-1, p) M(p-1) - B_(p-1)
-    run over integer numerators (docs/numerics.md).  zeta_identity_terms is
-    the independent per-(j, l) route to the same value.
+    run over integer numerators (docs/numerics.md).
     """
     k = _check_form(n, p)
     alpha = Fraction(alpha)
@@ -214,7 +169,7 @@ def zeta_moment_sum(k: int, q: int, beta: Rational) -> Fraction:
     sum over l of a_{2l}^{(q)} (-1)^(l+1)/(l+1) [(1-2^(-2l-1)) B_{2(l+1)} + beta^(l+1)],
     the analytic continuation to s = 0 of
     2 integral_0^inf r P_q(r^2) tanh(pi r) (r^2 + beta)^(-s) dr.
-    It is the single building block every zeta_identity term reduces to.
+    It is the single building block every identity-sector term reduces to.
     """
     beta = Fraction(beta)
     return Fraction(*_moment_parts(k, q, beta.numerator, beta.denominator))
@@ -244,55 +199,24 @@ class AnomalySpec:
         object.__setattr__(self, "radius_power_scale", scale)
 
 
-@dataclass(frozen=True)
-class AnomalyResult:
-    """Exact anomaly value with its per-(j, l) term breakdown.
-
-    Each breakdown entry is (j, l, term) with the terms summing, under the
-    global prefactor, back to ``value`` exactly.  The breakdown is built
-    by ``terms`` the first time it is read; the value never needs it.
-    """
-
-    value: PiValue
-    terms: Callable[[], tuple[tuple[int, int, Fraction], ...]] = field(
-        repr=False, compare=False
-    )
-
-    @functools.cached_property
-    def breakdown(self) -> tuple[tuple[int, int, Fraction], ...]:
-        return self.terms()
-
-
 def _prefactor(n: int, radius_power_scale: Fraction) -> Fraction:
     # 1 / ((4 pi)^(n/2) Gamma(n/2) R^n), with the pi part carried separately
     k = n // 2
     return Fraction(1, 4**k) / half_gamma(n) / radius_power_scale
 
 
-def _pform_breakdown(n: int, p: int, alpha: Fraction) -> tuple[tuple[int, int, Fraction], ...]:
-    return tuple(
-        (j, ell, term)
-        for j in range(p + 1)
-        for ell, term in enumerate(zeta_identity_terms(n, p, j, alpha))
-    )
-
-
-def conformal_anomaly(spec: AnomalySpec) -> AnomalyResult:
+def conformal_anomaly(spec: AnomalySpec) -> PiValue:
     """Exact anomaly for the given spec; pi exponent is always n/2.
 
     The value comes from zeta_identity_zero_total (one memoised moment per
-    sector and a prefix sum over j) for every alpha.  The breakdown is
-    built from the per-(j, l) terms, and only when it is read.
+    sector and a prefix sum over j) for every alpha.
     """
     n = spec.dimension
-    p = spec.form_order
-    total = zeta_identity_zero_total(n, p, spec.alpha)
-    terms = functools.partial(_pform_breakdown, n, p, spec.alpha)
-    value = PiValue(_prefactor(n, spec.radius_power_scale) * total, n // 2)
-    return AnomalyResult(value=value, terms=terms)
+    total = zeta_identity_zero_total(n, spec.form_order, spec.alpha)
+    return PiValue(_prefactor(n, spec.radius_power_scale) * total, n // 2)
 
 
-def conformal_scalar_anomaly(n: int) -> AnomalyResult:
+def conformal_scalar_anomaly(n: int) -> PiValue:
     """Anomaly of the conformally invariant scalar field in dimension n.
 
     Independent closed form: the shift 1/4 turns the power bracket into
@@ -308,16 +232,12 @@ def conformal_scalar_anomaly(n: int) -> AnomalyResult:
     check_dimension(n)
     k = n // 2
     coeffs = miatello_coefficients(k, 0)
-    breakdown = []
+    total = Fraction(0)
     for ell in range(k):
         w = Fraction((-1) ** (ell + 1), ell + 1)
         bern = (1 - Fraction(1, 2 ** (2 * ell + 1))) * bernoulli(2 * (ell + 1))
-        term = w * coeffs[ell] * (Fraction(1, 2 ** (2 * ell + 2)) + bern)
-        breakdown.append((0, ell, term))
-    pref = _prefactor(n, Fraction(1))
-    total = sum((term for _, _, term in breakdown), Fraction(0))
-    value = PiValue(pref * total, k)
-    return AnomalyResult(value=value, terms=functools.partial(tuple, breakdown))
+        total += w * coeffs[ell] * (Fraction(1, 2 ** (2 * ell + 2)) + bern)
+    return PiValue(_prefactor(n, Fraction(1)) * total, k)
 
 
 @dataclass(frozen=True)
@@ -326,7 +246,7 @@ class TableCell:
 
     dimension: int
     form_order: int
-    result: AnomalyResult | None
+    result: PiValue | None
 
     @property
     def excluded(self) -> bool:

@@ -48,6 +48,15 @@ def _usage_fail(message: str) -> int:
     return 2
 
 
+def _flag_rule(shown: str, rule, *args):
+    """``rule(*args)``, run before any work. Its ValueError names no flag (the
+    rule serves several), so here it leads with ``shown``: flags and values."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ValueError(f"{shown}: {exc}") from None
+
+
 # The flag that sets each library parameter whose rule the library states.
 # A library ValueError about a caller's argument starts with the
 # parameter's name; main prints the flag in its place.
@@ -170,10 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
     from .anomaly import (
-        AnomalySpec, alpha_conformal_scalar, alpha_default, alpha_massive_scalar,
+        AnomalySpec, _check_form, alpha_conformal_scalar, alpha_default, alpha_massive_scalar,
         conformal_anomaly,
     )
-    n, p = args.dim, args.form
+    n, p = _flag_rule(f"--dim {args.dim}", check_dimension, args.dim), args.form
+    _flag_rule(f"--form {p}", _check_form, n, p)
     if args.radius <= 0:
         # R^n is even in R at even n, so a negative radius would pass as |R|
         return _usage_fail(f"--radius must be positive, got {args.radius}")
@@ -189,7 +199,7 @@ def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
         dimension=n, form_order=p, alpha=alpha,
         radius_power_scale=args.radius ** n,
     )
-    value = conformal_anomaly(spec).value
+    value = conformal_anomaly(spec)
     if args.format == "float":
         print(value.render_float(digits))
         return 0
@@ -209,6 +219,9 @@ def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
 def cmd_table(args: argparse.Namespace, digits: int) -> int:
     from .anomaly import generate_table
     from .output import pform_output, scalar_output
+    if args.which == "custom":
+        for n in args.dims or ():
+            _flag_rule(f"--dims {n}", check_dimension, n)
     cells = generate_table(args.which, args.dims, args.forms)
     if args.which == "table1":
         table = scalar_output(cells, digits=digits, format=args.format)
@@ -220,9 +233,9 @@ def cmd_table(args: argparse.Namespace, digits: int) -> int:
 
 def cmd_plancherel(args: argparse.Namespace, digits: int) -> int:
     from .plancherel import miatello_coefficients, plancherel_density
-    n, p = check_dimension(args.dim), args.form
+    n, p = _flag_rule(f"--dim {args.dim}", check_dimension, args.dim), args.form
     k = n // 2
-    coeffs = miatello_coefficients(k, p)
+    coeffs = _flag_rule(f"--form {p}", miatello_coefficients, k, p)
     # densities first, so a failing --eval prints nothing
     densities = [(r, plancherel_density(k, p, r)) for r in args.eval or ()]
     print(f"dimension n={n} (k={k}), form order p={p}")
@@ -291,15 +304,13 @@ def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
 
 def cmd_synth_spectrum(args: argparse.Namespace, digits: int) -> int:
     from . import manifold
-    n = args.dim
-    try:
-        check_dimension(n)
-    except ValueError as exc:
-        return _usage_fail(f"--dim {n}: {exc}")
+    n = _flag_rule(f"--dim {args.dim}", check_dimension, args.dim)
     betti = tuple(args.betti) if args.betti else (1,) + (0,) * (n - 1) + (1,)
     # the --volume and --betti rules, on an empty spectrum, and then
     # synth_spectrum's argument rules all run before any class is drawn
     manifold.ManifoldData(dimension=n, volume=args.volume, betti=betti, geodesics=())
+    _flag_rule(f"--count {args.count} --max-power {args.max_power}",
+               manifold._check_class_count, args.count, args.max_power)
     try:
         geos = manifold.synth_spectrum(
             seed=args.seed, count=args.count, min_length=args.min_length,

@@ -32,7 +32,6 @@ __all__ = [
     "identity_heat_term",
     "tanh_moment_series_exact",
     "hyperbolic_heat_term",
-    "hyperbolic_tail_bound",
     "coexact_trace",
     "mellin_hyperbolic",
     "mellin_hyperbolic_quadrature",
@@ -274,30 +273,6 @@ def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     lengths, amps = _geodesic_amplitudes(manifold, p)
     value = _hyperbolic_sum(lengths, amps, quadrature.suffix_bounds(amps), shift, t)[0]
     return _heat_value("hyperbolic", t, value)
-
-
-def hyperbolic_tail_bound(manifold: ManifoldData, p: int, t: float) -> float:
-    """Gaussian decay indicator for the classes beyond the file's spectrum.
-
-    exp(-t_max^2/(4t)) scaled by the prefactors of a unit-weight class at
-    the longest stored length.  It covers only the classes the file does
-    not list: an indicator, not a rigorous bound, since bounding them needs
-    growth assumptions on the length spectrum that the file cannot supply
-    (Huber's count of geodesics up to a length).  The classes the file
-    does list are summed until a rigorous bound computed from the file
-    shows the rest below 2^-54 of the sum (hyperbolic_heat_term).
-    """
-    _check_time(t)
-    n, shift = _sector(manifold, p)
-    t_max = manifold.max_length
-    if t_max is None:
-        return 0.0
-    chi_p = float(binomial(n - 1, p))
-    return (
-        chi_p
-        * math.exp(-t * shift - t_max * t_max / (4.0 * t))
-        / math.sqrt(4.0 * math.pi * t)
-    )
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,16 @@ __all__ = [
     "ManifoldFormatError",
     "load_manifold",
     "save_manifold",
-    "manifold_to_dict",
     "trivial_holonomy_c",
     "synth_spectrum",
     "FORMAT_VERSION",
+    "MAX_SYNTH_CLASSES",
 ]
 
 FORMAT_VERSION = 1
+
+# the most classes synth_spectrum builds, whole, in memory (docs/manifold-format.md)
+MAX_SYNTH_CLASSES = 10**6
 
 
 class ManifoldFormatError(ValueError):
@@ -162,13 +165,9 @@ class ManifoldData:
                     f"got {len(g.holonomy)}",
                     field_path=f"geodesics[{i}].holonomy",
                 )
-        # keep the spectrum sorted so truncation bounds can use the last entry
+        # keep the spectrum sorted: the geodesic sums stop on a length-sorted bound
         geos = tuple(sorted(given, key=attrgetter("length")))
         object.__setattr__(self, "geodesics", geos)
-
-    @property
-    def max_length(self) -> float | None:
-        return self.geodesics[-1].length if self.geodesics else None
 
 
 # --- JSON serialization -----------------------------------------------------
@@ -416,10 +415,6 @@ def _header(data: ManifoldData) -> dict:
     }
 
 
-def manifold_to_dict(data: ManifoldData) -> dict:
-    return {**_header(data), "geodesics": [_entry(g) for g in data.geodesics]}
-
-
 # geodesic lines per write: large enough that writes are few, small enough
 # that no string holds more than a sliver of a large spectrum
 _CHUNK = 4096
@@ -448,6 +443,14 @@ def save_manifold(data: ManifoldData, path) -> None:
         _write_manifold(data, out)
 
 
+def _check_class_count(count: int, max_power: int) -> None:
+    if count * max_power > MAX_SYNTH_CLASSES:
+        raise ValueError(
+            f"count * max_power classes must be at most "
+            f"MAX_SYNTH_CLASSES={MAX_SYNTH_CLASSES}, got {count * max_power}"
+        )
+
+
 def synth_spectrum(
     seed: int, count: int, min_length: float, max_power: int, n: int
 ) -> list[GeodesicClass]:
@@ -468,6 +471,7 @@ def synth_spectrum(
         raise ValueError("min_length must be positive and finite")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
+    _check_class_count(count, max_power)
     rng = random.Random(seed)
     primitive = [min_length + 10.0 * rng.random() for _ in range(count)]
     lengths = [j * t for t in primitive for j in range(1, max_power + 1)]

@@ -103,7 +103,7 @@ class OutputTable:
 def _cell_pair(cell: TableCell, digits: int):
     if cell.excluded:
         return "excluded"
-    return (cell.result.value.exact_str(), cell.result.value.render_float(digits))
+    return (cell.result.exact_str(), cell.result.render_float(digits))
 
 
 def pform_output(cells: list[TableCell], digits: int = 6, format: str = "markdown") -> OutputTable:

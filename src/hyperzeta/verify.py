@@ -119,12 +119,12 @@ def _table2_cell(row: dict) -> tuple[str, PiValue]:
     # the cell the table command prints; _check_row has made (n, p) a populated one
     n, p = row["n"], row["p"]
     (cell,) = generate_table("custom", dims=[n], forms=[p])
-    return f"(n={n},p={p})", cell.result.value
+    return f"(n={n},p={p})", cell.result
 
 
 def _table1_cell(row: dict) -> tuple[str, PiValue]:
     n = row["n"]
-    return f"n={n}", conformal_scalar_anomaly(n).value
+    return f"n={n}", conformal_scalar_anomaly(n)
 
 
 # (golden key, label and value of a row, what the PASS detail calls a row),
@@ -153,10 +153,10 @@ def _check_golden_tables(golden: dict) -> list[CheckResult]:
 
 def _check_specialization() -> CheckResult:
     for n in TABLE1_DIMS:
-        direct = conformal_scalar_anomaly(n).value
+        direct = conformal_scalar_anomaly(n)
         via_pform = conformal_anomaly(
             AnomalySpec(dimension=n, form_order=0, alpha=alpha_conformal_scalar(n))
-        ).value
+        )
         if direct != via_pform:
             return CheckResult(
                 "specialization", False,

@@ -40,9 +40,9 @@ def test_criterion_1_pform_table_golden(criterion):
         n, p = row["n"], row["p"]
         got = conformal_anomaly(AnomalySpec(dimension=n, form_order=p,
                                             alpha=Fraction(p) + Fraction((n - 1) ** 2, 4)))
-        if got.value != PiValue.parse(row["exact"]):
+        if got != PiValue.parse(row["exact"]):
             mismatches.append(f"exact n={n} p={p}")
-        if got.value.render_float(6) != row["published_float"]:
+        if got.render_float(6) != row["published_float"]:
             mismatches.append(f"float n={n} p={p}")
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 1.0
@@ -57,7 +57,7 @@ def test_criterion_2_scalar_table_golden(criterion):
     mismatches = []
     for row in golden["table1"]:
         n = row["n"]
-        got = conformal_scalar_anomaly(n).value
+        got = conformal_scalar_anomaly(n)
         if got != PiValue.parse(row["exact"]):
             mismatches.append(f"exact n={n}")
         if not float_matches_published(got, row["published_float"]):

@@ -8,6 +8,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from identity_reference import reference_breakdown
 
 from hyperzeta import anomaly
 from hyperzeta.anomaly import (
@@ -21,7 +22,6 @@ from hyperzeta.anomaly import (
     conformal_anomaly,
     conformal_scalar_anomaly,
     generate_table,
-    zeta_identity_terms,
     zeta_identity_zero_total,
 )
 from hyperzeta.exact import PiValue
@@ -96,12 +96,12 @@ class TestGoldenTables:
         for row in golden["table2"]:
             n, p = row["n"], row["p"]
             spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
-            got = conformal_anomaly(spec).value
+            got = conformal_anomaly(spec)
             assert got == PiValue.parse(row["exact"]), (n, p)
 
     def test_table1_exact_equality(self, golden):
         for row in golden["table1"]:
-            got = conformal_scalar_anomaly(row["n"]).value
+            got = conformal_scalar_anomaly(row["n"])
             assert got == PiValue.parse(row["exact"]), row["n"]
 
     def test_spot_values(self):
@@ -113,11 +113,11 @@ class TestGoldenTables:
         }
         for (n, p), text in spot.items():
             spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
-            assert conformal_anomaly(spec).value == PiValue.parse(text)
+            assert conformal_anomaly(spec) == PiValue.parse(text)
 
     def test_scalar_spot_values(self):
-        assert conformal_scalar_anomaly(8).value == PiValue.parse("-23/34560 * pi^-4")
-        assert conformal_scalar_anomaly(14).value == PiValue.parse(
+        assert conformal_scalar_anomaly(8) == PiValue.parse("-23/34560 * pi^-4")
+        assert conformal_scalar_anomaly(14) == PiValue.parse(
             "-157009/232243200 * pi^-7"
         )
 
@@ -125,19 +125,18 @@ class TestGoldenTables:
 class TestSpecialization:
     def test_scalar_equals_pform_at_quarter(self):
         for n in (*TABLE1_DIMS, 44):
-            direct = conformal_scalar_anomaly(n).value
+            direct = conformal_scalar_anomaly(n)
             spec = AnomalySpec(dimension=n, form_order=0, alpha=Fraction(1, 4))
-            assert direct == conformal_anomaly(spec).value, n
+            assert direct == conformal_anomaly(spec), n
 
 
 class TestStructure:
     def test_p0_breakdown_has_half_n_terms(self):
         for n in (2, 4, 6, 8, 10):
-            spec = AnomalySpec(dimension=n, form_order=0, alpha=alpha_default(n, 0))
-            res = conformal_anomaly(spec)
-            assert len(res.breakdown) == n // 2
-            assert all(j == 0 for j, _, _ in res.breakdown)
-            assert all(term != 0 for _, _, term in res.breakdown)
+            breakdown = reference_breakdown(n, 0, alpha_default(n, 0))
+            assert len(breakdown) == n // 2
+            assert all(j == 0 for j, _, _ in breakdown)
+            assert all(term != 0 for _, _, term in breakdown)
 
     def test_breakdown_resums_to_value(self):
         # (n, p, alpha, R^n): the default shift, R = 3/2, and a custom shift
@@ -147,18 +146,17 @@ class TestStructure:
             spec = AnomalySpec(
                 dimension=n, form_order=p, alpha=alpha, radius_power_scale=radius_power
             )
-            res = conformal_anomaly(spec)
-            total = sum((t for _, _, t in res.breakdown), Fraction(0))
+            total = sum((t for _, _, t in reference_breakdown(n, p, alpha)), Fraction(0))
             k = n // 2
             # 1 / ((4 pi)^(n/2) Gamma(n/2) R^n) without the pi
             prefactor = Fraction(1, 4**k * math.factorial(k - 1)) / radius_power
-            assert res.value == PiValue(prefactor * total, k), (n, p, alpha)
+            assert conformal_anomaly(spec) == PiValue(prefactor * total, k), (n, p, alpha)
 
     def test_radius_scaling_is_exact(self):
         n, p = 4, 1
         base = conformal_anomaly(
             AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
-        ).value
+        )
         scaled = conformal_anomaly(
             AnomalySpec(
                 dimension=n,
@@ -166,13 +164,13 @@ class TestStructure:
                 alpha=alpha_default(n, p),
                 radius_power_scale=Fraction(3, 2) ** n,
             )
-        ).value
+        )
         assert scaled == base * Fraction(2, 3) ** n
 
     def test_pi_exponent_is_half_dimension(self):
         for n in (2, 6, 12):
             spec = AnomalySpec(dimension=n, form_order=0, alpha=alpha_default(n, 0))
-            assert conformal_anomaly(spec).value.pi_exponent == n // 2
+            assert conformal_anomaly(spec).pi_exponent == n // 2
 
 
 class TestGenerateTable:
@@ -192,8 +190,8 @@ class TestGenerateTable:
     def test_custom(self):
         cells = generate_table("custom", dims=[4], forms=[0, 1])
         assert len(cells) == 2
-        assert cells[0].result.value == PiValue.parse("29/240 * pi^-2")
-        assert cells[1].result.value == PiValue.parse("-67/160 * pi^-2")
+        assert cells[0].result == PiValue.parse("29/240 * pi^-2")
+        assert cells[1].result == PiValue.parse("-67/160 * pi^-2")
 
     def test_custom_requires_lists(self):
         with pytest.raises(ValueError):
@@ -213,18 +211,15 @@ class TestGenerateTable:
         for row in golden["table2"]:
             n, p = row["n"], row["p"]
             spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
-            rendered = conformal_anomaly(spec).value.render_float(6)
+            rendered = conformal_anomaly(spec).render_float(6)
             assert rendered == row["published_float"], (n, p)
 
 
 def per_term_value(n: int, p: int, alpha: Fraction | None = None) -> PiValue:
-    """The anomaly from a freshly built per-(j, l) breakdown (default shift if no alpha)."""
+    """The anomaly from the reference per-(j, l) breakdown (default shift if no alpha)."""
     if alpha is None:
         alpha = alpha_default(n, p)
-    total = sum(
-        (term for j in range(p + 1) for term in zeta_identity_terms(n, p, j, alpha)),
-        Fraction(0),
-    )
+    total = sum((term for _, _, term in reference_breakdown(n, p, alpha)), Fraction(0))
     k = n // 2
     prefactor = Fraction(1, 4**k * math.factorial(k - 1))
     return PiValue(prefactor * total, k)
@@ -240,40 +235,6 @@ def cells(draw):
 shift_offsets = st.builds(
     Fraction, st.integers(min_value=-500, max_value=500), st.integers(min_value=1, max_value=99)
 )
-
-
-def reference_identity_terms(n: int, p: int, j: int, alpha: Fraction) -> tuple[Fraction, ...]:
-    """zeta_identity_terms on the Fraction coefficients, multiplied through
-    their reduced denominators one by one: an independent reference."""
-    k = n // 2
-    alpha = Fraction(alpha)
-    d = alpha.denominator
-    x_main = alpha.numerator - j * d
-    x_side = x_main - d
-    a_main = miatello_coefficients(k, p - j)
-    a_side = miatello_coefficients(k, p - j - 1) if j < p else None
-    side_num, side_den = p - j, n - p
-    signed_chi = (-1) ** j * math.comb(n - 1, p - j)
-    pow_d = pow_main = pow_side = 1
-    terms = []
-    for ell in range(k):
-        pow_d *= d
-        pow_main *= x_main
-        pow_side *= x_side
-        bern = _bern_weight(ell)
-        bn, bd = bern.numerator, bern.denominator
-        main = a_main[ell]
-        num = main.numerator * (bn * pow_d + bd * pow_main)
-        den = main.denominator
-        if a_side is not None:
-            side = a_side[ell]
-            num = num * side.denominator * side_den + (
-                den * side_num * side.numerator * (bn * pow_d + bd * pow_side)
-            )
-            den *= side.denominator * side_den
-        num *= signed_chi if ell % 2 else -signed_chi
-        terms.append(Fraction(num, den * bd * pow_d * (ell + 1)))
-    return tuple(terms)
 
 
 def reference_moment_parts(k: int, q: int, beta: Fraction) -> tuple[int, int]:
@@ -299,12 +260,9 @@ def reference_moment_parts(k: int, q: int, beta: Fraction) -> tuple[int, int]:
     return bern_num * pow_den + pow_num * bern_den, bern_den * pow_den * scale
 
 
-def assert_routes_match_reference(n: int, p: int, alpha: Fraction) -> None:
-    # every j of the per-(j, l) route, term by term, and every sector moment
-    # of the cell at its own shift c + q, c = alpha - p
+def assert_moments_match_reference(n: int, p: int, alpha: Fraction) -> None:
+    # every sector moment of the cell at its own shift c + q, c = alpha - p
     k = n // 2
-    for j in range(p + 1):
-        assert zeta_identity_terms(n, p, j, alpha) == reference_identity_terms(n, p, j, alpha), j
     for q in range(p + 1):
         shift = alpha - p + q
         got = anomaly._moment_parts(k, q, shift.numerator, shift.denominator)
@@ -312,26 +270,26 @@ def assert_routes_match_reference(n: int, p: int, alpha: Fraction) -> None:
 
 
 class TestMomentRoute:
-    """Every shift takes its value from per-sector moments; the per-(j, l)
-    terms are an independent route to the same number."""
+    """Every shift takes its value from per-sector moments; the reference
+    per-(j, l) terms are an independent route to the same number."""
 
     @settings(max_examples=60, deadline=None)
     @given(cells())
     def test_matches_per_term_route(self, cell):
         n, p = cell
         spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
-        assert conformal_anomaly(spec).value == per_term_value(n, p)
+        assert conformal_anomaly(spec) == per_term_value(n, p)
 
     def test_routes_match_reference_at_every_cell_to_n_40(self):
         for n in range(2, 42, 2):
             for p in range(n // 2):
-                assert_routes_match_reference(n, p, alpha_default(n, p))
+                assert_moments_match_reference(n, p, alpha_default(n, p))
 
     @pytest.mark.parametrize("n,p", [(120, 59), (200, 0), (200, 99)])
     def test_matches_per_term_route_at_large_n(self, n, p):
         spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
-        assert conformal_anomaly(spec).value == per_term_value(n, p)
-        assert_routes_match_reference(n, p, spec.alpha)
+        assert conformal_anomaly(spec) == per_term_value(n, p)
+        assert_moments_match_reference(n, p, spec.alpha)
 
     @settings(max_examples=60, deadline=None)
     @given(cells(), shift_offsets)
@@ -341,45 +299,14 @@ class TestMomentRoute:
     def test_matches_per_term_route_at_any_rational_shift(self, cell, c):
         n, p = cell
         spec = AnomalySpec(dimension=n, form_order=p, alpha=p + c)
-        assert conformal_anomaly(spec).value == per_term_value(n, p, p + c)
-        assert_routes_match_reference(n, p, p + c)
+        assert conformal_anomaly(spec) == per_term_value(n, p, p + c)
+        assert_moments_match_reference(n, p, p + c)
 
     @pytest.mark.parametrize("n,p", [(120, 59), (200, 99)])
     def test_massive_shift_matches_per_term_route_at_large_n(self, n, p):
         alpha = alpha_massive_scalar(n, Fraction(7, 3))
         spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha)
-        assert conformal_anomaly(spec).value == per_term_value(n, p, alpha)
-
-    def test_default_shift_table_never_builds_terms(self, monkeypatch, capsys):
-        from hyperzeta.cli import main
-
-        def refuse(*args):
-            raise AssertionError("zeta_identity_terms called")
-
-        monkeypatch.setattr(anomaly, "zeta_identity_terms", refuse)
-        argv = ["table", "--which", "custom", "--dims", "24", "--forms"]
-        assert main(argv + [str(p) for p in range(12)] + ["--format", "csv"]) == 0
-        assert main(["table", "--which", "table2"]) == 0
-        capsys.readouterr()
-        cell = generate_table("custom", dims=[10], forms=[4])[0]
-        # the breakdown is built on first read, and only then
-        with pytest.raises(AssertionError, match="zeta_identity_terms called"):
-            cell.result.breakdown
-
-    def test_breakdown_is_built_once(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return zeta_identity_terms(*args)
-
-        monkeypatch.setattr(anomaly, "zeta_identity_terms", counting)
-        res = conformal_anomaly(AnomalySpec(dimension=8, form_order=2, alpha=alpha_default(8, 2)))
-        assert calls == []
-        first = res.breakdown
-        assert len(calls) == 3  # j = 0, 1, 2
-        assert res.breakdown is first
-        assert len(calls) == 3
+        assert conformal_anomaly(spec) == per_term_value(n, p, alpha)
 
     def test_moment_work_does_not_depend_on_row_order(self):
         # two cyclic sweeps of 11 rows (187 sectors) in three orders: every
@@ -426,10 +353,3 @@ class TestFractionCount:
         zeta_identity_zero_total(self.N, self.P, alpha)
         assert len(fractions_built) <= 2
         assert anomaly._moment_parts.cache_info().misses == self.P + 1
-
-    def test_identity_terms_build_one_per_term_plus_alpha(self, fractions_built):
-        alpha = alpha_default(self.N, self.P)
-        for j in (0, self.P // 2, self.P):
-            fractions_built.clear()
-            terms = zeta_identity_terms(self.N, self.P, j, alpha)
-            assert len(fractions_built) == len(terms) + 1

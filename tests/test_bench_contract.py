@@ -20,7 +20,10 @@ from hyperzeta._kernels import fallback
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 # spans of the tracer whose targets the package no longer has
-ABSENT_SPANS = ["plancherel.EvenPolynomial.__mul__", "plancherel.plancherel_polynomial"]
+ABSENT_SPANS = [
+    "plancherel.EvenPolynomial.__mul__", "plancherel.plancherel_polynomial",
+    "heat_zeta.zeta_identity_terms",
+]
 
 
 def _bench_module(name: str):

@@ -945,6 +945,53 @@ class TestSynthSpectrum:
         assert_one_error_line(code, out, err, flag)
         assert not path.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--count", "100000000"),
+        ("--count", "1", "--max-power", "1000000000"),
+    ])
+    def test_oversized_spectrum_refused_before_drawing(self, tmp_path, flags):
+        # the lists of such a spectrum would take tens of GB; the child runs
+        # under a memory cap, so drawing before the check fails fast with a
+        # MemoryError instead of using up the machine
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        path = tmp_path / "m.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperzeta", "synth-spectrum", "--seed", "1", "--dim", "4",
+             *flags, "--out", str(path)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        )
+        assert_one_error_line(
+            proc.returncode, proc.stdout, proc.stderr,
+            "error: --count ", " --max-power ", "MAX_SYNTH_CLASSES=1000000",
+        )
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("argv,start", [
+    (("anomaly", "--dim", "3"), "error: --dim 3: odd dimensions out of scope"),
+    (("anomaly", "--dim", str(MAX_DIMENSION + 2)),
+     f"error: --dim {MAX_DIMENSION + 2}: dimension n={MAX_DIMENSION + 2} exceeds"),
+    (("anomaly", "--dim", "4", "--form", "2"), "error: --form 2: form order must satisfy"),
+    (("anomaly", "--dim", "4", "--form", "-1", "--alpha-mode", "conformal-scalar"),
+     "error: --form -1: form order must satisfy"),
+    (("plancherel", "--dim", "3", "--form", "0"), "error: --dim 3: odd dimensions out of scope"),
+    (("plancherel", "--dim", "4", "--form", "4"), "error: --form 4: form order p=4 outside"),
+    (("table", "--which", "custom", "--dims", "44", "3", "--forms", "0"),
+     "error: --dims 3: odd dimensions out of scope"),
+    (("table", "--which", "custom", "--dims", "4", "0", "--forms", "0"),
+     "error: --dims 0: dimension must be an even integer"),
+    (("synth-spectrum", "--seed", "1", "--count", "1", "--dim", "3"),
+     "error: --dim 3: odd dimensions out of scope"),
+])
+def test_dimension_and_form_rejections_name_the_flag(capsys, argv, start):
+    # check_dimension serves --dim and --dims alike, so its message names
+    # neither; each command names the flag and the value it was given
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert err.startswith(start)
+
 
 class TestVerify:
     def test_fast_passes(self, capsys):

@@ -24,7 +24,7 @@ ROW_DIMS = (42, 50, 64, 80, 100, 128, 150, 200)
 
 def _record(n: int) -> dict:
     cells = generate_table("custom", dims=[n], forms=list(range(n // 2)))
-    exact = [cell.result.value.exact_str() for cell in cells]
+    exact = [cell.result.exact_str() for cell in cells]
     lines = "".join(f"{text}\n" for text in exact)
     return {
         "n": n,

@@ -1,7 +1,8 @@
 """Pinned exact outputs of the anomaly routes beyond the published tables.
 
 ``tests/data/exact_snapshot.json`` holds ``exact_str`` and a digest of the
-per-(j, l) breakdown for every (n, p) with n = 2..40 even and p < n/2 at
+per-(j, l) breakdown (built by the test reference in identity_reference.py,
+not by the package) for every (n, p) with n = 2..40 even and p < n/2 at
 the default shift, the conformal scalar for n = 2..40, and a few shifts
 whose alpha has other denominators (massive scalars, alpha = 29/4).  Any
 rewrite of the exact core must reproduce every entry.
@@ -16,8 +17,11 @@ import json
 import pathlib
 from fractions import Fraction
 
+from identity_reference import reference_breakdown
+
 from hyperzeta.anomaly import (
     AnomalySpec,
+    alpha_conformal_scalar,
     alpha_default,
     alpha_massive_scalar,
     conformal_anomaly,
@@ -31,13 +35,15 @@ _MASSES = ("1/3", "7/5", "2")
 _MASSIVE_DIMS = (2, 4, 10, 24)
 
 
-def _breakdown_digest(result) -> str:
-    lines = "".join(f"{j} {ell} {term}\n" for j, ell, term in result.breakdown)
+def _breakdown_digest(n: int, p: int, alpha: Fraction) -> str:
+    lines = "".join(f"{j} {ell} {term}\n" for j, ell, term in reference_breakdown(n, p, alpha))
     return hashlib.sha256(lines.encode("ascii")).hexdigest()
 
 
 def _alpha(case: dict) -> Fraction:
-    n, p = case["n"], case["p"]
+    n, p = case["n"], case.get("p", 0)
+    if case["mode"] == "conformal-scalar":
+        return alpha_conformal_scalar(n)
     if case["mode"] == "default":
         return alpha_default(n, p)
     if case["mode"] == "massive":
@@ -46,15 +52,15 @@ def _alpha(case: dict) -> Fraction:
 
 
 def _record(case: dict) -> dict:
+    n, p, alpha = case["n"], case.get("p", 0), _alpha(case)
     if case["mode"] == "conformal-scalar":
-        result = conformal_scalar_anomaly(case["n"])
+        value = conformal_scalar_anomaly(n)
     else:
-        spec = AnomalySpec(dimension=case["n"], form_order=case["p"], alpha=_alpha(case))
-        result = conformal_anomaly(spec)
+        value = conformal_anomaly(AnomalySpec(dimension=n, form_order=p, alpha=alpha))
     return {
         **case,
-        "exact": result.value.exact_str(),
-        "breakdown_sha256": _breakdown_digest(result),
+        "exact": value.exact_str(),
+        "breakdown_sha256": _breakdown_digest(n, p, alpha),
     }
 
 

@@ -11,12 +11,12 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from identity_reference import reference_identity_terms
 
 from hyperzeta import heat_zeta
 from hyperzeta.anomaly import (
     _bern_weight,
     _moment_parts,
-    zeta_identity_terms,
     zeta_identity_zero_total,
     zeta_moment_sum,
 )
@@ -28,7 +28,6 @@ from hyperzeta.heat_zeta import (
     bessel_k,
     coexact_trace,
     hyperbolic_heat_term,
-    hyperbolic_tail_bound,
     identity_heat_term,
     identity_zeta_term,
     mellin_hyperbolic,
@@ -202,18 +201,6 @@ class TestHyperbolicHeatTerm:
         with pytest.warns(EmptySpectrumWarning):
             assert hyperbolic_heat_term(data, 0, 1.0) == 0.0
 
-    def test_tail_bound_shape(self, small_spectrum):
-        t = 0.5
-        bound = hyperbolic_tail_bound(small_spectrum, 0, t)
-        longest = small_spectrum.max_length
-        want = math.exp(-t * 2.25 - longest**2 / (4 * t)) / math.sqrt(4 * math.pi * t)
-        assert bound > 0
-        assert math.isclose(bound, want, rel_tol=1e-12)
-
-    def test_tail_bound_empty_spectrum(self):
-        data = ManifoldData(dimension=2, volume=1.0, betti=(1, 0, 1))
-        assert hyperbolic_tail_bound(data, 0, 1.0) == 0.0
-
 
 class TestGeodesicAmplitudes:
     @staticmethod
@@ -366,7 +353,6 @@ class TestCoexactTrace:
 SECTOR_ENTRY_POINTS = {
     "identity_heat_term": lambda m, p: identity_heat_term(m, p, 0.7),
     "hyperbolic_heat_term": lambda m, p: hyperbolic_heat_term(m, p, 0.7),
-    "hyperbolic_tail_bound": lambda m, p: hyperbolic_tail_bound(m, p, 0.7),
     "coexact_trace": lambda m, p: coexact_trace(m, p, [0.7]),
     "mellin_hyperbolic": lambda m, p: mellin_hyperbolic(m, p, [0.3]),
     "mellin_hyperbolic_quadrature": lambda m, p: mellin_hyperbolic_quadrature(m, p, [0.3]),
@@ -616,8 +602,8 @@ class TestMellinHyperbolic:
 
 
 def identity_term_sum(n, p, j, alpha):
-    """The j-th identity-sector contribution to zeta(0), by the per-l route."""
-    return sum(zeta_identity_terms(n, p, j, alpha), Fraction(0))
+    """The j-th identity-sector contribution to zeta(0), by the reference per-l route."""
+    return sum(reference_identity_terms(n, p, j, alpha), Fraction(0))
 
 
 class TestZetaIdentityExact:
@@ -650,18 +636,6 @@ class TestZetaIdentityExact:
             zeta_identity_zero_total(4, -1, Fraction(1))
         with pytest.raises(ValueError):
             zeta_identity_zero_total(3, 0, Fraction(1))  # odd n
-
-    def test_invalid_indices(self):
-        with pytest.raises(ValueError):
-            zeta_identity_terms(4, 2, 0, Fraction(1))  # middle degree
-        with pytest.raises(ValueError):
-            zeta_identity_terms(4, 1, 2, Fraction(1))  # j > p
-        with pytest.raises(ValueError):
-            zeta_identity_terms(3, 0, 0, Fraction(1))  # odd n
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
-            zeta_identity_terms(MAX_DIMENSION + 2, 0, 0, Fraction(1))
 
 
 def fraction_loop_moment(k, q, beta):

@@ -16,16 +16,16 @@ from hyperzeta import manifold
 from hyperzeta.exact import MAX_DIMENSION, binomial
 from hyperzeta.manifold import (
     FORMAT_VERSION,
+    MAX_SYNTH_CLASSES,
     GeodesicClass,
     ManifoldData,
     ManifoldFormatError,
     load_manifold,
-    manifold_to_dict,
     save_manifold,
     synth_spectrum,
     trivial_holonomy_c,
 )
-from test_manifold_loader_snapshot import BAD_ENTRIES, synth_document
+from test_manifold_loader_snapshot import BAD_ENTRIES, saved_document, synth_document
 
 
 class TestGeodesicClass:
@@ -169,11 +169,6 @@ class TestManifoldData:
         g2 = GeodesicClass(length=1.0)
         data = ManifoldData(dimension=2, volume=1.0, betti=(1, 0, 1), geodesics=(g1, g2))
         assert [g.length for g in data.geodesics] == [1.0, 3.0]
-        assert data.max_length == 3.0
-
-    def test_empty_spectrum_max_length_none(self):
-        data = ManifoldData(dimension=2, volume=1.0, betti=(1, 0, 1))
-        assert data.max_length is None
 
     @pytest.mark.parametrize("field", ["radius", "chi_one"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -274,7 +269,7 @@ class TestFileFormat:
         save_manifold(small_spectrum, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         entries = [json.loads(line.rstrip(",")) for line in lines if line.startswith("    {")]
-        assert entries == manifold_to_dict(small_spectrum)["geodesics"]
+        assert entries == saved_document(small_spectrum)["geodesics"]
         assert len(entries) == len(small_spectrum.geodesics) > 1
 
     @given(
@@ -462,7 +457,7 @@ class TestFileFormat:
         assert err.value.line == 3
 
     def test_to_dict_marks_trivial_holonomy(self, small_spectrum):
-        doc = manifold_to_dict(small_spectrum)
+        doc = saved_document(small_spectrum)
         assert all(g["holonomy"] == "trivial" for g in doc["geodesics"])
 
 
@@ -617,7 +612,7 @@ class TestBulkLoad:
         twisted = GeodesicClass(length=0.5, c_value=0.25, chi=-1.0, holonomy=(1, 0.5, 0.5, 1))
         geodesics = small_spectrum.geodesics + (twisted,)
         data = ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1), geodesics=geodesics)
-        doc = json.loads(json.dumps(manifold_to_dict(data)))
+        doc = saved_document(data)
         classes = manifold._geodesic_classes(doc["geodesics"])
         assert classes == data.geodesics
         assert _typed(classes) == _typed(data.geodesics)
@@ -718,3 +713,26 @@ class TestSynthSpectrum:
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
             synth_spectrum(seed=1, count=1, min_length=1.0, max_power=1, n=MAX_DIMENSION + 2)
+
+    @pytest.mark.parametrize(
+        "count,max_power", [(1, MAX_SYNTH_CLASSES + 1), (2, MAX_SYNTH_CLASSES)]
+    )
+    def test_class_cap_checked_before_drawing(self, monkeypatch, count, max_power):
+        def drawn(*args):
+            raise AssertionError("a class was drawn before the cap was checked")
+
+        monkeypatch.setattr(manifold, "trivial_holonomy_c", drawn)
+        message = (
+            rf"^count \* max_power classes must be at most MAX_SYNTH_CLASSES={MAX_SYNTH_CLASSES}, "
+            rf"got {count * max_power}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            synth_spectrum(seed=1, count=count, min_length=1.0, max_power=max_power, n=4)
+
+    def test_class_cap_admits_the_cap(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(manifold, "trivial_holonomy_c", drawn)
+        with pytest.raises(AssertionError, match="drawn"):
+            synth_spectrum(seed=1, count=1, min_length=1.0, max_power=MAX_SYNTH_CLASSES, n=4)

@@ -17,13 +17,15 @@ Regenerate (only from a commit whose loader is trusted) with
 
 import functools
 import hashlib
+import io
 import json
 import math
 import pathlib
 
 import pytest
 
-from hyperzeta.manifold import ManifoldData, load_manifold, manifold_to_dict, synth_spectrum
+from hyperzeta import manifold
+from hyperzeta.manifold import ManifoldData, load_manifold, synth_spectrum
 
 DATA = pathlib.Path(__file__).parent / "data"
 SNAPSHOT = DATA / "manifold_loader_snapshot.json"
@@ -67,6 +69,13 @@ BAD_ENTRIES = {
 }
 
 
+def saved_document(data: ManifoldData) -> dict:
+    """The JSON value of the file that save_manifold writes for ``data``."""
+    out = io.StringIO()
+    manifold._write_manifold(data, out)
+    return json.loads(out.getvalue())
+
+
 @functools.cache
 def synth_document() -> dict:
     """The 6000-class n = 6 document ``synth-spectrum --count 2000 --max-power 3`` writes.
@@ -77,7 +86,7 @@ def synth_document() -> dict:
     data = ManifoldData(
         dimension=N, volume=1.0, betti=(1,) + (0,) * (N - 1) + (1,), geodesics=tuple(geos)
     )
-    return manifold_to_dict(data)
+    return saved_document(data)
 
 
 @functools.cache
