@@ -11,8 +11,9 @@ layer (``heat_zeta``, ``_kernels``) uses double-exponential quadrature in
 pure Python (``hyperzeta.BACKEND`` is always ``"python"``).  Each name is
 imported on first use, and each command of ``cli`` imports what it uses
 inside its handler: an exact process loads no numeric code, and a numeric
-one (``heat-trace``, ``zeta-check``, ``synth-spectrum``) loads neither
-``anomaly`` nor mpmath, which ``exact`` imports only to render a value.
+one (``heat-trace``, ``zeta-check``, ``synth-spectrum``) loads no
+``anomaly``.  ``exact`` renders values in integer arithmetic, so only a
+``verify`` process loads mpmath, for its high-precision cross-checks.
 """
 
 import importlib

@@ -19,8 +19,9 @@ import warnings
 from fractions import Fraction
 
 # Each command imports the package modules it uses inside its handler, so a
-# process loads only its own command's: no numeric command loads mpmath or
-# the anomaly layer, and zeta-check and synth-spectrum load no renderer.
+# process loads only its own command's: no numeric command loads the anomaly
+# layer, zeta-check and synth-spectrum load no renderer, and only verify
+# loads mpmath.
 from . import __version__
 from .exact import check_dimension
 
@@ -264,6 +265,7 @@ def cmd_heat_trace(args: argparse.Namespace, digits: int) -> int:
     for t in args.t:
         heat_zeta._check_time(t)
     data = _load_manifold(args.manifold)
+    _flag_rule(f"--form {args.form}", heat_zeta._check_form_order, data.dimension, args.form)
     table = OutputTable(
         headers=("t", "identity", "hyperbolic", "betti", "total"),
         rows=tuple(
@@ -285,9 +287,9 @@ def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
     heat_zeta._check_mellin_s(args.s)
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         return _usage_fail(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
-    ident, bessels, quads, gaps, f_2, f_3 = heat_zeta.zeta_check(
-        _load_manifold(args.manifold), args.form, args.s
-    )
+    data = _load_manifold(args.manifold)
+    _flag_rule(f"--form {args.form}", heat_zeta._check_form_order, data.dimension, args.form)
+    ident, bessels, quads, gaps, f_2, f_3 = heat_zeta.zeta_check(data, args.form, args.s)
     failed = False
     for s, bessel, quad, rel in zip(args.s, bessels, quads, gaps):
         ok = rel <= args.tolerance

@@ -56,6 +56,12 @@ class EmptySpectrumWarning(UserWarning):
     """A geodesic sum was requested on a manifold with no length spectrum."""
 
 
+def _check_form_order(n: int, p: int) -> None:
+    # the p-form sectors of an n-manifold are p = 0..n-1
+    if not 0 <= p <= n - 1:
+        raise ValueError(f"form order p={p} outside 0..{n - 1}")
+
+
 def _sector(manifold: ManifoldData, p: int) -> tuple[int, float]:
     # the dimension n and the shift p + rho0^2 of the p-sector, once the
     # manifold is checked to be at unit radius (no term here scales with R)
@@ -66,8 +72,7 @@ def _sector(manifold: ManifoldData, p: int) -> tuple[int, float]:
             f"got {manifold.radius!r}"
         )
     n = manifold.dimension
-    if not 0 <= p <= n - 1:
-        raise ValueError(f"form order p={p} outside 0..{n - 1}")
+    _check_form_order(n, p)
     return n, float(p + Fraction(n - 1, 2) ** 2)
 
 
@@ -360,10 +365,16 @@ def _bessel_k_family(orders: Sequence[float]):
     every trapezoid coefficient c once; each z then pays one exp per node
     and one dot product per sum.
     """
-    # The integrand is analytic in |Im u| < pi/2, so the error of step h
-    # falls like e^(-pi^2/h) (Trefethen & Weideman, SIAM Rev. 56 (2014));
-    # h <= 0.7/sqrt(z) resolves the e^(-z u^2/2) peak for large z, and the
-    # grid takes it at z_hi, so no z in the range gets a coarser step.  The
+    # The integrand is analytic in |Im u| < pi/2.  On the line Im u = a it
+    # reaches e^(z (1 - cos a)) times its value at u = 0, so the relative
+    # error of step h is about e^(z (1 - cos a) - 2 pi a / h) for any a up
+    # to pi/2 (Trefethen & Weideman, SIAM Rev. 56 (2014)).  At a = pi/2
+    # that is e^(z - pi^2/h), which h = pi^2/(z + 40) holds to e^-40.  For
+    # large z a smaller a, sin a = 2 pi/(h z), gives a coarser step:
+    # h = 0.7/sqrt(z) holds the bound below e^-40 from z = 100 on, and is
+    # taken there (below z = 15 it does not: e^-13 at z = 1).  At fixed h
+    # the bound falls with z, so the grid takes h at z_hi and no z in the
+    # range is less accurate than on a grid of its own.  The
     # exponent z(cosh u - 1) - top u is convex, starts at 0 and grows with
     # z, so once it passes 40 at z_lo every later node is below e^-40 of
     # the u = 0 node for every z in the range and every sum.
@@ -399,7 +410,7 @@ def _bessel_k_family(orders: Sequence[float]):
             if not (math.isfinite(z) and z > 0):
                 raise ValueError(f"z must be positive and finite, got {z!r}")
         exp = math.exp
-        h = min(0.25, 0.7 / math.sqrt(z_hi))
+        h = math.pi**2 / (z_hi + 40.0) if z_hi < 100.0 else 0.7 / math.sqrt(z_hi)
         us = []  # u = h, 2h, ... out to where z_lo stops
         half_sinhs = []  # sinh(u/2), so that z(cosh u - 1) = 2z sinh(u/2)^2
         j = 1
@@ -454,7 +465,7 @@ def bessel_k(order: float, z: float) -> float:
     the trapezoid rule on K_nu(z) = int_0^inf e^(-z cosh u) cosh(nu u) du
     (DLMF 10.32.9); larger orders start from mu = nu - round(nu) and mu + 1
     and recur upward with K_(m+1) = K_(m-1) + (2m/z) K_m, which is stable
-    for K.  Accurate to about 1e-13 relative for z in [1e-3, 700] and
+    for K.  Accurate to about 2e-15 relative for z in [1e-3, 700] and
     orders up to 65.  It is _bessel_k_family on a grid of one z;
     mellin_hyperbolic evaluates many orders on one grid per run of
     classes, so its values can differ from this in the last bits.
@@ -496,7 +507,7 @@ def mellin_hyperbolic(
     is built once per call, and one Bessel node grid serves every s and a
     run of up to CUT_BLOCK length-sorted classes, so a class's K values
     can differ from bessel_k's in the last bits; like bessel_k's, they are
-    within about 1e-13 relative of mpmath.besselk at orders up to 65.  The
+    within about 2e-15 relative of mpmath.besselk at orders up to 65.  The
     classes are summed
     until a bound computed from the file shows the rest below 2^-54 of the
     sum for every s; the classes past that point are never evaluated

@@ -993,6 +993,17 @@ def test_dimension_and_form_rejections_name_the_flag(capsys, argv, start):
     assert err.startswith(start)
 
 
+@pytest.mark.parametrize("command", [("heat-trace", "--t", "1.0"), ("zeta-check",)])
+@pytest.mark.parametrize("p", ["9", "-1", "4"])
+def test_numeric_form_rejection_names_the_flag(capsys, tmp_path, command, p):
+    # the file gives n = 4, so the form orders are 0..3
+    path = one_geodesic_file(tmp_path / "m.json", 4)
+    subcommand, *rest = command
+    code, out, err = run_cli(capsys, subcommand, "--manifold", str(path), "--form", p, *rest)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: --form {p}: form order p={p} outside 0..3\n"
+
+
 class TestVerify:
     def test_fast_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--fast")

@@ -5,15 +5,15 @@ The exact half is ``exact``, ``plancherel``, ``anomaly`` and ``output``;
 ``_kernels``, ``verify``) only inside the commands that use it, and the
 package ``__init__`` resolves its exports on first use.  So an
 ``anomaly``, ``table`` or ``plancherel`` process never loads a numeric
-module.  The other way round, ``cli`` imports the exact half's modules
-inside the commands too, and ``exact`` imports mpmath only to render: a
-``heat-trace``, ``zeta-check`` or ``synth-spectrum`` process loads neither
-mpmath nor ``anomaly``.
+module, nor mpmath: ``exact`` renders in integer arithmetic.  The other
+way round, ``cli`` imports the exact half's modules inside the commands
+too: a ``heat-trace``, ``zeta-check`` or ``synth-spectrum`` process loads
+neither mpmath nor ``anomaly``.
 
-Beyond the standard library, the package imports only mpmath, and its
-tests add only pytest and hypothesis.  All three are pure Python and mpmath
-is the one high-precision reference, so the suite collects in full on any
-interpreter that has them.
+Beyond the standard library, the package imports only mpmath, and only in
+``verify``; its tests add only pytest and hypothesis.  All three are pure
+Python and mpmath is the one high-precision reference, so the suite
+collects in full on any interpreter that has them.
 """
 
 import ast
@@ -132,6 +132,17 @@ def test_only_pure_python_dependencies_imported(where):
     assert bad == []
 
 
+def test_only_verify_imports_mpmath():
+    # verify's reference quadrature is the one use; the rest renders and
+    # computes with ints and floats
+    importers = {
+        path.relative_to(PACKAGE).as_posix()
+        for path in PACKAGE.rglob("*.py")
+        if "mpmath" in top_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert importers == {"verify.py"}
+
+
 @pytest.mark.parametrize("source,found", [
     pytest.param("import mpmath as mp\n", {"mpmath"}, id="alias"),
     pytest.param("import os.path\n", {"os"}, id="dotted"),
@@ -191,8 +202,15 @@ def test_exact_commands_load_no_numeric_module(argv):
     code, modules = loaded_modules(argv)
     assert code == 0
     numeric = {f"hyperzeta.{m}" for m in NUMERIC_HALF} | {"hyperzeta._kernels.fallback"}
-    assert numeric & set(modules) == set()
+    assert (numeric | {"mpmath"}) & set(modules) == set()
     assert USED[argv[0]] in modules
+
+
+def test_verify_loads_mpmath():
+    # so the probe is seen to see mpmath where it is loaded
+    code, modules = loaded_modules(["verify", "--fast"])
+    assert code == 0
+    assert {"mpmath", "hyperzeta.verify"} <= set(modules)
 
 
 @pytest.mark.parametrize("command,renders", [
