@@ -108,6 +108,18 @@ def _check_form(n: int, p: int) -> int:
     return k
 
 
+# One entry per k to the cap, shared by the k sectors of a row: the weights of
+# _moment_parts over lcm_l((l+1) bd_l) and over lcm(1..k)
+@functools.lru_cache(maxsize=MAX_DIMENSION // 2)
+def _row_weights(k: int) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
+    berns = [_bern_weight(ell) for ell in range(k)]
+    bern_den = math.lcm(*(b.denominator * (ell + 1) for ell, b in enumerate(berns)))
+    pow_den = math.lcm(*range(1, k + 1))
+    bern_w = tuple(b.numerator * (bern_den // (b.denominator * (ell + 1)))
+                   for ell, b in enumerate(berns))
+    return bern_w, bern_den, tuple(pow_den // (ell + 1) for ell in range(k)), pow_den
+
+
 # One entry for every sector (k, q) to the cap, so a sweep at one shift offset
 # evicts nothing whatever its row order (about 2.4 MB at the default shift).
 # The shift is two integers: a Fraction key, hashed in Python, is 3x slower.
@@ -123,21 +135,17 @@ def _moment_parts(k: int, q: int, x: int, d: int) -> tuple[int, int]:
     denominator depends on k and d only, so moments of one k whose shifts
     share d add as integers; zeta_identity_zero_total reads this memo.
     """
-    coeffs = integer_coefficients(k, q)
-    berns = [_bern_weight(ell) for ell in range(k)]
-    bern_den = math.lcm(*(b.denominator * (ell + 1) for ell, b in enumerate(berns)))
-    pow_den = math.lcm(*range(1, k + 1))
-    bern_num = pow_num = 0
-    pow_x = 1
-    for ell, (c, b) in enumerate(zip(coeffs, berns)):
-        # (-1)^(l+1) c_l, the coefficient over the expansion's 4^(k-1)
-        c = c if ell % 2 else -c
-        bern_num += c * b.numerator * (bern_den // (b.denominator * (ell + 1)))
-        pow_x *= x
-        # sum over l of c_l lcm/(l+1) x^(l+1) d^(k-1-l)
-        pow_num = pow_num * d + c * (pow_den // (ell + 1)) * pow_x
-    pow_den *= d**k
-    return bern_num * pow_den + pow_num * bern_den, bern_den * pow_den * 4 ** (k - 1)
+    bern_w, bern_den, pow_w, pow_den = _row_weights(k)
+    # (-1)^(l+1) c_l, the coefficient over the expansion's 4^(k-1)
+    coeffs = [c if ell % 2 else -c for ell, c in enumerate(integer_coefficients(k, q))]
+    bern_num = sum(c * w for c, w in zip(coeffs, bern_w))
+    # sum over l of c_l lcm/(l+1) x^(l+1) d^(k-1-l), by Horner's rule in x
+    pow_num, d_pow = 0, 1
+    for c, w in zip(reversed(coeffs), reversed(pow_w)):
+        pow_num = pow_num * x + c * w * d_pow
+        d_pow *= d
+    pow_den *= d_pow
+    return bern_num * pow_den + pow_num * x * bern_den, bern_den * pow_den * 4 ** (k - 1)
 
 
 def zeta_identity_zero_total(n: int, p: int, alpha: Rational) -> Fraction:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -80,6 +81,7 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperzeta",
@@ -111,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("both", "exact", "float"), default="both",
         help="print 'exact = float' (default), exact only, or float only",
     )
-    p_anom.set_defaults(func=cmd_anomaly)
 
     p_table = sub.add_parser("table", help="reproduce the anomaly tables")
     p_table.add_argument(
@@ -122,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--dims", type=int, nargs="+", help="dimensions for custom grids")
     p_table.add_argument("--forms", type=int, nargs="+", help="form orders for custom grids")
     p_table.add_argument("--format", choices=_FORMATS, default="markdown")
-    p_table.set_defaults(func=cmd_table)
 
     p_plan = sub.add_parser("plancherel", help="inspect a Plancherel polynomial/density")
     p_plan.add_argument("--dim", type=int, required=True, help="even dimension n = 2k")
@@ -131,14 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--eval", type=float, action="append", default=None, metavar="R",
         help="also evaluate the spectral density at r=R (repeatable)",
     )
-    p_plan.set_defaults(func=cmd_plancherel)
 
     p_heat = sub.add_parser("heat-trace", help="co-exact heat trace on a stored manifold")
     p_heat.add_argument("--manifold", required=True, help="path to a manifold file")
     p_heat.add_argument("--form", type=int, default=0, help="co-exact form order p")
     p_heat.add_argument("--t", type=float, nargs="+", required=True, help="heat times")
     p_heat.add_argument("--format", choices=_FORMATS, default="markdown")
-    p_heat.set_defaults(func=cmd_heat_trace)
 
     p_zeta = sub.add_parser(
         "zeta-check",
@@ -151,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=1e-8,
         help="max relative Bessel-vs-quadrature mismatch before exit 1",
     )
-    p_zeta.set_defaults(func=cmd_zeta_check)
 
     p_synth = sub.add_parser("synth-spectrum", help="emit a synthetic manifold file")
     p_synth.add_argument("--seed", type=int, required=True)
@@ -165,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="n+1 Betti numbers; default 1,0,...,0,1",
     )
     p_synth.add_argument("--out", default=None, help="output path (default stdout)")
-    p_synth.set_defaults(func=cmd_synth_spectrum)
 
     p_verify = sub.add_parser("verify", help="run the self-verification suite")
     p_verify.add_argument(
@@ -173,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip quadrature-heavy checks; golden tables always run",
     )
     p_verify.add_argument("--golden", default=None, help="override the golden reference file")
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -352,15 +347,21 @@ def _one_line_warnings():
                 print(f"warning: {message}", file=sys.stderr)
 
 
+# The parser is built once per process; main looks each command's handler up
+# by name on every call, so a handler replaced at run time is the one called.
 def main(argv: list[str] | None = None) -> int:
     digits = _display_digits()
     if digits is None:
         return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = {
+        "anomaly": cmd_anomaly, "table": cmd_table, "plancherel": cmd_plancherel,
+        "heat-trace": cmd_heat_trace, "zeta-check": cmd_zeta_check,
+        "synth-spectrum": cmd_synth_spectrum, "verify": cmd_verify,
+    }[args.command]
     try:
         with _one_line_warnings():
-            return args.func(args, digits)
+            return handler(args, digits)
     except (OSError, ValueError) as exc:
         # an OSError's text starts with its errno, never a parameter name
         name, space, rest = str(exc).partition(" ")

@@ -15,20 +15,21 @@ p <-> 2k-1-p.  The expansion coefficients of P_p in powers of r^2 are the
 only input the anomaly formula needs.
 
 The roots are the half-odd numbers m/2 with m odd in 1..2k-1, except
-m = 2(k-p)-1, so P_p = 4^-(k-1) * prod (4 r^2 + m^2): the product is
-expanded over integers: ``integer_coefficients``, which the exact core
-reads, and ``miatello_coefficients``, its Fraction view over 4^(k-1) for
-the numeric routes.  Nothing here is memoised: the exact core keeps its
-sector moments in anomaly._moment_parts, which expands each sector once.
+m = 2(k-p)-1, so P_p = 4^-(k-1) * prod (4 r^2 + m^2): the product over
+every odd m, expanded over integers once per k (0.5 MB for all k to the
+cap), divided by the one missing factor.  ``integer_coefficients`` is the
+quotient, which the exact core reads, and ``miatello_coefficients`` its
+Fraction view over 4^(k-1) for the numeric routes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
 
-from .exact import Rational, binomial, check_dimension, half_gamma
+from .exact import MAX_DIMENSION, Rational, binomial, check_dimension, half_gamma
 
 __all__ = [
     "integer_coefficients",
@@ -38,25 +39,34 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=MAX_DIMENSION // 2)
+def _full_product(k: int) -> tuple[int, ...]:
+    """F_k(x) = prod (4x + m^2), odd m in 1..2k-1: F_(k-1) times one factor."""
+    ints = _full_product(k - 1) if k > 1 else (1,)
+    m2 = (2 * k - 1) ** 2
+    return tuple(m2 * lo + 4 * hi for lo, hi in zip(ints + (0,), (0,) + ints))
+
+
 def integer_coefficients(k: int, p: int) -> tuple[int, ...]:
     """miatello_coefficients(k, p) times 4^(k-1), as integers c_0..c_(k-1).
 
-    Checked: k of them, all positive, the last 4^(k-1).  The form order p
-    runs over 0..2k-1 and is folded by the duality.
+    F_k divided by the factor P_p lacks, m = 2(k-p)-1.  Checked: each step
+    leaves remainder 0; k quotients, all positive, the last 4^(k-1).  The
+    form order p runs over 0..2k-1 and is folded by the duality.
     """
     check_dimension(2 * k)
     if not 0 <= p <= 2 * k - 1:
         raise ValueError(f"form order p={p} outside 0..{2 * k - 1} for n={2 * k}")
     p = min(p, 2 * k - 1 - p)
-    ints = [1]
-    for m in range(1, 2 * k, 2):
-        if m == 2 * (k - p) - 1:
-            continue
-        m2 = m * m
-        ints = [m2 * lo + 4 * hi for lo, hi in zip(ints + [0], [0] + ints)]
-    if len(ints) != k or ints[-1] != 4 ** (k - 1) or any(c <= 0 for c in ints):
+    m2, quotient, rems = (2 * (k - p) - 1) ** 2, [0], 0
+    for f in reversed(_full_product(k)):  # synthetic division from the top
+        q, rem = divmod(f - m2 * quotient[-1], 4)
+        quotient.append(q)
+        rems |= rem
+    ints = tuple(quotient[-2:0:-1])  # quotient[-1] is the remainder over 4
+    if rems or quotient[-1] or len(ints) != k or ints[-1] != 4 ** (k - 1) or min(ints) <= 0:
         raise RuntimeError(f"Plancherel polynomial invariant violated for k={k}, p={p}")
-    return tuple(ints)
+    return ints
 
 
 def miatello_coefficients(k: int, p: int) -> tuple[Rational, ...]:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from identity_reference import reference_breakdown
 
-from hyperzeta import anomaly
+from hyperzeta import anomaly, plancherel
 from hyperzeta.anomaly import (
     MAX_DIMENSION,
     TABLE1_DIMS,
@@ -85,6 +85,9 @@ class TestAnomalySpec:
         # a row at the cap touches k = MAX_DIMENSION/2 sectors and Bernoulli weights
         assert _bern_weight.cache_info().maxsize >= MAX_DIMENSION // 2
         assert anomaly._moment_parts.cache_info().maxsize >= MAX_DIMENSION // 2
+        # and one entry per k: the full Plancherel product and the row weights
+        assert plancherel._full_product.cache_info().maxsize >= MAX_DIMENSION // 2
+        assert anomaly._row_weights.cache_info().maxsize >= MAX_DIMENSION // 2
 
     def test_moment_memo_holds_every_sector_to_the_cap(self):
         k_cap = MAX_DIMENSION // 2

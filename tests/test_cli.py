@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every documented flag combination and exit code."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -794,6 +795,46 @@ def test_every_flag_of_the_table_is_an_option():
         for option in command._option_string_actions
     }
     assert set(cli._FLAGS.values()) <= options
+
+
+def test_two_calls_build_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "table", "--which", "table2")[0] == 0
+    assert len(built) == 8  # the top-level parser and one per command
+    assert run_cli(capsys, "anomaly", "--dim", "4")[0] == 0
+    assert len(built) == 8
+
+
+def _fresh_output(capsys, argv):
+    cli.build_parser.cache_clear()
+    return run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("first,second", [
+    (("plancherel", "--dim", "6", "--form", "1", "--eval", "0.5"),
+     ("plancherel", "--dim", "6", "--form", "1")),
+    (("table", "--which", "table2", "--format", "csv"), ("table", "--which", "table2")),
+])
+def test_calls_in_one_process_share_no_state(capsys, first, second):
+    # each call prints what the first call of a fresh parser prints
+    expected = [_fresh_output(capsys, first), _fresh_output(capsys, second)]
+    cli.build_parser.cache_clear()
+    got = [run_cli(capsys, *first), run_cli(capsys, *second)]
+    assert got == expected
+    code, out, err = got[1]
+    assert code == 0 and err == ""
+    if second[0] == "table":
+        assert out.startswith("| ")  # markdown, the default, not the csv before it
+    else:
+        assert "mu(" in got[0][1] and "mu(" not in out
 
 
 @pytest.mark.parametrize("command", [("heat-trace", "--t", "0.5", "1"), ("zeta-check",)])

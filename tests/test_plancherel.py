@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperzeta import plancherel
 from hyperzeta.exact import MAX_DIMENSION
-from hyperzeta.plancherel import miatello_coefficients, plancherel_density, tanh_pi
+from hyperzeta.plancherel import (
+    integer_coefficients, miatello_coefficients, plancherel_density, tanh_pi,
+)
 
 
 def product_form(k: int, p: int, r2: Fraction) -> Fraction:
@@ -122,6 +125,42 @@ class TestMiatello:
             miatello_coefficients(k_cap + 1, 0)
         with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
             miatello_coefficients(k_cap + 1, -1)
+
+
+def product_loop(k: int, p: int) -> tuple[int, ...]:
+    """integer_coefficients by multiplying out its k - 1 factors (4x + m^2),
+    m odd in 1..2k-1 except 2(k-p)-1: the expansion the package ran per
+    sector before it divided one product per k."""
+    p = min(p, 2 * k - 1 - p)
+    ints = [1]
+    for m in range(1, 2 * k, 2):
+        if m == 2 * (k - p) - 1:
+            continue
+        m2 = m * m
+        ints = [m2 * lo + 4 * hi for lo, hi in zip(ints + [0], [0] + ints)]
+    return tuple(ints)
+
+
+class TestDivisionRoute:
+    @pytest.mark.parametrize("k", range(1, MAX_DIMENSION // 2 + 1))
+    def test_every_sector_matches_the_product_loop(self, k):
+        for p in range(k):
+            expected = product_loop(k, p)
+            assert integer_coefficients(k, p) == expected, (k, p)
+            assert integer_coefficients(k, 2 * k - 1 - p) == expected, (k, p)
+
+    @pytest.mark.parametrize("k,p", [(1, 0), (2, 1), (7, 3), (57, 40)])
+    @pytest.mark.parametrize("where,delta", [
+        ("top", 1), ("top", 4), ("middle", 1), ("middle", 4), ("constant", 1), ("constant", 4),
+    ])
+    def test_a_nonzero_remainder_raises(self, monkeypatch, k, p, where, delta):
+        # a product that 4x + m^2 does not divide: moved by 1, that coefficient's
+        # step leaves a remainder mod 4; moved by 4, a later step or the last does
+        product = list(plancherel._full_product(k))
+        product[{"top": -1, "middle": len(product) // 2, "constant": 0}[where]] += delta
+        monkeypatch.setattr(plancherel, "_full_product", lambda k: tuple(product))
+        with pytest.raises(RuntimeError, match=f"invariant violated for k={k}, p={p}"):
+            integer_coefficients(k, p)
 
 
 class TestDensity:
