@@ -160,15 +160,17 @@ def zeta_identity_zero_total(n: int, p: int, alpha: Rational) -> Fraction:
     k = _check_form(n, p)
     alpha = Fraction(alpha)
     d = alpha.denominator
-    x = alpha.numerator - p * d  # c = x / d
-    a = b = side = 0
-    for q in range(p + 1):
-        chi = math.comb(n - 1, q)
-        main, den = _moment_parts(k, q, x + q * d, d)
-        a = chi * main - a
-        b = q * chi * side - b
-        side = main
+    a, b, _, den = _prefix_sums(k, p, alpha.numerator - p * d, d)  # at c = alpha - p
     return Fraction(a * (n - p) + b, den * (n - p))
+
+
+@functools.lru_cache(maxsize=(MAX_DIMENSION // 2) * (MAX_DIMENSION // 2 + 1) // 2)
+def _prefix_sums(k: int, q: int, x: int, d: int) -> tuple[int, int, int, int]:
+    # (A_q, B_q, M(q), its denominator) at c = x/d from sector q - 1's, memoised as _moment_parts
+    a, b, side = _prefix_sums(k, q - 1, x, d)[:3] if q else (0, 0, 0)
+    chi = math.comb(2 * k - 1, q)
+    main, den = _moment_parts(k, q, x + q * d, d)
+    return chi * main - a, q * chi * side - b, main, den
 
 
 def zeta_moment_sum(k: int, q: int, beta: Rational) -> Fraction:

@@ -305,19 +305,14 @@ def cmd_synth_spectrum(args: argparse.Namespace, digits: int) -> int:
     betti = tuple(args.betti) if args.betti else (1,) + (0,) * (n - 1) + (1,)
     # the --volume and --betti rules, on an empty spectrum, and then
     # synth_spectrum's argument rules all run before any class is drawn
-    manifold.ManifoldData(dimension=n, volume=args.volume, betti=betti, geodesics=())
+    data = manifold.ManifoldData(dimension=n, volume=args.volume, betti=betti, geodesics=())
     _flag_rule(f"--count {args.count} --max-power {args.max_power}",
                manifold._check_class_count, args.count, args.max_power)
     try:
-        geos = manifold.synth_spectrum(
-            seed=args.seed, count=args.count, min_length=args.min_length,
-            max_power=args.max_power, n=n,
-        )
+        drawn = manifold._synth_columns(args.seed, args.count, args.min_length, args.max_power, n)
     except OverflowError as exc:
         return _usage_fail(f"{exc}; lower --min-length or --max-power")
-    data = manifold.ManifoldData(
-        dimension=n, volume=args.volume, betti=betti, geodesics=tuple(geos),
-    )
+    manifold._set_spectrum(data, drawn)
     if args.out:
         manifold.save_manifold(data, args.out)
     else:

@@ -242,7 +242,7 @@ class PiValue:
             return (m << shift, 1) if shift >= 0 else (m, 1 << -shift)
         # pi_w^e = (pi 2^w)^e to a relative e 2^-w, so w covers e's bits too
         w = bits + e.bit_length() + 8
-        return num << (w * e), den * _pi_fixed(w) ** e
+        return num << (w * e), den * _pi_power(w, e)
 
     def __float__(self) -> float:
         """The nearest float to the value at 50-digit working precision."""
@@ -335,6 +335,11 @@ def _pi_fixed(bits: int) -> int:
         return total
 
     return (16 * atan_inv(5) - 4 * atan_inv(239)) >> guard
+
+
+@functools.lru_cache(maxsize=256)  # e <= MAX_DIMENSION / 2 at a float's and a rendering's bits
+def _pi_power(bits: int, e: int) -> int:
+    return _pi_fixed(bits) ** e
 
 
 def _bit_top(p: int, q: int) -> int:

@@ -213,15 +213,18 @@ def tanh_moment_series_exact(ell: int, t: Rational) -> tuple[Fraction, Fraction,
 
 def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
     # the lengths and the p-sector amplitudes a_p = chi / j * t * C * chi_p(m),
-    # multiplied left to right.  Every trivial-holonomy class has the same
-    # float character C(n-1, p), read once; an explicit holonomy is looked
-    # up (and checked) per class.  An empty spectrum warns once here, and
-    # every geodesic sum over it is 0.0.
+    # multiplied left to right: from the columns if every class stores C and
+    # has the character C(n-1, p), else from the classes, a trivial character
+    # read once.  An empty spectrum warns once here, and every geodesic sum
+    # over it is 0.0.
     n = manifold.dimension
-    geos = manifold.geodesics
-    if not geos:
+    lengths, powers, c_values, chis, holonomy = manifold.columns
+    if not lengths:
         warnings.warn("geodesic sum over empty spectrum is 0", EmptySpectrumWarning)
-    lengths = [g.length for g in geos]
+    if None not in c_values and holonomy.count(None) == len(holonomy):
+        chi_p, columns = float(binomial(n - 1, p)), zip(lengths, powers, c_values, chis)
+        return list(lengths), [chi / j * t * c * chi_p for t, j, c, chi in columns]
+    geos = manifold.geodesics
     trivial = next((g for g in geos if g.holonomy is None), None)
     chi_p = None if trivial is None else trivial.character(n, p)
     amps = [
@@ -229,7 +232,7 @@ def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
         * (chi_p if g.holonomy is None else g.character(n, p))
         for g in geos
     ]
-    return lengths, amps
+    return list(lengths), amps
 
 
 def _hyperbolic_sum(

@@ -15,7 +15,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, gt
 from pathlib import Path
 
 from .exact import binomial, check_dimension
@@ -66,15 +66,22 @@ def trivial_holonomy_c(n: int, t: float) -> float:
     check_dimension(n)
     if t <= 0:
         raise ValueError("length must be positive")
-    rho0 = (n - 1) / 2.0
+    return _trivial_weights(n, (t,))[0]
+
+
+def _trivial_weights(n: int, lengths) -> list[float]:
+    # trivial_holonomy_c over a column of positive lengths at a checked n
+    rho0, exp, weights = (n - 1) / 2.0, math.exp, []
     try:
-        return math.exp(-rho0 * t) * (1.0 - math.exp(-t)) ** (-(n - 1))
+        for t in lengths:
+            weights.append(exp(-rho0 * t) * (1.0 - exp(-t)) ** (-(n - 1)))
     except (ZeroDivisionError, OverflowError):
         # 1 - e^-t rounds to 0, or its power leaves the float range
         raise ValueError(
             f"geodesic length {t:.6g} is too short at n={n}: its class weight "
             f"C = e^(-rho0 t) (1 - e^-t)^(1-n) is past the float range"
         ) from None
+    return weights
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,6 +129,12 @@ class GeodesicClass:
         return self.holonomy[p]
 
 
+class _Classes:
+    # ManifoldData.geodesics: built from ``columns`` when first read; () on the class, the default
+    def __get__(self, data, owner):
+        return () if data is None else data.__dict__.setdefault("geodesics", _build(*data.columns))
+
+
 @dataclass(frozen=True)
 class ManifoldData:
     """Everything the heat-trace and zeta routines need about a quotient."""
@@ -129,7 +142,7 @@ class ManifoldData:
     dimension: int
     volume: float
     betti: tuple[int, ...]
-    geodesics: tuple[GeodesicClass, ...] = ()
+    geodesics: tuple[GeodesicClass, ...] = _Classes()
     chi_one: float = 1.0
     radius: float = 1.0
 
@@ -157,17 +170,28 @@ class ManifoldData:
             raise ValueError("radius must be a finite number")
         if not _isfinite(self.chi_one):
             raise ValueError("chi_one must be a finite number")
-        given = tuple(self.geodesics)
-        for i, g in enumerate(given):
-            if g.holonomy is not None and len(g.holonomy) != n:
+        fields = attrgetter("length", "power", "c_value", "chi", "holonomy")
+        _set_spectrum(self, tuple(zip(*map(fields, self.geodesics))) or ((),) * 5)
+
+
+def _set_spectrum(data: ManifoldData, columns) -> ManifoldData:
+    # ``data``, just made, holds checked class columns, sorted by length (the
+    # geodesic sums stop on a length-sorted bound); no class is built here
+    n, lengths, holonomy = data.dimension, columns[0], columns[4]
+    if holonomy.count(None) != len(holonomy):
+        for i, h in enumerate(holonomy):
+            if h is not None and len(h) != n:
                 raise ManifoldFormatError(
                     f"holonomy must list n={n} character values (orders 0..{n - 1}), "
-                    f"got {len(g.holonomy)}",
+                    f"got {len(h)}",
                     field_path=f"geodesics[{i}].holonomy",
                 )
-        # keep the spectrum sorted: the geodesic sums stop on a length-sorted bound
-        geos = tuple(sorted(given, key=attrgetter("length")))
-        object.__setattr__(self, "geodesics", geos)
+    if any(map(gt, lengths, lengths[1:])):
+        order = sorted(range(len(lengths)), key=lengths.__getitem__)  # stable
+        columns = [map(column.__getitem__, order) for column in columns]
+    object.__setattr__(data, "columns", tuple(map(tuple, columns)))
+    data.__dict__.pop("geodesics", None)
+    return data
 
 
 # --- JSON serialization -----------------------------------------------------
@@ -264,36 +288,26 @@ _SETTERS = tuple(
 )
 
 
-def _build(lengths, powers, c_values, chis, holonomy) -> tuple[GeodesicClass, ...]:
+def _build(*columns) -> tuple[GeodesicClass, ...]:
     # classes from checked columns, filled through the slot setters, as
     # copy and pickle rebuild a class: without rerunning __post_init__
-    new = object.__new__
-    set_length, set_power, set_c, set_chi, set_holonomy = _SETTERS
-    classes = []
-    for length, power, c_value, chi, hol in zip(lengths, powers, c_values, chis, holonomy):
-        g = new(GeodesicClass)
-        set_length(g, length)
-        set_power(g, power)
-        set_c(g, c_value)
-        set_chi(g, chi)
-        set_holonomy(g, hol)
-        classes.append(g)
+    classes = [object.__new__(GeodesicClass) for _ in columns[0]]
+    for set_field, column in zip(_SETTERS, columns):
+        for g, value in zip(classes, column):
+            set_field(g, value)
     return tuple(classes)
 
 
-def _geodesic_classes(geos: list, index: int = 0) -> tuple[GeodesicClass, ...]:
-    """The classes of a file's ``geodesics`` list; ``index`` is that of ``geos[0]``.
+def _geodesic_classes(geos: list, index: int = 0) -> tuple[list, ...]:
+    """The checked columns of a file's ``geodesics`` list; ``index`` is that of ``geos[0]``.
 
     Every rule of an entry is applied to whole columns, in the order one
     entry is checked: an object, no unknown field, a length, a holonomy
     that is "trivial" or a list of numbers, then length, c and chi
-    converted to floats, then _check_classes; _build then makes the
-    classes without rerunning __post_init__.  If a rule fails, each
-    entry is checked alone, in order, so the error names the first bad
-    entry (``geodesics[i]``) and the first rule it breaks.
+    converted to floats, then _check_classes; no class is built.  If a
+    rule fails, each entry is checked alone, in order, so the error names
+    the first bad entry (``geodesics[i]``) and the first rule it breaks.
     """
-    if not geos:
-        return ()
     try:
         if set(map(type, geos)) - {dict}:
             raise ValueError("geodesic entry must be an object")
@@ -340,7 +354,7 @@ def _geodesic_classes(geos: list, index: int = 0) -> tuple[GeodesicClass, ...]:
         if isinstance(exc, ManifoldFormatError):
             raise
         raise ManifoldFormatError(str(exc), field_path=f"geodesics[{index}]") from exc
-    return _build(lengths, powers, c_values, chis, holonomy)
+    return lengths, powers, c_values, chis, holonomy
 
 
 def _manifold_from_dict(doc: dict) -> ManifoldData:
@@ -360,19 +374,18 @@ def _manifold_from_dict(doc: dict) -> ManifoldData:
     geos = doc.get("geodesics", [])
     if not isinstance(geos, list):
         raise ManifoldFormatError("geodesics must be an array", field_path="geodesics")
-    classes = _geodesic_classes(geos)
+    columns = _geodesic_classes(geos)
     betti = doc["betti"]
     if not isinstance(betti, list):
         raise ManifoldFormatError("betti must be an array", field_path="betti")
     try:
-        return ManifoldData(
+        return _set_spectrum(ManifoldData(
             dimension=doc["dimension"],
             volume=_top_number(doc, "volume"),
             betti=tuple(betti),
-            geodesics=classes,
             chi_one=_top_number(doc, "chi_one", 1.0),
             radius=_top_number(doc, "radius", 1.0),
-        )
+        ), columns)
     except ManifoldFormatError:
         raise
     except (TypeError, ValueError) as exc:
@@ -393,15 +406,10 @@ def load_manifold(path) -> ManifoldData:
     return _manifold_from_dict(doc)
 
 
-def _entry(g: GeodesicClass) -> dict:
-    # one class's object in a file's geodesics list
-    entry: dict = {"length": g.length, "power": g.power}
-    if g.c_value is not None:
-        entry["c"] = g.c_value
-    if g.chi != 1.0:
-        entry["chi"] = g.chi
-    entry["holonomy"] = "trivial" if g.holonomy is None else list(g.holonomy)
-    return entry
+def _spelled(column) -> list[str]:
+    # json.dumps of each number of a column, as json's encoder spells a float or an int
+    return [float.__repr__(x) if isinstance(x, float) else int.__repr__(x)
+            if isinstance(x, int) else json.dumps(x) for x in column]
 
 
 def _header(data: ManifoldData) -> dict:
@@ -423,18 +431,24 @@ _CHUNK = 4096
 def _write_manifold(data: ManifoldData, out) -> None:
     """Write ``data``'s file to the text stream ``out``, one geodesic per line.
 
-    The header is laid out as json.dumps(indent=2) lays it out.  Each class
-    is encoded alone by json.dumps without indent, which runs the C
-    encoder, and lines go out in chunks, so no list of every class's
-    object is built.
+    The header is laid out as json.dumps(indent=2) lays it out.  Each line
+    is json.dumps of a class's object (c if stored, chi if not 1.0), spelled
+    from the columns, an explicit holonomy alone by json.dumps.  Lines go
+    out in chunks, so no string holds every class.
     """
     # the indented header without its closing "\n}"
     out.write(json.dumps(_header(data), indent=2)[:-2] + ',\n  "geodesics": [')
-    geos = data.geodesics
-    for start in range(0, len(geos), _CHUNK):
-        lines = ",\n    ".join(json.dumps(_entry(g)) for g in geos[start:start + _CHUNK])
-        out.write(("," if start else "") + "\n    " + lines)
-    out.write("\n  ]\n}\n" if geos else "]\n}\n")
+    for start in range(0, len(data.columns[0]), _CHUNK):
+        lengths, powers, c_values, chis, holonomy = (c[start:start + _CHUNK] for c in data.columns)
+        lines = map(
+            '{{"length": {}, "power": {}{}{}, "holonomy": {}}}'.format,
+            _spelled(lengths), map(int.__repr__, powers),
+            ["" if c is None else ', "c": ' + s for c, s in zip(c_values, _spelled(c_values))],
+            [', "chi": ' + _spelled([x])[0] if x != 1.0 else "" for x in chis],
+            ['"trivial"' if h is None else json.dumps(list(h)) for h in holonomy],
+        )
+        out.write(("," if start else "") + "\n    " + ",\n    ".join(lines))
+    out.write("\n  ]\n}\n" if data.columns[0] else "]\n}\n")
 
 
 def save_manifold(data: ManifoldData, path) -> None:
@@ -464,6 +478,12 @@ def synth_spectrum(
     to 0.0 (rho0 t past about 745) raises OverflowError; one too short for
     the weight to be a float raises trivial_holonomy_c's ValueError.
     """
+    classes = _build(*_synth_columns(seed, count, min_length, max_power, n))
+    return sorted(classes, key=attrgetter("length"))
+
+
+def _synth_columns(seed: int, count: int, min_length: float, max_power: int, n: int):
+    # synth_spectrum's checked class columns, in draw order
     check_dimension(n)
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -475,7 +495,7 @@ def synth_spectrum(
     rng = random.Random(seed)
     primitive = [min_length + 10.0 * rng.random() for _ in range(count)]
     lengths = [j * t for t in primitive for j in range(1, max_power + 1)]
-    c_values = [trivial_holonomy_c(n, t) for t in lengths]
+    c_values = _trivial_weights(n, lengths)
     if 0.0 in c_values:
         raise OverflowError(
             f"geodesic length {lengths[c_values.index(0.0)]:.6g} is too long at n={n}: "
@@ -484,4 +504,4 @@ def synth_spectrum(
     ones, trivial = [1.0] * len(lengths), [None] * len(lengths)
     columns = (lengths, list(range(1, max_power + 1)) * count, c_values, ones, trivial)
     _check_classes(*columns)
-    return sorted(_build(*columns), key=attrgetter("length"))
+    return columns

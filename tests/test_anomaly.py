@@ -318,12 +318,49 @@ class TestMomentRoute:
         misses = []
         for order in (dims, dims[::-1], dims[1::2] + dims[::2]):
             anomaly._moment_parts.cache_clear()
+            anomaly._prefix_sums.cache_clear()
             for n in order * 2:
                 for p in range(n // 2):
                     spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
                     conformal_anomaly(spec)
             misses.append(anomaly._moment_parts.cache_info().misses)
         assert misses == [sum(n // 2 for n in dims)] * 3
+
+
+def loop_total(n: int, p: int, alpha: Fraction) -> Fraction:
+    """zeta_identity_zero_total as one loop over q = 0..p, with no prefix memo."""
+    k = n // 2
+    d = alpha.denominator
+    x = alpha.numerator - p * d
+    a = b = side = 0
+    for q in range(p + 1):
+        chi = math.comb(n - 1, q)
+        main, den = anomaly._moment_parts(k, q, x + q * d, d)
+        a = chi * main - a
+        b = q * chi * side - b
+        side = main
+    return Fraction(a * (n - p) + b, den * (n - p))
+
+
+class TestPrefixSums:
+    # every cell of 2 <= n <= MAX_DIMENSION, as the cold sweep asks for them
+    @pytest.mark.parametrize("shift", [
+        alpha_default,
+        lambda n, p: alpha_massive_scalar(n, Fraction(7, 3)) + p,
+    ], ids=["default", "massive"])
+    def test_every_cell_matches_the_loop(self, shift):
+        anomaly._prefix_sums.cache_clear()
+        for n in range(2, MAX_DIMENSION + 1, 2):
+            for p in range(n // 2):
+                alpha = shift(n, p)
+                assert zeta_identity_zero_total(n, p, alpha) == loop_total(n, p, alpha), (n, p)
+
+    def test_a_warm_row_costs_one_step_per_cell(self):
+        anomaly._prefix_sums.cache_clear()
+        n = 60
+        for p in range(n // 2):
+            zeta_identity_zero_total(n, p, alpha_default(n, p))
+        assert anomaly._prefix_sums.cache_info().misses == n // 2
 
 
 @pytest.fixture()
@@ -348,6 +385,7 @@ class TestFractionCount:
         for ell in range(self.N // 2):
             _bern_weight(ell)
         anomaly._moment_parts.cache_clear()
+        anomaly._prefix_sums.cache_clear()
 
     def test_cold_moment_route_builds_at_most_two(self, fractions_built):
         # alpha parsed once and the total built once; no Fraction per coefficient

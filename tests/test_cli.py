@@ -977,7 +977,7 @@ class TestSynthSpectrum:
         def drawn(*args):
             raise AssertionError("a class was drawn before the flags were checked")
 
-        monkeypatch.setattr(manifold, "trivial_holonomy_c", drawn)
+        monkeypatch.setattr(manifold, "_trivial_weights", drawn)
         path = tmp_path / "m.json"
         dim = () if "--dim" in flags else ("--dim", "4")
         code, out, err = run_cli(

@@ -1,11 +1,13 @@
 """Exact-arithmetic layer: Bernoulli numbers, binomials, PiValue."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperzeta import exact
 from hyperzeta.exact import (
     MAX_DIMENSION,
     PiPowerMismatchError,
@@ -204,3 +206,19 @@ class TestPiValue:
         x, y, z = (PiValue(q, expo) for q in (a, b, c))
         assert (x + y) + z == x + (y + z)
         assert x + y == y + x
+
+
+class TestPiPowerMemo:
+    def test_every_power_of_a_sweep_is_held(self):
+        # each exponent of a 2 <= n <= MAX_DIMENSION sweep, rendered as a
+        # float and at 40 digits: the powers are pi_fixed(w) ** e and fit
+        # the memo, so a second pass computes none
+        exact._pi_power.cache_clear()
+        values = [PiValue(Fraction(-3, 7), e) for e in range(1, MAX_DIMENSION // 2 + 1)]
+        first = [(float(v), v.render_float(40)) for v in values]
+        info = exact._pi_power.cache_info()
+        assert info.misses == info.currsize == len(values) * 2 <= info.maxsize
+        assert [(float(v), v.render_float(40)) for v in values] == first
+        assert exact._pi_power.cache_info().misses == info.misses
+        for (w, e) in [(184, 1), (199, 100)]:
+            assert exact._pi_power(w, e) == exact._pi_fixed(w) ** e

@@ -471,9 +471,10 @@ def _typed(classes) -> list:
 
 
 def _classes(entries: list):
-    # what _geodesic_classes reads from ``entries``, or the error it raises
+    # the classes of the columns _geodesic_classes reads from ``entries``,
+    # or the error it raises
     try:
-        return _typed(manifold._geodesic_classes(entries))
+        return _typed(manifold._build(*manifold._geodesic_classes(entries)))
     except Exception as exc:  # compared, whatever the reader raises
         return type(exc).__name__, str(exc), getattr(exc, "field_path", None)
 
@@ -613,7 +614,7 @@ class TestBulkLoad:
         geodesics = small_spectrum.geodesics + (twisted,)
         data = ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1), geodesics=geodesics)
         doc = saved_document(data)
-        classes = manifold._geodesic_classes(doc["geodesics"])
+        classes = manifold._build(*manifold._geodesic_classes(doc["geodesics"]))
         assert classes == data.geodesics
         assert _typed(classes) == _typed(data.geodesics)
 
@@ -721,7 +722,7 @@ class TestSynthSpectrum:
         def drawn(*args):
             raise AssertionError("a class was drawn before the cap was checked")
 
-        monkeypatch.setattr(manifold, "trivial_holonomy_c", drawn)
+        monkeypatch.setattr(manifold, "_trivial_weights", drawn)
         message = (
             rf"^count \* max_power classes must be at most MAX_SYNTH_CLASSES={MAX_SYNTH_CLASSES}, "
             rf"got {count * max_power}$"
@@ -733,6 +734,6 @@ class TestSynthSpectrum:
         def drawn(*args):
             raise AssertionError("drawn")
 
-        monkeypatch.setattr(manifold, "trivial_holonomy_c", drawn)
+        monkeypatch.setattr(manifold, "_trivial_weights", drawn)
         with pytest.raises(AssertionError, match="drawn"):
             synth_spectrum(seed=1, count=1, min_length=1.0, max_power=MAX_SYNTH_CLASSES, n=4)
