@@ -22,10 +22,10 @@ The returned tuple is (value, last_delta, level, converged); callers
 decide whether a non-converged result is an error.
 
 The geodesic sums of the package (the heat sum, the Bessel route and the
-time route's geodesic_sum) share one stop rule: suffix_bounds bounds the
-amplitudes from class K on, and tail_bounds, checked every CUT_BLOCK
-classes, stops a sum once that bound times class K's own factor is at most
-2^-54 of the partial sum.
+time route's geodesic_sum) walk CUT_BLOCK blocks that cut_blocks builds
+once per call, for every node or heat time, and share one stop rule: stops
+ends a sum before class K once S_K (suffix_bounds) times class K's own
+factor is at most 2^-54 of the partial sum.
 """
 
 from __future__ import annotations
@@ -100,21 +100,37 @@ def suffix_bounds(amps) -> list:
     return bounds
 
 
-def tail_bounds(bound: float, factors, partials):
+def stops(tail: float, partial: float) -> bool:
     """The stop rule of a length-sorted sum, before the block that starts at class K.
 
-    ``bound`` is S_K of suffix_bounds, and each factor bounds the factor of
-    every class from K on in one sum, whose partial sum it is paired with.
-    Returns the tail bounds S_K f when each is finite and at most 2^-54 of
-    its partial sum's magnitude, so that every term left out is below half
-    an ulp of it; otherwise None, and the sums go on.  A bound that
-    overflows, or is nan, never stops a sum.
+    True when ``tail`` (S_K times a bound on the factor of every class from
+    K on) is finite and at most 2^-54 of |partial|: each term left out is
+    below half an ulp of it.  A bound that overflows, or is nan, never stops.
     """
+    return tail < math.inf and tail <= _CUT_REL * abs(partial)
+
+
+def tail_bounds(bound: float, factors, partials):
+    """stops for several sums over one spectrum: the tails S_K f, or None.
+
+    Each factor goes with its sum's partial; only when every sum stops are
+    the tails returned."""
     tails = [bound * f for f in factors]
     for tail, partial in zip(tails, partials):
-        if not (tail < math.inf and tail <= _CUT_REL * abs(partial)):
+        if not stops(tail, partial):
             return None
     return tails
+
+
+def cut_blocks(amps, *columns) -> list:
+    """A length-sorted sum's blocks, one per CUT_BLOCK classes from class K.
+
+    Each is (K, S_K of suffix_bounds(amps), each column's slice from K on)."""
+    bounds = suffix_bounds(amps)
+    return [
+        (lo, bounds[lo]) + tuple(column[lo:lo + CUT_BLOCK] for column in columns)
+        for lo in range(0, len(amps), CUT_BLOCK)
+    ]
 
 
 def _scan(node, step: float) -> list:
@@ -241,25 +257,26 @@ def plancherel_integral(coeffs, t: float):
     return plancherel_integrals(coeffs)(t)
 
 
-def geodesic_sum(gaps, amps, bounds, eb: float) -> tuple[float, float, int]:
+def geodesic_sum(blocks, eb: float) -> tuple[float, float, int]:
     """H = sum_i amps[i] e^(-gaps[i] eb) in order, cut by the stop rule.
 
-    The gaps ascend from 0 and ``bounds`` are suffix_bounds(amps), so
-    before the block that starts at class K every later term is at most
-    S_K e^(-gaps[K] eb).  The sum stops there once tail_bounds allows it.
-    Returns H, that bound (0.0 when every class is in) and the number of
-    classes in H.
+    ``blocks`` are cut_blocks(amps, neg_gaps, amps), with neg_gaps[i] =
+    -gaps[i]; the gaps ascend from 0, so before the block that starts at
+    class K every later term is at most S_K e^(-gaps[K] eb).  The sum stops
+    there once that bound stops it.  Returns H, that bound (0.0 when every
+    class is in) and the number of classes in H.
     """
     exp = math.exp
     acc = 0.0
-    for lo in range(0, len(gaps), CUT_BLOCK):
-        tails = tail_bounds(bounds[lo], (exp(-gaps[lo] * eb),), (acc,))
-        if tails is not None:
-            return acc, tails[0], lo
-        hi = lo + CUT_BLOCK
-        for gap, amp in zip(gaps[lo:hi], amps[lo:hi]):
-            acc += amp * exp(-gap * eb)
-    return acc, 0.0, len(gaps)
+    kept = 0
+    for first, bound, neg_gaps, amps in blocks:
+        tail = bound * exp(neg_gaps[0] * eb)
+        if stops(tail, acc):
+            return acc, tail, first
+        for neg_gap, amp in zip(neg_gaps, amps):
+            acc += amp * exp(neg_gap * eb)
+        kept = first + len(amps)
+    return acc, 0.0, kept
 
 
 def mellin_time_integrals(lengths, amps, alpha: float):
@@ -289,10 +306,9 @@ def mellin_time_integrals(lengths, amps, alpha: float):
     if not ls:
         return lambda s: (0.0, 0.0, 0, True)
     q0 = 0.25 * ls[0] * ls[0]
-    gaps = [0.25 * l * l - q0 for l in ls]  # q_i - q_0, ascending from 0
+    blocks = cut_blocks(ams, [q0 - 0.25 * l * l for l in ls], ams)  # -(q_i - q_0)
     a = float(alpha)
     exp = math.exp
-    bounds = suffix_bounds(ams)
     entries = {}  # u -> [lead(u), e^-u, H(u) or None until some s needs it]
 
     def at(s: float):
@@ -316,7 +332,7 @@ def mellin_time_integrals(lengths, amps, alpha: float):
                 return math.inf
             h = e[2]
             if h is None:
-                h = e[2] = geodesic_sum(gaps, ams, bounds, e[1])[0]
+                h = e[2] = geodesic_sum(blocks, e[1])[0]
             return scale * h
 
         return de_integrate(node)

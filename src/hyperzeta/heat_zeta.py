@@ -235,12 +235,10 @@ def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
     return list(lengths), amps
 
 
-def _hyperbolic_sum(
-    lengths: list, amps: list, bounds: list, shift: float, t: float
-) -> tuple[float, float, int]:
+def _hyperbolic_sum(blocks: list, shift: float, t: float) -> tuple[float, float, int]:
     # the one expression for the geodesic sum of a sector: hyperbolic_heat_term
-    # and coexact_trace both call it, so they agree to the bit.  Classes are
-    # added block by block until the stop rule (quadrature.tail_bounds) cuts
+    # and coexact_trace both call it, so they agree to the bit.  ``blocks``
+    # are _heat_blocks, walked until the stop rule (quadrature.stops) cuts
     # the rest, and the kept terms go through the pairwise tree.  A class's
     # factor e^(-t shift - l^2/4t) bounds that of every longer class.
     # Returns the sum, the bound on the tail it leaves out (0.0 when every
@@ -252,17 +250,21 @@ def _hyperbolic_sum(
     vals = []
     partial = 0.0
     tail = 0.0
-    for lo in range(0, len(lengths), quadrature.CUT_BLOCK):
-        l = lengths[lo]
-        tails = quadrature.tail_bounds(bounds[lo], (exp(decay - l * l / four_t),), (partial,))
-        if tails is not None:
-            tail = tails[0]
+    for _, bound, squares, amps in blocks:
+        cut = bound * exp(decay - squares[0] / four_t)
+        if quadrature.stops(cut, partial):
+            tail = cut
             break
-        hi = lo + quadrature.CUT_BLOCK
-        block = [a * exp(decay - l * l / four_t) for l, a in zip(lengths[lo:hi], amps[lo:hi])]
+        block = [a * exp(decay - l2 / four_t) for l2, a in zip(squares, amps)]
         vals += block
         partial += _plain_sum(block)
     return quadrature.pairwise_sum(vals) / norm, tail / norm, len(vals)
+
+
+def _heat_blocks(lengths: list, amps: list) -> list:
+    # the heat sum's blocks, built once per call and walked at every t:
+    # l^2 and the amplitude of each class
+    return quadrature.cut_blocks(amps, [l * l for l in lengths], amps)
 
 
 def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
@@ -278,8 +280,7 @@ def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     """
     _check_time(t)
     _, shift = _sector(manifold, p)
-    lengths, amps = _geodesic_amplitudes(manifold, p)
-    value = _hyperbolic_sum(lengths, amps, quadrature.suffix_bounds(amps), shift, t)[0]
+    value = _hyperbolic_sum(_heat_blocks(*_geodesic_amplitudes(manifold, p)), shift, t)[0]
     return _heat_value("hyperbolic", t, value)
 
 
@@ -327,14 +328,13 @@ def coexact_trace(
         betti += (-1.0 if j % 2 else 1.0) * manifold.betti[p - j]
     norm = _identity_norm(manifold, p)
     identity_integral = quadrature.plancherel_integrals(miatello_coefficients(n // 2, p))
-    lengths, amps = _geodesic_amplitudes(manifold, p)
-    bounds = quadrature.suffix_bounds(amps)
+    blocks = _heat_blocks(*_geodesic_amplitudes(manifold, p))
     rows = []
     for t in times:
         row = HeatTraceBreakdown(
             t=t,
             identity_part=_identity_term(norm, n, p, shift, t, identity_integral(float(t))),
-            hyperbolic_part=_hyperbolic_sum(lengths, amps, bounds, shift, t)[0],
+            hyperbolic_part=_hyperbolic_sum(blocks, shift, t)[0],
             betti_part=betti,
         )
         parts = (("identity", row.identity_part), ("hyperbolic", row.hyperbolic_part),
@@ -429,16 +429,17 @@ def _bessel_k_family(orders: Sequence[float]):
 
         def values(z: float) -> list[float]:
             two_z = 2.0 * z
-            ws = [exp(-(two_z * s) * s) for s in half_sinhs]
+            neg_two_z = -two_z  # (-2z s) s rounds as -((2z s) s)
+            ws = [exp(neg_two_z * s * s) for s in half_sinhs]
+            ez = exp(-z)
             scaled = []
             for row in rows:
                 acc = 0.5  # the halved u = 0 node
                 for w, cosh_cu in zip(ws, row):
                     acc += w * cosh_cu
-                scaled.append(h * acc)
-            ez = exp(-z)
+                scaled.append(ez * (h * acc) if direct else h * acc)
             if direct:
-                return [ez * value for value in scaled]
+                return scaled
             out = []
             for terms, first, mu, m in plans:
                 if terms is not None:
@@ -569,36 +570,37 @@ def _bessel_sums(
     root_pi = math.sqrt(math.pi)
     zs = [l * sqrt_alpha for l in lengths]
     grids = _run_grids(_bessel_k_family(nus), zs)
-    bounds = quadrature.suffix_bounds(amps)
     far = [_power_bound(2.0 * sqrt_alpha / lengths[-1], nu) if lengths else 0.0 for nu in nus]
     columns = [[] for _ in nus]
     partials = [0.0] * len(nus)
     tails = [0.0] * len(nus)
-    for i, (l, a, values) in enumerate(zip(lengths, amps, grids)):
-        ratio = 2.0 * sqrt_alpha / l
-        ks = values(zs[i])
-        if not i % quadrature.CUT_BLOCK:
-            partials = [
-                partial + _plain_sum(column[i - quadrature.CUT_BLOCK:])
-                for partial, column in zip(partials, columns)
-            ]
-            factors = [
-                k * (_power_bound(ratio, nu) if nu >= 0 else top) / root_pi
-                for nu, k, top in zip(nus, ks, far)
-            ]
-            cut = quadrature.tail_bounds(bounds[i], factors, partials)
-            if cut is not None:
-                tails = cut
-                break
-        scaled = a / root_pi
-        try:
-            for column, nu, k in zip(columns, nus, ks):
-                column.append(scaled * ratio**nu * k)
-        except OverflowError:
-            # float ** raises where its result leaves the float range
-            raise ValueError(
-                f"Bessel prefactor (2 sqrt(alpha)/t)^(1/2-s) overflows at length t={l!r}"
-            ) from None
+    for _, bound, block_ls, block_amps, block_zs in quadrature.cut_blocks(amps, lengths, amps, zs):
+        kss = [next(grids)(block_zs[0])]  # class K's values, for its check and its terms
+        ratio = 2.0 * sqrt_alpha / block_ls[0]
+        factors = [
+            k * (_power_bound(ratio, nu) if nu >= 0 else top) / root_pi
+            for nu, k, top in zip(nus, kss[0], far)
+        ]
+        cut = quadrature.tail_bounds(bound, factors, partials)
+        if cut is not None:
+            tails = cut
+            break
+        terms = [[] for _ in nus]
+        for l, a, z in zip(block_ls, block_amps, block_zs):
+            ks = kss.pop() if kss else next(grids)(z)
+            ratio = 2.0 * sqrt_alpha / l
+            scaled = a / root_pi
+            try:
+                for column, nu, k in zip(terms, nus, ks):
+                    column.append(scaled * ratio**nu * k)
+            except OverflowError:
+                # float ** raises where its result leaves the float range
+                raise ValueError(
+                    f"Bessel prefactor (2 sqrt(alpha)/t)^(1/2-s) overflows at length t={l!r}"
+                ) from None
+        partials = [partial + _plain_sum(block) for partial, block in zip(partials, terms)]
+        for column, block in zip(columns, terms):
+            column += block
     kept = len(columns[0]) if columns else 0
     return [quadrature.pairwise_sum(column) for column in columns], tails, kept
 

@@ -3,7 +3,8 @@
 The heat sum (``heat_zeta._hyperbolic_sum``), the Bessel route
 (``heat_zeta._bessel_sums``) and the time route's node sum
 (``fallback.geodesic_sum``) add the length-sorted classes in blocks of
-``fallback.CUT_BLOCK``.  Before a block they stop once S_K (the rounded-up
+``fallback.CUT_BLOCK``, which ``fallback.cut_blocks`` builds once per call.
+Before a block they stop once S_K (the rounded-up
 suffix sum of |amplitude|) times class K's own factor is at most 2^-54 of
 the partial sum.  Each returns the sum, that bound (0.0 when every class
 is in) and the number of classes in the sum.  For every cut sum checked
@@ -110,9 +111,7 @@ def _check_cut(value, tail, kept, terms, scale=1.0, in_order=False):
 
 
 def _heat_case(lengths, amps, shift, t):
-    value, tail, kept = heat_zeta._hyperbolic_sum(
-        lengths, amps, fallback.suffix_bounds(amps), shift, t
-    )
+    value, tail, kept = heat_zeta._hyperbolic_sum(heat_zeta._heat_blocks(lengths, amps), shift, t)
     decay, four_t = -t * shift, 4.0 * t
     terms = [a * math.exp(decay - l * l / four_t) for l, a in zip(lengths, amps)]
     _check_cut(value, tail, kept, terms, math.sqrt(4.0 * math.pi * t))
@@ -135,9 +134,14 @@ def _bessel_case(lengths, amps, alpha, nus):
     return kept
 
 
+def _node_blocks(gaps, amps):
+    # the blocks mellin_time_integrals walks: -gap and the amplitude per class
+    return fallback.cut_blocks(amps, [-g for g in gaps], amps)
+
+
 def _node_case(lengths, amps, eb):
     gaps = [0.25 * l * l - 0.25 * lengths[0] * lengths[0] for l in lengths]
-    value, tail, kept = fallback.geodesic_sum(gaps, amps, fallback.suffix_bounds(amps), eb)
+    value, tail, kept = fallback.geodesic_sum(_node_blocks(gaps, amps), eb)
     terms = [a * math.exp(-g * eb) for g, a in zip(gaps, amps)]
     _check_cut(value, tail, kept, terms, in_order=True)
     every = 0.0
@@ -160,7 +164,7 @@ def test_heat_sum_cut_is_rigorous(name):
             if name == "signed_n4":
                 assert kept > 2 * fallback.CUT_BLOCK
             assert heat_zeta.hyperbolic_heat_term(data, p, t) == heat_zeta._hyperbolic_sum(
-                lengths, amps, fallback.suffix_bounds(amps), shift, t
+                heat_zeta._heat_blocks(lengths, amps), shift, t
             )[0]
 
 
@@ -183,7 +187,7 @@ def test_node_sum_cut_is_rigorous(name):
     data = _spectrum(name)
     lengths, amps = heat_zeta._geodesic_amplitudes(data, 1)
     if not lengths:
-        assert fallback.geodesic_sum([], [], [0.0], 1.0) == (0.0, 0.0, 0)
+        assert fallback.geodesic_sum(_node_blocks([], []), 1.0) == (0.0, 0.0, 0)
         return
     for u in (-3.0, -1.0, 0.0, 1.0, 3.0):
         kept = _node_case(lengths, amps, math.exp(-u))
@@ -260,7 +264,7 @@ def test_infinite_amplitude_keeps_the_node_sum_going():
     # the bound is inf, so the sum runs to the end and shows the inf amplitude
     gaps = [float(i) for i in range(200)]
     amps = [1.0] * 199 + [math.inf]
-    value, tail, kept = fallback.geodesic_sum(gaps, amps, fallback.suffix_bounds(amps), 10.0)
+    value, tail, kept = fallback.geodesic_sum(_node_blocks(gaps, amps), 10.0)
     assert kept == 200 and tail == 0.0 and math.isnan(value)
 
 
@@ -330,8 +334,7 @@ def test_cut_partials_are_summed_left_to_right(name, monkeypatch):
         lengths = [1e-10] * 64 + [17.0]
 
         def kept():
-            bounds = fallback.suffix_bounds(amps)
-            return heat_zeta._hyperbolic_sum(lengths, amps, bounds, 0.0, 1.0)[2]
+            return heat_zeta._hyperbolic_sum(heat_zeta._heat_blocks(lengths, amps), 0.0, 1.0)[2]
     else:
         # one length, so the first block's terms are exact multiples of one term
         lengths = [1.0] * 64 + [144.0]
