@@ -35,7 +35,7 @@ import math
 
 _H0 = 0.5  # level-0 step
 _MAX_LEVEL = 12  # step halvings at most
-_ABS_TOL = 1e-12  # the kernels' default; zeta_moment_continued passes 1e-13
+_ABS_TOL = 1e-12  # the default; zeta_moment_continued passes 1e-13, the time route 0
 _REL_TOL = 1e-14
 _SCAN_LIMIT = 400  # level-0 nodes per side; DE decay triggers far earlier
 _NEGLIGIBLE = 1e-300
@@ -111,10 +111,7 @@ def stops(tail: float, partial: float) -> bool:
 
 
 def tail_bounds(bound: float, factors, partials):
-    """stops for several sums over one spectrum: the tails S_K f, or None.
-
-    Each factor goes with its sum's partial; only when every sum stops are
-    the tails returned."""
+    """stops for each sum of one spectrum: the tails S_K f if every one stops, else None."""
     tails = [bound * f for f in factors]
     for tail, partial in zip(tails, partials):
         if not stops(tail, partial):
@@ -287,7 +284,9 @@ def mellin_time_integrals(lengths, amps, alpha: float):
     exponent of the shortest geodesic and H(u) = sum_i amps[i]
     e^(-(q_i - q_0) e^-u).  Neither lead nor H depends on s, so both sit in
     one table keyed by the node u and shared by every s; H is summed only
-    at nodes that some s reaches.  Each s keeps its own window and level.
+    at nodes that some s reaches.  Each s keeps its own window and level,
+    anchored at u0 = log(q_k/alpha)/2, where the integrand of the shortest
+    class k of nonzero amplitude peaks, and converges on relative change.
 
     The lengths must be nonnegative and ascending, as ManifoldData keeps
     them: the relative exponents of H then fall along the sum, which is
@@ -308,13 +307,16 @@ def mellin_time_integrals(lengths, amps, alpha: float):
     q0 = 0.25 * ls[0] * ls[0]
     blocks = cut_blocks(ams, [q0 - 0.25 * l * l for l in ls], ams)  # -(q_i - q_0)
     a = float(alpha)
+    k = next((i for i, x in enumerate(ams) if x), 0)
+    u0 = math.log(0.5 * ls[k] / math.sqrt(a)) if ls[k] > 0.0 and a > 0.0 else 0.0
     exp = math.exp
     entries = {}  # u -> [lead(u), e^-u, H(u) or None until some s needs it]
 
     def at(s: float):
         su = float(s) - 0.5
 
-        def node(u: float) -> float:
+        def node(v: float) -> float:
+            u = v + u0
             if u > 690.0 or u < -690.0:
                 return 0.0
             e = entries.get(u)
@@ -335,7 +337,7 @@ def mellin_time_integrals(lengths, amps, alpha: float):
                 h = e[2] = geodesic_sum(blocks, e[1])[0]
             return scale * h
 
-        return de_integrate(node)
+        return de_integrate(node, 0.0)
 
     return at
 

@@ -207,11 +207,16 @@ def _reference_mellin_time(lengths, amps, alpha, s):
     # the time-route node as first written: every node sums every geodesic
     # term at its own exponent, for one s.  The reference for
     # mellin_time_integrals, which factors out the shortest geodesic's
-    # exponent and shares the s-free sum across s
+    # exponent and shares the s-free sum across s.  It runs on the same
+    # window, anchored at the peak of the shortest class of nonzero
+    # amplitude, and converges on relative change alone, as that does
     quarters = [0.25 * l * l for l in lengths]
     su = s - 0.5
+    k = next((i for i, a in enumerate(amps) if a), 0)
+    u0 = math.log(0.5 * lengths[k] / math.sqrt(alpha))
 
-    def node(u):
+    def node(v):
+        u = v + u0
         if u > 690.0 or u < -690.0:
             return 0.0
         eb = math.exp(-u)
@@ -224,7 +229,7 @@ def _reference_mellin_time(lengths, amps, alpha, s):
             acc += amp * math.exp(e_arg)
         return acc
 
-    return fallback.de_integrate(node)
+    return fallback.de_integrate(node, 0.0)
 
 
 MELLIN_S_GRID = (-1.5, -0.7, 0.1, 0.3, 0.5, 0.77, 0.9, 1.6, 2.5)
@@ -271,6 +276,50 @@ class TestMellinTimeIntegrals:
             _bits(fallback.mellin_time_integral(lengths, amps, alpha, s)) for s in MELLIN_S_GRID
         ]
         assert shared == alone
+
+    @pytest.mark.parametrize("n", [20, 40, 60, 100, 160, 200])
+    def test_one_geodesic_at_high_n_against_mpmath(self, n):
+        # the window starts at the integrand's peak, not at u = 0: at
+        # n = 160 that is near u = -4.2, where u = 0, -0.5 and -1 are 0.0,
+        # and the route once returned 0.0 as converged
+        from test_mellin_time_snapshot import mpmath_time_route
+
+        for length in (1.0, 4.0):
+            for p in (0, n // 2 - 1):
+                alpha = p + ((n - 1) / 2) ** 2
+                for s in (0.5, -20.0, 30.0):
+                    value, _, _, converged = fallback.mellin_time_integral(
+                        [length], [1.0], alpha, s
+                    )
+                    want = mpmath_time_route([length], [1.0], alpha, s)
+                    assert converged and abs(value - want) <= 1e-12 * abs(want), (length, p, s)
+
+    @pytest.mark.parametrize("lengths,amps", [
+        ([1.0, 20.0], [1e-20, 1.0]),
+        ([0.5, 40.0], [1e-40, 1.0]),
+        ([1.0, 5.0, 60.0], [1e-200, 1e-50, 1.0]),
+        ([2.0, 25.0, 25.0, 25.0], [1e-15, 1.0, 2.0, 3.0]),
+        ([1.0, 10.0], [0.0, 1.0]),
+        ([0.1, 60.0], [0.0, 1.0]),
+        ([0.1, 0.1, 3.0, 60.0], [0.0, 0.0, 0.0, 1.0]),
+    ])
+    def test_weight_on_long_classes_right_or_not_converged(self, lengths, amps):
+        # the anchor is the peak of the shortest class of nonzero amplitude;
+        # a spectrum whose weight sits on longer classes peaks further right.
+        # Each value is within 1e-12 of mpmath, or reported as not converged
+        # (mellin_hyperbolic_quadrature then raises); never a quiet 0.0
+        from test_mellin_time_snapshot import mpmath_time_route
+
+        checked = 0
+        for alpha in (2.25, 90.25, 1600.0):
+            integral = fallback.mellin_time_integrals(lengths, amps, alpha)
+            for s in (0.5, -20.0, 30.0):
+                value, _, _, converged = integral(s)
+                want = mpmath_time_route(lengths, amps, alpha, s)
+                if converged:
+                    assert abs(value - want) <= 1e-12 * abs(want), (alpha, s, value, want)
+                    checked += want != 0.0
+        assert checked
 
     @pytest.mark.parametrize("s", [-40.0, -64.0])
     def test_exponent_past_float_range_not_converged(self, s):

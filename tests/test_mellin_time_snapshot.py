@@ -7,16 +7,27 @@ n = 4 spectrum (500 primitives, 3 iterates each) and a 20-class n = 20
 spectrum whose shortest length is 4.  A rework of the time-route kernel
 that claims the same bits must reproduce every entry.
 
+Each entry is also checked to 1e-13 relative: against the closed form of
+the time integral in mpmath (``mpmath_time_route``) on the two small
+spectra, and at s = 0.77 on the 1500-class one (its other orders cost
+seconds each in ``mpmath.besselk``); every 1500-class entry is checked
+against the Bessel route, whose own snapshot is checked against mpmath.
+
 Regenerate (only from a commit whose numerics are trusted) with
 
     PYTHONPATH=src python tests/test_mellin_time_snapshot.py > tests/data/mellin_time_snapshot.json
 """
 
 import json
+import math
 import pathlib
 
+import mpmath
+
 from hyperzeta import ManifoldData, synth_spectrum
-from hyperzeta.heat_zeta import mellin_hyperbolic_quadrature
+from hyperzeta.heat_zeta import (
+    _geodesic_amplitudes, _sector, mellin_hyperbolic, mellin_hyperbolic_quadrature,
+)
 from hyperzeta.verify import _verification_spectrum
 
 SNAPSHOT = pathlib.Path(__file__).parent / "data" / "mellin_time_snapshot.json"
@@ -44,6 +55,30 @@ def _spectra() -> dict:
     }
 
 
+def mpmath_time_route(lengths, amps, alpha, s) -> float:
+    """integral_0^inf t^(s-3/2) sum_i amps[i] e^(-alpha t - l_i^2/(4t)) dt, in mpmath.
+
+    Each class is 2 (q/alpha)^(nu/2) K_nu(l sqrt(alpha)) with q = l^2/4 and
+    nu = s - 1/2, at 30 digits.  The lengths ascend, so K_nu at class i
+    bounds it at every later class, and (q/alpha)^(nu/2) is largest at the
+    longest length for nu > 0 and at class i otherwise; the sum stops once
+    that bound times the rest of sum |amps| is below 1e-18 of the sum.
+    """
+    with mpmath.workdps(30):
+        alpha, nu = mpmath.mpf(alpha), mpmath.mpf(s) - mpmath.mpf(0.5)
+        rest = mpmath.fsum(abs(mpmath.mpf(a)) for a in amps)
+        top = (mpmath.mpf(lengths[-1]) ** 2 / 4 / alpha) ** (nu / 2) if lengths else 0
+        total = mpmath.mpf(0)
+        for l, a in zip(lengths, amps):
+            power = (mpmath.mpf(l) ** 2 / 4 / alpha) ** (nu / 2)
+            k = mpmath.besselk(nu, mpmath.mpf(l) * mpmath.sqrt(alpha))
+            if rest * 2 * max(power, top if nu > 0 else 0) * k < 1e-18 * abs(total):
+                break
+            total += a * 2 * power * k
+            rest -= abs(mpmath.mpf(a))
+        return float(total)
+
+
 def _records() -> list[dict]:
     return [
         {
@@ -63,6 +98,24 @@ def test_time_route_matches_snapshot():
     assert len(records) == len(pinned["records"])
     for got, want in zip(records, pinned["records"]):
         assert got == want, (got["spectrum"], got["p"])
+
+
+def test_snapshot_against_mpmath():
+    pinned = json.loads(SNAPSHOT.read_text())["records"]
+    spectra = _spectra()
+    for record in pinned:
+        data, p = spectra[record["spectrum"]], record["p"]
+        _, alpha = _sector(data, p)
+        lengths, amps = _geodesic_amplitudes(data, p)
+        got = [float.fromhex(value) for value in record["values"]]
+        if len(lengths) > 100:
+            bessel = mellin_hyperbolic(data, p, S_VALUES)
+            assert all(abs(g - b) <= 1e-13 * abs(b) for g, b in zip(got, bessel)), p
+        for s, value in zip(S_VALUES, got):
+            if len(lengths) > 100 and s != 0.77:
+                continue
+            want = mpmath_time_route(lengths, amps, alpha, s) / math.sqrt(4.0 * math.pi)
+            assert abs(value - want) <= 1e-13 * abs(want), (record["spectrum"], p, s)
 
 
 if __name__ == "__main__":
