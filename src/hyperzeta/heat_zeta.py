@@ -313,9 +313,9 @@ def coexact_trace(
     Returns one breakdown per entry of ``times``, in order.  Every t is
     checked before any quadrature runs; an identity part, hyperbolic part
     or total outside the float range raises ValueError.  The geodesic
-    amplitudes, their suffix bounds (where each t's geodesic sum stops)
-    and the t-free Plancherel node values are computed once per call and
-    shared by every t.
+    amplitudes in blocks with their suffix bounds (where each t's geodesic
+    sum stops) and the t-free Plancherel node values are computed once per
+    call and shared by every t.
     """
     n, shift = _sector(manifold, p)
     times = list(times)
