@@ -17,6 +17,11 @@ The trace is read through ``hyperzeta heat-trace --format csv`` at
 uniquely, so the parsed values are the floats the library returned, and
 the pin does not depend on the Python signature of ``coexact_trace``.
 
+Some identity entries are also checked to 1e-13 relative against a
+30-digit ``mpmath.quad`` of the Plancherel integral (``IDENTITY_CHECKS``):
+at least one heat time per sector, and every entry that a change of the
+quadrature engine's window has moved.
+
 Regenerate (only from a commit whose numerics are trusted) with
 
     PYTHONPATH=src python tests/test_heat_trace_snapshot.py > tests/data/heat_trace_snapshot.json
@@ -25,18 +30,38 @@ Regenerate (only from a commit whose numerics are trusted) with
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import tempfile
+
+import mpmath
 
 from hyperzeta import GeodesicClass, ManifoldData, synth_spectrum
 from hyperzeta.cli import main
 from hyperzeta.heat_zeta import hyperbolic_heat_term, identity_heat_term
 from hyperzeta.manifold import save_manifold
+from hyperzeta.plancherel import miatello_coefficients
 
 SNAPSHOT = pathlib.Path(__file__).parent / "data" / "heat_trace_snapshot.json"
 
 TIMES = (0.05, 0.3, 1.0, 2.5)
+
+# (spectrum, p) -> heat times whose identity entry is checked against mpmath
+IDENTITY_CHECKS = {
+    ("small_spectrum", 0): (0.05, 2.5),
+    ("small_spectrum", 1): (0.3, 1.0),
+    ("small_spectrum", 2): (0.3, 2.5),
+    ("small_spectrum", 3): (0.05, 1.0),
+    ("flat_spectrum_2d", 0): (0.3, 2.5),
+    ("flat_spectrum_2d", 1): (0.3, 0.05),
+    ("synth_900", 0): (1.0,),
+    ("synth_900", 1): (2.5,),
+    ("synth_900", 2): (0.05, 0.3),
+    ("synth_900", 3): (0.05, 1.0),
+    ("synth_900", 4): (0.3,),
+    ("synth_900", 5): (0.05,),
+}
 
 
 def _spectra() -> dict:
@@ -113,6 +138,43 @@ def test_heat_trace_matches_snapshot(tmp_path):
     for record in pinned["records"]:
         assert record["identity"] == record["identity_heat_term"], record["p"]
         assert record["hyperbolic"] == record["hyperbolic_heat_term"], record["p"]
+
+
+def mpmath_identity(data: ManifoldData, p: int, t: float) -> float:
+    """identity_heat_term from its definition, at 30 digits.
+
+    chi(1) Vol / (4 pi) times C(n-1, p) pi / (2^(4k-4) Gamma(k)^2) times
+    2 e^(-t (p + rho0^2)) times the integral over r > 0 of
+    r P_p(r^2) tanh(pi r) e^(-t r^2), with n = 2k.
+    """
+    n = data.dimension
+    k = n // 2
+    with mpmath.workdps(30):
+        tt = mpmath.mpf(t)
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in miatello_coefficients(k, p)]
+
+        def integrand(r):
+            return (r * mpmath.polyval(coeffs[::-1], r * r) * mpmath.tanh(mpmath.pi * r)
+                    * mpmath.exp(-tt * r * r))
+
+        integral = mpmath.quad(integrand, [0, 1, mpmath.sqrt(k / tt), mpmath.inf])
+        norm = mpmath.pi / (mpmath.mpf(2) ** (4 * k - 4) * mpmath.factorial(k - 1) ** 2)
+        shift = p + mpmath.mpf(n - 1) ** 2 / 4
+        prefactor = mpmath.mpf(data.chi_one) * mpmath.mpf(data.volume) / (4 * mpmath.pi)
+        return float(prefactor * math.comb(n - 1, p) * norm * 2 * mpmath.exp(-tt * shift) * integral)
+
+
+def test_identity_entries_against_mpmath():
+    pinned = json.loads(SNAPSHOT.read_text())["records"]
+    spectra = _spectra()
+    sectors = {(record["spectrum"], record["p"]) for record in pinned}
+    assert sectors == set(IDENTITY_CHECKS)
+    for record in pinned:
+        name, p = record["spectrum"], record["p"]
+        for t in IDENTITY_CHECKS[name, p]:
+            got = float.fromhex(record["identity_heat_term"][TIMES.index(t)])
+            want = mpmath_identity(spectra[name], p, t)
+            assert abs(got - want) <= 1e-13 * abs(want), (name, p, t, got, want)
 
 
 if __name__ == "__main__":
