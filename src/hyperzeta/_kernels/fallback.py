@@ -4,8 +4,11 @@ de_integrate is the trapezoid rule on the whole line for a node function
 that decays doubly exponentially, with step halving until two successive
 refinements agree (Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)).
 Its step, depth and relative tolerance are the fixed constants below;
-only the absolute tolerance is a parameter.  Every quadrature of the
-package runs on it, and every node sum on pairwise_sum.  The kernels map
+only the absolute tolerance is a parameter.  Its window is relative to
+the integrand's own peak: level 0 scans each side until three nodes in a
+row are at or below 2^-54 of the largest node seen, then keeps the nodes
+above that floor and one guard node past them on each side.  Every
+quadrature of the package runs on it, and every node sum on pairwise_sum.  The kernels map
 their integrals to the line by a double-exponential change of variables:
 
   * plancherel_integral: r = exp((pi/2) sinh u) maps (0, inf) to the line;
@@ -38,7 +41,6 @@ _MAX_LEVEL = 12  # step halvings at most
 _ABS_TOL = 1e-12  # the default; zeta_moment_continued passes 1e-13, the time route 0
 _REL_TOL = 1e-14
 _SCAN_LIMIT = 400  # level-0 nodes per side; DE decay triggers far earlier
-_NEGLIGIBLE = 1e-300
 _HALF_PI = math.pi / 2.0
 # node values kept by one plancherel_integrals or mellin_time_integrals
 # table: a 10-t heat-trace call at n = 6 (t in [0.05, 2.5]) visits 513
@@ -48,6 +50,8 @@ _NODE_TABLE_SIZE = 16384
 # a length-sorted geodesic sum adds CUT_BLOCK classes between two checks
 # of its stop rule (tail_bounds), which drops a tail below 2^-54 of the sum
 CUT_BLOCK = 64
+# the one relative cut: of a geodesic sum's tail against its partial sum,
+# and of a level-0 node against the largest node of its window
 _CUT_REL = 2.0**-54
 
 
@@ -130,38 +134,61 @@ def cut_blocks(amps, *columns) -> list:
     ]
 
 
-def _scan(node, step: float) -> list:
-    # level-0 nodes at step, 2 step, ... until three consecutive negligible ones
+def _scan(node, step: float, top: float) -> tuple[list, float]:
+    # level-0 nodes at step, 2 step, ... until three consecutive ones at or
+    # below _CUT_REL of top, the largest finite |node| so far, which the
+    # scan raises as it goes; a nan or inf node is never negligible
     vals = []
     run = 0
+    inf = math.inf
     while len(vals) < _SCAN_LIMIT and run < 3:
         v = node((len(vals) + 1) * step)
         vals.append(v)
-        run = run + 1 if abs(v) <= _NEGLIGIBLE else 0
-    return vals
+        a = abs(v)
+        if top < a < inf:
+            top = a
+        run = run + 1 if a <= _CUT_REL * top else 0
+    return vals, top
+
+
+def _kept(vals: list, floor: float) -> int:
+    # how many of one side's level-0 nodes the window keeps: up to its
+    # outermost node above floor (or not finite), plus one guard past it
+    n = len(vals)
+    while n and abs(vals[n - 1]) <= floor:
+        n -= 1
+    return min(n + 1, len(vals))
 
 
 def de_integrate(node, abs_tol: float = _ABS_TOL):
     """Adaptive trapezoid on the whole line for a DE-decaying node function.
 
     Level 0 scans outward from u = 0 in steps of _H0, first up, then down,
-    until three consecutive negligible nodes fix the truncation window;
-    deeper levels only add the odd-multiple nodes inside that fixed window,
-    so refinement never moves the window and the node set is
-    deterministic.  Level L converges when it differs from level L-1 by at
-    most max(abs_tol, _REL_TOL |S|), for L up to _MAX_LEVEL.  A non-finite
-    estimate never converges, and it ends the refinement at once: halving
-    the step cannot make it finite again.
+    each side until three consecutive nodes are at or below 2^-54 (_CUT_REL)
+    of top, the largest finite |node| seen so far, one running value from
+    the centre over both sides.  The window is then trimmed to the nodes
+    above 2^-54 top and one guard node past them on each side; the centre
+    always stays.  A nan or inf node never raises top and never counts as
+    negligible, so it stays in the window.  Deeper levels only add the
+    odd-multiple nodes inside that fixed window, so refinement never moves
+    the window and the node set is deterministic.  Level L converges when
+    it differs from level L-1 by at most max(abs_tol, _REL_TOL |S|), for L
+    up to _MAX_LEVEL.  A non-finite estimate never converges, and it ends
+    the refinement at once: halving the step cannot make it finite again.
 
     Returns (value, last_delta, level, converged).
     """
     center = node(0.0)
-    pos_vals = _scan(node, _H0)
-    neg_vals = _scan(node, -_H0)
-    n_pos = len(pos_vals)
-    n_neg = len(neg_vals)
+    top = abs(center)
+    if not top < math.inf:
+        top = 0.0
+    pos_vals, top = _scan(node, _H0, top)
+    neg_vals, top = _scan(node, -_H0, top)
+    floor = _CUT_REL * top
+    n_pos = _kept(pos_vals, floor)
+    n_neg = _kept(neg_vals, floor)
 
-    ordered = neg_vals[::-1] + [center] + pos_vals
+    ordered = neg_vals[n_neg - 1::-1] + [center] + pos_vals[:n_pos]
     total = _H0 * pairwise_sum(ordered)
     if not math.isfinite(total):
         return total, math.inf, 0, False

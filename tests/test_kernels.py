@@ -150,6 +150,46 @@ class TestDeIntegrate:
         )
         assert (value, delta, level, converged) == (math.inf, math.inf, 0, False)
 
+    def test_integrand_below_old_absolute_floor(self):
+        # the scan once stopped at nodes below 1e-300 in absolute value, so
+        # this returned 1.7354e-305 (2.1% low) as converged
+        value, _, _, converged = fallback.de_integrate(lambda u: 1e-305 * math.exp(-u * u))
+        want = 1e-305 * math.sqrt(math.pi)
+        assert converged and abs(value - want) <= 1e-15 * want
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        c=st.floats(0.5, 2.0), b=st.floats(0.3, 4.0), m=st.floats(-2.0, 2.0),
+        d=st.floats(0.0, 1.0), pick=st.floats(0.0, 1.0),
+    )
+    def test_power_of_two_scale_is_exact(self, c, b, m, d, pick):
+        # the window is relative, so 2^k f has f's window, nodes and levels,
+        # for every k that keeps the window's nodes normal
+        def f(u):
+            return c * (1.0 + d * u * u) * math.exp(-b * (u - m) ** 2)
+
+        seen = []
+
+        def recorded(u):
+            v = f(u)
+            seen.append((u, v))
+            return v
+
+        value, delta, level, converged = fallback.de_integrate(recorded, 0.0)
+        assert converged
+        # deeper levels visit the odd multiples of 0.25 inside the window only
+        deeper = [u for u, _ in seen if (2.0 * u) % 1.0]
+        lo, hi = min(deeper) - 0.25, max(deeper) + 0.25
+        window = [abs(v) for u, v in seen if lo <= u <= hi]
+        assert min(window) > 0.0
+        # every node and the sums of up to 2^16 of them stay normal
+        k_lo = -1022 - math.frexp(min(window))[1] + 1
+        k_hi = 1024 - 17 - math.frexp(max(window))[1]
+        for k in (k_lo, k_hi, round(k_lo + pick * (k_hi - k_lo))):
+            scale = math.ldexp(1.0, k)
+            got = fallback.de_integrate(lambda u: scale * f(u), 0.0)
+            assert got == (scale * value, scale * delta, level, converged), k
+
     def test_overflowing_plancherel_integral_not_converged(self):
         # it returned (inf, inf, 5, True): inf <= max(abs_tol, rel_tol * inf)
         from hyperzeta.plancherel import miatello_coefficients
@@ -321,6 +361,32 @@ class TestMellinTimeIntegrals:
                     checked += want != 0.0
         assert checked
 
+    def test_amplitudes_below_old_absolute_floor(self):
+        # every node is below 1e-300, which the scan once took as the end of
+        # the window: 5.426e-303, not converged at level 12
+        value, _, _, converged = fallback.mellin_time_integral(
+            [1.0, 2.0], [1e-302, 2e-302], 2.25, 0.5
+        )
+        want = 1e-302 * 0.5665691428401685  # the same spectrum at unit amplitude
+        assert fallback.mellin_time_integral([1.0, 2.0], [1.0, 2.0], 2.25, 0.5)[0] == (
+            0.5665691428401685
+        )
+        assert converged and abs(value - want) <= 1e-15 * want
+
+    def test_late_dominant_class_against_mpmath(self):
+        # the anchor is the short class's peak; the long one's bump, 1e40
+        # times higher at alpha 2.25, lies six level-0 steps to the right.
+        # The scan must not stop before it on the short class's tail
+        from test_mellin_time_snapshot import mpmath_time_route
+
+        lengths, amps = [0.1, 60.0], [1.0, 1e80]
+        for alpha in (2.25, 90.25, 1600.0):
+            integral = fallback.mellin_time_integrals(lengths, amps, alpha)
+            for s in (0.5, -20.0, 30.0, 2.5, -1.5):
+                value, _, _, converged = integral(s)
+                want = mpmath_time_route(lengths, amps, alpha, s)
+                assert converged and abs(value - want) <= 1e-12 * abs(want), (alpha, s)
+
     @pytest.mark.parametrize("s", [-40.0, -64.0])
     def test_exponent_past_float_range_not_converged(self, s):
         # the geodesic's exponent peaks near 1,190 at s = -64: the node is
@@ -401,3 +467,48 @@ class TestPairwise:
         for n in range(2101):
             got = fallback.pairwise_sum(vals[:n])
             assert got.hex() == _recursive_tree_sum(vals, 0, n).hex(), n
+
+
+class TestWindowWork:
+    """The relative window bounds the work of the kernels that run on it."""
+
+    def test_time_route_geodesic_sums(self, monkeypatch):
+        # the window once ran out to nodes 1e-300 below the peak: 111 sums
+        # at p = 0 and 107 at p = 1; the relative window makes 69 of each
+        from hyperzeta import heat_zeta
+        from test_mellin_time_snapshot import _spectra
+
+        data = _spectra()["synth_1500_n4"]
+        calls = []
+        geodesic_sum = fallback.geodesic_sum
+
+        def counting(blocks, eb):
+            calls.append(eb)
+            return geodesic_sum(blocks, eb)
+
+        monkeypatch.setattr(fallback, "geodesic_sum", counting)
+        for p in (0, 1):
+            calls.clear()
+            heat_zeta.mellin_hyperbolic_quadrature(data, p, [0.3, 0.5, 0.7])
+            assert len(calls) <= 75, (p, len(calls))
+
+    def test_plancherel_nodes(self, monkeypatch):
+        # a 10-t heat-trace call at n = 6, p = 2: 3,738 node visits with the
+        # absolute window, 2,162 with the relative one
+        from hyperzeta.plancherel import miatello_coefficients
+
+        visits = []
+        integrate = fallback.de_integrate
+
+        def counting(node, *args):
+            def wrapped(u):
+                visits.append(u)
+                return node(u)
+
+            return integrate(wrapped, *args)
+
+        monkeypatch.setattr(fallback, "de_integrate", counting)
+        integral = fallback.plancherel_integrals(miatello_coefficients(3, 2))
+        for i in range(10):
+            assert integral(0.05 + i * (2.45 / 9))[3]
+        assert len(visits) <= 2400
