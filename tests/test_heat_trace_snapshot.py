@@ -161,7 +161,8 @@ def mpmath_identity(data: ManifoldData, p: int, t: float) -> float:
         norm = mpmath.pi / (mpmath.mpf(2) ** (4 * k - 4) * mpmath.factorial(k - 1) ** 2)
         shift = p + mpmath.mpf(n - 1) ** 2 / 4
         prefactor = mpmath.mpf(data.chi_one) * mpmath.mpf(data.volume) / (4 * mpmath.pi)
-        return float(prefactor * math.comb(n - 1, p) * norm * 2 * mpmath.exp(-tt * shift) * integral)
+        weight = prefactor * math.comb(n - 1, p) * norm * 2 * mpmath.exp(-tt * shift)
+        return float(weight * integral)
 
 
 def test_identity_entries_against_mpmath():
