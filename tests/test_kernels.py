@@ -371,9 +371,9 @@ class TestMellinTimeIntegrals:
         assert converged and abs(value - want) <= 1e-15 * want
 
     def test_late_dominant_class_against_mpmath(self):
-        # the anchor is the short class's peak; the long one's bump, 1e40
-        # times higher at alpha 2.25, lies six level-0 steps to the right.
-        # The scan must not stop before it on the short class's tail
+        # the anchor is the short class's peak; the long one's bump, about
+        # 1e40 times higher at alpha 2.25, lies 6.4 (13 level-0 steps) to the
+        # right.  The scan must not stop before it on the short class's tail
         from test_mellin_time_snapshot import mpmath_time_route
 
         lengths, amps = [0.1, 60.0], [1.0, 1e80]
