@@ -13,12 +13,13 @@ and rejects any other radius or p before it computes anything.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ._kernels import fallback as quadrature
 from .exact import Rational, bernoulli, binomial
@@ -163,14 +164,18 @@ def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
 _MAX_SERIES_TERMS = 400
 
 
-def _series_term(ell: int, k: int, t: Fraction) -> Fraction:
-    # (-1)^l (1 - 2^-e) B t^k / (k! (l+k+1)) with e = 2l+2k+1, built as one
-    # integer numerator over one denominator and reduced once
-    two_e = 1 << (2 * ell + 2 * k + 1)
-    bern = bernoulli(2 * (ell + k + 1))
-    num = (two_e - 1) * bern.numerator * t.numerator**k
-    den = two_e * bern.denominator * t.denominator**k * math.factorial(k) * (ell + k + 1)
-    return Fraction(-num if ell % 2 else num, den)
+def _series_terms(ell: int, t: Fraction) -> Iterator[tuple[int, int]]:
+    # term k = 0, 1, ... as an unreduced integer pair (numerator, denominator
+    # > 0): (-1)^l (1 - 2^-e) B t^k / (k! (l+k+1)) with e = 2l+2k+1, where
+    # the numerator of t^k and the denominator of t^k times k! run along
+    t_num, t_den = 1, 1
+    for k in itertools.count():
+        two_e = 1 << (2 * ell + 2 * k + 1)
+        bern = bernoulli(2 * (ell + k + 1))
+        num = (two_e - 1) * bern.numerator * t_num
+        yield -num if ell % 2 else num, two_e * bern.denominator * t_den * (ell + k + 1)
+        t_num *= t.numerator
+        t_den *= t.denominator * (k + 1)
 
 
 def tanh_moment_series_exact(ell: int, t: Rational) -> tuple[Fraction, Fraction, int]:
@@ -188,6 +193,9 @@ def tanh_moment_series_exact(ell: int, t: Rational) -> tuple[Fraction, Fraction,
     The optimal-index scan is capped at 400 terms, which covers every
     t >= 0.025 (the optimal index grows like pi^2/t); beyond the cap the
     remainder bound is still valid, merely not the sharpest available.
+    The terms stay unreduced integer pairs: the scan compares magnitudes
+    by cross-multiplication, and the kept terms and the leading term are
+    summed over one common denominator and reduced once.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
@@ -195,17 +203,20 @@ def tanh_moment_series_exact(ell: int, t: Rational) -> tuple[Fraction, Fraction,
     if t <= 0:
         raise ValueError("t must be positive")
 
-    terms = [_series_term(ell, 0, t)]
-    optimal = _MAX_SERIES_TERMS
-    for k in range(1, _MAX_SERIES_TERMS + 2):
-        terms.append(_series_term(ell, k, t))
-        if abs(terms[k]) >= abs(terms[k - 1]):
-            optimal = k - 1
+    terms = _series_terms(ell, t)
+    kept = [next(terms)]
+    for num, den in itertools.islice(terms, _MAX_SERIES_TERMS + 1):
+        if abs(num) * kept[-1][1] >= abs(kept[-1][0]) * den:
             break
-
-    leading = Fraction(math.factorial(ell)) / t ** (ell + 1)
-    value = leading - sum(terms[: optimal + 1])
-    return value, abs(terms[optimal + 1]), optimal
+        kept.append((num, den))
+    else:  # the cap: term 401 is the bound
+        num, den = kept.pop()
+    common = math.lcm(*(d for _, d in kept))
+    total = sum(n * (common // d) for n, d in kept)
+    # l! t^(-l-1) - total / common, over the denominator t_num^(l+1) common
+    lead_num, lead_den = t.denominator ** (ell + 1), t.numerator ** (ell + 1)
+    value = Fraction(math.factorial(ell) * lead_num * common - total * lead_den, lead_den * common)
+    return value, Fraction(abs(num), den), len(kept) - 1
 
 
 # --- hyperbolic sector -------------------------------------------------------

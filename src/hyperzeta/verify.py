@@ -220,8 +220,11 @@ def tanh_series_pairs(t: Fraction) -> list[TanhPair]:
     The working precision is the digit count of the largest
     |series value| / bound over the four ell, plus TANH_GUARD_DIGITS, so
     the quadrature resolves every bound with digits to spare.  The four
-    integrands differ only by r^(2 ell + 1), so e^(-t r^2) tanh(pi r) is
-    evaluated once per quadrature node and shared by the four quadratures.
+    integrands differ only by r^(2 ell + 1), and the four quadratures visit
+    the same nodes.  Each node, keyed by its ``_mpf_`` tuple, holds one
+    running moment r^power e^(-t r^2) tanh(pi r) with its power: the next
+    ell advances it by r^2, so the transcendentals are paid once per node.
+    A moment already past the asked power starts again from r^1.
     """
 
     def mpf(q: Fraction) -> mpmath.mpf:
@@ -233,19 +236,26 @@ def tanh_series_pairs(t: Fraction) -> list[TanhPair]:
     pairs = []
     with mpmath.workdps(dps):
         tm = mpf(t)
-        weights = {}
+        moments = {}
 
-        def weight(r):
-            # e^(-t r^2) tanh(pi r) at this node, shared by the four ell
-            w = weights.get(r)
-            if w is None:
-                w = weights[r] = mpmath.exp(-tm * r * r) * mpmath.tanh(mpmath.pi * r)
-            return w
+        def moment(r, power):
+            # r^power e^(-t r^2) tanh(pi r), from this node's running moment:
+            # it is advanced by r^2, or restarted from r^1 if it is past power
+            # (as a new node is)
+            done, value = moments.get(r._mpf_, (power + 1, None))
+            if done > power:
+                done, value = 1, r * (mpmath.exp(-tm * r * r) * mpmath.tanh(mpmath.pi * r))
+            if done < power:
+                r2 = r * r
+                while done < power:
+                    done, value = done + 2, value * r2
+            moments[r._mpf_] = done, value
+            return value
 
         for ell, (value, omitted, _) in zip(TANH_ELLS, series):
             power = 2 * ell + 1
             half, half_error = mpmath.quad(
-                lambda r: r ** power * weight(r), [0, 8, mpmath.inf], error=True
+                lambda r: moment(r, power), [0, 8, mpmath.inf], error=True
             )
             quad = 2 * half
             pairs.append(TanhPair(

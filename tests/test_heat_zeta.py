@@ -2,7 +2,9 @@
 Bessel transforms, and the exact identity-sector zeta values."""
 
 import dataclasses
+import itertools
 import math
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -124,10 +126,36 @@ class TestIdentityHeatTerm:
         )
 
 
+def series_term(ell, k, t):
+    # term k of the tanh series, from the one statement of it in src
+    return Fraction(*next(itertools.islice(heat_zeta._series_terms(ell, t), k, None)))
+
+
+def fraction_series(ell, t):
+    # the series as it was summed before the integer-pair form: each term a
+    # reduced Fraction, added one at a time
+    def term(k):
+        two_e = 1 << (2 * ell + 2 * k + 1)
+        bern = bernoulli(2 * (ell + k + 1))
+        num = (two_e - 1) * bern.numerator * t.numerator**k
+        den = two_e * bern.denominator * t.denominator**k * math.factorial(k) * (ell + k + 1)
+        return Fraction(-num if ell % 2 else num, den)
+
+    terms = [term(0)]
+    optimal = 400
+    for k in range(1, 402):
+        terms.append(term(k))
+        if abs(terms[k]) >= abs(terms[k - 1]):
+            optimal = k - 1
+            break
+    leading = Fraction(math.factorial(ell)) / t ** (ell + 1)
+    return leading - sum(terms[: optimal + 1]), abs(terms[optimal + 1]), optimal
+
+
 class TestTanhMomentSeries:
     def test_order_zero_closed_form(self):
         # l=0, k=0 term: (1 - 2^-1) B_2 / (0! * 1) = 1/12
-        assert heat_zeta._series_term(0, 0, Fraction(1)) == Fraction(1, 12)
+        assert series_term(0, 0, Fraction(1)) == Fraction(1, 12)
 
     def test_optimal_vs_quadrature_t01(self):
         t = Fraction(0.1)  # the binary t a float caller holds
@@ -149,15 +177,15 @@ class TestTanhMomentSeries:
         t = Fraction(1, 10)
         _, om_opt, u0 = tanh_moment_series_exact(0, t)
         assert u0 > 5
-        assert om_opt == abs(heat_zeta._series_term(0, u0 + 1, t))
+        assert om_opt == abs(series_term(0, u0 + 1, t))
         # before the optimal index the term magnitudes decrease; crossing
         # it they turn around (that is what defines the optimum)
-        om1 = abs(heat_zeta._series_term(0, u0 - 1, t))
-        om2 = abs(heat_zeta._series_term(0, u0, t))
+        om1 = abs(series_term(0, u0 - 1, t))
+        om2 = abs(series_term(0, u0, t))
         assert om1 > om2
         assert om_opt >= om2
 
-    def test_one_fraction_terms_equal_chained_formula(self):
+    def test_integer_pair_terms_equal_chained_formula(self):
         def chained(ell, k, t):
             weight = 1 - Fraction(1, 2 ** (2 * ell + 2 * k + 1))
             return (
@@ -168,8 +196,37 @@ class TestTanhMomentSeries:
         for t in TANH_TIMES:
             for ell in range(4):
                 _, _, optimal = tanh_moment_series_exact(ell, t)
-                for k in range(optimal + 2):
-                    assert heat_zeta._series_term(ell, k, t) == chained(ell, k, t), (ell, k, t)
+                terms = itertools.islice(heat_zeta._series_terms(ell, t), optimal + 2)
+                for k, (num, den) in enumerate(terms):
+                    assert den > 0
+                    assert Fraction(num, den) == chained(ell, k, t), (ell, k, t)
+
+    def test_one_denominator_sum_on_verify_pairs(self):
+        # value, bound and index are all identical to the Fraction sum's
+        for t in TANH_TIMES:
+            for ell in range(4):
+                assert tanh_moment_series_exact(ell, t) == fraction_series(ell, t), (ell, t)
+
+    def test_one_denominator_sum_on_a_grid(self):
+        # a fixed draw over ell 0..5 and t in [1/40, 4]: two rationals,
+        # log-uniform, and two binary floats (the t a float caller holds)
+        # per ell, plus the binary 0.1 and the smallest t, which sums the
+        # most terms
+        rng = random.Random(48)
+        grid = [(0, Fraction(0.1)), (5, Fraction(1, 40))]
+        for ell in range(6):
+            grid += [(ell, Fraction(round(40 * 160 ** rng.random()), 1600)) for _ in range(2)]
+            grid += [(ell, Fraction(rng.uniform(0.025, 4.0))) for _ in range(2)]
+        for ell, t in grid:
+            assert tanh_moment_series_exact(ell, t) == fraction_series(ell, t), (ell, t)
+
+    def test_one_denominator_sum_at_the_cap(self):
+        # at t = 1/50 the terms still shrink at k = 400: the scan stops at
+        # the cap, and the bound is term 401
+        t = Fraction(1, 50)
+        got = tanh_moment_series_exact(0, t)
+        assert got == fraction_series(0, t)
+        assert got[1:] == (abs(series_term(0, 401, t)), 400)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

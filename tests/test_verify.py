@@ -21,6 +21,69 @@ def test_chosen_precision_matches_130_digits():
         assert abs(pair.quad - reference) <= 1e-6 * pair.bound
 
 
+def reference_pairs(t):
+    # the quadrature with a per-ell integrand r^power * w and w cached per node
+    series = [heat_zeta.tanh_moment_series_exact(ell, t) for ell in verify.TANH_ELLS]
+    dps = len(str(int(max(abs(value) / omitted for value, omitted, _ in series)))) + 15
+    pairs = []
+    with mpmath.workdps(dps):
+        tm, weights = mpmath.mpf(t.numerator) / t.denominator, {}
+
+        def weight(r):
+            if r not in weights:
+                weights[r] = mpmath.exp(-tm * r * r) * mpmath.tanh(mpmath.pi * r)
+            return weights[r]
+
+        for ell, (value, omitted, _) in zip(verify.TANH_ELLS, series):
+            power = 2 * ell + 1
+            half, half_error = mpmath.quad(
+                lambda r: r ** power * weight(r), [0, 8, mpmath.inf], error=True
+            )
+            quad = 2 * half
+            exact = mpmath.mpf(value.numerator) / value.denominator
+            bound = mpmath.mpf(omitted.numerator) / omitted.denominator
+            pairs.append(verify.TanhPair(
+                ell, t, quad, abs(quad - exact), bound, 2 * half_error, dps,
+            ))
+    return pairs
+
+
+def test_running_moments_match_per_ell_integrand(monkeypatch):
+    t = Fraction(1, 5)
+    quad, tanh = mpmath.quad, mpmath.tanh
+    nodes, quads, tanhs = set(), [], []
+
+    def counted_quad(f, *args, **kwargs):
+        def seen(r):
+            nodes.add(r._mpf_)
+            return f(r)
+
+        quads.append(args)
+        return quad(seen, *args, **kwargs)
+
+    def counted_tanh(x):
+        tanhs.append(x)
+        return tanh(x)
+
+    monkeypatch.setattr(mpmath, "quad", counted_quad)
+    monkeypatch.setattr(mpmath, "tanh", counted_tanh)
+    got = verify.tanh_series_pairs(t)
+    # one quadrature per ell, and tanh once per distinct node across the four
+    assert len(quads) == 4
+    assert len(tanhs) == len(nodes)
+    monkeypatch.undo()
+    assert got == reference_pairs(t)
+
+
+def test_running_moment_restarts_below_its_power(monkeypatch):
+    # ell 3 first leaves every node at r^7; ell 0 and ell 1 must restart it
+    t = Fraction(1, 5)
+    ascending = verify.tanh_series_pairs(t)
+    monkeypatch.setattr(verify, "TANH_ELLS", (3, 0, 2, 1))
+    shuffled = verify.tanh_series_pairs(t)
+    assert sorted(shuffled, key=lambda pair: pair.ell) == ascending
+
+
 def test_series_off_by_twice_the_bound_fails(monkeypatch):
     exact = heat_zeta.tanh_moment_series_exact
 
