@@ -24,7 +24,8 @@ def test_chosen_precision_matches_130_digits():
 def reference_pairs(t):
     # the quadrature with a per-ell integrand r^power * w and w cached per node
     series = [heat_zeta.tanh_moment_series_exact(ell, t) for ell in verify.TANH_ELLS]
-    dps = len(str(int(max(abs(value) / omitted for value, omitted, _ in series)))) + 15
+    ratio = max(abs(value) / omitted for value, omitted, _ in series)
+    dps = len(str(int(ratio))) + verify.TANH_GUARD_DIGITS
     pairs = []
     with mpmath.workdps(dps):
         tm, weights = mpmath.mpf(t.numerator) / t.denominator, {}
@@ -48,8 +49,12 @@ def reference_pairs(t):
     return pairs
 
 
-def test_running_moments_match_per_ell_integrand(monkeypatch):
-    t = Fraction(1, 5)
+@pytest.fixture(scope="module")
+def reference_at_one_fifth():
+    return reference_pairs(Fraction(1, 5))
+
+
+def test_running_moments_match_per_ell_integrand(monkeypatch, reference_at_one_fifth):
     quad, tanh = mpmath.quad, mpmath.tanh
     nodes, quads, tanhs = set(), [], []
 
@@ -67,21 +72,18 @@ def test_running_moments_match_per_ell_integrand(monkeypatch):
 
     monkeypatch.setattr(mpmath, "quad", counted_quad)
     monkeypatch.setattr(mpmath, "tanh", counted_tanh)
-    got = verify.tanh_series_pairs(t)
+    got = verify.tanh_series_pairs(Fraction(1, 5))
     # one quadrature per ell, and tanh once per distinct node across the four
     assert len(quads) == 4
     assert len(tanhs) == len(nodes)
-    monkeypatch.undo()
-    assert got == reference_pairs(t)
+    assert got == reference_at_one_fifth
 
 
-def test_running_moment_restarts_below_its_power(monkeypatch):
+def test_running_moment_restarts_below_its_power(monkeypatch, reference_at_one_fifth):
     # ell 3 first leaves every node at r^7; ell 0 and ell 1 must restart it
-    t = Fraction(1, 5)
-    ascending = verify.tanh_series_pairs(t)
     monkeypatch.setattr(verify, "TANH_ELLS", (3, 0, 2, 1))
-    shuffled = verify.tanh_series_pairs(t)
-    assert sorted(shuffled, key=lambda pair: pair.ell) == ascending
+    shuffled = verify.tanh_series_pairs(Fraction(1, 5))
+    assert sorted(shuffled, key=lambda pair: pair.ell) == reference_at_one_fifth
 
 
 def test_series_off_by_twice_the_bound_fails(monkeypatch):
