@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from ._kernels import fallback as quadrature
 from .exact import Rational, bernoulli, binomial
-from .manifold import ManifoldData
+from .manifold import ManifoldData, _trivial_weights
 from .plancherel import miatello_coefficients
 
 __all__ = [
@@ -224,26 +224,24 @@ def tanh_moment_series_exact(ell: int, t: Rational) -> tuple[Fraction, Fraction,
 
 def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
     # the lengths and the p-sector amplitudes a_p = chi / j * t * C * chi_p(m),
-    # multiplied left to right: from the columns if every class stores C and
-    # has the character C(n-1, p), else from the classes, a trivial character
-    # read once.  An empty spectrum warns once here, and every geodesic sum
-    # over it is 0.0.
+    # multiplied left to right over the columns: C is the stored c, or the
+    # trivial-holonomy weight of a class without one; chi_p(m) is C(n-1, p),
+    # taken once, or the p-th value of a class's own holonomy.  No class is
+    # built.  An empty spectrum warns once here, and every geodesic sum over
+    # it is 0.0.
     n = manifold.dimension
     lengths, powers, c_values, chis, holonomy = manifold.columns
     if not lengths:
         warnings.warn("geodesic sum over empty spectrum is 0", EmptySpectrumWarning)
-    if None not in c_values and holonomy.count(None) == len(holonomy):
-        chi_p, columns = float(binomial(n - 1, p)), zip(lengths, powers, c_values, chis)
-        return list(lengths), [chi / j * t * c * chi_p for t, j, c, chi in columns]
-    geos = manifold.geodesics
-    trivial = next((g for g in geos if g.holonomy is None), None)
-    chi_p = None if trivial is None else trivial.character(n, p)
-    amps = [
-        g.chi / g.power * g.length * g.c_factor(n)
-        * (chi_p if g.holonomy is None else g.character(n, p))
-        for g in geos
-    ]
-    return list(lengths), amps
+    if None in c_values:
+        weights = iter(_trivial_weights(n, [t for t, c in zip(lengths, c_values) if c is None]))
+        c_values = [next(weights) if c is None else c for c in c_values]
+    trivial = float(binomial(n - 1, p))
+    characters = itertools.repeat(trivial)
+    if holonomy.count(None) != len(holonomy):
+        characters = [trivial if h is None else h[p] for h in holonomy]
+    columns = zip(lengths, powers, c_values, chis, characters)
+    return list(lengths), [chi / j * t * c * chi_p for t, j, c, chi, chi_p in columns]
 
 
 def _hyperbolic_sum(blocks: list, shift: float, t: float) -> tuple[float, float, int]:

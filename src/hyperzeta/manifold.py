@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import attrgetter, gt
 from pathlib import Path
 
-from .exact import binomial, check_dimension
+from .exact import check_dimension
 
 __all__ = [
     "GeodesicClass",
@@ -111,22 +111,6 @@ class GeodesicClass:
         if self.holonomy is not None:
             object.__setattr__(self, "holonomy", tuple(map(_character, self.holonomy)))
         _check_classes([self.length], [self.power], [self.c_value], [self.chi], [self.holonomy])
-
-    def c_factor(self, n: int) -> float:
-        """The C weight: stored value if given, else the trivial-holonomy formula."""
-        if self.c_value is not None:
-            return self.c_value
-        return trivial_holonomy_c(n, self.length)
-
-    def character(self, n: int, p: int) -> float:
-        """Holonomy character for the p-form sector, chi_{sigma_p}(m)."""
-        if not 0 <= p <= n - 1:
-            raise ValueError(f"form order p={p} outside 0..{n - 1}")
-        if self.holonomy is None:
-            return float(binomial(n - 1, p))
-        if len(self.holonomy) != n:
-            raise ValueError("holonomy character list must have length n (orders 0..n-1)")
-        return self.holonomy[p]
 
 
 class _Classes:

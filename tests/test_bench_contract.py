@@ -23,6 +23,7 @@ BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 ABSENT_SPANS = [
     "plancherel.EvenPolynomial.__mul__", "plancherel.plancherel_polynomial",
     "heat_zeta.zeta_identity_terms",
+    "manifold.GeodesicClass.character", "manifold.GeodesicClass.c_factor",
 ]
 
 

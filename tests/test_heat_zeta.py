@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from identity_reference import reference_identity_terms
 
-from hyperzeta import heat_zeta
+from hyperzeta import heat_zeta, manifold
 from hyperzeta.anomaly import (
     _bern_weight,
     _moment_parts,
     zeta_identity_zero_total,
     zeta_moment_sum,
 )
-from hyperzeta.exact import MAX_DIMENSION, bernoulli
+from hyperzeta.exact import MAX_DIMENSION, bernoulli, binomial
 from hyperzeta.heat_zeta import (
     EmptySpectrumWarning,
     HeatTraceBreakdown,
@@ -37,7 +37,7 @@ from hyperzeta.heat_zeta import (
     tanh_moment_series_exact,
     zeta_moment_continued,
 )
-from hyperzeta.manifold import GeodesicClass, ManifoldData, synth_spectrum
+from hyperzeta.manifold import GeodesicClass, ManifoldData, synth_spectrum, trivial_holonomy_c
 from hyperzeta.plancherel import miatello_coefficients
 from hyperzeta.verify import TANH_TIMES
 
@@ -262,36 +262,60 @@ class TestGeodesicAmplitudes:
     @staticmethod
     def _mixed():
         # trivial classes with and without a stored c, beside explicit holonomies
-        geos = synth_spectrum(seed=3, count=20, min_length=0.5, max_power=2, n=4)
+        geos = synth_spectrum(seed=3, count=20, min_length=0.5, max_power=3, n=4)
         geos += [
-            GeodesicClass(length=1.7, power=2, chi=0.5),
+            GeodesicClass(length=1.7, power=3, chi=0.3),
             GeodesicClass(length=1.2, c_value=0.3, holonomy=(1.0, -0.7, 2.5, 0.25)),
             GeodesicClass(length=3.1, c_value=0.01, chi=2.0, holonomy=(1.0, 3.0, 3.0, 1.0)),
         ]
         return ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1), geodesics=tuple(geos))
 
+    @staticmethod
+    def _synth(n, c_stored):
+        # a synth_spectrum, as drawn or with every c removed
+        geos = synth_spectrum(seed=3, count=20, min_length=0.5, max_power=3, n=n)
+        if not c_stored:
+            geos = [dataclasses.replace(g, c_value=None) for g in geos]
+        betti = (1,) + (0,) * (n - 1) + (1,)
+        return ManifoldData(dimension=n, volume=1.0, betti=betti, geodesics=tuple(geos))
+
+    @pytest.mark.parametrize("spectrum", ["mixed", "c-stripped"])
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
-    def test_same_bits_as_per_class_characters(self, p):
-        data = self._mixed()
+    def test_same_bits_as_per_class_characters(self, spectrum, p):
+        data = self._mixed() if spectrum == "mixed" else self._synth(4, c_stored=False)
         lengths, amps = heat_zeta._geodesic_amplitudes(data, p)
         assert lengths == [g.length for g in data.geodesics]
-        want = [g.chi / g.power * g.length * g.c_factor(4) * g.character(4, p)
-                for g in data.geodesics]
+        # C and the character from each class's own fields
+        want = [
+            g.chi / g.power * g.length
+            * (trivial_holonomy_c(4, g.length) if g.c_value is None else g.c_value)
+            * (float(binomial(3, p)) if g.holonomy is None else g.holonomy[p])
+            for g in data.geodesics
+        ]
         assert [a.hex() for a in amps] == [a.hex() for a in want]
+        if spectrum == "c-stripped":
+            # the weights synth_spectrum stores are the ones a c-less class gets
+            _, stored = heat_zeta._geodesic_amplitudes(self._synth(4, c_stored=True), p)
+            assert [a.hex() for a in amps] == [a.hex() for a in stored]
 
-    def test_trivial_character_read_once_per_sector(self, monkeypatch):
+    def test_sums_build_no_class(self, monkeypatch):
         data = self._mixed()
-        calls = []
-        character = GeodesicClass.character
 
-        def counted(self, n, p):
-            calls.append((self.holonomy is None, p))
-            return character(self, n, p)
+        def build(*columns):
+            raise AssertionError("a GeodesicClass was built")
 
-        monkeypatch.setattr(GeodesicClass, "character", counted)
+        monkeypatch.setattr(manifold, "_build", build)
         coexact_trace(data, 2, [0.5, 1.0])
-        # sector 2 only: one trivial read, and one read per explicit holonomy
-        assert sorted(calls) == [(False, 2), (False, 2), (True, 2)]
+        heat_zeta.zeta_check(data, 1, [0.5])
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_trivial_amplitudes_symmetric_in_order(self, n):
+        # C(n-1, p) = C(n-1, n-1-p), so sectors p and n-1-p weigh every class alike
+        data = self._synth(n, c_stored=True)
+        for p in range(n):
+            amps = heat_zeta._geodesic_amplitudes(data, p)[1]
+            mirror = heat_zeta._geodesic_amplitudes(data, n - 1 - p)[1]
+            assert [a.hex() for a in amps] == [a.hex() for a in mirror]
 
 
 class TestCoexactTrace:

@@ -65,17 +65,6 @@ def test_string_length_rejected():
         GeodesicClass(length="1.5")
 
 
-def test_character_form_order_outside_range_rejected():
-    with pytest.raises(ValueError, match=r"^form order p=4 outside 0\.\.3$"):
-        GeodesicClass(length=1.5).character(4, 4)
-
-
-def test_character_holonomy_length_must_be_n():
-    g = GeodesicClass(length=1.5, c_value=1.0, holonomy=(1.0, 2.0, 3.0))
-    with pytest.raises(ValueError, match=r"^holonomy character list must have length n "):
-        g.character(4, 0)
-
-
 @pytest.mark.parametrize("changes,message", [
     ({"min_length": 0.0}, "min_length must be positive and finite"),
     # nan failed as "length must be a finite number", inf as an OverflowError

@@ -384,6 +384,19 @@ class TestMellinTimeIntegrals:
                 want = mpmath_time_route(lengths, amps, alpha, s)
                 assert converged and abs(value - want) <= 1e-12 * abs(want), (alpha, s)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 19: the anchored short class's nodes, about 1e-44 x 1e-300, "
+        "underflow to 0.0, so the window ends before the long class's mass and "
+        "the route returns 0.0 as converged"
+    ))
+    def test_anchor_amplitude_near_float_floor_right_or_not_converged(self):
+        from test_mellin_time_snapshot import mpmath_time_route
+
+        lengths, amps, alpha, s = [0.1, 60.0], [1e-300, 1.0], 2.25, 30.0
+        value, _, _, converged = fallback.mellin_time_integrals(lengths, amps, alpha)(s)
+        want = mpmath_time_route(lengths, amps, alpha, s)  # about 6.106
+        assert not converged or abs(value - want) <= 1e-12 * abs(want), (value, want)
+
     @pytest.mark.parametrize("s", [-40.0, -64.0])
     def test_exponent_past_float_range_not_converged(self, s):
         # the geodesic's exponent peaks near 1,190 at s = -64: the node is

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperzeta import manifold
-from hyperzeta.exact import MAX_DIMENSION, binomial
+from hyperzeta.exact import MAX_DIMENSION
 from hyperzeta.manifold import (
     FORMAT_VERSION,
     MAX_SYNTH_CLASSES,
@@ -40,27 +40,6 @@ class TestGeodesicClass:
     def test_nontrivial_holonomy_requires_c(self):
         with pytest.raises(ValueError, match="c"):
             GeodesicClass(length=1.0, holonomy=(1.0, 2.0))
-
-    def test_trivial_characters_are_binomials(self):
-        g = GeodesicClass(length=1.0)
-        for n in (2, 4, 6):
-            for p in range(n):
-                assert g.character(n, p) == float(binomial(n - 1, p))
-
-    def test_trivial_character_symmetry(self):
-        g = GeodesicClass(length=2.0)
-        for n in (4, 6, 8):
-            for p in range(n):
-                assert g.character(n, p) == g.character(n, n - 1 - p)
-
-    def test_c_factor_defaults_to_trivial_holonomy_formula(self):
-        g = GeodesicClass(length=1.5)
-        assert g.c_factor(4) == trivial_holonomy_c(4, 1.5)
-
-    def test_explicit_c_wins(self):
-        g = GeodesicClass(length=1.5, c_value=0.125)
-        assert g.c_factor(4) == 0.125
-
 
     @pytest.mark.parametrize("field,kwargs", [
         ("c", {"c_value": math.nan}),
@@ -225,7 +204,7 @@ class TestFileFormat:
         twisted = data.geodesics[1]
         assert twisted.chi == -1.0
         assert twisted.holonomy == (1.0, 2.5, 2.5, 1.0)
-        assert twisted.character(4, 1) == 2.5
+        assert twisted.holonomy[1] == 2.5
         # explicit c on the iterate must round-trip untouched
         assert data.geodesics[2].c_value == pytest.approx(0.11532562366823190, abs=0)
 
