@@ -20,6 +20,10 @@ import importlib
 
 __version__ = "0.1.0"
 
+# the table formats: output renders them and cli offers them as --format
+# choices, so building the parser loads no renderer
+FORMATS = ("markdown", "csv", "plain")
+
 # the submodule that defines each exported name
 _SOURCES = {
     name: module

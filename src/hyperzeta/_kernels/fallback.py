@@ -3,9 +3,10 @@
 de_integrate is the trapezoid rule on the whole line for a node function
 that decays doubly exponentially, with step halving until two successive
 refinements agree (Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)).
-Its step, depth and relative tolerance are the fixed constants below;
-only the absolute tolerance is a parameter.  Its window is relative to
-the integrand's own peak: level 0 scans each side until three nodes in a
+It takes the node function alone: its step, depth and relative
+tolerance are the fixed constants below, and it converges on relative
+change only, so it is scale-free.  Its window is relative to the
+integrand's own peak: level 0 scans each side until three nodes in a
 row are at or below 2^-54 of the largest node seen, then keeps the nodes
 above that floor and one guard node past them on each side.  Every
 quadrature of the package runs on it, and every node sum on pairwise_sum.
@@ -39,7 +40,6 @@ import math
 
 _H0 = 0.5  # level-0 step
 _MAX_LEVEL = 12  # step halvings at most
-_ABS_TOL = 1e-12  # the default; zeta_moment_continued passes 1e-13, the time route 0
 _REL_TOL = 1e-14
 _SCAN_LIMIT = 400  # level-0 nodes per side; DE decay triggers far earlier
 _HALF_PI = math.pi / 2.0
@@ -161,7 +161,7 @@ def _kept(vals: list, floor: float) -> int:
     return min(n + 1, len(vals))
 
 
-def de_integrate(node, abs_tol: float = _ABS_TOL):
+def de_integrate(node):
     """Adaptive trapezoid on the whole line for a DE-decaying node function.
 
     Level 0 scans outward from u = 0 in steps of _H0, first up, then down,
@@ -173,9 +173,11 @@ def de_integrate(node, abs_tol: float = _ABS_TOL):
     negligible, so it stays in the window.  Deeper levels only add the
     odd-multiple nodes inside that fixed window, so refinement never moves
     the window and the node set is deterministic.  Level L converges when
-    it differs from level L-1 by at most max(abs_tol, _REL_TOL |S|), for L
-    up to _MAX_LEVEL.  A non-finite estimate never converges, and it ends
-    the refinement at once: halving the step cannot make it finite again.
+    it differs from level L-1 by at most _REL_TOL |S|, for L up to
+    _MAX_LEVEL: the one rule, so an integral of any size converges at the
+    level its shape needs.  A non-finite estimate never converges, and it
+    ends the refinement at once: halving the step cannot make it finite
+    again.
 
     Returns (value, last_delta, level, converged).
     """
@@ -204,7 +206,7 @@ def de_integrate(node, abs_tol: float = _ABS_TOL):
         total = refined
         if not math.isfinite(total):
             return total, delta, level, False
-        if delta <= max(abs_tol, _REL_TOL * abs(total)):
+        if delta <= _REL_TOL * abs(total):
             return total, delta, level, True
     return total, delta, level, False
 
@@ -365,7 +367,7 @@ def mellin_time_integrals(lengths, amps, alpha: float):
                 h = e[2] = geodesic_sum(blocks, e[1])[0]
             return scale * h
 
-        return de_integrate(node, 0.0)
+        return de_integrate(node)
 
     return at
 
@@ -386,11 +388,11 @@ def bessel_k_integral(nu: float, z: float):
     Multiplying by 2^(-nu-1) z^nu gives K_nu(z); that scaling is left to
     the caller so the kernel stays scale-free.  The package computes K_nu
     without it (heat_zeta.bessel_k); it is kept for the kernel timings of
-    perfbench/backends.py.  It loses accuracy for z above about 30, where
-    the value, about e^-z, is below the default absolute tolerance 1e-12,
-    so level 1 counts as converged: 1.5e-5 relative error at z = 30 and
-    5e-2 at z = 100.  From about z = 116 the level-0 nodes from u = 0 to
-    1.5 are all 0.0, the window ends before the peak, and it returns 0.0.
+    perfbench/backends.py.  Up to z = 100 it is within 1e-14 relative of
+    mpmath.besselk.  Its window is the flaw: the level-0 scan starts at
+    u = 0, and the peak lies near u = log(z/2).  From about z = 116 the
+    level-0 nodes from u = 0 to 1.5 are all 0.0, so the window ends before
+    the peak, and it returns 0.0 as converged.
     """
     z24 = 0.25 * float(z) * float(z)
     nn = float(nu)

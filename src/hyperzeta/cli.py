@@ -23,31 +23,24 @@ from fractions import Fraction
 # process loads only its own command's: no numeric command loads the anomaly
 # layer, zeta-check and synth-spectrum load no renderer, and only verify
 # loads mpmath.
-from . import __version__
+from . import FORMATS, __version__
 from .exact import check_dimension
 
 __all__ = ["main", "build_parser"]
 
 
-def _display_digits() -> int | None:
-    """Float display digits from HYPERZETA_PRECISION; None means unusable."""
+def _display_digits() -> int:
+    """Float display digits from HYPERZETA_PRECISION; ValueError if unusable."""
     raw = os.environ.get("HYPERZETA_PRECISION")
     if raw is None:
         return 6
     try:
         digits = int(raw)
     except ValueError:
-        _usage_fail("HYPERZETA_PRECISION must be a positive integer")
-        return None
+        raise ValueError("HYPERZETA_PRECISION must be a positive integer") from None
     if not 1 <= digits <= 50:
-        _usage_fail("HYPERZETA_PRECISION must be between 1 and 50")
-        return None
+        raise ValueError("HYPERZETA_PRECISION must be between 1 and 50")
     return digits
-
-
-def _usage_fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _flag_rule(shown: str, rule, *args):
@@ -67,11 +60,6 @@ _FLAGS = {
     "volume": "--volume", "betti": "--betti", "dims": "--dims", "forms": "--forms",
     "s": "--s", "t": "--t", "mass_sq_R_sq": "--mass-sq", "r": "--eval",
 }
-
-
-# the --format choices of table and heat-trace: output.FORMATS, which a test
-# holds equal, stated here so that building the parser loads no renderer
-_FORMATS = ("markdown", "csv", "plain")
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -122,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--dims", type=int, nargs="+", help="dimensions for custom grids")
     p_table.add_argument("--forms", type=int, nargs="+", help="form orders for custom grids")
-    p_table.add_argument("--format", choices=_FORMATS, default="markdown")
+    p_table.add_argument("--format", choices=FORMATS, default="markdown")
 
     p_plan = sub.add_parser("plancherel", help="inspect a Plancherel polynomial/density")
     p_plan.add_argument("--dim", type=int, required=True, help="even dimension n = 2k")
@@ -136,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--manifold", required=True, help="path to a manifold file")
     p_heat.add_argument("--form", type=int, default=0, help="co-exact form order p")
     p_heat.add_argument("--t", type=float, nargs="+", required=True, help="heat times")
-    p_heat.add_argument("--format", choices=_FORMATS, default="markdown")
+    p_heat.add_argument("--format", choices=FORMATS, default="markdown")
 
     p_zeta = sub.add_parser(
         "zeta-check",
@@ -182,9 +170,9 @@ def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
     _flag_rule(f"--form {p}", _check_form, n, p)
     if args.radius <= 0:
         # R^n is even in R at even n, so a negative radius would pass as |R|
-        return _usage_fail(f"--radius must be positive, got {args.radius}")
+        raise ValueError(f"--radius must be positive, got {args.radius}")
     if args.mass_sq is not None and args.alpha_mode != "massive":
-        return _usage_fail("--mass-sq applies only to --alpha-mode massive")
+        raise ValueError("--mass-sq applies only to --alpha-mode massive")
     if args.alpha_mode == "conformal-scalar":
         alpha = alpha_conformal_scalar(n)
     elif args.alpha_mode == "massive":
@@ -203,11 +191,11 @@ def cmd_anomaly(args: argparse.Namespace, digits: int) -> int:
         exact = value.exact_str()
     except ValueError:
         # an int longer than sys.get_int_max_str_digits() has no str()
-        return _usage_fail(
+        raise ValueError(
             f"the exact value has more than {sys.get_int_max_str_digits()} digits, "
             f"which grow with the digits of --radius and --mass-sq: "
             f"use --format float"
-        )
+        ) from None
     print(exact if args.format == "exact" else f"{exact} = {value.render_float(digits)}")
     return 0
 
@@ -281,7 +269,7 @@ def cmd_zeta_check(args: argparse.Namespace, digits: int) -> int:
     # checked before the file is read, so a bad --s is reported first
     heat_zeta._check_mellin_s(args.s)
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        return _usage_fail(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
+        raise ValueError(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
     data = _load_manifold(args.manifold)
     _flag_rule(f"--form {args.form}", heat_zeta._check_form_order, data.dimension, args.form)
     ident, bessels, quads, gaps, f_2, f_3 = heat_zeta.zeta_check(data, args.form, args.s)
@@ -311,7 +299,7 @@ def cmd_synth_spectrum(args: argparse.Namespace, digits: int) -> int:
     try:
         drawn = manifold._synth_columns(args.seed, args.count, args.min_length, args.max_power, n)
     except OverflowError as exc:
-        return _usage_fail(f"{exc}; lower --min-length or --max-power")
+        raise ValueError(f"{exc}; lower --min-length or --max-power") from None
     manifold._set_spectrum(data, drawn)
     if args.out:
         manifold.save_manifold(data, args.out)
@@ -345,27 +333,23 @@ def _one_line_warnings():
 # The parser is built once per process; main looks each command's handler up
 # by name on every call, so a handler replaced at run time is the one called.
 def main(argv: list[str] | None = None) -> int:
-    digits = _display_digits()
-    if digits is None:
-        return 2
-    args = build_parser().parse_args(argv)
-    handler = {
-        "anomaly": cmd_anomaly, "table": cmd_table, "plancherel": cmd_plancherel,
-        "heat-trace": cmd_heat_trace, "zeta-check": cmd_zeta_check,
-        "synth-spectrum": cmd_synth_spectrum, "verify": cmd_verify,
-    }[args.command]
     try:
+        # the precision first, so its error comes before any flag's
+        digits = _display_digits()
+        args = build_parser().parse_args(argv)
+        handler = {
+            "anomaly": cmd_anomaly, "table": cmd_table, "plancherel": cmd_plancherel,
+            "heat-trace": cmd_heat_trace, "zeta-check": cmd_zeta_check,
+            "synth-spectrum": cmd_synth_spectrum, "verify": cmd_verify,
+        }[args.command]
         with _one_line_warnings():
             return handler(args, digits)
     except (OSError, ValueError) as exc:
-        # an OSError's text starts with its errno, never a parameter name
+        # every bad input, QuadratureError included, ends here.  An
+        # OSError's text starts with its errno, never a parameter name
         name, space, rest = str(exc).partition(" ")
-        return _usage_fail(_FLAGS.get(name, name) + space + rest)
-    except Exception as exc:
-        from .heat_zeta import QuadratureError  # raised only by the numeric commands
-        if not isinstance(exc, QuadratureError):
-            raise
-        return _usage_fail(str(exc))
+        print(f"error: {_FLAGS.get(name, name)}{space}{rest}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,8 +45,11 @@ __all__ = [
 ]
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the achieved estimate."""
+class QuadratureError(ValueError):
+    """Adaptive quadrature failed to converge; carries the achieved estimate.
+
+    A ValueError: the input is one on which the quadrature cannot reach its
+    tolerance, so the CLI reports it as it reports any other bad input."""
 
     def __init__(self, message: str, estimate: float):
         super().__init__(f"{message} (achieved error estimate {estimate:.3e})")
@@ -93,10 +96,10 @@ def _check_time(t: float) -> None:
         raise ValueError(f"t must be positive and finite, got {t!r}")
 
 
-def _heat_value(part: str, t: float, value: float) -> float:
-    # a heat term or total, once it is inside the float range
+def _finite(what: str, value: float) -> float:
+    # value, once it is inside the float range; ``what`` names it in the error
     if not math.isfinite(value):
-        raise ValueError(f"heat trace {part} at t={t!r} is outside the float range")
+        raise ValueError(f"{what} is outside the float range")
     return value
 
 
@@ -155,7 +158,8 @@ def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     norm = _identity_norm(manifold, p)
     coeffs = miatello_coefficients(n // 2, p)
     integral = quadrature.plancherel_integral(coeffs, float(t))
-    return _heat_value("identity", t, _identity_term(norm, n, p, shift, t, integral))
+    value = _identity_term(norm, n, p, shift, t, integral)
+    return _finite(f"heat trace identity at t={t!r}", value)
 
 
 # --- tanh moment series ------------------------------------------------------
@@ -290,7 +294,7 @@ def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     _check_time(t)
     _, shift = _sector(manifold, p)
     value = _hyperbolic_sum(_heat_blocks(*_geodesic_amplitudes(manifold, p)), shift, t)[0]
-    return _heat_value("hyperbolic", t, value)
+    return _finite(f"heat trace hyperbolic at t={t!r}", value)
 
 
 @dataclass(frozen=True)
@@ -349,7 +353,7 @@ def coexact_trace(
         parts = (("identity", row.identity_part), ("hyperbolic", row.hyperbolic_part),
                  ("total", row.total))
         for part, value in parts:
-            _heat_value(part, t, value)
+            _finite(f"heat trace {part} at t={t!r}", value)
         rows.append(row)
     return rows
 
@@ -499,10 +503,6 @@ def _check_mellin_s(s_values: Sequence[float]) -> list[float]:
     return out
 
 
-def _out_of_range(route: str, s: float) -> ValueError:
-    return ValueError(f"{route} Mellin value at s={s!r} is outside the float range")
-
-
 def mellin_hyperbolic(
     manifold: ManifoldData, p: int, s_values: Sequence[float]
 ) -> list[float]:
@@ -531,8 +531,7 @@ def mellin_hyperbolic(
     lengths, amps = _geodesic_amplitudes(manifold, p)
     values, _, _ = _bessel_sums(lengths, amps, alpha, [0.5 - s for s in s_values])
     for s, value in zip(s_values, values):
-        if not math.isfinite(value):
-            raise _out_of_range("Bessel-route", s)
+        _finite(f"Bessel-route Mellin value at s={s!r}", value)
     return values
 
 
@@ -635,8 +634,7 @@ def mellin_hyperbolic_quadrature(
     out = []
     for s in s_values:
         value, delta, _, ok = integral(s)
-        if not math.isfinite(value):
-            raise _out_of_range("time-route", s)
+        _finite(f"time-route Mellin value at s={s!r}", value)
         if not ok:
             raise QuadratureError(
                 f"hyperbolic Mellin quadrature did not converge (p={p}, s={s})", delta
@@ -648,31 +646,31 @@ def mellin_hyperbolic_quadrature(
 # --- identity-sector zeta values and the zeta check ---------------------------
 
 
-def zeta_moment_continued(k: int, q: int, beta: float, s: float = 0.0) -> float:
-    """Numeric continuation of the sector moment functional near s = 0.
+def zeta_moment_continued(k: int, q: int, beta: float) -> float:
+    """Numeric continuation of the sector moment functional to s = 0.
 
     Splits tanh(pi r) = 1 - 2/(1 + e^(2 pi r)).  The polynomial part
-    continues in closed form through Gamma-ratio poles,
+    continues in closed form through Gamma-ratio poles, and at s = 0 it is
 
-        sum_l a_{2l} beta^(l+1-s) l! / prod_{i=1..l+1} (s - i),
+        sum_l a_{2l} beta^(l+1) l! / prod_{i=1..l+1} (-i),
 
     and the Fermi-factor remainder decays like e^(-2 pi r), so it is an
-    entire function of s evaluated by direct quadrature.  No Bernoulli
-    numbers enter: this route is independent of zeta_moment_sum and the
-    two must agree wherever both are defined (verified in the test suite).
+    entire function of s, evaluated at s = 0 by direct quadrature.  No
+    Bernoulli numbers enter: this route is independent of zeta_moment_sum
+    and the two must agree wherever both are defined (verified in the test
+    suite).  beta may be a Fraction; it is taken as a float once.
     """
+    beta = float(beta)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if not 0 <= s < 1:
-        raise ValueError("s must lie in [0, 1)")
     coeffs = [float(c) for c in miatello_coefficients(k, q)]
 
     elementary = 0.0
     for ell, a in enumerate(coeffs):
         denom = 1.0
         for i in range(1, ell + 2):
-            denom *= s - i
-        elementary += a * beta ** (ell + 1 - s) * math.factorial(ell) / denom
+            denom *= -i
+        elementary += a * beta ** (ell + 1) * math.factorial(ell) / denom
 
     def node(u: float) -> float:
         x = (math.pi / 2.0) * math.sinh(u)
@@ -687,10 +685,9 @@ def zeta_moment_continued(k: int, q: int, beta: float, s: float = 0.0) -> float:
         for c in reversed(coeffs):
             p_val = p_val * r2 + c
         fermi = 1.0 / (1.0 + math.exp(two_pi_r)) if two_pi_r <= 709.0 else 0.0
-        power = (r2 + beta) ** (-s) if s else 1.0
-        return (math.pi / 2.0) * math.cosh(u) * r2 * p_val * power * fermi
+        return (math.pi / 2.0) * math.cosh(u) * r2 * p_val * fermi
 
-    value, delta, _, ok = quadrature.de_integrate(node, 1e-13)
+    value, delta, _, ok = quadrature.de_integrate(node)
     if not ok:
         raise QuadratureError(f"moment continuation did not converge (k={k}, q={q})", delta)
     return elementary - 4.0 * value
@@ -706,9 +703,7 @@ def identity_zeta_term(manifold: ManifoldData, p: int) -> float:
     """
     n, alpha = _sector(manifold, p)
     value = _identity_norm(manifold, p) * zeta_moment_continued(n // 2, p, alpha)
-    if not math.isfinite(value):
-        raise ValueError("identity zeta value at s=0 is outside the float range")
-    return value
+    return _finite("identity zeta value at s=0", value)
 
 
 class ZetaCheck(NamedTuple):

@@ -13,12 +13,12 @@ import io
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import FORMATS
+
 if TYPE_CHECKING:  # heat-trace renders a table without loading the anomaly layer
     from .anomaly import TableCell
 
 __all__ = ["OutputTable", "pform_output", "scalar_output", "FORMATS"]
-
-FORMATS = ("markdown", "csv", "plain")
 
 
 @dataclass(frozen=True)

@@ -1151,6 +1151,13 @@ class TestEnvAndParser:
         assert code == 2
         assert "HYPERZETA_PRECISION" in err
 
+    def test_precision_error_comes_before_a_missing_flag(self, capsys, monkeypatch):
+        # main reads the precision before it parses the flags
+        monkeypatch.setenv("HYPERZETA_PRECISION", "0")
+        code, out, err = run_cli(capsys, "anomaly")
+        assert (code, out) == (2, "")
+        assert err == "error: HYPERZETA_PRECISION must be between 1 and 50\n"
+
     def test_unknown_subcommand_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -778,22 +778,6 @@ class TestMomentBridge:
         cont = zeta_moment_continued(k, q, float(beta))
         assert math.isclose(cont, exact, rel_tol=1e-9, abs_tol=1e-12)
 
-    @pytest.mark.parametrize("k,q,beta", CASES[:3])
-    def test_extrapolation_to_s0(self, k, q, beta):
-        # evaluate at small positive s only and extrapolate; bridges the
-        # numeric continuation to the Bernoulli route without touching s=0
-        exact = float(zeta_moment_sum(k, q, beta))
-        ss = [1e-2, 1e-3, 1e-4]
-        fs = [zeta_moment_continued(k, q, float(beta), s) for s in ss]
-        extrapolated = 0.0
-        for i in range(3):
-            li = 1.0
-            for j in range(3):
-                if j != i:
-                    li *= ss[j] / (ss[j] - ss[i])
-            extrapolated += fs[i] * li
-        assert math.isclose(extrapolated, exact, rel_tol=1e-6)
-
     def test_identity_zeta_term_against_exact(self, small_spectrum):
         # volume 1, n=4, p=0: norm * moment functional == exact j=0 value
         # divided by the same normalization used in the exact route
@@ -808,10 +792,6 @@ class TestMomentBridge:
         with pytest.raises(ValueError):
             zeta_moment_continued(2, 0, 0.0)
 
-    def test_s_outside_range_rejected(self):
-        with pytest.raises(ValueError):
-            zeta_moment_continued(2, 0, 2.25, s=1.0)
-
 
 class TestQuadratureErrorPath:
     def test_error_carries_estimate(self, small_spectrum, monkeypatch):
@@ -824,3 +804,5 @@ class TestQuadratureErrorPath:
         with pytest.raises(QuadratureError) as err:
             hz.identity_heat_term(small_spectrum, 0, 1.0)
         assert err.value.estimate == 0.5
+        # a bad input, so the CLI's one ValueError handler reports it
+        assert isinstance(err.value, ValueError)

@@ -194,7 +194,7 @@ def test_time_route_not_converged_exit_2(capsys, monkeypatch, spectrum_file):
 
 
 def test_continuation_not_converged_exit_2(capsys, monkeypatch, spectrum_file):
-    monkeypatch.setattr(quadrature, "de_integrate", lambda node, tol: (0.0, 1.0, 12, False))
+    monkeypatch.setattr(quadrature, "de_integrate", lambda node: (0.0, 1.0, 12, False))
     code, out, err = run_cli(capsys, "zeta-check", "--manifold", str(spectrum_file))
     assert (code, out) == (2, "")
     assert err == (

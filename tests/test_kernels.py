@@ -104,14 +104,14 @@ class TestPlancherelIntegrals:
         windows = []
         integrate = fallback.de_integrate
 
-        def recording(node, *args):
+        def recording(node):
             seen = []
 
             def wrapped(u):
                 seen.append(u)
                 return node(u)
 
-            result = integrate(wrapped, *args)
+            result = integrate(wrapped)
             windows.append((min(seen), max(seen)))
             return result
 
@@ -175,7 +175,7 @@ class TestDeIntegrate:
             seen.append((u, v))
             return v
 
-        value, delta, level, converged = fallback.de_integrate(recorded, 0.0)
+        value, delta, level, converged = fallback.de_integrate(recorded)
         assert converged
         # deeper levels visit the odd multiples of 0.25 inside the window only
         deeper = [u for u, _ in seen if (2.0 * u) % 1.0]
@@ -187,11 +187,29 @@ class TestDeIntegrate:
         k_hi = 1024 - 17 - math.frexp(max(window))[1]
         for k in (k_lo, k_hi, round(k_lo + pick * (k_hi - k_lo))):
             scale = math.ldexp(1.0, k)
-            got = fallback.de_integrate(lambda u: scale * f(u), 0.0)
+            got = fallback.de_integrate(lambda u: scale * f(u))
             assert got == (scale * value, scale * delta, level, converged), k
 
+    def test_scale_free(self):
+        # the exp-sinh image of integral_0^inf e^-r dr = 1, times c: an
+        # absolute tolerance once let c <= 1e-12 converge at level 1, at
+        # 0.99999275 c
+        def node(u):
+            x = 0.5 * math.pi * math.sinh(u)
+            if x > 700.0:
+                return 0.0
+            r = math.exp(x)
+            return c * 0.5 * math.pi * math.cosh(u) * r * math.exp(-r)
+
+        levels = set()
+        for c in (1e-300, 1e-200, 1e-20, 1e-12, 1.0, 1e200):
+            value, _, level, converged = fallback.de_integrate(node)
+            assert converged and abs(value - c) <= 1e-15 * c, c
+            levels.add(level)
+        assert len(levels) == 1
+
     def test_overflowing_plancherel_integral_not_converged(self):
-        # it returned (inf, inf, 5, True): inf <= max(abs_tol, rel_tol * inf)
+        # it returned (inf, inf, 5, True): inf <= rel_tol * inf
         from hyperzeta.plancherel import miatello_coefficients
 
         value, delta, level, converged = fallback.plancherel_integral(
@@ -269,7 +287,7 @@ def _reference_mellin_time(lengths, amps, alpha, s):
             acc += amp * math.exp(e_arg)
         return acc
 
-    return fallback.de_integrate(node, 0.0)
+    return fallback.de_integrate(node)
 
 
 MELLIN_S_GRID = (-1.5, -0.7, 0.1, 0.3, 0.5, 0.77, 0.9, 1.6, 2.5)
@@ -420,6 +438,17 @@ class TestBesselKIntegral:
             want = mpmath.besselk(nu, z) * 2 ** (nu + 1) * z ** (-nu)
             assert abs(value - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("z", [30.0, 40.0, 100.0])
+    @pytest.mark.parametrize("nu", [0.2, 1.5])
+    def test_large_z_against_mpmath_besselk(self, kernels, nu, z):
+        # the value, about e^-z, was below the engine's former absolute
+        # tolerance 1e-12, so level 1 counted as converged: up to 7.2e-2 off
+        value, _, _, converged = kernels.bessel_k_integral(nu, z)
+        with mpmath.workdps(30):
+            nu, z = mpmath.mpf(nu), mpmath.mpf(z)
+            want = mpmath.besselk(nu, z) * 2 ** (nu + 1) * z ** (-nu)
+            assert converged and abs(value - want) <= 1e-14 * want
+
     def test_symmetry_through_scaling(self, kernels):
         # K_nu = K_{-nu}: the scale-free integrals differ by (z/2)^{2 nu}
         nu, z = 0.35, 1.4
@@ -510,12 +539,12 @@ class TestWindowWork:
         visits = []
         integrate = fallback.de_integrate
 
-        def counting(node, *args):
+        def counting(node):
             def wrapped(u):
                 visits.append(u)
                 return node(u)
 
-            return integrate(wrapped, *args)
+            return integrate(wrapped)
 
         monkeypatch.setattr(fallback, "de_integrate", counting)
         integral = fallback.plancherel_integrals(miatello_coefficients(3, 2))

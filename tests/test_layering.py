@@ -16,6 +16,7 @@ Python and mpmath is the one high-precision reference, so the suite
 collects in full on any interpreter that has them.
 """
 
+import argparse
 import ast
 import json
 import os
@@ -238,7 +239,15 @@ def test_numeric_commands_load_no_exact_half_code(tmp_path, command, renders):
 
 
 def test_cli_format_choices_are_the_renderers():
-    # cli states them so that building its parser loads no renderer
+    # the parser takes them from the package, so building it loads no renderer
     from hyperzeta import cli, output
 
-    assert cli._FORMATS == output.FORMATS
+    commands = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    for command in ("table", "heat-trace"):
+        (choices,) = [
+            action.choices for action in commands[command]._actions if action.dest == "format"
+        ]
+        assert tuple(choices) == output.FORMATS, command

@@ -18,7 +18,6 @@ MODULES = sorted(PACKAGE.rglob("*.py"))
 
 # "function.parameter": why no package call passes it
 ALLOWED = {
-    "zeta_moment_continued.s": "the variable of the continued function, set by its tests",
     "main.argv": "the entry point that the tests and perfbench drive",
 }
 
