@@ -23,8 +23,10 @@ or of s: the node values that do not depend on it are computed once per
 node u and shared by every call, in one table of at most _NODE_TABLE_SIZE
 nodes per function.
 
-The returned tuple is (value, last_delta, level, converged); callers
-decide whether a non-converged result is an error.
+de_integrate returns (value, last_delta, level, converged); log_integrate
+and the Plancherel kernel return (mantissa, last_delta, level, converged,
+scale) for the value mantissa e^scale, last_delta in units of the mantissa.
+Callers decide what to do with a result that did not converge.
 
 The geodesic sums of the package (the heat sum, the Bessel route and the
 time route's geodesic_sum) walk CUT_BLOCK blocks that cut_blocks builds
@@ -44,9 +46,8 @@ _REL_TOL = 1e-14
 _SCAN_LIMIT = 400  # level-0 nodes per side; DE decay triggers far earlier
 _HALF_PI = math.pi / 2.0
 # node values kept by one plancherel_integrals or mellin_time_integrals
-# table: a 10-t heat-trace call at n = 6 (t in [0.05, 2.5]) visits 513
-# nodes, one at t = 1e-98 (level 10) 22,529; a full Plancherel table holds
-# about 4 MB
+# table: a 10-t heat-trace call at n = 6 (t in [0.05, 2.5]) keeps 325
+# nodes, one t = 1e-98 4,110; a full Plancherel table holds about 3 MB
 _NODE_TABLE_SIZE = 16384
 # a length-sorted geodesic sum adds CUT_BLOCK classes between two checks
 # of its stop rule (tail_bounds), which drops a tail below 2^-54 of the sum
@@ -54,6 +55,7 @@ CUT_BLOCK = 64
 # the one relative cut: of a geodesic sum's tail against its partial sum,
 # and of a level-0 node against the largest node of its window
 _CUT_REL = 2.0**-54
+_LOG_CUT = math.log(_CUT_REL)
 
 
 @functools.lru_cache(maxsize=128)
@@ -211,76 +213,87 @@ def de_integrate(node):
     return total, delta, level, False
 
 
-def _tanh_pi_pos(r: float) -> float:
-    # r > 0 here; the 1 - 2/(1+e^x) form never overflows, but it cancels for
-    # x = 2 pi r below 1: 4e-12 relative error at r = 1e-5, and 0.0 from about
-    # r = 1e-17.  The Plancherel node weights it by r^2, so no pinned integral
-    # moves; plancherel.tanh_pi uses math.tanh there instead
-    x = 2.0 * math.pi * r
-    if x > 709.0:
-        return 1.0
-    return 1.0 - 2.0 / (1.0 + math.exp(x))
+def log_integrate(log_node):
+    """de_integrate for a node function given by its log, scaled by its peak.
+
+    Level 0 is scanned as de_integrate scans it, with log 2^-54 as the cut;
+    its largest finite log-node, at node c, is the scale, and de_integrate
+    runs unchanged on e^(log_node(c + u) - scale), from 1.0 at u = 0.  A node
+    past the float range above the scale is inf, so that estimate never
+    converges.  Returns (mantissa, delta, level, converged, scale).
+    """
+    top, centre = -math.inf, 0.0
+    for first, step in ((0, _H0), (1, -_H0)):  # the first node, u = 0, is never negligible
+        run = 0
+        for j in range(first, _SCAN_LIMIT + 1):
+            v = log_node(j * step)
+            if top < v < math.inf:
+                top, centre = v, j * step
+            run = run + 1 if v - top <= _LOG_CUT else 0
+            if run == 3:
+                break
+    exp = math.exp
+
+    def node(u: float) -> float:
+        try:
+            return exp(log_node(centre + u) - top)
+        except OverflowError:
+            return math.inf
+
+    return de_integrate(node) + (top,)
 
 
 def plancherel_integrals(coeffs):
     """plancherel_integral for one coefficient set, as one function of t.
 
-    Each t keeps its own window and level.  The node values that do not
-    depend on t -- r^2, 2kx, |u| and (pi/2) cosh(u) r^2 P(r^2) tanh(pi r),
-    with x = (pi/2) sinh u -- are computed once per node u and shared by
-    every t, so only e^(-t r^2) and the cut-off test are per t.  Nodes where
-    t e^{2x} - 2kx - |u| > 720 are exactly zero in double precision; they
-    are skipped before P's value is used, so a P that overflows there is
-    never read.
+    With x = (pi/2) sinh u and r = e^x, node u's t-free part is (r^2, log w),
+    log w = log((pi/2) cosh u) + 2x + log P(r^2) + log tanh(pi r), computed
+    once per node and shared by every t; the log-node of t is log w - t r^2,
+    on log_integrate, so each t keeps its own scale, window and level.
+    log P is a log-sum-exp over log c_l + 2 l x, with log c_l of an int or
+    Fraction taken as log(numerator) - log(denominator), never via a float.
+    tanh(y), y = pi r, is -expm1(-2y) / (1 + e^(-2y)), and its log is the
+    series log pi + x - y^2/3 below y = 1e-5, where r may underflow.
     """
-    cs = [float(c) for c in coeffs]
-    two_k = 2.0 * len(cs)
-    entries = {}  # u -> (r^2, 2kx, |u|, (pi/2) cosh(u) r^2 P(r^2) tanh(pi r)), or () past 2x > 700
+    terms = [(math.log(c) if isinstance(c, float) else
+              math.log(c.numerator) - math.log(c.denominator), 2.0 * l)
+             for l, c in enumerate(coeffs)]
+    entries = {}  # u -> (r^2, log w)
 
     def entry(u: float) -> tuple:
         x = _HALF_PI * math.sinh(u)
-        two_x = 2.0 * x
-        if two_x > 700.0:
-            return ()
-        r2 = math.exp(two_x)
-        p_val = 0.0
-        for c in reversed(cs):
-            p_val = p_val * r2 + c
-        weight = _HALF_PI * math.cosh(u) * r2
-        return r2, two_k * x, abs(u), weight * p_val * _tanh_pi_pos(math.exp(x))
+        logs = [log_c + two_l * x for log_c, two_l in terms]
+        top = max(logs)  # log P(r^2) = top + log p_top
+        p_top = math.fsum([math.exp(v - top) for v in logs])
+        try:
+            r2 = math.exp(x + x)
+        except OverflowError:
+            r2 = math.inf
+        y = math.pi * math.sqrt(r2)
+        weight = _HALF_PI * math.cosh(u) * p_top
+        if y < 1e-5:
+            return r2, math.log(math.pi * weight) + 3.0 * x + top - y * y / 3.0
+        weight = weight * -math.expm1(-2.0 * y) / (1.0 + math.exp(-2.0 * y))  # times tanh(y)
+        return r2, math.log(weight) + top + x + x
 
     def at(t: float):
-        tt = float(t)
-        exp = math.exp
-
-        def node(u: float) -> float:
+        def log_node(u: float) -> float:
             e = entries.get(u)
             if e is None:
                 e = entry(u)
                 if len(entries) < _NODE_TABLE_SIZE:
                     entries[u] = e
-            if not e:
-                return 0.0
-            r2, two_kx, abs_u, weight = e
-            e_arg = tt * r2
-            if e_arg - two_kx - abs_u > 720.0:
-                return 0.0
-            return weight * exp(-e_arg)
+            return e[1] - t * e[0]
 
-        return de_integrate(node)
+        return log_integrate(log_node)
 
     return at
 
 
 def plancherel_integral(coeffs, t: float):
-    """integral_0^inf r P(r^2) tanh(pi r) e^(-t r^2) dr.
+    """integral_0^inf r P(r^2) tanh(pi r) e^(-t r^2) dr: plancherel_integrals at one t.
 
-    ``coeffs`` are the even-polynomial coefficients of P (degree k-1 in
-    r^2).  The exp-sinh substitution r = exp((pi/2) sinh u) is used; nodes
-    where t e^{2x} - 2kx - |u| > 720 (x = (pi/2) sinh u) are exactly zero
-    in double precision and are skipped before P can overflow.  This is
-    plancherel_integrals at one t.
-    """
+    ``coeffs`` are P's positive coefficients (floats, ints or Fractions) in powers of r^2."""
     return plancherel_integrals(coeffs)(t)
 
 

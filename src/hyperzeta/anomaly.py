@@ -120,10 +120,6 @@ def _row_weights(k: int) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
     return bern_w, bern_den, tuple(pow_den // (ell + 1) for ell in range(k)), pow_den
 
 
-# One entry for every sector (k, q) to the cap, so a sweep at one shift offset
-# evicts nothing whatever its row order (about 2.4 MB at the default shift).
-# The shift is two integers: a Fraction key, hashed in Python, is 3x slower.
-@functools.lru_cache(maxsize=(MAX_DIMENSION // 2) * (MAX_DIMENSION // 2 + 1) // 2)
 def _moment_parts(k: int, q: int, x: int, d: int) -> tuple[int, int]:
     """zeta_moment_sum at beta = x/d in lowest terms, as an unreduced
     (numerator, denominator).
@@ -133,7 +129,7 @@ def _moment_parts(k: int, q: int, x: int, d: int) -> tuple[int, int]:
     coefficient), the Bernoulli part sits over lcm_l((l+1) bd_l) and the
     power part over lcm(1..k) d^k, its powers grown by Horner's rule.  The
     denominator depends on k and d only, so moments of one k whose shifts
-    share d add as integers; zeta_identity_zero_total reads this memo.
+    share d add as integers; _prefix_sums memoises them per sector.
     """
     bern_w, bern_den, pow_w, pow_den = _row_weights(k)
     # (-1)^(l+1) c_l, the coefficient over the expansion's 4^(k-1)
@@ -166,7 +162,8 @@ def zeta_identity_zero_total(n: int, p: int, alpha: Rational) -> Fraction:
 
 @functools.lru_cache(maxsize=(MAX_DIMENSION // 2) * (MAX_DIMENSION // 2 + 1) // 2)
 def _prefix_sums(k: int, q: int, x: int, d: int) -> tuple[int, int, int, int]:
-    # (A_q, B_q, M(q), its denominator) at c = x/d from sector q - 1's, memoised as _moment_parts
+    # (A_q, B_q, M(q), its denominator) at c = x/d from sector q - 1's: one
+    # entry per sector (k, q) to the cap, so a sweep evicts none, in any row order
     a, b, side = _prefix_sums(k, q - 1, x, d)[:3] if q else (0, 0, 0)
     chi = math.comb(2 * k - 1, q)
     main, den = _moment_parts(k, q, x + q * d, d)

@@ -117,49 +117,41 @@ def _plain_sum(values) -> float:
 # --- identity sector ---------------------------------------------------------
 
 
-def _identity_norm(manifold: ManifoldData, p: int) -> float:
-    # chi(1) Vol / (4 pi) times the Plancherel normalisation and C(n-1, p)
-    n = manifold.dimension
-    chi_p = float(binomial(n - 1, p))
-    return _plancherel_norm(n // 2) * chi_p * manifold.chi_one * manifold.volume / (4.0 * math.pi)
-
-
-def _identity_term(
-    norm: float, n: int, p: int, shift: float, t: float, integral
-) -> float:
-    # the one assembly of an identity term from its kernel result:
-    # identity_heat_term and coexact_trace both call it, so they agree to the bit
-    value, delta, _, ok = integral
+def _identity_term(manifold: ManifoldData, p: int, shift: float, t: float, integral) -> float:
+    # the one assembly of an identity term, so identity_heat_term and
+    # coexact_trace agree to the bit: one exp of the sum of the logs of chi(1)
+    # Vol/(4 pi), C(n-1, p), pi/(2^(4k-4) Gamma(k)^2), 2 e^(-t shift) and the
+    # integral, times 1 + what rounding the sum left off.  Outside the normal
+    # floats it raises, converged or not
+    mantissa, delta, _, ok, scale = integral
+    chi, n = manifold.chi_one, manifold.dimension
+    if not chi:
+        return 0.0
+    den = 2 ** (2 * n - 3) * math.factorial(n // 2 - 1) ** 2  # the pi's cancel: an exact integer
+    logs = (math.log(math.comb(n - 1, p)), -math.log(den), math.log(abs(chi)),
+            math.log(manifold.volume), -t * shift, scale, math.log(mantissa))
+    log_value, magnitude = math.fsum(logs), math.inf
+    if math.log(sys.float_info.min) <= log_value <= math.log(sys.float_info.max):
+        magnitude = math.exp(log_value) * (1.0 + math.fsum(logs + (-log_value,)))
+    if not sys.float_info.min <= magnitude <= sys.float_info.max:
+        return _finite(f"heat trace identity at t={t!r}", math.inf)
     if not ok:
-        raise QuadratureError(
-            f"identity heat term did not converge (n={n}, p={p}, t={t})", delta
-        )
-    scale = norm * 2.0 * math.exp(-t * shift)
-    if scale >= sys.float_info.min or not value > 0.0:  # logs need value > 0
-        return scale * value
-    # the scale left the normal floats before the integral was applied (at
-    # n = 130, t = 0.05 it is 0.0 and the term 2.2e-152): apply the integral
-    # first, or where that leaves the normal floats too, take the product in logs
-    weighted = math.exp(-t * shift) * value
-    if sys.float_info.min <= weighted < math.inf:
-        return norm * 2.0 * weighted
-    return math.exp(math.log(norm * 2.0) + math.log(value) - t * shift)
+        raise QuadratureError(f"identity heat term did not converge (n={n}, p={p}, t={t})", delta)
+    return math.copysign(magnitude, chi)
 
 
 def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     """Identity orbital integral of the p-sector at heat time t.
 
     chi(1) Vol/(4 pi) * integral over R of mu_p(r) e^{-t(r^2 + p + rho0^2)} dr,
-    computed as twice the half-line integral (the integrand is even).  A
-    value outside the float range raises ValueError, as in coexact_trace.
+    computed as twice the half-line integral (the integrand is even), in
+    logs.  A value outside the normal floats raises ValueError, as in
+    coexact_trace, and chi(1) = 0 gives 0.0.
     """
     _check_time(t)
     n, shift = _sector(manifold, p)
-    norm = _identity_norm(manifold, p)
-    coeffs = miatello_coefficients(n // 2, p)
-    integral = quadrature.plancherel_integral(coeffs, float(t))
-    value = _identity_term(norm, n, p, shift, t, integral)
-    return _finite(f"heat trace identity at t={t!r}", value)
+    integral = quadrature.plancherel_integral(miatello_coefficients(n // 2, p), float(t))
+    return _identity_term(manifold, p, shift, t, integral)
 
 
 # --- tanh moment series ------------------------------------------------------
@@ -335,24 +327,21 @@ def coexact_trace(
     for t in times:
         _check_time(t)
     if not times:
-        return []  # nothing to evaluate, so no normalisation check either
+        return []
     betti = 0.0
     for j in range(p + 1):
         betti += (-1.0 if j % 2 else 1.0) * manifold.betti[p - j]
-    norm = _identity_norm(manifold, p)
     identity_integral = quadrature.plancherel_integrals(miatello_coefficients(n // 2, p))
     blocks = _heat_blocks(*_geodesic_amplitudes(manifold, p))
     rows = []
     for t in times:
         row = HeatTraceBreakdown(
             t=t,
-            identity_part=_identity_term(norm, n, p, shift, t, identity_integral(float(t))),
+            identity_part=_identity_term(manifold, p, shift, t, identity_integral(float(t))),
             hyperbolic_part=_hyperbolic_sum(blocks, shift, t)[0],
             betti_part=betti,
         )
-        parts = (("identity", row.identity_part), ("hyperbolic", row.hyperbolic_part),
-                 ("total", row.total))
-        for part, value in parts:
+        for part, value in (("hyperbolic", row.hyperbolic_part), ("total", row.total)):
             _finite(f"heat trace {part} at t={t!r}", value)
         rows.append(row)
     return rows
@@ -702,7 +691,8 @@ def identity_zeta_term(manifold: ManifoldData, p: int) -> float:
     the float range raises ValueError.
     """
     n, alpha = _sector(manifold, p)
-    value = _identity_norm(manifold, p) * zeta_moment_continued(n // 2, p, alpha)
+    norm = _plancherel_norm(n // 2) * float(binomial(n - 1, p)) * manifold.chi_one
+    value = norm * manifold.volume / (4.0 * math.pi) * zeta_moment_continued(n // 2, p, alpha)
     return _finite("identity zeta value at s=0", value)
 
 

@@ -84,10 +84,8 @@ def miatello_coefficients(k: int, p: int) -> tuple[Rational, ...]:
 def tanh_pi(r: float) -> float:
     """tanh(pi*r) computed as 1 - 2/(1 + e^(2*pi*r)) for |2 pi r| >= 1.
 
-    This exact arrangement (not math.tanh) is the one the Plancherel
-    quadrature kernel uses, so density and integrand agree to the bit
-    there.  Below, where the subtraction cancels and loses digits like
-    1/(2 pi r), math.tanh is used.
+    plancherel_snapshot.json pins these bits.  Below, where the subtraction
+    cancels and loses digits like 1/(2 pi r), math.tanh is used.
     """
     x = 2.0 * math.pi * r
     if abs(x) < 1.0:

@@ -1,5 +1,6 @@
 """Exact anomaly pipeline: alpha policies, the main formula, tables."""
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -84,14 +85,13 @@ class TestAnomalySpec:
     def test_memos_hold_a_table_row_at_the_cap(self):
         # a row at the cap touches k = MAX_DIMENSION/2 sectors and Bernoulli weights
         assert _bern_weight.cache_info().maxsize >= MAX_DIMENSION // 2
-        assert anomaly._moment_parts.cache_info().maxsize >= MAX_DIMENSION // 2
         # and one entry per k: the full Plancherel product and the row weights
         assert plancherel._full_product.cache_info().maxsize >= MAX_DIMENSION // 2
         assert anomaly._row_weights.cache_info().maxsize >= MAX_DIMENSION // 2
 
     def test_moment_memo_holds_every_sector_to_the_cap(self):
         k_cap = MAX_DIMENSION // 2
-        assert anomaly._moment_parts.cache_info().maxsize >= sum(range(1, k_cap + 1))
+        assert anomaly._prefix_sums.cache_info().maxsize >= sum(range(1, k_cap + 1))
 
 
 class TestGoldenTables:
@@ -317,17 +317,16 @@ class TestMomentRoute:
         dims = list(range(24, 46, 2))
         misses = []
         for order in (dims, dims[::-1], dims[1::2] + dims[::2]):
-            anomaly._moment_parts.cache_clear()
             anomaly._prefix_sums.cache_clear()
             for n in order * 2:
                 for p in range(n // 2):
                     spec = AnomalySpec(dimension=n, form_order=p, alpha=alpha_default(n, p))
                     conformal_anomaly(spec)
-            misses.append(anomaly._moment_parts.cache_info().misses)
+            misses.append(anomaly._prefix_sums.cache_info().misses)
         assert misses == [sum(n // 2 for n in dims)] * 3
 
 
-def loop_total(n: int, p: int, alpha: Fraction) -> Fraction:
+def loop_total(n: int, p: int, alpha: Fraction, moment_parts) -> Fraction:
     """zeta_identity_zero_total as one loop over q = 0..p, with no prefix memo."""
     k = n // 2
     d = alpha.denominator
@@ -335,7 +334,7 @@ def loop_total(n: int, p: int, alpha: Fraction) -> Fraction:
     a = b = side = 0
     for q in range(p + 1):
         chi = math.comb(n - 1, q)
-        main, den = anomaly._moment_parts(k, q, x + q * d, d)
+        main, den = moment_parts(k, q, x + q * d, d)
         a = chi * main - a
         b = q * chi * side - b
         side = main
@@ -349,11 +348,14 @@ class TestPrefixSums:
         lambda n, p: alpha_massive_scalar(n, Fraction(7, 3)) + p,
     ], ids=["default", "massive"])
     def test_every_cell_matches_the_loop(self, shift):
+        # the loop reads each sector's moment many times, so it keeps its own memo
+        moment_parts = functools.cache(anomaly._moment_parts)
         anomaly._prefix_sums.cache_clear()
         for n in range(2, MAX_DIMENSION + 1, 2):
             for p in range(n // 2):
                 alpha = shift(n, p)
-                assert zeta_identity_zero_total(n, p, alpha) == loop_total(n, p, alpha), (n, p)
+                want = loop_total(n, p, alpha, moment_parts)
+                assert zeta_identity_zero_total(n, p, alpha) == want, (n, p)
 
     def test_a_warm_row_costs_one_step_per_cell(self):
         anomaly._prefix_sums.cache_clear()
@@ -384,7 +386,6 @@ class TestFractionCount:
     def warm_bernoulli_cold_moments(self):
         for ell in range(self.N // 2):
             _bern_weight(ell)
-        anomaly._moment_parts.cache_clear()
         anomaly._prefix_sums.cache_clear()
 
     def test_cold_moment_route_builds_at_most_two(self, fractions_built):
@@ -393,4 +394,4 @@ class TestFractionCount:
         fractions_built.clear()
         zeta_identity_zero_total(self.N, self.P, alpha)
         assert len(fractions_built) <= 2
-        assert anomaly._moment_parts.cache_info().misses == self.P + 1
+        assert anomaly._prefix_sums.cache_info().misses == self.P + 1

@@ -14,11 +14,13 @@ import sysconfig
 import time
 import warnings
 
+import mpmath
 import pytest
 
 from hyperzeta import cli
 from hyperzeta.anomaly import MAX_DIMENSION
 from hyperzeta.cli import main
+from hyperzeta.plancherel import miatello_coefficients
 
 
 SCRIPT = "hyperzeta"
@@ -91,6 +93,17 @@ def one_geodesic_file(path: pathlib.Path, n: int) -> pathlib.Path:
         "geodesics": [{"length": 1.0, "c": 1.0}],
     }
     path.write_text(json.dumps(doc))
+    return path
+
+
+def synth_file(capsys, tmp_path, n: int) -> pathlib.Path:
+    """The high-n file of the heat-trace cases: three classes, volume 1."""
+    path = tmp_path / f"m{n}.json"
+    code, _, _ = run_cli(
+        capsys, "synth-spectrum", "--seed", "5", "--count", "3", "--max-power", "1",
+        "--min-length", "1", "--dim", str(n), "--out", str(path),
+    )
+    assert code == 0
     return path
 
 
@@ -403,30 +416,42 @@ class TestHeatTrace:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: --t ")
 
-    def test_quadrature_failure_exit_2(self, capsys, manifold_file):
-        # t = 1e-300 passes the input check but no quadrature level converges
+    def test_quadrature_failure_exit_2(self, capsys, tmp_path):
+        # t = 1e-307 passes the input check, and the n = 2 identity term,
+        # about 1/(4t), is a float; but the integrand's peak sits where r^2
+        # nears the float range, and no quadrature level converges
+        path = one_geodesic_file(tmp_path / "m.json", 2)
         code, out, err = run_cli(
-            capsys, "heat-trace", "--manifold", str(manifold_file),
-            "--form", "0", "--t", "1e-300",
+            capsys, "heat-trace", "--manifold", str(path), "--form", "0", "--t", "1e-307",
         )
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "did not converge" in err
+        assert_one_error_line(code, out, err, "did not converge")
 
-    def test_infinite_identity_term_exit_2(self, capsys, tmp_path):
-        # at n = 6 the identity integral overflows to inf at t = 1e-100; it
-        # printed "identity inf" with exit 0 while inf counted as converged
+    def test_identity_term_of_an_overflowing_integral(self, capsys, tmp_path, monkeypatch):
+        # at n = 6, t = 1e-100 the integral is about 1e300 and the term
+        # 4.9e296: it printed "identity inf" with exit 0 while inf counted as
+        # converged, then exited 2 with "did not converge".  With tanh(pi r)
+        # = 1 the integral is the sum of a_j j! / (2 t^(j+1)); the rest is
+        # below 1e-290 of it
         path = tmp_path / "m.json"
         code, _, _ = run_cli(
             capsys, "synth-spectrum", "--seed", "11", "--count", "3", "--dim", "6",
             "--out", str(path),
         )
         assert code == 0
+        monkeypatch.setenv("HYPERZETA_PRECISION", "17")
         code, out, err = run_cli(
             capsys, "heat-trace", "--manifold", str(path), "--form", "0", "--t", "1e-100",
+            "--format", "csv",
         )
-        assert_one_error_line(code, out, err, "did not converge")
+        assert (code, err) == (0, "")
+        identity = float(out.splitlines()[1].split(",")[1])
+        with mpmath.workdps(40):
+            t = mpmath.mpf(1e-100)
+            a = [mpmath.mpf(c.numerator) / c.denominator for c in miatello_coefficients(3, 0)]
+            integral = sum(c * mpmath.factorial(j) / (2 * t ** (j + 1)) for j, c in enumerate(a))
+            # Vol/(4 pi) pi/(2^8 Gamma(3)^2) C(5, 0) 2 e^(-t 25/4), Vol = 1
+            want = integral / (4 * 2**8 * 4) * 2 * mpmath.exp(-t * 25 / 4)
+            assert abs(identity - want) <= 1e-12 * want
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -453,13 +478,29 @@ class TestHeatTrace:
             code, out, err, "bad manifold file", f"MAX_DIMENSION={MAX_DIMENSION}"
         )
 
-    @pytest.mark.parametrize("n", [160, 200])
-    def test_normalisation_outside_float_range_exit_2(self, capsys, tmp_path, n):
-        path = one_geodesic_file(tmp_path / "m.json", n)
+    @pytest.mark.parametrize("n,t", [(98, "1"), (100, "1"), (4, "1e-300"), (100, "0.3")])
+    def test_identity_outside_float_range_exit_2(self, capsys, tmp_path, n, t):
+        # values near 1e-1081, 1e-1124, 1/t^2 and 1e-376.5: the first three
+        # exited 2 with "did not converge", the last printed 0
+        path = synth_file(capsys, tmp_path, n)
         code, out, err = run_cli(
-            capsys, "heat-trace", "--manifold", str(path), "--form", "0", "--t", "1.0"
+            capsys, "heat-trace", "--manifold", str(path), "--form", "0", "--t", t
         )
-        assert_one_error_line(code, out, err, f"n={n} ")
+        needle = f"identity at t={float(t)!r} is outside the float range"
+        assert_one_error_line(code, out, err, needle)
+
+    @pytest.mark.parametrize("n,identity", [(140, "1.04543e-172"), (160, "1.11834e-216")])
+    def test_identity_at_high_n_printed(self, capsys, tmp_path, n, identity):
+        # 60-digit mpmath gives 1.0454264e-172 and 1.1183434e-216.  n = 140
+        # exited 2 with "did not converge (achieved error estimate nan)",
+        # n = 160 with "Plancherel normalisation for n=160 is outside the
+        # float range"
+        path = synth_file(capsys, tmp_path, n)
+        code, out, err = run_cli(
+            capsys, "heat-trace", "--manifold", str(path), "--form", "0", "--t", "0.05"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].split("|")[2].strip() == identity
 
 
 @pytest.mark.parametrize("command", [

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from identity_reference import reference_identity_terms
+from test_heat_trace_snapshot import mpmath_identity
 
 from hyperzeta import heat_zeta, manifold
 from hyperzeta.anomaly import (
@@ -83,16 +85,33 @@ class TestIdentityHeatTerm:
             assert bound < 1e-18 * half
             assert abs(got - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize("norm,shift,value", [
-        (0.5e-300, 700.0, 1e300),  # the integral applied first
-        (0.5, 800.0, 1e300),  # e^(-t shift) is 0.0 too: in logs
-    ], ids=["integral-first", "logs"])
-    def test_assembly_leaves_no_intermediate_below_normal(self, norm, shift, value):
-        got = heat_zeta._identity_term(norm, 4, 0, shift, 1.0, (value, 0.0, 0, True))
-        assert norm * 2.0 * math.exp(-shift) * value == 0.0  # the old order
+    @pytest.mark.parametrize("mantissa,scale,shift", [
+        (1.5, 700.0, 800.0),  # e^(-t shift) alone is 0.0
+        (1.25, 1400.0, 1500.0),  # the integral alone is inf too
+        (0.75, -300.0, -200.0),  # the integral alone is a subnormal
+    ])
+    def test_assembly_in_logs(self, mantissa, scale, shift):
+        # n = 4, p = 0, unit chi(1) and volume: the term is e^(-shift) / 32
+        # times the integral, mantissa e^scale, a normal float in each case
+        data = ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1))
+        got = heat_zeta._identity_term(data, 0, shift, 1.0, (mantissa, 0.0, 5, True, scale))
         with mpmath.workdps(30):
-            want = 2 * mpmath.mpf(norm) * mpmath.exp(-shift) * value
-            assert abs(got - want) <= 1e-12 * want
+            want = mpmath.exp(scale - shift) * mantissa / 32
+            assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("n,times", [(6, (0.05, 1.0)), (130, (0.05, 0.07))])
+    def test_sign_of_chi_one(self, n, times):
+        # at n = 130 a chi(1) <= 0 once raised "math domain error" from the
+        # log of a non-positive normalisation
+        def term(chi_one, t):
+            data = ManifoldData(dimension=n, volume=1.0, chi_one=chi_one,
+                                betti=(1,) + (0,) * (n - 1) + (1,))
+            return identity_heat_term(data, 0, t)
+
+        for t in times:
+            for chi in (1.0, 2.5, 1e-3):
+                assert term(-chi, t).hex() == (-term(chi, t)).hex(), (chi, t)
+            assert repr(term(0.0, t)) == "0.0"
 
     def test_monotone_decay_in_t(self, small_spectrum):
         values = [identity_heat_term(small_spectrum, 1, t) for t in (1.0, 1.5, 2.0, 3.0)]
@@ -107,11 +126,10 @@ class TestIdentityHeatTerm:
     @pytest.mark.parametrize("n", [152, 160, MAX_DIMENSION])
     def test_normalisation_outside_float_range_rejected(self, n, monkeypatch):
         # pi / (2^(2n-4) Gamma(n/2)^2) underflows from n = 152 on and its
-        # denominator overflows at n = 200; both raise before any quadrature
-        monkeypatch.setattr(heat_zeta.quadrature, "plancherel_integral", None)
+        # denominator overflows at n = 200; identity_zeta_term raises before
+        # any quadrature.  The heat term takes it in logs (TestHighDimension)
+        monkeypatch.setattr(heat_zeta.quadrature, "de_integrate", None)
         data = ManifoldData(dimension=n, volume=1.0, betti=(1,) + (0,) * (n - 1) + (1,))
-        with pytest.raises(ValueError, match=f"n={n} "):
-            identity_heat_term(data, 0, 1.0)
         with pytest.raises(ValueError, match=f"n={n} "):
             identity_zeta_term(data, 0)
         assert heat_zeta._plancherel_norm(75) > 0
@@ -124,6 +142,98 @@ class TestIdentityHeatTerm:
             identity_heat_term(b, 0, 0.5),
             rel_tol=1e-15,
         )
+
+
+def high_n_identity_reference(n: int, p: int, t: float, dps: int = 50):
+    """identity_heat_term at unit chi(1) and volume, from its definition in mpmath.
+
+    The integral over r > 0 of r P_p(r^2) tanh(pi r) e^(-t r^2), split at
+    0, 1 and 1/2, 1, 2 and 4 times sqrt(k/t), times chi(1) Vol/(4 pi),
+    C(n-1, p), pi/(2^(4k-4) Gamma(k)^2) and 2 e^(-t (p + rho0^2)).
+    """
+    k = n // 2
+    with mpmath.workdps(dps):
+        tt = mpmath.mpf(t)
+        cs = [mpmath.mpf(c.numerator) / c.denominator for c in miatello_coefficients(k, p)]
+        peak = mpmath.sqrt(k / tt)
+        integral = mpmath.quad(
+            lambda r: r * mpmath.polyval(cs[::-1], r * r) * mpmath.tanh(mpmath.pi * r)
+            * mpmath.exp(-tt * r * r),
+            [0, 1, peak / 2, peak, 2 * peak, 4 * peak, mpmath.inf],
+        )
+        norm = mpmath.pi / (mpmath.mpf(2) ** (4 * k - 4) * mpmath.factorial(k - 1) ** 2)
+        shift = p + mpmath.mpf(n - 1) ** 2 / 4
+        return norm * math.comb(n - 1, p) * 2 * mpmath.exp(-tt * shift) * integral / (4 * mpmath.pi)
+
+
+# (n, p, t) -> identity_heat_term at unit chi(1) and volume, made by
+#   PYTHONPATH=src:tests python -c "from test_heat_zeta import *
+#   for key in HIGH_N_IDENTITY: print(key, mpmath.nstr(high_n_identity_reference(*key), 20))"
+# (at 40 digits every value agrees to 1e-40)
+HIGH_N_IDENTITY = {
+    (20, 0, 0.05): "3.9788427347695128477e-6",
+    (20, 0, 1.0): "1.7559808137934257524e-51",
+    (20, 0, 2.5): "2.1864876635479677744e-111",
+    (20, 9, 0.05): "0.37174119180784399372",
+    (20, 9, 1.0): "8.0811116572954154106e-49",
+    (20, 9, 2.5): "3.6509563419562368451e-114",
+    (60, 0, 0.05): "5.5626138919283178067e-42",
+    (60, 0, 1.0): "1.0688824784719325882e-414",
+    (60, 0, 2.5): "8.2205927151692242198e-983",
+    (60, 29, 0.05): "2.5526113183696767602e-25",
+    (60, 29, 1.0): "5.5271894067474101873e-408",
+    (60, 29, 2.5): "1.5824999599128685113e-994",
+    (100, 0, 0.05): "3.621508914962972197e-98",
+    (100, 0, 1.0): "3.6152629206793356799e-1125",
+    (100, 0, 2.5): "1.4093340650619961571e-2722",
+    (100, 49, 0.05): "9.1520253498323633034e-70",
+    (100, 49, 1.0): "9.0495493474892843134e-1115",
+    (100, 49, 2.5): "1.2500605070182906877e-2743",
+    (130, 0, 0.05): "2.1753120700925187566e-152",
+    (130, 0, 1.0): "5.5630177975785880286e-1886",
+    (130, 0, 2.5): "2.3167792937978155781e-4597",
+    (130, 64, 0.05): "3.4565080497282065395e-115",
+    (130, 64, 1.0): "6.7636346543416384803e-1873",
+    (130, 64, 2.5): "1.6984785103880089162e-4625",
+    (140, 0, 0.05): "1.0454264176631041625e-172",
+    (140, 0, 1.0): "5.2091206140753169566e-2183",
+    (140, 0, 2.5): "7.3954795634107719511e-5331",
+    (140, 69, 0.05): "1.4167127489460142935e-132",
+    (140, 69, 1.0): "4.8809399109905950135e-2169",
+    (140, 69, 2.5): "2.3141598509711449907e-5361",
+    (160, 0, 0.05): "1.1183433538968154659e-216",
+    (160, 0, 1.0): "3.3212277562940680864e-2842",
+    (160, 0, 2.5): "1.0544574322641229233e-6960",
+    (160, 79, 0.05): "1.0950292165742584195e-170",
+    (160, 79, 1.0): "1.8084389949779876285e-2826",
+    (160, 79, 2.5): "5.8784282914213940637e-6996",
+    (200, 0, 0.05): "7.2318753344445354327e-318",
+    (200, 0, 1.0): "3.7260420055724504245e-4421",
+    (200, 0, 2.5): "8.0981080599239898412e-10872",
+    (200, 99, 0.05): "3.6080288817874209633e-260",
+    (200, 99, 1.0): "6.4181789393348334626e-4402",
+    (200, 99, 2.5): "1.3405115685344627288e-10916",
+}
+
+
+class TestHighDimension:
+    @pytest.mark.parametrize("n", [20, 60, 100, 130, 140, 160, 200])
+    def test_identity_heat_term_or_float_range(self, n):
+        # at n = 140, t = 0.05 it raised "did not converge (nan)"; at n = 98
+        # to 100, t = 1, "did not converge" for a value below the floats; at
+        # n = 60, t = 1, it returned 0.0; from n = 152 the normalisation
+        # raised for values that are normal floats
+        data = ManifoldData(dimension=n, volume=1.0, betti=(1,) + (0,) * (n - 1) + (1,))
+        for p in (0, n // 2 - 1):
+            for t in (0.05, 1.0, 2.5):
+                want = mpmath.mpf(HIGH_N_IDENTITY[n, p, t])
+                if sys.float_info.min <= want <= sys.float_info.max:
+                    got = identity_heat_term(data, p, t)
+                    assert abs(got - want) <= 1e-12 * want, (n, p, t)
+                else:
+                    with pytest.raises(ValueError, match="outside the float range$") as err:
+                        identity_heat_term(data, p, t)
+                    assert not isinstance(err.value, QuadratureError)
 
 
 def series_term(ell, k, t):
@@ -454,11 +564,16 @@ EMPTY_SPECTRUM_SUMS = {
 
 def test_identity_heat_term_outside_float_range_rejected():
     # it returned -inf; coexact_trace rejected the same value per row
-    data = ManifoldData(dimension=4, volume=10.0, chi_one=-1e308, betti=(1, 0, 0, 0, 1))
+    data = ManifoldData(dimension=4, volume=1e10, chi_one=-1e308, betti=(1, 0, 0, 0, 1))
     with pytest.raises(
         ValueError, match=r"^heat trace identity at t=0\.5 is outside the float range$"
     ):
         identity_heat_term(data, 0, 0.5)
+    # at volume 10 only chi(1) Vol is past the float range: the term, -8.4e307,
+    # was rejected too while the product was taken in floats
+    data = dataclasses.replace(data, volume=10.0)
+    want = mpmath_identity(data, 0, 0.5)
+    assert abs(identity_heat_term(data, 0, 0.5) - want) <= 1e-13 * abs(want)
 
 
 def test_hyperbolic_heat_term_outside_float_range_rejected():
@@ -484,7 +599,8 @@ def _forbid_work(monkeypatch):
     for attr in ("plancherel_integral", "plancherel_integrals", "mellin_time_integral",
                  "mellin_time_integrals", "de_integrate", "pairwise_sum"):
         monkeypatch.setattr(heat_zeta.quadrature, attr, no_work)
-    for attr in ("_identity_norm", "_geodesic_amplitudes", "_bessel_k_family"):
+    for attr in ("_plancherel_norm", "_identity_term", "_geodesic_amplitudes",
+                 "_bessel_k_family"):
         monkeypatch.setattr(heat_zeta, attr, no_work)
 
 
@@ -798,7 +914,7 @@ class TestQuadratureErrorPath:
         import hyperzeta.heat_zeta as hz
 
         def fake_kernel(*args, **kwargs):
-            return 1.0, 0.5, 12, False
+            return 1.0, 0.5, 12, False, 0.0
 
         monkeypatch.setattr(hz.quadrature, "plancherel_integral", fake_kernel)
         with pytest.raises(QuadratureError) as err:

@@ -34,46 +34,85 @@ class TestPlancherelIntegral:
             poly = mpmath.polyval(list(reversed(coeffs)), r * r)
             return r * poly * mpmath.tanh(mpmath.pi * r) * mpmath.exp(-t * r * r)
 
-        value, delta, level, converged = kernels.plancherel_integral(list(coeffs), t)
+        mantissa, delta, level, converged, scale = kernels.plancherel_integral(list(coeffs), t)
         assert converged
         with mpmath.workdps(30):
             want = mpmath.quad(integrand, [0, 1, mpmath.inf])
-            assert abs(value - want) <= 1e-13 * abs(want)
+            assert abs(mantissa * math.exp(scale) - want) <= 1e-13 * abs(want)
 
     def test_reported_delta_is_small(self, kernels):
-        value, delta, level, converged = kernels.plancherel_integral([0.25, 1.0], 0.7)
+        mantissa, delta, level, converged, _ = kernels.plancherel_integral([0.25, 1.0], 0.7)
         assert converged and level >= 2
-        assert delta <= max(1e-12, 1e-14 * abs(value))
+        assert delta <= 1e-14 * mantissa
+
+    @pytest.mark.parametrize("p,t,want", [
+        # log of the integral, 40-digit mpmath.quad split at 0, 1, and 1/2,
+        # 1, 2 and 4 times sqrt(k/t)
+        (0, 1.0, "715.2844918405262313675874"),
+        (99, 0.05, "760.9612899493770200681653"),
+    ])
+    def test_k100_against_mpmath(self, p, t, want):
+        # P's coefficients reach 1e315, so float(c) raised OverflowError
+        from hyperzeta.plancherel import miatello_coefficients
+
+        coeffs = miatello_coefficients(100, p)
+        with pytest.raises(OverflowError):
+            float(max(coeffs))
+        mantissa, _, _, converged, scale = fallback.plancherel_integral(coeffs, t)
+        assert converged
+        assert abs(math.log(mantissa) + scale - float(want)) <= 1e-12  # relative, in the value
+
+
+    @pytest.mark.parametrize("t", [1e12, 1e40, 1e100])
+    def test_large_t_against_the_small_r_series(self, t):
+        # the mass sits at r ~ t^(-1/2), where the node takes log tanh(pi r)
+        # from its series: the integral of r tanh(pi r) e^(-t r^2) is the
+        # sum over j of tanh's Taylor coefficient c_j pi^j Gamma(j/2 + 1)
+        # / (2 t^(j/2 + 1)), to 1e-40 at eight terms
+        mantissa, _, _, converged, scale = fallback.plancherel_integral([1.0], t)
+        assert converged
+        with mpmath.workdps(40):
+            tt = mpmath.mpf(t)
+            half = [mpmath.mpf(j) / 2 + 1 for j in range(16)]
+            want = mpmath.log(sum(
+                c * mpmath.pi**j * mpmath.gamma(half[j]) / (2 * tt ** half[j])
+                for j, c in enumerate(mpmath.taylor(mpmath.tanh, 0, 15)) if c
+            ))
+            assert abs(math.log(mantissa) + scale - want) <= 1e-13  # relative, in the value
 
 
 def _reference_plancherel(coeffs, t):
-    # plancherel_integral as first written, one node function per call: the
-    # reference for the node values plancherel_integrals shares across t
-    cs = [float(c) for c in coeffs]
-    ncoef = len(cs)
+    # plancherel_integral as one log-node function per call, with no node
+    # table: the reference for the node values plancherel_integrals shares
+    # across t
+    log_cs = [math.log(c) if isinstance(c, float) else
+              math.log(c.numerator) - math.log(c.denominator) for c in coeffs]
     half_pi = math.pi / 2.0
 
-    def node(u):
+    def log_node(u):
         x = half_pi * math.sinh(u)
-        two_x = 2.0 * x
-        if two_x > 700.0:
-            return 0.0
-        r2 = math.exp(two_x)
-        e_arg = t * r2
-        if e_arg - 2.0 * ncoef * x - abs(u) > 720.0:
-            return 0.0
-        p_val = 0.0
-        for c in reversed(cs):
-            p_val = p_val * r2 + c
-        r = math.exp(x)
-        return half_pi * math.cosh(u) * r2 * p_val * fallback._tanh_pi_pos(r) * math.exp(-e_arg)
+        logs = [log_c + 2.0 * l * x for l, log_c in enumerate(log_cs)]
+        top = max(logs)
+        p_top = math.fsum([math.exp(v - top) for v in logs])
+        try:
+            r2 = math.exp(x + x)
+        except OverflowError:
+            r2 = math.inf
+        y = math.pi * math.sqrt(r2)
+        weight = half_pi * math.cosh(u) * p_top
+        if y < 1e-5:
+            log_w = math.log(math.pi * weight) + 3.0 * x + top - y * y / 3.0
+        else:
+            tanh_weight = weight * -math.expm1(-2.0 * y) / (1.0 + math.exp(-2.0 * y))
+            log_w = math.log(tanh_weight) + top + x + x
+        return log_w - t * r2
 
-    return fallback.de_integrate(node)
+    return fallback.log_integrate(log_node)
 
 
 def _bits(result):
-    value, delta, level, converged = result
-    return value.hex(), delta.hex(), level, converged
+    # a kernel result with each float as its hex, so equal means same bits
+    return tuple(x.hex() if isinstance(x, float) else x for x in result)
 
 
 class TestPlancherelIntegrals:
@@ -93,10 +132,13 @@ class TestPlancherelIntegrals:
                 assert _bits(fallback.plancherel_integral(coeffs, t)) == want
 
     def test_windows_and_levels_differ_per_t(self, monkeypatch):
-        # the Plancherel sets of n = 6, p = 0..2, each at t from 1e-98 to 40,
-        # so each t has its own window and level; t = 1e-300 overflows
-        # without converging, and t = 1e-98 converges at level 10 after
-        # about 22,500 nodes, past the size of the node table
+        # the Plancherel sets of n = 6, p = 0..2, each at t from 1e-300 to
+        # 40, so each t has its own scale, window and level.  t = 1e-300,
+        # whose integral is past the float range, converges at level 12
+        # after about 8,200 new nodes; with the node table cut to 2,000
+        # nodes, it and the t after it find the table full
+        from hyperzeta.heat_zeta import identity_heat_term
+        from hyperzeta.manifold import ManifoldData
         from hyperzeta.plancherel import miatello_coefficients
 
         coeff_sets = [miatello_coefficients(3, q) for q in range(3)]
@@ -116,6 +158,7 @@ class TestPlancherelIntegrals:
             return result
 
         monkeypatch.setattr(fallback, "de_integrate", recording)
+        monkeypatch.setattr(fallback, "_NODE_TABLE_SIZE", 2000)
         got = []
         for coeffs in coeff_sets:
             integral = fallback.plancherel_integrals(coeffs)
@@ -127,7 +170,61 @@ class TestPlancherelIntegrals:
                 assert _bits(result) == _bits(_reference_plancherel(coeffs, t)), t
                 levels.add(result[2])
         assert len(set(windows)) >= 4 and len(levels) >= 4
-        assert not any(row[4][3] for row in got)
+        assert all(result[3] for row in got for result in row)
+        assert min(row[4][4] for row in got) > 700.0
+        data = ManifoldData(dimension=6, volume=1.0, betti=(1, 0, 0, 0, 0, 0, 1))
+        for p in range(3):
+            with pytest.raises(ValueError, match=r"t=1e-300 is outside the float range$"):
+                identity_heat_term(data, p, 1e-300)
+
+
+class TestLogIntegrate:
+    @staticmethod
+    def scan_and_result(log_node):
+        # (the log-nodes of log_integrate's level-0 scan, its result): the
+        # scan is every call before de_integrate starts
+        calls, integrate = [], fallback.de_integrate
+
+        def recorded(u):
+            calls.append(u)
+            return log_node(u)
+
+        def marking(node):
+            calls.append(None)
+            return integrate(node)
+
+        fallback.de_integrate = marking
+        try:
+            result = fallback.log_integrate(recorded)
+        finally:
+            fallback.de_integrate = integrate
+        return calls[:calls.index(None)], result
+
+    @pytest.mark.parametrize("c", [-2000.0, 0.0, 1500.0])
+    def test_far_peak_at_any_scale(self, c):
+        # e^(c - 3 (u - 7)^2): at c = -2000 every node is 0.0 as a float.
+        # Up, the scan stops three nodes past the last one within 2^-54 of
+        # the peak (u = 10.5); down, at once
+        scan, (mantissa, _, _, converged, scale) = self.scan_and_result(
+            lambda u: c - 3.0 * (u - 7.0) ** 2
+        )
+        assert scan == [0.5 * j for j in range(25)] + [-0.5, -1.0, -1.5]
+        assert converged and scale == c
+        assert abs(math.log(mantissa) - 0.5 * math.log(math.pi / 3.0)) <= 1e-13
+
+    def test_narrow_peak_past_two_low_nodes(self):
+        # a spike at u = 0, two nodes below 2^-54 of it, then a peak e^800
+        # higher at u = 1.5: a scan that stopped at two low nodes took the
+        # spike as the scale, and the peak's nodes overflowed
+        w = 4000.0
+
+        def log_node(u):
+            return max(-200.0 * u * u, 800.0 - w * (u - 1.5) ** 2)
+
+        scan, (mantissa, _, _, converged, scale) = self.scan_and_result(log_node)
+        assert scan[:4] == [0.0, 0.5, 1.0, 1.5] and scale == 800.0
+        assert converged
+        assert abs(math.log(mantissa) - 0.5 * math.log(math.pi / w)) <= 1e-13
 
 
 class TestDeIntegrate:
@@ -208,14 +305,30 @@ class TestDeIntegrate:
             levels.add(level)
         assert len(levels) == 1
 
-    def test_overflowing_plancherel_integral_not_converged(self):
-        # it returned (inf, inf, 5, True): inf <= rel_tol * inf
+    def test_plancherel_integral_past_the_float_range(self):
+        # about 1e300 at n = 6, t = 1e-100: the float node overflowed, and it
+        # returned (inf, inf, 5, True) while inf <= rel_tol * inf, then
+        # (inf, inf, 5, False).  The reference: with tanh(pi r) = 1 the
+        # integral is the sum of a_j j! / (2 t^(j+1)); the rest is minus
+        # twice the integral of r P(r^2) e^(-t r^2) / (1 + e^(2 pi r)), in
+        # which e^(-t r^2) is 1 to 1e-98
         from hyperzeta.plancherel import miatello_coefficients
 
-        value, delta, level, converged = fallback.plancherel_integral(
-            miatello_coefficients(3, 0), 1e-100
-        )
-        assert (value, level, converged) == (math.inf, 5, False)
+        coeffs = miatello_coefficients(3, 0)
+        t = 1e-100
+        mantissa, delta, level, converged, scale = fallback.plancherel_integral(coeffs, t)
+        assert converged
+        with mpmath.workdps(40):
+            a = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
+            tt = mpmath.mpf(t)
+            tanh_one = sum(c * mpmath.factorial(j) / (2 * tt ** (j + 1)) for j, c in enumerate(a))
+            rest = 2 * mpmath.quad(
+                lambda r: r * mpmath.polyval(a[::-1], r * r) / (1 + mpmath.exp(2 * mpmath.pi * r)),
+                [0, mpmath.inf],
+            )
+            want = mpmath.log(tanh_one - rest)
+            assert 690 < want < 691
+            assert abs(math.log(mantissa) + scale - want) <= 1e-12  # relative, in the value
 
 
 class TestMellinTimeIntegral:
@@ -547,7 +660,13 @@ class TestWindowWork:
             return integrate(wrapped)
 
         monkeypatch.setattr(fallback, "de_integrate", counting)
+        entries = []
+        sinh = math.sinh
+        monkeypatch.setattr(math, "sinh", lambda u: entries.append(u) or sinh(u))
         integral = fallback.plancherel_integrals(miatello_coefficients(3, 2))
         for i in range(10):
             assert integral(0.05 + i * (2.45 / 9))[3]
         assert len(visits) <= 2400
+        # each node's t-free values are computed once and shared by every
+        # t: 325 distinct nodes
+        assert len(entries) == len(set(entries)) <= 400
