@@ -9,10 +9,10 @@ multiple of pi^(-n/2):
     <T> = 1/((4 pi)^(n/2) Gamma(n/2) R^n) * sum_{j=0}^{p} (contribution of
           the j-shifted sector pair),
 
-with the sum over j supplied exactly by zeta_identity_zero_total below, one
-memoised moment per sector and a prefix sum over j, at every shift.  All
-of it is exact arithmetic on exact and plancherel alone; floats appear
-only in rendering.
+with the sum over j from memoised prefix sums (one moment per sector) and
+the prefactor multiplied into their unreduced integers: one Fraction per
+value, at every shift.  All of it is exact arithmetic on exact and
+plancherel alone; floats appear only in rendering.
 
 The spectral shift alpha is a policy choice: p + rho0^2 for the p-form
 tables, 1/4 for the conformally coupled scalar, rho0^2 + m^2 R^2 for a
@@ -61,7 +61,7 @@ _TABLE2_MAX_FORM = 4
 def alpha_default(n: int, p: int) -> Fraction:
     """Spectral shift of the co-exact p-form sector: p + ((n-1)/2)^2."""
     check_dimension(n)
-    return p + Fraction(n - 1, 2) ** 2
+    return Fraction(4 * p + (n - 1) ** 2, 4)
 
 
 def alpha_conformal_scalar(n: int) -> Fraction:
@@ -153,11 +153,15 @@ def zeta_identity_zero_total(n: int, p: int, alpha: Rational) -> Fraction:
     A_p = C(n-1, p) M(p) - A_(p-1) and B_p = p C(n-1, p) M(p-1) - B_(p-1)
     run over integer numerators (docs/numerics.md).
     """
-    k = _check_form(n, p)
-    alpha = Fraction(alpha)
+    _check_form(n, p)
+    return Fraction(*_identity_zero_parts(n, p, Fraction(alpha)))
+
+
+def _identity_zero_parts(n: int, p: int, alpha: Fraction) -> tuple[int, int]:
+    # zeta_identity_zero_total as an unreduced (numerator, denominator)
     d = alpha.denominator
-    a, b, _, den = _prefix_sums(k, p, alpha.numerator - p * d, d)  # at c = alpha - p
-    return Fraction(a * (n - p) + b, den * (n - p))
+    a, b, _, den = _prefix_sums(n // 2, p, alpha.numerator - p * d, d)  # at c = alpha - p
+    return a * (n - p) + b, den * (n - p)
 
 
 @functools.lru_cache(maxsize=(MAX_DIMENSION // 2) * (MAX_DIMENSION // 2 + 1) // 2)
@@ -199,11 +203,11 @@ class AnomalySpec:
 
     def __post_init__(self) -> None:
         _check_form(self.dimension, self.form_order)
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        scale = Fraction(self.radius_power_scale)
-        if scale <= 0:
+        for name in ("alpha", "radius_power_scale"):
+            if not isinstance(value := getattr(self, name), Fraction):
+                object.__setattr__(self, name, Fraction(value))
+        if self.radius_power_scale <= 0:
             raise ValueError("radius power scale must be positive")
-        object.__setattr__(self, "radius_power_scale", scale)
 
 
 def _prefactor(n: int, radius_power_scale: Fraction) -> Fraction:
@@ -215,12 +219,13 @@ def _prefactor(n: int, radius_power_scale: Fraction) -> Fraction:
 def conformal_anomaly(spec: AnomalySpec) -> PiValue:
     """Exact anomaly for the given spec; pi exponent is always n/2.
 
-    The value comes from zeta_identity_zero_total (one memoised moment per
-    sector and a prefix sum over j) for every alpha.
+    zeta_identity_zero_total's integers times 1/(4^k (k-1)! R^n), reduced
+    once as one Fraction, for every alpha.
     """
-    n = spec.dimension
-    total = zeta_identity_zero_total(n, spec.form_order, spec.alpha)
-    return PiValue(_prefactor(n, spec.radius_power_scale) * total, n // 2)
+    n, k, scale = spec.dimension, spec.dimension // 2, spec.radius_power_scale
+    num, den = _identity_zero_parts(n, spec.form_order, spec.alpha)
+    den *= 4**k * math.factorial(k - 1) * scale.numerator
+    return PiValue(Fraction(num * scale.denominator, den), k)
 
 
 def conformal_scalar_anomaly(n: int) -> PiValue:

@@ -50,10 +50,7 @@ class OutputTable:
 
     def _render_grid(self, sep: str, rule: bool) -> str:
         texts = [[self._cell_text(c) for c in row] for row in self.rows]
-        widths = [
-            max([len(h)] + [len(r[i]) for r in texts])
-            for i, h in enumerate(self.headers)
-        ]
+        widths = [max(map(len, column)) for column in zip(self.headers, *texts)]
         out = []
         if rule:
             out.append("| " + sep.join(h.ljust(w) for h, w in zip(self.headers, widths)) + " |")
@@ -68,11 +65,9 @@ class OutputTable:
 
     def _render_csv(self) -> str:
         # pair cells double into exact/float columns; csv module kept out on
-        # purpose: fixed comma join with minimal quoting is byte-stable
-        has_pair = [
-            any(isinstance(row[i], tuple) for row in self.rows)
-            for i in range(len(self.headers))
-        ]
+        # purpose: fixed comma join with minimal quoting is byte-stable.  A
+        # header is a string, so only a row's cell makes its column a pair
+        has_pair = [tuple in map(type, column) for column in zip(self.headers, *self.rows)]
         head = []
         for h, pair in zip(self.headers, has_pair):
             if pair:
@@ -80,22 +75,22 @@ class OutputTable:
             else:
                 head.append(h)
         buf = io.StringIO()
-        buf.write(",".join(self._csv_escape(h) for h in head) + "\n")
+        buf.write(",".join(map(self._csv_escape, head)) + "\n")
         for row in self.rows:
             fields: list[str] = []
             for cell, pair in zip(row, has_pair):
-                if isinstance(cell, tuple):
-                    fields.extend([cell[0], cell[1]])
+                if type(cell) is tuple:
+                    fields.extend(cell)
                 elif pair:
                     fields.extend([str(cell), str(cell)])
                 else:
                     fields.append(str(cell))
-            buf.write(",".join(self._csv_escape(f) for f in fields) + "\n")
+            buf.write(",".join(map(self._csv_escape, fields)) + "\n")
         return buf.getvalue()
 
     @staticmethod
     def _csv_escape(text: str) -> str:
-        if any(ch in text for ch in ',"\n'):
+        if "," in text or '"' in text or "\n" in text:
             return '"' + text.replace('"', '""') + '"'
         return text
 

@@ -238,6 +238,10 @@ def cells(draw):
 shift_offsets = st.builds(
     Fraction, st.integers(min_value=-500, max_value=500), st.integers(min_value=1, max_value=99)
 )
+# R^n, any positive rational with denominator 1..99
+radius_powers = st.builds(
+    Fraction, st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=99)
+)
 
 
 def reference_moment_parts(k: int, q: int, beta: Fraction) -> tuple[int, int]:
@@ -295,14 +299,15 @@ class TestMomentRoute:
         assert_moments_match_reference(n, p, spec.alpha)
 
     @settings(max_examples=60, deadline=None)
-    @given(cells(), shift_offsets)
-    @example((2, 0), Fraction(0))
-    @example((60, 29), Fraction(-401, 99))
-    @example((40, 7), Fraction(13, 98))
-    def test_matches_per_term_route_at_any_rational_shift(self, cell, c):
+    @given(cells(), shift_offsets, radius_powers)
+    @example((2, 0), Fraction(0), Fraction(1))
+    @example((60, 29), Fraction(-401, 99), Fraction(1))
+    @example((40, 7), Fraction(13, 98), Fraction(97, 500))
+    @example((6, 2), Fraction(1, 4), Fraction(3, 2) ** 6)
+    def test_matches_per_term_route_at_any_rational_shift(self, cell, c, radius_power):
         n, p = cell
-        spec = AnomalySpec(dimension=n, form_order=p, alpha=p + c)
-        assert conformal_anomaly(spec) == per_term_value(n, p, p + c)
+        spec = AnomalySpec(dimension=n, form_order=p, alpha=p + c, radius_power_scale=radius_power)
+        assert conformal_anomaly(spec) == per_term_value(n, p, p + c) * (1 / radius_power)
         assert_moments_match_reference(n, p, p + c)
 
     @pytest.mark.parametrize("n,p", [(120, 59), (200, 99)])
@@ -395,3 +400,13 @@ class TestFractionCount:
         zeta_identity_zero_total(self.N, self.P, alpha)
         assert len(fractions_built) <= 2
         assert anomaly._prefix_sums.cache_info().misses == self.P + 1
+
+    def test_warm_default_shift_cell_builds_at_most_two(self, fractions_built):
+        # alpha_default's Fraction and the cell's value, reduced once
+        n = 34
+        for p in range(n // 2):
+            anomaly._pform_cell(n, p)
+        fractions_built.clear()
+        anomaly._pform_cell(n, 5)
+        assert len(fractions_built) <= 2
+        assert anomaly._prefix_sums.cache_info().misses == n // 2

@@ -46,11 +46,17 @@ class TestOutputTable:
         # non-pair cell in a pair column fills both subcolumns
         assert lines[2] == "4,excluded,excluded"
 
-    def test_csv_escaping(self):
-        table = OutputTable(
-            headers=("a",), rows=(('x,"y"',),), format="csv"
-        )
-        assert table.render() == 'a\n"x,""y"""\n'
+    # each character that forces quoting alone, all of them, and none
+    @pytest.mark.parametrize("text,field", [
+        ("x,y", '"x,y"'),
+        ('x"y', '"x""y"'),
+        ("x\ny", '"x\ny"'),
+        ('x,"y"', '"x,""y"""'),
+        ("x y", "x y"),
+    ])
+    def test_csv_escaping(self, text, field):
+        table = OutputTable(headers=("a",), rows=((text,),), format="csv")
+        assert table.render() == f"a\n{field}\n"
 
     def test_csv_byte_stable(self, pform_cells):
         a = pform_output(pform_cells, format="csv").render().encode()

@@ -26,6 +26,8 @@ ALLOWED = {
         "public API in hyperzeta.__all__, documented in README and docs/numerics.md",
     "heat_zeta.bessel_k":
         "public API in hyperzeta.__all__, documented in README and docs/numerics.md",
+    "anomaly.zeta_identity_zero_total":
+        "public API in hyperzeta.anomaly.__all__, documented in docs/numerics.md",
     "manifold.trivial_holonomy_c":
         "public API in hyperzeta.manifold.__all__, documented in docs/manifold-format.md",
     "_kernels.fallback.mellin_time_integral": "timed by perfbench/backends.py",
