@@ -3,30 +3,26 @@
 de_integrate is the trapezoid rule on the whole line for a node function
 that decays doubly exponentially, with step halving until two successive
 refinements agree (Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)).
-It takes the node function alone: its step, depth and relative
-tolerance are the fixed constants below, and it converges on relative
-change only, so it is scale-free.  Its window is relative to the
-integrand's own peak: level 0 scans each side until three nodes in a
-row are at or below 2^-54 of the largest node seen, then keeps the nodes
-above that floor and one guard node past them on each side.  Every
-quadrature of the package runs on it, and every node sum on pairwise_sum.
-The kernels map their integrals to the line by a double-exponential
-change of variables:
+It takes the node function alone: its step, depth and relative tolerance
+are the fixed constants below, it converges on relative change only, and
+its window is relative to the integrand's own peak.  Every node sum of the
+package is pairwise_sum.
 
-  * plancherel_integral: r = exp((pi/2) sinh u) maps (0, inf) to the line;
-    the integrand then decays doubly exponentially on both sides.
-  * mellin_time_integral and bessel_k_integral: t = exp(u); the e^{-at}
-    and e^{-b/t} factors each become doubly exponential in u.
+Every kernel states its node by one contract, log_node(u) = (log|f(u)|,
+sign), on log_integrate, de_integrate's one caller, which factors the
+largest level-0 node out: no node is cut at a fixed exponent, and one is
+0.0 only where its log is -inf.  The kernels map their integrals to the
+line by a double-exponential change of variables:
 
-plancherel_integrals and mellin_time_integrals return one function of t
-or of s: the node values that do not depend on it are computed once per
-node u and shared by every call, in one table of at most _NODE_TABLE_SIZE
-nodes per function.
+  * plancherel_integral and fermi_integral: r = exp((pi/2) sinh u);
+  * mellin_time_integral (t = e^u) and bessel_k_integral (t = (z/2) e^u):
+    the e^{-at} and e^{-b/t} factors each become doubly exponential in u.
 
-de_integrate returns (value, last_delta, level, converged); log_integrate
-and the Plancherel kernel return (mantissa, last_delta, level, converged,
-scale) for the value mantissa e^scale, last_delta in units of the mantissa.
-Callers decide what to do with a result that did not converge.
+log_integrate, plancherel_integral and fermi_integral return (mantissa,
+last_delta, level, converged, scale) for the value mantissa e^scale, with
+last_delta in units of the mantissa; the other kernels return (value,
+last_delta, level, converged).  Callers decide what to do with a result
+that did not converge.
 
 The geodesic sums of the package (the heat sum, the Bessel route and the
 time route's geodesic_sum) walk CUT_BLOCK blocks that cut_blocks builds
@@ -214,19 +210,18 @@ def de_integrate(node):
 
 
 def log_integrate(log_node):
-    """de_integrate for a node function given by its log, scaled by its peak.
+    """de_integrate for a node function given as (log|f(u)|, sign), scaled by its peak.
 
     Level 0 is scanned as de_integrate scans it, with log 2^-54 as the cut;
-    its largest finite log-node, at node c, is the scale, and de_integrate
-    runs unchanged on e^(log_node(c + u) - scale), from 1.0 at u = 0.  A node
-    past the float range above the scale is inf, so that estimate never
-    converges.  Returns (mantissa, delta, level, converged, scale).
-    """
+    the largest finite log-node, at node c, is the scale, and de_integrate
+    runs unchanged on sign e^(log|f(c + u)| - scale), from 1.0 at u = 0: a
+    node past the float range above the scale is inf, and never converges.
+    Returns (mantissa, delta, level, converged, scale)."""
     top, centre = -math.inf, 0.0
     for first, step in ((0, _H0), (1, -_H0)):  # the first node, u = 0, is never negligible
         run = 0
         for j in range(first, _SCAN_LIMIT + 1):
-            v = log_node(j * step)
+            v = log_node(j * step)[0]
             if top < v < math.inf:
                 top, centre = v, j * step
             run = run + 1 if v - top <= _LOG_CUT else 0
@@ -235,55 +230,72 @@ def log_integrate(log_node):
     exp = math.exp
 
     def node(u: float) -> float:
+        v, sign = log_node(centre + u)
         try:
-            return exp(log_node(centre + u) - top)
+            return sign * exp(v - top)
         except OverflowError:
             return math.inf
 
     return de_integrate(node) + (top,)
 
 
-def plancherel_integrals(coeffs):
-    """plancherel_integral for one coefficient set, as one function of t.
+def _exp(x: float) -> float:
+    # e^x, or inf past the float range
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
-    With x = (pi/2) sinh u and r = e^x, node u's t-free part is (r^2, log w),
-    log w = log((pi/2) cosh u) + 2x + log P(r^2) + log tanh(pi r), computed
-    once per node and shared by every t; the log-node of t is log w - t r^2,
-    on log_integrate, so each t keeps its own scale, window and level.
-    log P is a log-sum-exp over log c_l + 2 l x, with log c_l of an int or
-    Fraction taken as log(numerator) - log(denominator), never via a float.
-    tanh(y), y = pi r, is -expm1(-2y) / (1 + e^(-2y)), and its log is the
-    series log pi + x - y^2/3 below y = 1e-5, where r may underflow.
-    """
+
+def _exp_sinh_weights(coeffs):
+    # node u of r = e^x, x = (pi/2) sinh u, for P's positive coefficients c_l
+    # in powers of r^2: (x, r^2 or inf, (pi/2) cosh u P(r^2) e^-top, top), with
+    # log P(r^2) a log-sum-exp over log c_l + 2 l x, never c_l as a float
     terms = [(math.log(c) if isinstance(c, float) else
               math.log(c.numerator) - math.log(c.denominator), 2.0 * l)
              for l, c in enumerate(coeffs)]
-    entries = {}  # u -> (r^2, log w)
 
-    def entry(u: float) -> tuple:
+    def weights(u: float) -> tuple:
         x = _HALF_PI * math.sinh(u)
         logs = [log_c + two_l * x for log_c, two_l in terms]
         top = max(logs)  # log P(r^2) = top + log p_top
         p_top = math.fsum([math.exp(v - top) for v in logs])
-        try:
-            r2 = math.exp(x + x)
-        except OverflowError:
-            r2 = math.inf
+        return x, _exp(x + x), _HALF_PI * math.cosh(u) * p_top, top
+
+    return weights
+
+
+def plancherel_integrals(coeffs):
+    """plancherel_integral for one coefficient set, as one function of t.
+
+    With x = (pi/2) sinh u and r = e^x, node u's t-free part is (r^2, log w,
+    x), log w = log((pi/2) cosh u) + 2x + log P(r^2) + log tanh(pi r),
+    computed once per node and shared by every t; the log-node of t is
+    log w - t r^2 (t r^2 as e^(log t + 2x) where r^2 is past the float
+    range), so each t keeps its own scale, window and level.  tanh(y),
+    y = pi r, is -expm1(-2y) / (1 + e^(-2y)), and its log is the series
+    log pi + x - y^2/3 below y = 1e-5, where r may underflow.
+    """
+    weights = _exp_sinh_weights(coeffs)
+    entries = {}  # u -> (r^2, log w, x)
+
+    def entry(u: float) -> tuple:
+        x, r2, weight, top = weights(u)
         y = math.pi * math.sqrt(r2)
-        weight = _HALF_PI * math.cosh(u) * p_top
         if y < 1e-5:
-            return r2, math.log(math.pi * weight) + 3.0 * x + top - y * y / 3.0
+            return r2, math.log(math.pi * weight) + 3.0 * x + top - y * y / 3.0, x
         weight = weight * -math.expm1(-2.0 * y) / (1.0 + math.exp(-2.0 * y))  # times tanh(y)
-        return r2, math.log(weight) + top + x + x
+        return r2, math.log(weight) + top + x + x, x
 
     def at(t: float):
-        def log_node(u: float) -> float:
+        def log_node(u: float) -> tuple:
             e = entries.get(u)
             if e is None:
                 e = entry(u)
                 if len(entries) < _NODE_TABLE_SIZE:
                     entries[u] = e
-            return e[1] - t * e[0]
+            r2, log_w, x = e
+            return log_w - (t * r2 if r2 < math.inf else _exp(math.log(t) + x + x)), 1.0
 
         return log_integrate(log_node)
 
@@ -327,17 +339,15 @@ def mellin_time_integrals(lengths, amps, alpha: float):
     exponent of the shortest geodesic and H(u) = sum_i amps[i]
     e^(-(q_i - q_0) e^-u).  Neither lead nor H depends on s, so both sit in
     one table keyed by the node u and shared by every s; H is summed only
-    at nodes that some s reaches.  Each s keeps its own window and level,
-    anchored at u0 = log(q_k/alpha)/2, where the integrand of the shortest
-    class k of nonzero amplitude peaks, and converges on relative change.
+    at nodes that some s reaches.  The log-node of s is su u + lead(u) +
+    log|H(u)|, with the sign of H, so each s keeps its own scale, window and
+    level.  Its scan starts at u0 = log(q_k/alpha)/2, where the integrand
+    of the shortest class k of nonzero amplitude peaks.
 
     The lengths must be nonnegative and ascending, as ManifoldData keeps
     them: the relative exponents of H then fall along the sum, which is
     geodesic_sum, cut where the rest is below 2^-54 of the partial sum.
-    Adding those terms in order would leave every bit of H as it is.  A
-    node whose exponent su u + lead is at or below -745 is 0.0 without its
-    sum; one whose exponent leaves the float range is inf, so that
-    estimate never converges.
+    Adding those terms in order would leave every bit of H as it is.
     """
     ls = [float(x) for x in lengths]
     ams = [float(x) for x in amps]
@@ -345,42 +355,33 @@ def mellin_time_integrals(lengths, amps, alpha: float):
         raise ValueError("lengths and amps must have equal size")
     if ls and (ls[0] < 0.0 or any(a > b for a, b in zip(ls, ls[1:]))):
         raise ValueError("lengths must be nonnegative and ascending")
-    if not ls:
+    if not any(ams):
         return lambda s: (0.0, 0.0, 0, True)
     q0 = 0.25 * ls[0] * ls[0]
     blocks = cut_blocks(ams, [q0 - 0.25 * l * l for l in ls], ams)  # -(q_i - q_0)
     a = float(alpha)
-    k = next((i for i, x in enumerate(ams) if x), 0)
+    k = next(i for i, x in enumerate(ams) if x)
     u0 = math.log(0.5 * ls[k] / math.sqrt(a)) if ls[k] > 0.0 and a > 0.0 else 0.0
-    exp = math.exp
     entries = {}  # u -> [lead(u), e^-u, H(u) or None until some s needs it]
 
     def at(s: float):
         su = float(s) - 0.5
 
-        def node(v: float) -> float:
+        def log_node(v: float) -> tuple:
             u = v + u0
-            if u > 690.0 or u < -690.0:
-                return 0.0
             e = entries.get(u)
             if e is None:
-                eb = exp(-u)
-                e = [-a * exp(u) - q0 * eb, eb, None]
+                eb = _exp(-u)
+                e = [-a * _exp(u) - q0 * eb, eb, None]
                 if len(entries) < _NODE_TABLE_SIZE:
                     entries[u] = e
-            x = su * u + e[0]
-            if x <= -745.0:
-                return 0.0
-            try:
-                scale = exp(x)
-            except OverflowError:
-                return math.inf
             h = e[2]
-            if h is None:
-                h = e[2] = geodesic_sum(blocks, e[1])[0]
-            return scale * h
+            if h is None:  # no sum where e^u or e^-u is past the float range
+                h = e[2] = geodesic_sum(blocks, e[1])[0] if e[0] > -math.inf else 0.0
+            return su * u + e[0] + (math.log(abs(h)) if h else -math.inf), math.copysign(1.0, h)
 
-        return de_integrate(node)
+        mantissa, delta, level, converged, scale = log_integrate(log_node)
+        return mantissa * _exp(scale), delta * _exp(scale), level, converged
 
     return at
 
@@ -388,10 +389,7 @@ def mellin_time_integrals(lengths, amps, alpha: float):
 def mellin_time_integral(lengths, amps, alpha: float, s: float):
     """integral_0^inf t^(s-1) t^(-1/2) sum_i amps[i] e^(-alpha t - lengths[i]^2/(4t)) dt.
 
-    Under t = e^u both tails decay doubly exponentially (alpha > 0 on the
-    right, the shortest length on the left).  The lengths must be
-    nonnegative and ascending.  This is mellin_time_integrals at one s.
-    """
+    mellin_time_integrals at one s; the lengths must be nonnegative and ascending."""
     return mellin_time_integrals(lengths, amps, alpha)(s)
 
 
@@ -401,21 +399,32 @@ def bessel_k_integral(nu: float, z: float):
     Multiplying by 2^(-nu-1) z^nu gives K_nu(z); that scaling is left to
     the caller so the kernel stays scale-free.  The package computes K_nu
     without it (heat_zeta.bessel_k); it is kept for the kernel timings of
-    perfbench/backends.py.  Up to z = 100 it is within 1e-14 relative of
-    mpmath.besselk.  Its window is the flaw: the level-0 scan starts at
-    u = 0, and the peak lies near u = log(z/2).  From about z = 116 the
-    level-0 nodes from u = 0 to 1.5 are all 0.0, so the window ends before
-    the peak, and it returns 0.0 as converged.
+    perfbench/backends.py.  Under t = (z/2) e^w it is (z/2)^-nu e^-z times
+    the integral of e^(-nu w - 2z sinh(w/2)^2) over the line, whose
+    log-node is near 0 at its peak at any z, so e^-z costs it no bits.
     """
-    z24 = 0.25 * float(z) * float(z)
-    nn = float(nu)
+    zz, nn = float(z), float(nu)
 
-    def node(u: float) -> float:
-        if u > 690.0 or u < -690.0:
-            return 0.0
-        e_arg = -nn * u - math.exp(u) - z24 * math.exp(-u)
-        if e_arg < -745.0:
-            return 0.0
-        return math.exp(e_arg)
+    def log_node(w: float) -> tuple:
+        half_sinh = math.sinh(0.5 * w)
+        return -nn * w - 2.0 * zz * half_sinh * half_sinh, 1.0
 
-    return de_integrate(node)
+    mantissa, delta, level, converged, scale = log_integrate(log_node)
+    factor = (0.5 * zz) ** -nn * math.exp(-zz) * _exp(scale)
+    return mantissa * factor, delta * factor, level, converged
+
+
+def fermi_integral(coeffs):
+    """integral_0^inf r P(r^2) / (1 + e^(2 pi r)) dr, on the nodes of plancherel_integrals.
+
+    Its log-node has -log(1 + e^y) = -y - log1p(e^-y), y = 2 pi r, where
+    that of plancherel_integrals has log tanh(pi r) - t r^2.
+    """
+    weights = _exp_sinh_weights(coeffs)
+
+    def log_node(u: float) -> tuple:
+        x, r2, weight, top = weights(u)
+        y = 2.0 * math.pi * math.sqrt(r2)
+        return math.log(weight) + top + x + x - y - math.log1p(math.exp(-y)), 1.0
+
+    return log_integrate(log_node)

@@ -103,6 +103,14 @@ def _finite(what: str, value: float) -> float:
     return value
 
 
+def _mellin_value(what: str, value: float, amps: list) -> float:
+    # a Mellin value, once it is a normal float, or 0.0 when every amplitude
+    # is: a value that underflowed would be graded as 0 against 0
+    if any(amps) and not sys.float_info.min <= abs(value) <= sys.float_info.max:
+        raise ValueError(f"{what} is outside the float range")
+    return value
+
+
 def _plain_sum(values) -> float:
     # left to right from 0.0, as the builtin sum adds floats up to Python
     # 3.11.  From 3.12 on the builtin compensates, so a cut partial summed
@@ -520,7 +528,7 @@ def mellin_hyperbolic(
     lengths, amps = _geodesic_amplitudes(manifold, p)
     values, _, _ = _bessel_sums(lengths, amps, alpha, [0.5 - s for s in s_values])
     for s, value in zip(s_values, values):
-        _finite(f"Bessel-route Mellin value at s={s!r}", value)
+        _mellin_value(f"Bessel-route Mellin value at s={s!r}", value, amps)
     return values
 
 
@@ -623,12 +631,13 @@ def mellin_hyperbolic_quadrature(
     out = []
     for s in s_values:
         value, delta, _, ok = integral(s)
-        _finite(f"time-route Mellin value at s={s!r}", value)
+        value = value / math.sqrt(4.0 * math.pi)
+        _mellin_value(f"time-route Mellin value at s={s!r}", value, amps)
         if not ok:
             raise QuadratureError(
                 f"hyperbolic Mellin quadrature did not converge (p={p}, s={s})", delta
             )
-        out.append(value / math.sqrt(4.0 * math.pi))
+        out.append(value)
     return out
 
 
@@ -639,47 +648,27 @@ def zeta_moment_continued(k: int, q: int, beta: float) -> float:
     """Numeric continuation of the sector moment functional to s = 0.
 
     Splits tanh(pi r) = 1 - 2/(1 + e^(2 pi r)).  The polynomial part
-    continues in closed form through Gamma-ratio poles, and at s = 0 it is
-
-        sum_l a_{2l} beta^(l+1) l! / prod_{i=1..l+1} (-i),
-
-    and the Fermi-factor remainder decays like e^(-2 pi r), so it is an
-    entire function of s, evaluated at s = 0 by direct quadrature.  No
-    Bernoulli numbers enter: this route is independent of zeta_moment_sum
-    and the two must agree wherever both are defined (verified in the test
-    suite).  beta may be a Fraction; it is taken as a float once.
+    continues in closed form through Gamma-ratio poles to the exact
+    rational E = sum_l (-1)^(l+1) a_l beta^(l+1) / (l+1) at s = 0.  The
+    Fermi-factor remainder F (quadrature.fermi_integral) decays like
+    e^(-2 pi r), so it is an entire function of s, taken at s = 0 by
+    quadrature.  Returns E - 4F rounded once; one outside the float range
+    raises ValueError.  No Bernoulli numbers enter: this route is
+    independent of zeta_moment_sum and the two must agree wherever both
+    are defined (verified in the test suite).
     """
-    beta = float(beta)
+    beta = Fraction(beta)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    coeffs = [float(c) for c in miatello_coefficients(k, q)]
-
-    elementary = 0.0
-    for ell, a in enumerate(coeffs):
-        denom = 1.0
-        for i in range(1, ell + 2):
-            denom *= -i
-        elementary += a * beta ** (ell + 1) * math.factorial(ell) / denom
-
-    def node(u: float) -> float:
-        x = (math.pi / 2.0) * math.sinh(u)
-        if 2.0 * x > 700.0:
-            return 0.0
-        r = math.exp(x)
-        two_pi_r = 2.0 * math.pi * r
-        if two_pi_r - 2.0 * len(coeffs) * x - abs(u) > 720.0:
-            return 0.0
-        r2 = r * r
-        p_val = 0.0
-        for c in reversed(coeffs):
-            p_val = p_val * r2 + c
-        fermi = 1.0 / (1.0 + math.exp(two_pi_r)) if two_pi_r <= 709.0 else 0.0
-        return (math.pi / 2.0) * math.cosh(u) * r2 * p_val * fermi
-
-    value, delta, _, ok = quadrature.de_integrate(node)
+    coeffs = miatello_coefficients(k, q)
+    elementary = sum(Fraction(a) * (-beta) ** (l + 1) / (l + 1) for l, a in enumerate(coeffs))
+    mantissa, delta, _, ok, scale = quadrature.fermi_integral(coeffs)
     if not ok:
         raise QuadratureError(f"moment continuation did not converge (k={k}, q={q})", delta)
-    return elementary - 4.0 * value
+    try:
+        return float(elementary - 4 * Fraction(mantissa * math.exp(scale)))
+    except OverflowError:
+        raise ValueError(f"moment continuation (k={k}, q={q}) is outside the float range") from None
 
 
 def identity_zeta_term(manifold: ManifoldData, p: int) -> float:

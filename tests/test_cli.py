@@ -416,13 +416,42 @@ class TestHeatTrace:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: --t ")
 
-    def test_quadrature_failure_exit_2(self, capsys, tmp_path):
-        # t = 1e-307 passes the input check, and the n = 2 identity term,
-        # about 1/(4t), is a float; but the integrand's peak sits where r^2
-        # nears the float range, and no quadrature level converges
+    def test_identity_term_near_the_float_maximum(self, capsys, tmp_path, monkeypatch):
+        # at n = 2 the identity term is e^(-t/4) / 2 times the integral of
+        # r tanh(pi r) e^(-t r^2), which is 1/(2t) - 1/24 + O(t).  At
+        # t = 1e-307 the integrand's peak sits where r^2 nears the float
+        # range; the kernel once dropped the nodes whose r^2 overflows, and
+        # the command exited 2 with "did not converge"
         path = one_geodesic_file(tmp_path / "m.json", 2)
+        monkeypatch.setenv("HYPERZETA_PRECISION", "17")
         code, out, err = run_cli(
             capsys, "heat-trace", "--manifold", str(path), "--form", "0", "--t", "1e-307",
+            "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        identity = float(out.splitlines()[1].split(",")[1])
+        want = 0.25 / 1e-307 - 1.0 / 48.0
+        assert abs(identity - want) <= 1e-13 * want
+
+    def test_quadrature_failure_exit_2(self, capsys, tmp_path, monkeypatch):
+        from hyperzeta._kernels import fallback
+
+        integrals = fallback.plancherel_integrals
+
+        def unsure(coeffs):
+            # the kernel's result at each t, reported as not converged
+            integral = integrals(coeffs)
+
+            def at(t):
+                mantissa, delta, level, _, scale = integral(t)
+                return mantissa, delta, level, False, scale
+
+            return at
+
+        monkeypatch.setattr(fallback, "plancherel_integrals", unsure)
+        path = one_geodesic_file(tmp_path / "m.json", 2)
+        code, out, err = run_cli(
+            capsys, "heat-trace", "--manifold", str(path), "--form", "0", "--t", "0.5",
         )
         assert_one_error_line(code, out, err, "did not converge")
 

@@ -908,6 +908,42 @@ class TestMomentBridge:
         with pytest.raises(ValueError):
             zeta_moment_continued(2, 0, 0.0)
 
+    HIGH_K = [(k, q) for k in (5, 15, 27, 50, 75) for q in sorted({0, k // 2, k - 1})]
+
+    @staticmethod
+    def elementary(k, q, beta):
+        # E = sum_l (-1)^(l+1) a_l beta^(l+1) / (l+1), exactly
+        return sum(Fraction(a) * (-beta) ** (l + 1) / (l + 1)
+                   for l, a in enumerate(miatello_coefficients(k, q)))
+
+    @pytest.mark.parametrize("k,q", HIGH_K)
+    def test_fermi_part_against_the_bernoulli_sum(self, k, q):
+        # the continuation is E - 4F, and past k = 20 E alone matches the
+        # moment sum to the float, so F is graded on its own: F = (E -
+        # zeta_moment_sum) / 4 exactly.  Its float node drifted to 2.7e-6
+        # at k = 50 and was nan at k = 75
+        from hyperzeta._kernels import fallback
+
+        beta = q + Fraction(2 * k - 1, 2) ** 2
+        want = (self.elementary(k, q, beta) - zeta_moment_sum(k, q, beta)) / 4
+        mantissa, _, _, converged, scale = fallback.fermi_integral(miatello_coefficients(k, q))
+        got = Fraction(mantissa * math.exp(scale))
+        assert converged and abs(got - want) <= Fraction(1e-12) * want
+
+    @pytest.mark.parametrize("k,q", HIGH_K)
+    def test_continuation_at_high_k(self, k, q):
+        # 3.0e-6 off at k = 25, and QuadratureError from k = 26 on
+        beta = q + Fraction(2 * k - 1, 2) ** 2
+        want = float(zeta_moment_sum(k, q, beta))
+        assert abs(zeta_moment_continued(k, q, beta) - want) <= 1e-15 * abs(want)
+
+    def test_continuation_outside_float_range(self):
+        # at k = 100 E is near 1e400; converting a coefficient to float
+        # raised OverflowError
+        with pytest.raises(ValueError, match=r"^moment continuation \(k=100, q=0\) is outside "
+                                             r"the float range$"):
+            zeta_moment_continued(100, 0, Fraction(199, 2) ** 2)
+
 
 class TestQuadratureErrorPath:
     def test_error_carries_estimate(self, small_spectrum, monkeypatch):

@@ -79,6 +79,30 @@ def mpmath_time_route(lengths, amps, alpha, s) -> float:
         return float(total)
 
 
+def elementary_time_route(lengths, amps, alpha, s: int) -> float:
+    """mpmath_time_route at an integer s, with no quadrature and no Bessel family.
+
+    At integer s the order nu = s - 1/2 is m + 1/2 in modulus, and
+    K_(m+1/2)(z) = sqrt(pi/(2z)) e^-z sum_(j=0..m) (m+j)! / (j! (m-j)!)
+    (2z)^-j (DLMF 10.49.12), a sum of positive terms.  Every class is
+    summed, at 30 digits.
+    """
+    with mpmath.workdps(30):
+        alpha, nu = mpmath.mpf(alpha), mpmath.mpf(s) - mpmath.mpf(0.5)
+        m = abs(2 * s - 1) // 2
+        weights = [mpmath.factorial(m + j) / (mpmath.factorial(j) * mpmath.factorial(m - j))
+                   for j in range(m + 1)]
+        total = mpmath.mpf(0)
+        for l, a in zip(lengths, amps):
+            l = mpmath.mpf(l)
+            z = l * mpmath.sqrt(alpha)
+            k = mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.exp(-z) * mpmath.fsum(
+                w / (2 * z) ** j for j, w in enumerate(weights)
+            )
+            total += a * 2 * (l * l / 4 / alpha) ** (nu / 2) * k
+        return float(total)
+
+
 def _records() -> list[dict]:
     return [
         {

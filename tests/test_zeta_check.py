@@ -175,3 +175,78 @@ def test_golden_table2_reads_the_table_command(monkeypatch):
     assert not result.passed
     assert result.detail.startswith("(n=6,p=1) exact ")
 
+
+
+# --- high n on the command line ----------------------------------------------
+
+
+def _synth(capsys, tmp_path, *argv) -> str:
+    path = str(tmp_path / "m.json")
+    assert main(["synth-spectrum", *argv, "--out", path]) == 0
+    capsys.readouterr()
+    return path
+
+
+def test_n60_recipe_file_identity_against_the_exact_route(capsys, tmp_path, monkeypatch):
+    # the continuation raised QuadratureError from k = 27, so this file
+    # exited 2.  The exact route: Vol chi(1) C(n-1, p) M / (4 2^(4k-4)
+    # Gamma(k)^2), with M the Bernoulli moment sum (the pi's cancel)
+    from fractions import Fraction
+
+    from hyperzeta.manifold import load_manifold
+
+    path = _synth(capsys, tmp_path, "--seed", "5", "--count", "20", "--min-length", "4",
+                  "--dim", "60")
+    monkeypatch.setenv("HYPERZETA_PRECISION", "17")
+    assert main(["zeta-check", "--manifold", path, "--form", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert all(line.endswith("[ok]") for line in out[:3])
+    got = float(out[-1].split("= ")[1].split(";")[0])
+    data, k = load_manifold(path), 30
+    moment = anomaly.zeta_moment_sum(k, 0, Fraction(59, 2) ** 2)
+    want = (Fraction(data.volume) * Fraction(data.chi_one) * moment
+            / (4 * 2 ** (4 * k - 4) * math.factorial(k - 1) ** 2))
+    assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
+
+
+@pytest.mark.parametrize("n,code", [(150, 0), (152, 2)])
+def test_identity_defined_up_to_n150(capsys, tmp_path, n, code):
+    # from n = 152 the float normalisation pi / (2^(4k-4) Gamma(k)^2) underflows
+    path = _synth(capsys, tmp_path, "--seed", "4", "--count", "3", "--max-power", "1",
+                  "--min-length", "1", "--dim", str(n))
+    assert main(["zeta-check", "--manifold", path, "--form", "0"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert (out, err) == ("", f"error: Plancherel normalisation for n={n} is outside "
+                                  "the float range\n")
+    else:
+        assert err == "" and all(line.endswith("[ok]") for line in out.splitlines()[:3])
+
+
+@pytest.mark.parametrize("dim", ["30", "150"])
+def test_mellin_values_below_the_normal_floats_exit_2(capsys, tmp_path, dim):
+    # every class's term underflows (at n = 30 lengths from 20 on; at n = 150
+    # lengths from 7.2, amplitudes near 1e-233): both routes gave 0.0 and
+    # zeta-check graded it "rel=0.000e+00 [ok]"
+    path = _synth(capsys, tmp_path, "--seed", "5", "--count", "3", "--max-power", "1",
+                  "--min-length", "20" if dim == "30" else "1", "--dim", dim)
+    assert main(["zeta-check", "--manifold", path, "--form", "0"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: Bessel-route Mellin value at s=0.3 is outside the float range\n"
+    )
+
+
+def test_mellin_routes_below_the_normal_floats(small_spectrum):
+    from hyperzeta.manifold import GeodesicClass, ManifoldData
+
+    far = ManifoldData(dimension=30, volume=1.0, betti=(1,) + (0,) * 29 + (1,),
+                       geodesics=(GeodesicClass(length=25.0, power=1),))
+    for route in (heat_zeta.mellin_hyperbolic, heat_zeta.mellin_hyperbolic_quadrature):
+        with pytest.raises(ValueError, match=r"Mellin value at s=0\.5 is outside the float range$"):
+            route(far, 0, [0.5])
+    # amplitudes that are all 0.0 still give 0.0
+    silent = dataclasses.replace(
+        small_spectrum, geodesics=(GeodesicClass(length=1.0, power=1, chi=0.0),)
+    )
+    for route in (heat_zeta.mellin_hyperbolic, heat_zeta.mellin_hyperbolic_quadrature):
+        assert route(silent, 0, [0.5, -1.5]) == [0.0, 0.0]
