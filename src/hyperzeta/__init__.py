@@ -12,8 +12,8 @@ pure Python (``hyperzeta.BACKEND`` is always ``"python"``).  Each name is
 imported on first use, and each command of ``cli`` imports what it uses
 inside its handler: an exact process loads no numeric code, and a numeric
 one (``heat-trace``, ``zeta-check``, ``synth-spectrum``) loads no
-``anomaly``.  ``exact`` renders values in integer arithmetic, so only a
-``verify`` process loads mpmath, for its high-precision cross-checks.
+``anomaly``.  ``exact`` renders values in integer arithmetic, and the
+package needs nothing beyond the standard library.
 """
 
 import importlib

@@ -21,8 +21,7 @@ from fractions import Fraction
 
 # Each command imports the package modules it uses inside its handler, so a
 # process loads only its own command's: no numeric command loads the anomaly
-# layer, zeta-check and synth-spectrum load no renderer, and only verify
-# loads mpmath.
+# layer, and zeta-check and synth-spectrum load no renderer.
 from . import FORMATS, __version__
 from .exact import check_dimension
 

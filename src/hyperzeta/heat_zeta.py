@@ -1,9 +1,9 @@
 """Heat-kernel traces and zeta-function machinery on hyperbolic quotients.
 
 The numeric half: double-exponential quadrature of the orbital integrals,
-Bessel-K closed/Mellin forms for the hyperbolic sector, the numeric moment
-continuation and the tanh moment series.  The verification suite checks
-them against the exact half, whose moment routes live in ``anomaly``.
+Bessel-K closed/Mellin forms for the hyperbolic sector and the numeric
+moment continuation.  The verification suite checks them against the exact
+half, whose moment routes live in ``anomaly``.
 
 Conventions.  n = 2k is the (even) dimension, rho0 = (n-1)/2, and the
 spectral shift of the p-sector is alpha = p + rho0^2.  Every sector
@@ -19,10 +19,10 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._kernels import fallback as quadrature
-from .exact import Rational, bernoulli, binomial
+from .exact import binomial
 from .manifold import ManifoldData, _trivial_weights
 from .plancherel import miatello_coefficients
 
@@ -31,7 +31,6 @@ __all__ = [
     "EmptySpectrumWarning",
     "HeatTraceBreakdown",
     "identity_heat_term",
-    "tanh_moment_series_exact",
     "hyperbolic_heat_term",
     "coexact_trace",
     "mellin_hyperbolic",
@@ -103,9 +102,11 @@ def _finite(what: str, value: float) -> float:
     return value
 
 
-def _mellin_value(what: str, value: float, amps: list) -> float:
-    # a Mellin value, once it is a normal float, or 0.0 when every amplitude
-    # is: a value that underflowed would be graded as 0 against 0
+def _normal_sum(what: str, value: float, amps: list) -> float:
+    # a sum over the geodesic amplitudes (a hyperbolic heat term or Mellin
+    # value), once it is a normal float, or 0.0 when every amplitude is: a
+    # sum that underflowed would print a subnormal or a false 0, or be
+    # graded as 0 against 0
     if any(amps) and not sys.float_info.min <= abs(value) <= sys.float_info.max:
         raise ValueError(f"{what} is outside the float range")
     return value
@@ -160,67 +161,6 @@ def identity_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     n, shift = _sector(manifold, p)
     integral = quadrature.plancherel_integral(miatello_coefficients(n // 2, p), float(t))
     return _identity_term(manifold, p, shift, t, integral)
-
-
-# --- tanh moment series ------------------------------------------------------
-
-
-_MAX_SERIES_TERMS = 400
-
-
-def _series_terms(ell: int, t: Fraction) -> Iterator[tuple[int, int]]:
-    # term k = 0, 1, ... as an unreduced integer pair (numerator, denominator
-    # > 0): (-1)^l (1 - 2^-e) B t^k / (k! (l+k+1)) with e = 2l+2k+1, where
-    # the numerator of t^k and the denominator of t^k times k! run along
-    t_num, t_den = 1, 1
-    for k in itertools.count():
-        two_e = 1 << (2 * ell + 2 * k + 1)
-        bern = bernoulli(2 * (ell + k + 1))
-        num = (two_e - 1) * bern.numerator * t_num
-        yield -num if ell % 2 else num, two_e * bern.denominator * t_den * (ell + k + 1)
-        t_num *= t.numerator
-        t_den *= t.denominator * (k + 1)
-
-
-def tanh_moment_series_exact(ell: int, t: Rational) -> tuple[Fraction, Fraction, int]:
-    """Exact-core evaluation of the odd tanh moment's asymptotic expansion.
-
-    integral over R of r^(2l+1) e^(-t r^2) tanh(pi r) dr
-        ~  l! t^(-l-1)  -  sum_k (-1)^l (1 - 2^(-2l-2k-1)) B_{2(l+k+1)} t^k / (k! (l+k+1))
-
-    The series diverges for every t (Bernoulli numbers grow factorially),
-    so it is summed to the smallest-magnitude term.  Terms alternate in
-    sign, and the remainder after a truncation inside the decreasing range
-    is bounded by the first omitted term.
-
-    Returns (value, |first omitted term|, last index summed), all exact.
-    The optimal-index scan is capped at 400 terms, which covers every
-    t >= 0.025 (the optimal index grows like pi^2/t); beyond the cap the
-    remainder bound is still valid, merely not the sharpest available.
-    The terms stay unreduced integer pairs: the scan compares magnitudes
-    by cross-multiplication, and the kept terms and the leading term are
-    summed over one common denominator and reduced once.
-    """
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-
-    terms = _series_terms(ell, t)
-    kept = [next(terms)]
-    for num, den in itertools.islice(terms, _MAX_SERIES_TERMS + 1):
-        if abs(num) * kept[-1][1] >= abs(kept[-1][0]) * den:
-            break
-        kept.append((num, den))
-    else:  # the cap: term 401 is the bound
-        num, den = kept.pop()
-    common = math.lcm(*(d for _, d in kept))
-    total = sum(n * (common // d) for n, d in kept)
-    # l! t^(-l-1) - total / common, over the denominator t_num^(l+1) common
-    lead_num, lead_den = t.denominator ** (ell + 1), t.numerator ** (ell + 1)
-    value = Fraction(math.factorial(ell) * lead_num * common - total * lead_den, lead_den * common)
-    return value, Fraction(abs(num), den), len(kept) - 1
 
 
 # --- hyperbolic sector -------------------------------------------------------
@@ -288,13 +228,14 @@ def hyperbolic_heat_term(manifold: ManifoldData, p: int, t: float) -> float:
     added in blocks until a bound computed from the file shows that the
     rest is below 2^-54 of the sum (docs/numerics.md); the kept terms go
     through a fixed pairwise tree, so results are reproducible to the bit
-    for a given manifold.  A value outside the float range raises
-    ValueError, as in coexact_trace.
+    for a given manifold.  A value outside the normal floats raises
+    ValueError unless every amplitude is 0.0, as in coexact_trace.
     """
     _check_time(t)
     _, shift = _sector(manifold, p)
-    value = _hyperbolic_sum(_heat_blocks(*_geodesic_amplitudes(manifold, p)), shift, t)[0]
-    return _finite(f"heat trace hyperbolic at t={t!r}", value)
+    lengths, amps = _geodesic_amplitudes(manifold, p)
+    value = _hyperbolic_sum(_heat_blocks(lengths, amps), shift, t)[0]
+    return _normal_sum(f"heat trace hyperbolic at t={t!r}", value, amps)
 
 
 @dataclass(frozen=True)
@@ -324,11 +265,12 @@ def coexact_trace(
     b_p - b_{p-1} + ... +- b_0.
 
     Returns one breakdown per entry of ``times``, in order.  Every t is
-    checked before any quadrature runs; an identity part, hyperbolic part
-    or total outside the float range raises ValueError.  The geodesic
-    amplitudes in blocks with their suffix bounds (where each t's geodesic
-    sum stops) and the t-free Plancherel node values are computed once per
-    call and shared by every t.
+    checked before any quadrature runs; an identity or hyperbolic part
+    outside the normal floats (but a hyperbolic 0.0 of all-zero
+    amplitudes), or a total outside the float range, raises ValueError.
+    The geodesic amplitudes in blocks with their suffix bounds (where each
+    t's geodesic sum stops) and the t-free Plancherel node values are
+    computed once per call and shared by every t.
     """
     n, shift = _sector(manifold, p)
     times = list(times)
@@ -340,7 +282,8 @@ def coexact_trace(
     for j in range(p + 1):
         betti += (-1.0 if j % 2 else 1.0) * manifold.betti[p - j]
     identity_integral = quadrature.plancherel_integrals(miatello_coefficients(n // 2, p))
-    blocks = _heat_blocks(*_geodesic_amplitudes(manifold, p))
+    lengths, amps = _geodesic_amplitudes(manifold, p)
+    blocks = _heat_blocks(lengths, amps)
     rows = []
     for t in times:
         row = HeatTraceBreakdown(
@@ -349,8 +292,8 @@ def coexact_trace(
             hyperbolic_part=_hyperbolic_sum(blocks, shift, t)[0],
             betti_part=betti,
         )
-        for part, value in (("hyperbolic", row.hyperbolic_part), ("total", row.total)):
-            _finite(f"heat trace {part} at t={t!r}", value)
+        _normal_sum(f"heat trace hyperbolic at t={t!r}", row.hyperbolic_part, amps)
+        _finite(f"heat trace total at t={t!r}", row.total)
         rows.append(row)
     return rows
 
@@ -528,7 +471,7 @@ def mellin_hyperbolic(
     lengths, amps = _geodesic_amplitudes(manifold, p)
     values, _, _ = _bessel_sums(lengths, amps, alpha, [0.5 - s for s in s_values])
     for s, value in zip(s_values, values):
-        _mellin_value(f"Bessel-route Mellin value at s={s!r}", value, amps)
+        _normal_sum(f"Bessel-route Mellin value at s={s!r}", value, amps)
     return values
 
 
@@ -632,7 +575,7 @@ def mellin_hyperbolic_quadrature(
     for s in s_values:
         value, delta, _, ok = integral(s)
         value = value / math.sqrt(4.0 * math.pi)
-        _mellin_value(f"time-route Mellin value at s={s!r}", value, amps)
+        _normal_sum(f"time-route Mellin value at s={s!r}", value, amps)
         if not ok:
             raise QuadratureError(
                 f"hyperbolic Mellin quadrature did not converge (p={p}, s={s})", delta

@@ -4,9 +4,9 @@ Each check is named, independent, and reports pass/fail with a short
 detail string.  The golden-table checks compare freshly computed exact
 values against the shipped reference file; the cross-route checks pit
 two independent computations of the same quantity against each other
-(series vs quadrature, Bessel form vs time integral, Bernoulli route vs
-direct continuation).  ``fast=True`` drops the quadrature-heavy checks
-but always keeps the golden tables.
+(Bernoulli route vs direct continuation and its Fermi integral, H^n vs
+S^n, Bessel form vs time integral).  ``fast=True`` drops the sphere and
+Mellin checks but always keeps the golden tables.  No check needs mpmath.
 """
 
 from __future__ import annotations
@@ -17,28 +17,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-import mpmath
-
 from . import heat_zeta, manifold
+from ._kernels.fallback import fermi_integral
 from .anomaly import (
     TABLE1_DIMS,
     AnomalySpec,
     alpha_conformal_scalar,
+    alpha_default,
     conformal_anomaly,
     conformal_scalar_anomaly,
     generate_table,
     zeta_moment_sum,
 )
-from .exact import PiValue
+from .exact import PiValue, bernoulli
+from .plancherel import miatello_coefficients
 
 __all__ = [
     "CheckResult",
-    "TanhPair",
     "VerificationError",
     "run_verification",
     "load_golden",
     "float_matches_published",
-    "tanh_series_pairs",
 ]
 
 
@@ -165,126 +164,123 @@ def _check_specialization() -> CheckResult:
     return CheckResult("specialization", True, "scalar route == p-form route, n=2..14")
 
 
+# (k, q, beta) of the continuation cases, and the (k, q) sectors whose Fermi
+# integral is graded on its own
+_BRIDGE_CASES = (
+    (1, 0, Fraction(1, 4)),
+    (2, 1, Fraction(13, 4)),
+    (3, 2, Fraction(29, 4)),
+    (4, 2, Fraction(25, 4)),
+    (5, 4, Fraction(97, 4)),
+)
+_FERMI_SECTORS = ((12, 6), (27, 13), (50, 25), (75, 37), (100, 0), (100, 50), (100, 99))
+
+
+def _fermi_gap(k: int, q: int) -> float:
+    # |log F - log F_exact|, the relative error of F = fermi_integral, in logs
+    # since F leaves the float range at k = 100.  F_exact = (E -
+    # zeta_moment_sum(k, q, beta)) / 4 at every beta; at beta = 0, E = 0
+    mantissa, _, _, ok, scale = fermi_integral(miatello_coefficients(k, q))
+    want = -zeta_moment_sum(k, q, 0) / 4
+    if not (ok and want > 0):
+        return math.inf
+    return abs(math.log(mantissa) + scale - math.log(want.numerator) + math.log(want.denominator))
+
+
 def _check_moment_bridge() -> CheckResult:
     # same spectral moment through exact Bernoulli resummation and through
-    # the Gamma-ratio + Fermi-integral continuation; routes share no code
-    cases = [
-        (1, 0, Fraction(1, 4)),
-        (2, 1, Fraction(13, 4)),
-        (3, 2, Fraction(29, 4)),
-        (4, 2, Fraction(25, 4)),
-        (5, 4, Fraction(97, 4)),
-    ]
+    # the Gamma-ratio + Fermi-integral continuation; routes share no code.
+    # Past k = 20 E alone gives the moment to the float, so the Fermi
+    # integral, which alone witnesses the Bernoulli numbers there, is graded
+    # on its own up to k = 100
     worst = 0.0
-    for k, q, beta in cases:
+    for k, q, beta in _BRIDGE_CASES:
         exact = float(zeta_moment_sum(k, q, beta))
         cont = heat_zeta.zeta_moment_continued(k, q, beta)
-        rel = abs(cont - exact) / max(abs(exact), 1e-300)
-        worst = max(worst, rel)
+        worst = max(worst, abs(cont - exact) / max(abs(exact), 1e-300))
     if worst > 1e-9:
         return CheckResult("moment-bridge", False, f"worst rel diff {worst:.3e} > 1e-9")
-    return CheckResult("moment-bridge", True, f"worst rel diff {worst:.3e}")
-
-
-# The tanh-series comparison: every t pairs with ell = 0..3.
-TANH_TIMES = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 5))
-TANH_ELLS = range(4)
-# Digits carried beyond the widest value/bound ratio at one t.
-TANH_GUARD_DIGITS = 15
-# Largest quadrature error estimate accepted, as a fraction of the bound.
-QUAD_ERROR_GATE = 1e-6
-
-
-@dataclass(frozen=True)
-class TanhPair:
-    """One (ell, t) comparison of the tanh-moment series with quadrature.
-
-    ``quad`` is the integral over R by ``mpmath.quad``; ``err`` is its
-    distance from the truncated series, ``bound`` the series' first omitted
-    term, ``quad_error`` the quadrature's own error estimate and ``dps``
-    the working precision, all at that precision.
-    """
-
-    ell: int
-    t: Fraction
-    quad: mpmath.mpf
-    err: mpmath.mpf
-    bound: mpmath.mpf
-    quad_error: mpmath.mpf
-    dps: int
-
-
-def tanh_series_pairs(t: Fraction) -> list[TanhPair]:
-    """Compare the exact tanh-moment series at t with quadrature, ell = 0..3.
-
-    The working precision is the digit count of the largest
-    |series value| / bound over the four ell, plus TANH_GUARD_DIGITS, so
-    the quadrature resolves every bound with digits to spare.  The four
-    integrands differ only by r^(2 ell + 1), and the four quadratures visit
-    the same nodes.  Each node, keyed by its ``_mpf_`` tuple, holds one
-    running moment r^power e^(-t r^2) tanh(pi r) with its power: the next
-    ell advances it by r^2, so the transcendentals are paid once per node.
-    A moment already past the asked power starts again from r^1.
-    """
-
-    def mpf(q: Fraction) -> mpmath.mpf:
-        return mpmath.mpf(q.numerator) / q.denominator
-
-    series = [heat_zeta.tanh_moment_series_exact(ell, t) for ell in TANH_ELLS]
-    ratio = max(abs(value) / omitted for value, omitted, _ in series)
-    dps = len(str(int(ratio))) + TANH_GUARD_DIGITS
-    pairs = []
-    with mpmath.workdps(dps):
-        tm = mpf(t)
-        moments = {}
-
-        def moment(r, power):
-            # r^power e^(-t r^2) tanh(pi r), from this node's running moment:
-            # it is advanced by r^2, or restarted from r^1 if it is past power
-            # (as a new node is)
-            done, value = moments.get(r._mpf_, (power + 1, None))
-            if done > power:
-                done, value = 1, r * (mpmath.exp(-tm * r * r) * mpmath.tanh(mpmath.pi * r))
-            if done < power:
-                r2 = r * r
-                while done < power:
-                    done, value = done + 2, value * r2
-            moments[r._mpf_] = done, value
-            return value
-
-        for ell, (value, omitted, _) in zip(TANH_ELLS, series):
-            power = 2 * ell + 1
-            half, half_error = mpmath.quad(
-                lambda r: moment(r, power), [0, 8, mpmath.inf], error=True
-            )
-            quad = 2 * half
-            pairs.append(TanhPair(
-                ell, t, quad, abs(quad - mpf(value)), mpf(omitted), 2 * half_error, dps,
-            ))
-    return pairs
-
-
-def _check_tanh_series() -> CheckResult:
-    by_time = [tanh_series_pairs(t) for t in TANH_TIMES]
-    pairs = [pair for at_t in by_time for pair in at_t]
-    for pair in pairs:
-        label = f"ell={pair.ell} t={pair.t}"
-        if pair.err > pair.bound:
+    fermi = 0.0
+    for k, q in _FERMI_SECTORS:
+        gap = _fermi_gap(k, q)
+        if not gap <= 1e-12:
             return CheckResult(
-                "tanh-series", False,
-                f"{label}: err {mpmath.nstr(pair.err, 3)} > bound {mpmath.nstr(pair.bound, 3)}",
+                "moment-bridge", False, f"Fermi integral (k={k}, q={q}) rel diff {gap:.3e} > 1e-12"
             )
-        if pair.quad_error > QUAD_ERROR_GATE * pair.bound:
-            return CheckResult(
-                "tanh-series", False,
-                f"{label}: quadrature error estimate {mpmath.nstr(pair.quad_error, 3)}"
-                f" > {QUAD_ERROR_GATE:g} x bound {mpmath.nstr(pair.bound, 3)}",
-            )
-    worst = max(float(pair.err / pair.bound) for pair in pairs)
-    dps = "/".join(str(at_t[0].dps) for at_t in by_time)
+        fermi = max(fermi, gap)
     return CheckResult(
-        "tanh-series", True,
-        f"series within first-omitted bound, worst err/bound {worst:.2e}, dps {dps}",
+        "moment-bridge", True,
+        f"worst rel diff {worst:.3e}; Fermi integral to k=100 within {fermi:.3e}",
+    )
+
+
+def _sphere_degeneracy(k: int, q: int) -> list[int]:
+    # g_0..g_(2k-1), the coefficients of y prod (y^2 - m^2) over odd m in
+    # 1..2k-1 but 2(k-q)-1: at y = 2 nu, over 4^(k-1) q! (2k-1-q)!, the
+    # degeneracy of the co-exact q-forms on S^(2k) at eigenvalue nu^2 -
+    # (rho0 - q)^2, nu = rho0 + l (Ikeda & Taniguchi)
+    g = [0, 1]
+    for m in range(1, 2 * k, 2):
+        if m != 2 * (k - q) - 1:
+            g = [hi - m * m * lo for lo, hi in zip(g + [0, 0], [0, 0] + g)]
+    return g
+
+
+def _sphere_moment(k: int, q: int, beta: Fraction) -> Fraction:
+    """(-1)^k zeta_moment_sum(k, q, beta), continued from S^(2k): S_q(beta) + Q_q.
+
+    With D(nu) = sum_m e_m nu^m the degeneracy times q! (2k-1-q)!, S_q is
+    the zeta(0) of sum over nu = rho0 + l, l >= 0, of D(nu) (nu^2 - beta)^(-s):
+    -sum_m e_m B_(m+1)(rho0)/(m+1) + sum_(j>=1) beta^j e_(2j-1)/(2j).
+    B_(m+1)(rho0) is stepped up from B_(m+1)(1/2) = (2^-m - 1) B_(m+1) by
+    B_(m+1)(x+1) = B_(m+1)(x) + (m+1) x^m.  Q_q = D(rho0 - q) is the l = -q
+    mode, the one half-integer below rho0 where D does not vanish (none for
+    q = 0).  Every term is over 4^(k-1), as e_m = g_m 2^m / 4^(k-1).
+    """
+    g = _sphere_degeneracy(k, q)
+    odd = [2 * i + 1 for i in range(k - 1)]  # 2x at x = 1/2 .. rho0 - 1
+    powers, squares = list(odd), [y * y for y in odd]
+    total = Fraction(0)
+    for m in range(1, 2 * k, 2):  # D is odd: g_m = 0 at even m
+        hurwitz = (1 - 2**m) * bernoulli(m + 1) / (m + 1) + sum(powers)
+        total += g[m] * ((4 * beta) ** ((m + 1) // 2) / (2 * m + 2) - hurwitz)
+        powers = [y * y2 for y, y2 in zip(powers, squares)]
+    if q:
+        y = 2 * (k - q) - 1
+        total += sum(c * y**m for m, c in enumerate(g))
+    return total / 4 ** (k - 1)
+
+
+def _sphere_cell(n: int, p: int, alpha: Fraction) -> PiValue:
+    # the anomaly of conformal_anomaly, from sphere moments: sector q at
+    # shift alpha - p + q, with its side bracket q - 1 at its own shift
+    k = n // 2
+    moments = [(-1) ** k * _sphere_moment(k, q, alpha - p + q) for q in range(p + 1)]
+    total = sum(
+        (-1) ** (p - q) * math.comb(n - 1, q)
+        * (moments[q] + (Fraction(q, n - p) * moments[q - 1] if q else 0))
+        for q in range(p + 1)
+    )
+    return PiValue(total / (4**k * math.factorial(k - 1)), k)
+
+
+def _check_sphere_continuation() -> CheckResult:
+    # every Table 1 and Table 2 value, then the n = 200 scalar, against S^n
+    cells = [(f"n={n}", n, 0, Fraction(1, 4), conformal_scalar_anomaly(n)) for n in TABLE1_DIMS]
+    cells += [(f"(n={c.dimension},p={c.form_order})", c.dimension, c.form_order,
+               alpha_default(c.dimension, c.form_order), c.result)
+              for c in generate_table("table2") if not c.excluded]
+    cells.append(("n=200", 200, 0, Fraction(1, 4), conformal_scalar_anomaly(200)))
+    for label, n, p, alpha, got in cells:
+        want = _sphere_cell(n, p, alpha)
+        if got != want:
+            return CheckResult(
+                "sphere-continuation", False,
+                f"{label} {got.exact_str()} != sphere {want.exact_str()}",
+            )
+    return CheckResult(
+        "sphere-continuation", True,
+        f"{len(cells)}/{len(cells)} values exact: Tables 1 and 2 and n=200",
     )
 
 
@@ -333,7 +329,7 @@ def run_verification(fast: bool = False, golden_path: str | None = None) -> list
     results.append(_check_specialization())
     results.append(_check_moment_bridge())
     if not fast:
-        results.append(_check_tanh_series())
+        results.append(_check_sphere_continuation())
         checks = _zeta_checks()
         results.append(_check_mellin_vs_bessel(checks))
         results.append(_check_s_scaling(checks[0]))

@@ -19,15 +19,14 @@ from hyperzeta import (
     miatello_coefficients,
 )
 from hyperzeta.verify import (
-    QUAD_ERROR_GATE,
     _check_mellin_vs_bessel,
     _check_s_scaling,
     _check_specialization,
     _zeta_checks,
     float_matches_published,
     load_golden,
-    tanh_series_pairs,
 )
+from tanh_reference import QUAD_ERROR_GATE, tanh_series_pairs
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 

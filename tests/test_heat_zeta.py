@@ -14,7 +14,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import tanh_reference
 from identity_reference import reference_identity_terms
+from tanh_reference import TANH_TIMES, tanh_moment_series_exact
 from test_heat_trace_snapshot import mpmath_identity
 
 from hyperzeta import heat_zeta, manifold
@@ -36,12 +38,10 @@ from hyperzeta.heat_zeta import (
     identity_zeta_term,
     mellin_hyperbolic,
     mellin_hyperbolic_quadrature,
-    tanh_moment_series_exact,
     zeta_moment_continued,
 )
 from hyperzeta.manifold import GeodesicClass, ManifoldData, synth_spectrum, trivial_holonomy_c
 from hyperzeta.plancherel import miatello_coefficients
-from hyperzeta.verify import TANH_TIMES
 
 
 class TestIdentityHeatTerm:
@@ -235,10 +235,30 @@ class TestHighDimension:
                         identity_heat_term(data, p, t)
                     assert not isinstance(err.value, QuadratureError)
 
+    @pytest.mark.parametrize("n", [100, 140, 160])
+    def test_hyperbolic_term_below_normal_floats_raises(self, n):
+        # synth-spectrum --seed 5 --count 3 --max-power 1 --min-length 1: the
+        # sum was the subnormal 7.90505e-322 (0.49% off 7.94396e-322) at
+        # n = 100, and 0.0 at n = 140 and 160
+        geos = synth_spectrum(seed=5, count=3, min_length=1.0, max_power=1, n=n)
+        data = ManifoldData(dimension=n, volume=1.0, betti=(1,) + (0,) * (n - 1) + (1,),
+                            geodesics=tuple(geos))
+        needle = r"^heat trace hyperbolic at t=0\.05 is outside the float range$"
+        with pytest.raises(ValueError, match=needle):
+            hyperbolic_heat_term(data, 0, 0.05)
+        with pytest.raises(ValueError, match=needle):
+            coexact_trace(data, 0, [0.05])
+        # every amplitude 0.0: the sum is 0.0, not outside the float range
+        silent = dataclasses.replace(
+            data, geodesics=tuple(dataclasses.replace(g, chi=0.0) for g in geos)
+        )
+        assert hyperbolic_heat_term(silent, 0, 0.05) == 0.0
+        assert coexact_trace(silent, 0, [0.05])[0].hyperbolic_part == 0.0
+
 
 def series_term(ell, k, t):
-    # term k of the tanh series, from the one statement of it in src
-    return Fraction(*next(itertools.islice(heat_zeta._series_terms(ell, t), k, None)))
+    # term k of the tanh series, from the one statement of it
+    return Fraction(*next(itertools.islice(tanh_reference._series_terms(ell, t), k, None)))
 
 
 def fraction_series(ell, t):
@@ -306,7 +326,7 @@ class TestTanhMomentSeries:
         for t in TANH_TIMES:
             for ell in range(4):
                 _, _, optimal = tanh_moment_series_exact(ell, t)
-                terms = itertools.islice(heat_zeta._series_terms(ell, t), optimal + 2)
+                terms = itertools.islice(tanh_reference._series_terms(ell, t), optimal + 2)
                 for k, (num, den) in enumerate(terms):
                     assert den > 0
                     assert Fraction(num, den) == chained(ell, k, t), (ell, k, t)

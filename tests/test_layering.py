@@ -5,15 +5,16 @@ The exact half is ``exact``, ``plancherel``, ``anomaly`` and ``output``;
 ``_kernels``, ``verify``) only inside the commands that use it, and the
 package ``__init__`` resolves its exports on first use.  So an
 ``anomaly``, ``table`` or ``plancherel`` process never loads a numeric
-module, nor mpmath: ``exact`` renders in integer arithmetic.  The other
-way round, ``cli`` imports the exact half's modules inside the commands
-too: a ``heat-trace``, ``zeta-check`` or ``synth-spectrum`` process loads
-neither mpmath nor ``anomaly``.
+module: ``exact`` renders in integer arithmetic.  The other way round,
+``cli`` imports the exact half's modules inside the commands too: a
+``heat-trace``, ``zeta-check`` or ``synth-spectrum`` process loads no
+``anomaly``.
 
-Beyond the standard library, the package imports only mpmath, and only in
-``verify``; its tests add only pytest and hypothesis.  All three are pure
-Python and mpmath is the one high-precision reference, so the suite
-collects in full on any interpreter that has them.
+The package imports nothing beyond the standard library, and no process of
+any command loads mpmath, ``verify`` included.  The tests add mpmath,
+pytest and hypothesis.  All three are pure Python and mpmath is the one
+high-precision reference, so the suite collects in full on any interpreter
+that has them.
 """
 
 import argparse
@@ -111,7 +112,7 @@ def top_level_imports(tree: ast.Module) -> set[str]:
 
 # what a module may import besides the standard library, by where it lives
 ALLOWED_IMPORTS = {
-    "src": {"hyperzeta", "mpmath"},
+    "src": {"hyperzeta"},
     "tests": {"hyperzeta", "mpmath", "pytest", "hypothesis"},
 }
 
@@ -133,15 +134,15 @@ def test_only_pure_python_dependencies_imported(where):
     assert bad == []
 
 
-def test_only_verify_imports_mpmath():
-    # verify's reference quadrature is the one use; the rest renders and
-    # computes with ints and floats
+def test_no_module_imports_mpmath():
+    # the package renders and computes with ints, Fractions and floats; its
+    # high-precision references live in the tests
     importers = {
         path.relative_to(PACKAGE).as_posix()
         for path in PACKAGE.rglob("*.py")
         if "mpmath" in top_level_imports(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert importers == {"verify.py"}
+    assert importers == set()
 
 
 @pytest.mark.parametrize("source,found", [
@@ -207,11 +208,13 @@ def test_exact_commands_load_no_numeric_module(argv):
     assert USED[argv[0]] in modules
 
 
-def test_verify_loads_mpmath():
-    # so the probe is seen to see mpmath where it is loaded
-    code, modules = loaded_modules(["verify", "--fast"])
+def test_verify_loads_no_mpmath():
+    # the full verify, whose tanh-series quadrature loaded mpmath; the probe
+    # is seen to see loads by the verify module it does load
+    code, modules = loaded_modules(["verify"])
     assert code == 0
-    assert {"mpmath", "hyperzeta.verify"} <= set(modules)
+    assert "hyperzeta.verify" in modules
+    assert "mpmath" not in modules
 
 
 @pytest.mark.parametrize("command,renders", [
@@ -220,7 +223,7 @@ def test_verify_loads_mpmath():
     ("zeta-check", False),
 ])
 def test_numeric_commands_load_no_exact_half_code(tmp_path, command, renders):
-    # the anomaly layer and mpmath were loaded by cli's imports, for nothing
+    # the anomaly layer (and mpmath) were loaded by cli's imports, for nothing
     path = tmp_path / "m.json"
     data = ManifoldData(dimension=4, volume=1.0, betti=(1, 0, 0, 0, 1),
                         geodesics=tuple(synth_spectrum(1, 3, 1.0, 2, 4)))

@@ -1,5 +1,7 @@
-"""Self-checks of verify: the golden-table details, and the tanh-series
-check's precision rule and failure modes."""
+"""Self-checks of verify: the golden-table details; the tanh-series
+reference's precision rule and failure modes (tanh_reference); and the
+moment-bridge and sphere-continuation lines against a wrong Bernoulli
+number or Plancherel coefficient."""
 
 import json
 from fractions import Fraction
@@ -7,11 +9,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hyperzeta import heat_zeta, verify
+import tanh_reference
+from hyperzeta import anomaly, verify
 
 
 def test_chosen_precision_matches_130_digits():
-    pair = verify.tanh_series_pairs(Fraction(1, 20))[0]
+    pair = tanh_reference.tanh_series_pairs(Fraction(1, 20))[0]
     assert (pair.ell, pair.t, pair.dps) == (0, Fraction(1, 20), 101)
     with mpmath.workdps(130):
         reference = 2 * mpmath.quad(
@@ -23,9 +26,11 @@ def test_chosen_precision_matches_130_digits():
 
 def reference_pairs(t):
     # the quadrature with a per-ell integrand r^power * w and w cached per node
-    series = [heat_zeta.tanh_moment_series_exact(ell, t) for ell in verify.TANH_ELLS]
+    series = [
+        tanh_reference.tanh_moment_series_exact(ell, t) for ell in tanh_reference.TANH_ELLS
+    ]
     ratio = max(abs(value) / omitted for value, omitted, _ in series)
-    dps = len(str(int(ratio))) + verify.TANH_GUARD_DIGITS
+    dps = len(str(int(ratio))) + tanh_reference.TANH_GUARD_DIGITS
     pairs = []
     with mpmath.workdps(dps):
         tm, weights = mpmath.mpf(t.numerator) / t.denominator, {}
@@ -35,7 +40,7 @@ def reference_pairs(t):
                 weights[r] = mpmath.exp(-tm * r * r) * mpmath.tanh(mpmath.pi * r)
             return weights[r]
 
-        for ell, (value, omitted, _) in zip(verify.TANH_ELLS, series):
+        for ell, (value, omitted, _) in zip(tanh_reference.TANH_ELLS, series):
             power = 2 * ell + 1
             half, half_error = mpmath.quad(
                 lambda r: r ** power * weight(r), [0, 8, mpmath.inf], error=True
@@ -43,7 +48,7 @@ def reference_pairs(t):
             quad = 2 * half
             exact = mpmath.mpf(value.numerator) / value.denominator
             bound = mpmath.mpf(omitted.numerator) / omitted.denominator
-            pairs.append(verify.TanhPair(
+            pairs.append(tanh_reference.TanhPair(
                 ell, t, quad, abs(quad - exact), bound, 2 * half_error, dps,
             ))
     return pairs
@@ -72,7 +77,7 @@ def test_running_moments_match_per_ell_integrand(monkeypatch, reference_at_one_f
 
     monkeypatch.setattr(mpmath, "quad", counted_quad)
     monkeypatch.setattr(mpmath, "tanh", counted_tanh)
-    got = verify.tanh_series_pairs(Fraction(1, 5))
+    got = tanh_reference.tanh_series_pairs(Fraction(1, 5))
     # one quadrature per ell, and tanh once per distinct node across the four
     assert len(quads) == 4
     assert len(tanhs) == len(nodes)
@@ -81,13 +86,13 @@ def test_running_moments_match_per_ell_integrand(monkeypatch, reference_at_one_f
 
 def test_running_moment_restarts_below_its_power(monkeypatch, reference_at_one_fifth):
     # ell 3 first leaves every node at r^7; ell 0 and ell 1 must restart it
-    monkeypatch.setattr(verify, "TANH_ELLS", (3, 0, 2, 1))
-    shuffled = verify.tanh_series_pairs(Fraction(1, 5))
+    monkeypatch.setattr(tanh_reference, "TANH_ELLS", (3, 0, 2, 1))
+    shuffled = tanh_reference.tanh_series_pairs(Fraction(1, 5))
     assert sorted(shuffled, key=lambda pair: pair.ell) == reference_at_one_fifth
 
 
 def test_series_off_by_twice_the_bound_fails(monkeypatch):
-    exact = heat_zeta.tanh_moment_series_exact
+    exact = tanh_reference.tanh_moment_series_exact
 
     def shifted(ell, t):
         value, omitted, used = exact(ell, t)
@@ -95,8 +100,8 @@ def test_series_off_by_twice_the_bound_fails(monkeypatch):
             value += 2 * omitted
         return value, omitted, used
 
-    monkeypatch.setattr(heat_zeta, "tanh_moment_series_exact", shifted)
-    result = verify._check_tanh_series()
+    monkeypatch.setattr(tanh_reference, "tanh_moment_series_exact", shifted)
+    result = tanh_reference.check_tanh_series()
     assert not result.passed
     assert result.detail.startswith("ell=2 t=1/10: err ")
 
@@ -109,7 +114,7 @@ def test_quadrature_error_estimate_over_gate_fails(monkeypatch):
         return value, abs(value)
 
     monkeypatch.setattr(mpmath, "quad", unsure)
-    result = verify._check_tanh_series()
+    result = tanh_reference.check_tanh_series()
     assert not result.passed
     assert result.detail.startswith("ell=0 t=1/20: quadrature error estimate ")
 
@@ -117,13 +122,13 @@ def test_quadrature_error_estimate_over_gate_fails(monkeypatch):
 def test_reports_largest_margin_and_precision_per_t(monkeypatch):
     def pairs(t):
         return [
-            verify.TanhPair(ell, t, mpmath.mpf(0), mpmath.mpf(ell) / 10, mpmath.mpf(1),
+            tanh_reference.TanhPair(ell, t, mpmath.mpf(0), mpmath.mpf(ell) / 10, mpmath.mpf(1),
                             mpmath.mpf(0), t.denominator)
-            for ell in verify.TANH_ELLS
+            for ell in tanh_reference.TANH_ELLS
         ]
 
-    monkeypatch.setattr(verify, "tanh_series_pairs", pairs)
-    result = verify._check_tanh_series()
+    monkeypatch.setattr(tanh_reference, "tanh_series_pairs", pairs)
+    result = tanh_reference.check_tanh_series()
     assert result.passed
     assert result.detail.endswith("worst err/bound 3.00e-01, dps 20/10/5")
 
@@ -163,3 +168,58 @@ def test_malformed_golden_file_named(tmp_path, text, detail):
     assert verify.run_verification(fast=True, golden_path=str(path))[0] == verify.CheckResult(
         "golden-load", False, detail
     )
+
+
+@pytest.fixture()
+def fresh_exact_caches():
+    # the exact core memoises what it reads of bernoulli and of the Plancherel
+    # coefficients; a patched reader needs empty memos, and leaves none behind
+    caches = (anomaly._bern_weight, anomaly._row_weights, anomaly._prefix_sums)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def failed_lines(results) -> dict:
+    return {r.name: r.detail for r in results if not r.passed}
+
+
+def test_one_wrong_bernoulli_number_fails(monkeypatch, fresh_exact_caches):
+    # B_10 one off, as the exact core reads it: the Fermi integral grade and
+    # the sphere both see it
+    exact = anomaly.bernoulli
+    monkeypatch.setattr(anomaly, "bernoulli", lambda m: exact(m) + (m == 10))
+    failed = failed_lines(verify.run_verification())
+    assert failed["moment-bridge"].startswith("worst rel diff ")
+    assert failed["sphere-continuation"].startswith("n=10 ")
+    assert " != sphere " in failed["sphere-continuation"]
+
+
+def test_one_wrong_plancherel_coefficient_fails(monkeypatch, fresh_exact_caches):
+    # c_0 of sector (k, q) = (5, 2) one off over 4^(k-1): the first cell that
+    # reads it is (n=10, p=2) of Table 2
+    exact = anomaly.integer_coefficients
+
+    def off(k, q):
+        coeffs = exact(k, q)
+        return (coeffs[0] + 1, *coeffs[1:]) if (k, q) == (5, 2) else coeffs
+
+    monkeypatch.setattr(anomaly, "integer_coefficients", off)
+    failed = failed_lines(verify.run_verification())
+    assert failed["sphere-continuation"].startswith("(n=10,p=2) ")
+
+
+def test_fermi_grade_fails_on_a_wrong_plancherel_coefficient(monkeypatch, fresh_exact_caches):
+    # the same fault at (100, 50), a graded sector no table cell reads
+    exact = anomaly.integer_coefficients
+
+    def off(k, q):
+        coeffs = exact(k, q)
+        return (coeffs[0] * 2, *coeffs[1:]) if (k, q) == (100, 50) else coeffs
+
+    monkeypatch.setattr(anomaly, "integer_coefficients", off)
+    result = verify._check_moment_bridge()
+    assert not result.passed
+    assert result.detail.startswith("Fermi integral (k=100, q=50) rel diff ")

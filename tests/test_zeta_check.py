@@ -87,12 +87,8 @@ PASSING = heat_zeta.ZetaCheck(
 )
 
 
-def verify_lines(capsys, monkeypatch, *argv):
-    # every check's line by name; the tanh-series check does not grade a
-    # zeta record, so its 130-digit quadrature is left out
-    monkeypatch.setattr(
-        verify, "_check_tanh_series", lambda: verify.CheckResult("tanh-series", True, "skipped")
-    )
+def verify_lines(capsys, *argv):
+    # every check's line by name
     code = main(["verify", *argv])
     *lines, summary = capsys.readouterr().out.splitlines()
     return code, {line.split()[1]: line for line in lines}, summary
@@ -115,7 +111,7 @@ def test_verify_fails_on_the_record(capsys, monkeypatch, p0, p1, name, detail):
         return records[p]
 
     monkeypatch.setattr(heat_zeta, "zeta_check", patched)
-    code, lines, summary = verify_lines(capsys, monkeypatch)
+    code, lines, summary = verify_lines(capsys)
     assert seen == [(0, (0.3, 0.5, 0.7)), (1, (0.3, 0.5, 0.7))]
     assert code == 1 and summary == "6/7 checks passed"
     assert lines[name].split(None, 2) == ["FAIL", name, detail]
@@ -123,7 +119,7 @@ def test_verify_fails_on_the_record(capsys, monkeypatch, p0, p1, name, detail):
 
 def test_verify_passes_on_a_passing_record(capsys, monkeypatch):
     monkeypatch.setattr(heat_zeta, "zeta_check", lambda manifold, p, s_values: PASSING)
-    code, lines, summary = verify_lines(capsys, monkeypatch)
+    code, lines, summary = verify_lines(capsys)
     assert code == 0 and summary == "7/7 checks passed"
     assert lines["s-scaling"].split(None, 2)[2] == (
         "ratio 10.0000, magnitude 1.00e-08 vs identity 3.00e-02"
@@ -136,7 +132,7 @@ def test_moment_bridge_fails_on_a_drifted_continuation(capsys, monkeypatch):
         heat_zeta, "zeta_moment_continued",
         lambda k, q, beta: continued(k, q, beta) * (1 + 1e-6),
     )
-    code, lines, _ = verify_lines(capsys, monkeypatch, "--fast")
+    code, lines, _ = verify_lines(capsys, "--fast")
     assert code == 1
     status, _, detail = lines["moment-bridge"].split(None, 2)
     assert status == "FAIL"
@@ -151,7 +147,7 @@ def test_specialization_fails_on_a_drifted_scalar_route(capsys, monkeypatch):
         return value * 2 if n == 6 else value
 
     monkeypatch.setattr(verify, "conformal_scalar_anomaly", drifted)
-    code, lines, _ = verify_lines(capsys, monkeypatch, "--fast")
+    code, lines, _ = verify_lines(capsys, "--fast")
     want = verify.conformal_scalar_anomaly(6).exact_str()
     assert code == 1
     assert lines["specialization"].split(None, 2) == [
