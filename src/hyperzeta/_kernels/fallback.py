@@ -1,18 +1,18 @@
 """The package's one quadrature engine and the kernels built on it, in pure Python.
 
-de_integrate is the trapezoid rule on the whole line for a node function
-that decays doubly exponentially, with step halving until two successive
-refinements agree (Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)).
-It takes the node function alone: its step, depth and relative tolerance
-are the fixed constants below, it converges on relative change only, and
-its window is relative to the integrand's own peak.  Every node sum of the
-package is pairwise_sum.
+log_integrate is that engine: the trapezoid rule on the whole line for a
+node function that decays doubly exponentially, with step halving until
+two successive refinements agree (Mori & Sugihara, J. Comput. Appl.
+Math. 127 (2001)).  It takes the node function alone: its step, depth and
+relative tolerance are the fixed constants below, it converges on relative
+change only, and its window is every level-0 node above 2^-54 of the
+integrand's own peak.  Every node sum of the package is pairwise_sum.
 
 Every kernel states its node by one contract, log_node(u) = (log|f(u)|,
-sign), on log_integrate, de_integrate's one caller, which factors the
-largest level-0 node out: no node is cut at a fixed exponent, and one is
-0.0 only where its log is -inf.  The kernels map their integrals to the
-line by a double-exponential change of variables:
+sign), on log_integrate, which scans level 0 once and factors its largest
+node out: no node is cut at a fixed exponent, and one is 0.0 only where
+its log is -inf.  The kernels map their integrals to the line by a
+double-exponential change of variables:
 
   * plancherel_integral and fermi_integral: r = exp((pi/2) sinh u);
   * mellin_time_integral (t = e^u) and bessel_k_integral (t = (z/2) e^u):
@@ -49,7 +49,7 @@ _NODE_TABLE_SIZE = 16384
 # of its stop rule (tail_bounds), which drops a tail below 2^-54 of the sum
 CUT_BLOCK = 64
 # the one relative cut: of a geodesic sum's tail against its partial sum,
-# and of a level-0 node against the largest node of its window
+# and of a level-0 node against the largest node of level 0
 _CUT_REL = 2.0**-54
 _LOG_CUT = math.log(_CUT_REL)
 
@@ -133,118 +133,76 @@ def cut_blocks(amps, *columns) -> list:
     ]
 
 
-def _scan(node, step: float, top: float) -> tuple[list, float]:
-    # level-0 nodes at step, 2 step, ... until three consecutive ones at or
-    # below _CUT_REL of top, the largest finite |node| so far, which the
-    # scan raises as it goes; a nan or inf node is never negligible
-    vals = []
-    run = 0
-    inf = math.inf
-    while len(vals) < _SCAN_LIMIT and run < 3:
-        v = node((len(vals) + 1) * step)
-        vals.append(v)
-        a = abs(v)
-        if top < a < inf:
-            top = a
-        run = run + 1 if a <= _CUT_REL * top else 0
-    return vals, top
-
-
-def _kept(vals: list, floor: float) -> int:
-    # how many of one side's level-0 nodes the window keeps: up to its
-    # outermost node above floor (or not finite), plus one guard past it
-    n = len(vals)
-    while n and abs(vals[n - 1]) <= floor:
-        n -= 1
-    return min(n + 1, len(vals))
-
-
-def de_integrate(node):
-    """Adaptive trapezoid on the whole line for a DE-decaying node function.
-
-    Level 0 scans outward from u = 0 in steps of _H0, first up, then down,
-    each side until three consecutive nodes are at or below 2^-54 (_CUT_REL)
-    of top, the largest finite |node| seen so far, one running value from
-    the centre over both sides.  The window is then trimmed to the nodes
-    above 2^-54 top and one guard node past them on each side; the centre
-    always stays.  A nan or inf node never raises top and never counts as
-    negligible, so it stays in the window.  Deeper levels only add the
-    odd-multiple nodes inside that fixed window, so refinement never moves
-    the window and the node set is deterministic.  Level L converges when
-    it differs from level L-1 by at most _REL_TOL |S|, for L up to
-    _MAX_LEVEL: the one rule, so an integral of any size converges at the
-    level its shape needs.  A non-finite estimate never converges, and it
-    ends the refinement at once: halving the step cannot make it finite
-    again.
-
-    Returns (value, last_delta, level, converged).
-    """
-    center = node(0.0)
-    top = abs(center)
-    if not top < math.inf:
-        top = 0.0
-    pos_vals, top = _scan(node, _H0, top)
-    neg_vals, top = _scan(node, -_H0, top)
-    floor = _CUT_REL * top
-    n_pos = _kept(pos_vals, floor)
-    n_neg = _kept(neg_vals, floor)
-
-    ordered = neg_vals[n_neg - 1::-1] + [center] + pos_vals[:n_pos]
-    total = _H0 * pairwise_sum(ordered)
-    if not math.isfinite(total):
-        return total, math.inf, 0, False
-
-    u_lo = -n_neg * _H0
-    for level in range(1, _MAX_LEVEL + 1):
-        h = _H0 / (1 << level)
-        count = (n_pos + n_neg) << (level - 1)
-        new_vals = [node(u_lo + (2 * j + 1) * h) for j in range(count)]
-        refined = 0.5 * total + h * pairwise_sum(new_vals)
-        delta = abs(refined - total)
-        total = refined
-        if not math.isfinite(total):
-            return total, delta, level, False
-        if delta <= _REL_TOL * abs(total):
-            return total, delta, level, True
-    return total, delta, level, False
-
-
-def log_integrate(log_node):
-    """de_integrate for a node function given as (log|f(u)|, sign), scaled by its peak.
-
-    Level 0 is scanned as de_integrate scans it, with log 2^-54 as the cut;
-    the largest finite log-node, at node c, is the scale, and de_integrate
-    runs unchanged on sign e^(log|f(c + u)| - scale), from 1.0 at u = 0: a
-    node past the float range above the scale is inf, and never converges.
-    Returns (mantissa, delta, level, converged, scale)."""
-    top, centre = -math.inf, 0.0
-    for first, step in ((0, _H0), (1, -_H0)):  # the first node, u = 0, is never negligible
-        run = 0
-        for j in range(first, _SCAN_LIMIT + 1):
-            v = log_node(j * step)[0]
-            if top < v < math.inf:
-                top, centre = v, j * step
-            run = run + 1 if v - top <= _LOG_CUT else 0
-            if run == 3:
-                break
-    exp = math.exp
-
-    def node(u: float) -> float:
-        v, sign = log_node(centre + u)
-        try:
-            return sign * exp(v - top)
-        except OverflowError:
-            return math.inf
-
-    return de_integrate(node) + (top,)
-
-
 def _exp(x: float) -> float:
     # e^x, or inf past the float range
     try:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def log_integrate(log_node):
+    """Adaptive trapezoid on the whole line for a DE-decaying node function, in logs.
+
+    ``log_node(u)`` is (log|f(u)|, sign).  Level 0 is scanned once, outward
+    from u = 0 in steps of _H0, first up, then down, each side until three
+    consecutive log-nodes are at or below log 2^-54 (_LOG_CUT) under top,
+    the largest finite log-node seen so far, one running value from u = 0
+    over both sides.  top is the scale: each node is sign e^(log|f| - top),
+    so the largest level-0 node is 1.0, one that rises more than e^709
+    above it is inf, and one is 0.0 only where its log is -inf.  The window
+    is every scanned node above 2^-54 (_CUT_REL), with one guard node past
+    it on each side; it holds every peak the scan saw.  A nan or inf node
+    never raises top and is never negligible, so it stays in the window.
+    Deeper levels only add the odd-multiple nodes inside that fixed window,
+    so refinement never moves the window and the node set is
+    deterministic.  Level L converges when it differs from level L-1 by at
+    most _REL_TOL |S|, for L up to _MAX_LEVEL: the one rule, so an integral
+    of any size converges at the level its shape needs.  A non-finite
+    estimate never converges, and it ends the refinement at once: halving
+    the step cannot make it finite again.
+
+    Returns (mantissa, delta, level, converged, scale): the integral is
+    mantissa e^scale, and delta is in units of the mantissa.
+    """
+    top = -math.inf
+    sides = []
+    for first, step in ((0, _H0), (1, -_H0)):  # the first node, u = 0, is never negligible
+        side = []
+        run = 0
+        for j in range(first, _SCAN_LIMIT + 1):
+            v, sign = log_node(j * step)
+            side.append((v, sign))
+            if top < v < math.inf:
+                top = v
+            run = run + 1 if v - top <= _LOG_CUT else 0
+            if run == 3:
+                break
+        sides.append(side)
+    up, down = sides
+    level0 = [sign * _exp(v - top) for v, sign in down[::-1] + up]
+    live = [i for i, x in enumerate(level0) if not abs(x) <= _CUT_REL]
+    lo, hi = max(live[0] - 1, 0), min(live[-1] + 1, len(level0) - 1)
+
+    total = _H0 * pairwise_sum(level0[lo:hi + 1])
+    if not math.isfinite(total):
+        return total, math.inf, 0, False, top
+
+    u_lo = (lo - len(down)) * _H0
+    for level in range(1, _MAX_LEVEL + 1):
+        h = _H0 / (1 << level)
+        new_vals = []
+        for j in range((hi - lo) << (level - 1)):
+            v, sign = log_node(u_lo + (2 * j + 1) * h)
+            new_vals.append(sign * _exp(v - top))
+        refined = 0.5 * total + h * pairwise_sum(new_vals)
+        delta = abs(refined - total)
+        total = refined
+        if not math.isfinite(total):
+            return total, delta, level, False, top
+        if delta <= _REL_TOL * abs(total):
+            return total, delta, level, True, top
+    return total, delta, level, False, top
 
 
 def _exp_sinh_weights(coeffs):

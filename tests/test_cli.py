@@ -420,7 +420,7 @@ class TestHeatTrace:
             heat_zeta, "identity_heat_term", lambda *a: calls.append(a) or 1.0
         )
         # the engine every quadrature of the package runs on
-        monkeypatch.setattr(fallback, "de_integrate", lambda *a: calls.append(a))
+        monkeypatch.setattr(fallback, "log_integrate", lambda *a: calls.append(a))
         code, out, err = run_cli(
             capsys, "heat-trace", "--manifold", str(manifold_file),
             "--form", "0", "--t", "1.0", "0.5", "0",
@@ -559,7 +559,7 @@ def test_wrong_holonomy_length_is_a_bad_file(capsys, tmp_path, monkeypatch, comm
         raise AssertionError("quadrature ran on a rejected file")
 
     # the engine every quadrature of the package runs on
-    monkeypatch.setattr(fallback, "de_integrate", no_quadrature)
+    monkeypatch.setattr(fallback, "log_integrate", no_quadrature)
     path = tmp_path / "m.json"
     path.write_text(json.dumps({
         "format_version": 1, "dimension": 4, "volume": 1.0, "betti": [1, 0, 0, 0, 1],
@@ -579,13 +579,13 @@ def test_numeric_commands_need_unit_radius(capsys, tmp_path, monkeypatch, comman
     # the numerics work at R = 1; a radius of 2 printed the same bytes as 1
     from hyperzeta._kernels import fallback
 
-    integrate = fallback.de_integrate
+    integrate = fallback.log_integrate
 
     def unit_only(*args):
         assert radius == 1.0, "quadrature ran on a rejected file"
         return integrate(*args)
 
-    monkeypatch.setattr(fallback, "de_integrate", unit_only)
+    monkeypatch.setattr(fallback, "log_integrate", unit_only)
     path = one_geodesic_file(tmp_path / "m.json", 4)
     path.write_text(json.dumps(dict(json.loads(path.read_text()), radius=radius)))
     subcommand, *rest = command
@@ -730,6 +730,25 @@ class TestZetaCheck:
         )
         assert code == 1
         assert "MISMATCH" in out
+
+    def test_second_peak_of_a_signed_integrand(self, capsys, tmp_path):
+        # at s = -15 the short class's bump, 3.9e-54 of the long one's
+        # amplitude, lies at small t and the long class's at large t.  The
+        # engine once scanned level 0 a second time from the larger peak and
+        # stopped at the first three negligible nodes, so the time route lost
+        # the other bump: quadrature=1.68026e-24 against bessel=3.35973e-24
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "dimension": 2, "volume": 1.0, "betti": [1, 0, 1],
+            "geodesics": [{"length": 0.5, "chi": 3.9e-54}, {"length": 20.0}],
+        }))
+        code, out, err = run_cli(
+            capsys, "zeta-check", "--manifold", str(path), "--s", "-15"
+        )
+        assert (code, err) == (0, "")
+        line = out.splitlines()[0]
+        assert line.startswith("s=-15: bessel=3.35973e-24 ") and line.endswith("[ok]")
+        assert float(line.split("rel=")[1].split()[0]) <= 1e-12
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_nonfinite_s_exit_2(self, capsys, manifold_file, bad):

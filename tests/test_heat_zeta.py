@@ -128,7 +128,7 @@ class TestIdentityHeatTerm:
         # pi / (2^(2n-4) Gamma(n/2)^2) underflows from n = 152 on and its
         # denominator overflows at n = 200; identity_zeta_term raises before
         # any quadrature.  The heat term takes it in logs (TestHighDimension)
-        monkeypatch.setattr(heat_zeta.quadrature, "de_integrate", None)
+        monkeypatch.setattr(heat_zeta.quadrature, "log_integrate", None)
         data = ManifoldData(dimension=n, volume=1.0, betti=(1,) + (0,) * (n - 1) + (1,))
         with pytest.raises(ValueError, match=f"n={n} "):
             identity_zeta_term(data, 0)
@@ -617,7 +617,7 @@ def _forbid_work(monkeypatch):
         raise AssertionError("work ran before the manifold and form order were checked")
 
     for attr in ("plancherel_integral", "plancherel_integrals", "mellin_time_integral",
-                 "mellin_time_integrals", "de_integrate", "pairwise_sum"):
+                 "mellin_time_integrals", "log_integrate", "pairwise_sum"):
         monkeypatch.setattr(heat_zeta.quadrature, attr, no_work)
     for attr in ("_plancherel_norm", "_identity_term", "_geodesic_amplitudes",
                  "_bessel_k_family"):

@@ -8,6 +8,7 @@ that ``zeta-check`` turns it into exit 2 with one ``error:`` line.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -161,9 +162,9 @@ def test_mellin_time_integrals_unequal_sizes_rejected():
         quadrature.mellin_time_integrals([1.0], [], 2.25)
 
 
-def test_de_integrate_step_node_does_not_converge():
-    value, delta, level, converged = quadrature.de_integrate(
-        lambda u: 1.0 if abs(u) < 0.3 else 0.0
+def test_log_integrate_step_node_does_not_converge():
+    mantissa, delta, level, converged, scale = quadrature.log_integrate(
+        lambda u: (0.0 if abs(u) < 0.3 else -math.inf, 1.0)
     )
     assert (level, converged) == (12, False)
     assert delta > 1e-12
@@ -194,7 +195,7 @@ def test_time_route_not_converged_exit_2(capsys, monkeypatch, spectrum_file):
 
 
 def test_continuation_not_converged_exit_2(capsys, monkeypatch, spectrum_file):
-    monkeypatch.setattr(quadrature, "de_integrate", lambda node: (0.0, 1.0, 12, False))
+    monkeypatch.setattr(quadrature, "log_integrate", lambda log_node: (0.0, 1.0, 12, False, 0.0))
     code, out, err = run_cli(capsys, "zeta-check", "--manifold", str(spectrum_file))
     assert (code, out) == (2, "")
     assert err == (

@@ -90,6 +90,31 @@ class TestPlancherelIntegral:
             ))
             assert abs(math.log(mantissa) + scale - want) <= 1e-13  # relative, in the value
 
+    def test_plancherel_integral_past_the_float_range(self):
+        # about 1e300 at n = 6, t = 1e-100: the float node overflowed, and it
+        # returned (inf, inf, 5, True) while inf <= rel_tol * inf, then
+        # (inf, inf, 5, False).  The reference: with tanh(pi r) = 1 the
+        # integral is the sum of a_j j! / (2 t^(j+1)); the rest is minus
+        # twice the integral of r P(r^2) e^(-t r^2) / (1 + e^(2 pi r)), in
+        # which e^(-t r^2) is 1 to 1e-98
+        from hyperzeta.plancherel import miatello_coefficients
+
+        coeffs = miatello_coefficients(3, 0)
+        t = 1e-100
+        mantissa, delta, level, converged, scale = fallback.plancherel_integral(coeffs, t)
+        assert converged
+        with mpmath.workdps(40):
+            a = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
+            tt = mpmath.mpf(t)
+            tanh_one = sum(c * mpmath.factorial(j) / (2 * tt ** (j + 1)) for j, c in enumerate(a))
+            rest = 2 * mpmath.quad(
+                lambda r: r * mpmath.polyval(a[::-1], r * r) / (1 + mpmath.exp(2 * mpmath.pi * r)),
+                [0, mpmath.inf],
+            )
+            want = mpmath.log(tanh_one - rest)
+            assert 690 < want < 691
+            assert abs(math.log(mantissa) + scale - want) <= 1e-12  # relative, in the value
+
 
 def _reference_plancherel(coeffs, t):
     # plancherel_integral as one log-node function per call, with no node
@@ -159,20 +184,20 @@ class TestPlancherelIntegrals:
         coeff_sets = [miatello_coefficients(3, q) for q in range(3)]
         times = (0.05, 40.0, 1e-6, 0.7, 1e-300, 2.5, 0.05, 1e-98)
         windows = []
-        integrate = fallback.de_integrate
+        integrate = fallback.log_integrate
 
-        def recording(node):
+        def recording(log_node):
             seen = []
 
             def wrapped(u):
                 seen.append(u)
-                return node(u)
+                return log_node(u)
 
             result = integrate(wrapped)
             windows.append((min(seen), max(seen)))
             return result
 
-        monkeypatch.setattr(fallback, "de_integrate", recording)
+        monkeypatch.setattr(fallback, "log_integrate", recording)
         monkeypatch.setattr(fallback, "_NODE_TABLE_SIZE", 2000)
         got = []
         for coeffs in coeff_sets:
@@ -197,23 +222,16 @@ class TestLogIntegrate:
     @staticmethod
     def scan_and_result(log_node):
         # (the log-nodes of log_integrate's level-0 scan, its result): the
-        # scan is every call before de_integrate starts
-        calls, integrate = [], fallback.de_integrate
+        # scan is every call before the first one off the level-0 lattice
+        calls = []
 
         def recorded(u):
             calls.append(u)
             return log_node(u)
 
-        def marking(node):
-            calls.append(None)
-            return integrate(node)
-
-        fallback.de_integrate = marking
-        try:
-            result = fallback.log_integrate(recorded)
-        finally:
-            fallback.de_integrate = integrate
-        return calls[:calls.index(None)], result
+        result = fallback.log_integrate(recorded)
+        refined = [i for i, u in enumerate(calls) if not (2.0 * u).is_integer()]
+        return calls[:refined[0] if refined else len(calls)], result
 
     @pytest.mark.parametrize("c", [-2000.0, 0.0, 1500.0])
     def test_far_peak_at_any_scale(self, c):
@@ -254,109 +272,116 @@ class TestLogIntegrate:
         got = mantissa * math.exp(scale - c)
         assert converged and abs(got + math.sqrt(math.pi)) <= 1e-13 * math.sqrt(math.pi)
 
+    def test_second_peak_past_negligible_nodes(self):
+        # two bumps with four level-0 nodes below 2^-54 of the peak between
+        # them (u = 0 to 1.5): the engine once scanned level 0 again from the
+        # larger peak, stopped at the first three such nodes and lost the
+        # other bump, 35.4% low and converged
+        def log_node(u):
+            a, b = -3.0 * (u + 4.0) ** 2, -0.6 - 3.0 * (u - 5.0) ** 2
+            top = max(a, b)
+            return top + math.log1p(math.exp(min(a, b) - top)), 1.0
 
-class TestDeIntegrate:
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+        mantissa, _, _, converged, scale = fallback.log_integrate(log_node)
+        want = math.sqrt(math.pi / 3.0) * (1.0 + math.exp(-0.6))
+        assert converged and abs(mantissa * math.exp(scale) - want) <= 1e-13 * want
+
+    def test_never_negligible_node_is_scanned_to_the_limit(self):
+        # a log-node that never falls is scanned 400 steps each side, to
+        # u = +-200, and level 1 refines that whole window; its midpoints
+        # are inf here, so the estimate stops there, not converged
+        seen = []
+
+        def log_node(u):
+            seen.append(u)
+            return (0.0 if (2.0 * u).is_integer() else math.inf), 1.0
+
+        mantissa, _, level, converged, scale = fallback.log_integrate(log_node)
+        assert (mantissa, level, converged, scale) == (math.inf, 1, False, 0.0)
+        assert sorted(seen) == [0.25 * j for j in range(-800, 801)]
+
+    def test_node_at_the_log_cut_is_negligible(self):
+        # a log-node exactly log 2^-54 under the peak counts toward the
+        # scan's run of three, so each side stops three nodes out
+        cut = math.log(2.0**-54)
+        scan, _ = self.scan_and_result(lambda u: (0.0 if u == 0.0 else cut, 1.0))
+        assert scan == [0.0, 0.5, 1.0, 1.5, -0.5, -1.0, -1.5]
+
+    @pytest.mark.parametrize("bad", [(math.inf, 1.0), (math.inf, -1.0), (math.nan, 1.0)])
     def test_non_finite_estimate_stops_unconverged(self, bad):
         # one level-1 node is not finite; level 2 could only add to it
         seen = []
 
-        def node(u):
+        def log_node(u):
             seen.append(u)
-            return bad if u == 0.25 else math.exp(-u * u)
+            return bad if u == 0.25 else (-u * u, 1.0)
 
-        value, delta, level, converged = fallback.de_integrate(node)
-        assert not math.isfinite(value) and not converged and level == 1
+        mantissa, delta, level, converged, scale = fallback.log_integrate(log_node)
+        assert not math.isfinite(mantissa) and not converged and level == 1
         assert all((4 * u).is_integer() for u in seen)
 
     def test_non_finite_level_zero_stops_there(self):
-        value, delta, level, converged = fallback.de_integrate(
-            lambda u: math.inf if u == 0.0 else math.exp(-u * u)
-        )
-        assert (value, delta, level, converged) == (math.inf, math.inf, 0, False)
+        result = fallback.log_integrate(lambda u: (math.inf if u == 0.0 else -u * u, 1.0))
+        assert result[:4] == (math.inf, math.inf, 0, False)
 
     def test_integrand_below_old_absolute_floor(self):
         # the scan once stopped at nodes below 1e-300 in absolute value, so
-        # this returned 1.7354e-305 (2.1% low) as converged
-        value, _, _, converged = fallback.de_integrate(lambda u: 1e-305 * math.exp(-u * u))
-        want = 1e-305 * math.sqrt(math.pi)
-        assert converged and abs(value - want) <= 1e-15 * want
+        # 1e-305 e^(-u^2) came out as 1.7354e-305 (2.1% low), converged.
+        # Its log-nodes are the logs of those float nodes
+        def log_node(u):
+            v = 1e-305 * math.exp(-u * u)
+            return (math.log(v) if v else -math.inf), 1.0
+
+        mantissa, _, _, converged, scale = fallback.log_integrate(log_node)
+        assert converged and scale == math.log(1e-305)
+        assert abs(mantissa - math.sqrt(math.pi)) <= 1e-15 * math.sqrt(math.pi)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
-        c=st.floats(0.5, 2.0), b=st.floats(0.3, 4.0), m=st.floats(-2.0, 2.0),
-        d=st.floats(0.0, 1.0), pick=st.floats(0.0, 1.0),
+        b=st.integers(1, 16), m=st.integers(-16, 16), a=st.integers(-16, 16),
+        root=st.integers(-24, 24), c=st.integers(-2**20, 2**20),
     )
-    def test_power_of_two_scale_is_exact(self, c, b, m, d, pick):
-        # the window is relative, so 2^k f has f's window, nodes and levels,
-        # for every k that keeps the window's nodes normal
-        def f(u):
-            return c * (1.0 + d * u * u) * math.exp(-b * (u - m) ** 2)
+    def test_added_constant_moves_only_the_scale(self, b, m, a, root, c):
+        # the window is relative, so log|f| + c has f's window, nodes,
+        # levels and mantissa, and its scale moves by c.  The log-node
+        # -(b/4)(u - m/8)^2 + (a/8) u, with a sign change at root/8, is
+        # exact in binary at every node, and so is adding an integer c
+        def log_node(u):
+            return -0.25 * b * (u - 0.125 * m) ** 2 + 0.125 * a * u, \
+                math.copysign(1.0, u - 0.125 * root)
 
-        seen = []
+        def recorded(shift):
+            seen = []
 
-        def recorded(u):
-            v = f(u)
-            seen.append((u, v))
-            return v
+            def node(u):
+                seen.append(u)
+                v, sign = log_node(u)
+                return v + shift, sign
 
-        value, delta, level, converged = fallback.de_integrate(recorded)
-        assert converged
-        # deeper levels visit the odd multiples of 0.25 inside the window only
-        deeper = [u for u, _ in seen if (2.0 * u) % 1.0]
-        lo, hi = min(deeper) - 0.25, max(deeper) + 0.25
-        window = [abs(v) for u, v in seen if lo <= u <= hi]
-        assert min(window) > 0.0
-        # every node and the sums of up to 2^16 of them stay normal
-        k_lo = -1022 - math.frexp(min(window))[1] + 1
-        k_hi = 1024 - 17 - math.frexp(max(window))[1]
-        for k in (k_lo, k_hi, round(k_lo + pick * (k_hi - k_lo))):
-            scale = math.ldexp(1.0, k)
-            got = fallback.de_integrate(lambda u: scale * f(u))
-            assert got == (scale * value, scale * delta, level, converged), k
+            return fallback.log_integrate(node), seen
+
+        (mantissa, delta, level, converged, scale), seen = recorded(0.0)
+        assert scale == max(log_node(u)[0] for u in seen if (2.0 * u).is_integer())
+        shifted, shifted_seen = recorded(float(c))
+        assert shifted == (mantissa, delta, level, converged, scale + c)
+        assert shifted_seen == seen
 
     def test_scale_free(self):
         # the exp-sinh image of integral_0^inf e^-r dr = 1, times c: an
         # absolute tolerance once let c <= 1e-12 converge at level 1, at
-        # 0.99999275 c
-        def node(u):
+        # 0.99999275 c.  A log-node near -690 carries an absolute rounding
+        # near 1e-13
+        def log_node(u):
             x = 0.5 * math.pi * math.sinh(u)
-            if x > 700.0:
-                return 0.0
-            r = math.exp(x)
-            return c * 0.5 * math.pi * math.cosh(u) * r * math.exp(-r)
+            return log_c + math.log(0.5 * math.pi * math.cosh(u)) + x - fallback._exp(x), 1.0
 
         levels = set()
         for c in (1e-300, 1e-200, 1e-20, 1e-12, 1.0, 1e200):
-            value, _, level, converged = fallback.de_integrate(node)
-            assert converged and abs(value - c) <= 1e-15 * c, c
+            log_c = math.log(c)
+            mantissa, _, level, converged, scale = fallback.log_integrate(log_node)
+            assert converged and abs(mantissa * math.exp(scale - log_c) - 1.0) <= 2e-13, c
             levels.add(level)
         assert len(levels) == 1
-
-    def test_plancherel_integral_past_the_float_range(self):
-        # about 1e300 at n = 6, t = 1e-100: the float node overflowed, and it
-        # returned (inf, inf, 5, True) while inf <= rel_tol * inf, then
-        # (inf, inf, 5, False).  The reference: with tanh(pi r) = 1 the
-        # integral is the sum of a_j j! / (2 t^(j+1)); the rest is minus
-        # twice the integral of r P(r^2) e^(-t r^2) / (1 + e^(2 pi r)), in
-        # which e^(-t r^2) is 1 to 1e-98
-        from hyperzeta.plancherel import miatello_coefficients
-
-        coeffs = miatello_coefficients(3, 0)
-        t = 1e-100
-        mantissa, delta, level, converged, scale = fallback.plancherel_integral(coeffs, t)
-        assert converged
-        with mpmath.workdps(40):
-            a = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
-            tt = mpmath.mpf(t)
-            tanh_one = sum(c * mpmath.factorial(j) / (2 * tt ** (j + 1)) for j, c in enumerate(a))
-            rest = 2 * mpmath.quad(
-                lambda r: r * mpmath.polyval(a[::-1], r * r) / (1 + mpmath.exp(2 * mpmath.pi * r)),
-                [0, mpmath.inf],
-            )
-            want = mpmath.log(tanh_one - rest)
-            assert 690 < want < 691
-            assert abs(math.log(mantissa) + scale - want) <= 1e-12  # relative, in the value
 
 
 class TestMellinTimeIntegral:
@@ -654,16 +679,16 @@ class TestWindowWork:
         from hyperzeta.plancherel import miatello_coefficients
 
         visits = []
-        integrate = fallback.de_integrate
+        integrate = fallback.log_integrate
 
-        def counting(node):
+        def counting(log_node):
             def wrapped(u):
                 visits.append(u)
-                return node(u)
+                return log_node(u)
 
             return integrate(wrapped)
 
-        monkeypatch.setattr(fallback, "de_integrate", counting)
+        monkeypatch.setattr(fallback, "log_integrate", counting)
         entries = []
         sinh = math.sinh
         monkeypatch.setattr(math, "sinh", lambda u: entries.append(u) or sinh(u))

@@ -23,7 +23,8 @@ This module builds D_q as a product of Fraction factors, and its Bernoulli
 numbers by the Akiyama-Tanigawa algorithm and its Bernoulli polynomials by
 the binomial sum: nothing from ``exact`` or ``plancherel``.  It asserts
 exact equality on Tables 1 and 2, on the published conformal-scalar
-values written as literals, and on every sector with k <= 25.
+values written as literals, on every sector with k <= 25, and on the
+sectors q in {0, k//2, k-1} at k = 50 and 100.
 """
 
 import functools
@@ -199,3 +200,13 @@ def test_verify_sphere_moment_matches_the_reference():
         for q in sorted({0, k // 2, k - 1}):
             for beta in (Fraction(1, 4), Fraction(7, 3)):
                 assert verify._sphere_moment(k, q, beta) == sphere_moment(k, q, beta), (k, q)
+
+
+def test_three_sectors_at_k_50_and_100():
+    # B_0 .. B_201 by Akiyama-Tanigawa take about 0.1 s
+    for k in (50, 100):
+        rho0_sq = Fraction(2 * k - 1, 2) ** 2
+        for q in (0, k // 2, k - 1):
+            for beta in (Fraction(0), Fraction(7, 3), q + rho0_sq):
+                want = (-1) ** k * zeta_moment_sum(k, q, beta)
+                assert sphere_moment(k, q, beta) == want, (k, q, beta)
