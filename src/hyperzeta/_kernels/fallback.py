@@ -18,11 +18,11 @@ double-exponential change of variables:
   * mellin_time_integral (t = e^u) and bessel_k_integral (t = (z/2) e^u):
     the e^{-at} and e^{-b/t} factors each become doubly exponential in u.
 
-log_integrate, plancherel_integral and fermi_integral return (mantissa,
-last_delta, level, converged, scale) for the value mantissa e^scale, with
-last_delta in units of the mantissa; the other kernels return (value,
-last_delta, level, converged).  Callers decide what to do with a result
-that did not converge.
+log_integrate and every kernel return one shape, (mantissa, last_delta,
+level, converged, scale), for the value mantissa e^scale, with last_delta
+in units of the mantissa; no kernel forms the value as a float.  Callers
+decide what to do with a result that is past the float range or did not
+converge.
 
 The geodesic sums of the package (the heat sum, the Bessel route and the
 time route's geodesic_sum) walk CUT_BLOCK blocks that cut_blocks builds
@@ -314,7 +314,7 @@ def mellin_time_integrals(lengths, amps, alpha: float):
     if ls and (ls[0] < 0.0 or any(a > b for a, b in zip(ls, ls[1:]))):
         raise ValueError("lengths must be nonnegative and ascending")
     if not any(ams):
-        return lambda s: (0.0, 0.0, 0, True)
+        return lambda s: (0.0, 0.0, 0, True, 0.0)
     q0 = 0.25 * ls[0] * ls[0]
     blocks = cut_blocks(ams, [q0 - 0.25 * l * l for l in ls], ams)  # -(q_i - q_0)
     a = float(alpha)
@@ -338,8 +338,7 @@ def mellin_time_integrals(lengths, amps, alpha: float):
                 h = e[2] = geodesic_sum(blocks, e[1])[0] if e[0] > -math.inf else 0.0
             return su * u + e[0] + (math.log(abs(h)) if h else -math.inf), math.copysign(1.0, h)
 
-        mantissa, delta, level, converged, scale = log_integrate(log_node)
-        return mantissa * _exp(scale), delta * _exp(scale), level, converged
+        return log_integrate(log_node)
 
     return at
 
@@ -359,7 +358,7 @@ def bessel_k_integral(nu: float, z: float):
     without it (heat_zeta.bessel_k); it is kept for the kernel timings of
     perfbench/backends.py.  Under t = (z/2) e^w it is (z/2)^-nu e^-z times
     the integral of e^(-nu w - 2z sinh(w/2)^2) over the line, whose
-    log-node is near 0 at its peak at any z, so e^-z costs it no bits.
+    log-node is near 0 at its peak at any z; the factor joins its scale.
     """
     zz, nn = float(z), float(nu)
 
@@ -368,8 +367,7 @@ def bessel_k_integral(nu: float, z: float):
         return -nn * w - 2.0 * zz * half_sinh * half_sinh, 1.0
 
     mantissa, delta, level, converged, scale = log_integrate(log_node)
-    factor = (0.5 * zz) ** -nn * math.exp(-zz) * _exp(scale)
-    return mantissa * factor, delta * factor, level, converged
+    return mantissa, delta, level, converged, scale - nn * math.log(0.5 * zz) - zz
 
 
 def fermi_integral(coeffs):

@@ -104,9 +104,9 @@ def _finite(what: str, value: float) -> float:
 
 def _normal_sum(what: str, value: float, amps: list) -> float:
     # a sum over the geodesic amplitudes (a hyperbolic heat term or Mellin
-    # value), once it is a normal float, or 0.0 when every amplitude is: a
-    # sum that underflowed would print a subnormal or a false 0, or be
-    # graded as 0 against 0
+    # value), or a multiple of chi(1), once it is a normal float, or 0.0
+    # when every amplitude is: a sum that underflowed would print a
+    # subnormal or a false 0, or be graded as 0 against 0
     if any(amps) and not sys.float_info.min <= abs(value) <= sys.float_info.max:
         raise ValueError(f"{what} is outside the float range")
     return value
@@ -565,7 +565,7 @@ def mellin_hyperbolic_quadrature(
     values are computed once per call and shared by every s, and each s
     gets the bits of a call of its own.  A value outside the float range
     raises ValueError, and a quadrature that does not converge
-    QuadratureError.
+    QuadratureError, whose estimate is in units of the kernel's mantissa.
     """
     _, alpha = _sector(manifold, p)
     s_values = _check_mellin_s(s_values)
@@ -573,8 +573,8 @@ def mellin_hyperbolic_quadrature(
     integral = quadrature.mellin_time_integrals(lengths, amps, alpha)
     out = []
     for s in s_values:
-        value, delta, _, ok = integral(s)
-        value = value / math.sqrt(4.0 * math.pi)
+        mantissa, delta, _, ok, scale = integral(s)
+        value = mantissa * quadrature._exp(scale) / math.sqrt(4.0 * math.pi)
         _normal_sum(f"time-route Mellin value at s={s!r}", value, amps)
         if not ok:
             raise QuadratureError(
@@ -620,12 +620,12 @@ def identity_zeta_term(manifold: ManifoldData, p: int) -> float:
     chi(1) Vol/(4 pi) times the Plancherel normalisation and C(n-1, p),
     times zeta_moment_continued of sector p at its shift p + rho0^2: the
     numeric route to the value the exact machinery gives.  A value outside
-    the float range raises ValueError.
+    the normal floats raises ValueError, and chi(1) = 0 gives a zero.
     """
     n, alpha = _sector(manifold, p)
     norm = _plancherel_norm(n // 2) * float(binomial(n - 1, p)) * manifold.chi_one
     value = norm * manifold.volume / (4.0 * math.pi) * zeta_moment_continued(n // 2, p, alpha)
-    return _finite("identity zeta value at s=0", value)
+    return _normal_sum("identity zeta value at s=0", value, [manifold.chi_one])
 
 
 class ZetaCheck(NamedTuple):

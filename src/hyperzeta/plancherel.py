@@ -102,10 +102,10 @@ def tanh_pi(r: float) -> float:
 def plancherel_density(k: int, p: int, r: float) -> float:
     """Plancherel density mu_p(r) at a real spectral parameter r, 0 <= p <= 2k-1.
 
-    The float Horner loop is used wherever every partial product stays a
-    normal double.  Elsewhere (for instance P_p(r^2) alone overflows at
-    large r and n while mu_p(r) does not) the product is formed exactly and
-    rounded once; a density outside the normal floats raises ValueError.
+    The float Horner loop is used wherever the normalisation (below n = 152)
+    and every partial product stay normal doubles.  Elsewhere the product is
+    formed exactly and rounded once; a density outside the normal floats
+    raises ValueError, and r = 0 gives 0.0.
     """
     check_dimension(2 * k)
     if not math.isfinite(r):
@@ -114,21 +114,20 @@ def plancherel_density(k: int, p: int, r: float) -> float:
         norm = math.pi / (2.0 ** (4 * k - 4) * float(half_gamma(2 * k)) ** 2)
     except OverflowError:
         norm = 0.0
-    if not norm >= sys.float_info.min:
-        raise ValueError(f"Plancherel normalisation for n={2 * k} is outside the float range")
     chi = binomial(2 * k - 1, p)  # symmetric in p <-> 2k-1-p already
     coeffs = miatello_coefficients(k, p)
-    r2 = r * r
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * r2 + float(c)
-    head = norm * float(chi) * r
-    body = head * acc
-    value = body * tanh_pi(r)
-    if r == 0.0 or chi == 0:
-        return value
-    if all(sys.float_info.min <= abs(x) <= sys.float_info.max for x in (head, body, value)):
-        return value
+    if r == 0.0:
+        return 0.0
+    if norm >= sys.float_info.min:
+        r2 = r * r
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * r2 + float(c)
+        head = norm * float(chi) * r
+        body = head * acc
+        value = body * tanh_pi(r)
+        if all(sys.float_info.min <= abs(x) <= sys.float_info.max for x in (head, body, value)):
+            return value
     return _density_rounded_once(k, r, chi, coeffs)
 
 

@@ -369,10 +369,21 @@ class TestPlancherel:
         assert_one_error_line(code, out, err, "r=1e+100 ")
 
     def test_density_outside_float_range_exit_2(self, capsys):
+        # from n = 152 the float normalisation underflows; the density's own
+        # range decides, and this one is below the normal floats
+        code, out, err = run_cli(
+            capsys, "plancherel", "--dim", "160", "--form", "0", "--eval", "1e-200"
+        )
+        assert_one_error_line(code, out, err, "r=1e-200 (n=160) is outside the float range")
+
+    def test_density_past_normalisation_underflow(self, capsys):
+        # it exited 2 naming the normalisation's n; 40-digit mpmath gives
+        # 1.07784755280023e-96
         code, out, err = run_cli(
             capsys, "plancherel", "--dim", "160", "--form", "0", "--eval", "1.0"
         )
-        assert_one_error_line(code, out, err, "n=160 ")
+        assert code == 0, err
+        assert "mu(r=1) = 1.07785e-96" in out
 
 
 class TestHeatTrace:
@@ -700,7 +711,10 @@ def test_trivial_weight_past_float_range_exit_2(capsys, tmp_path, command, n, le
      "heat trace hyperbolic at t=0.5 is outside the float range"),
     (("zeta-check",), -1e308, {},
      "identity zeta value at s=0 is outside the float range"),
-], ids=["heat-identity", "heat-hyperbolic", "zeta-identity"])
+    # a subnormal zeta(0), -8.3e-311, printed with exit 0
+    (("zeta-check",), 1e-310, {},
+     "identity zeta value at s=0 is outside the float range"),
+], ids=["heat-identity", "heat-hyperbolic", "zeta-identity", "zeta-identity-subnormal"])
 def test_value_outside_float_range_exit_2(capsys, tmp_path, command, chi_one, entry, needle):
     # each printed inf (or -inf) in a table with exit 0
     path = tmp_path / "m.json"

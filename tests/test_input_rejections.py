@@ -185,7 +185,11 @@ def test_time_route_not_converged_exit_2(capsys, monkeypatch, spectrum_file):
 
     def unsure(lengths, amps, alpha):
         integral = integrals(lengths, amps, alpha)
-        return lambda s: (*integral(s)[:3], False)
+        def at(s):
+            mantissa, delta, level, _, scale = integral(s)
+            return mantissa, delta, level, False, scale
+
+        return at
 
     monkeypatch.setattr(quadrature, "mellin_time_integrals", unsure)
     code, out, err = run_cli(capsys, "zeta-check", "--manifold", str(spectrum_file))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -148,6 +149,13 @@ def _reference_plancherel(coeffs, t):
             return -math.inf, 1.0
 
     return fallback.log_integrate(log_node)
+
+
+def _value(result):
+    # a kernel result (mantissa, delta, level, converged, scale) as the
+    # float mantissa e^scale and whether it converged
+    mantissa, _, _, converged, scale = result
+    return mantissa * math.exp(scale), converged
 
 
 def _bits(result):
@@ -392,7 +400,7 @@ class TestMellinTimeIntegral:
         def integrand(t):
             return amp * t ** (s - 1.5) * mpmath.exp(-alpha * t - l * l / (4 * t))
 
-        value, delta, level, converged = kernels.mellin_time_integral([l], [amp], alpha, s)
+        value, converged = _value(kernels.mellin_time_integral([l], [amp], alpha, s))
         assert converged
         with mpmath.workdps(30):
             want = mpmath.quad(integrand, [0, 1, mpmath.inf])
@@ -401,9 +409,9 @@ class TestMellinTimeIntegral:
     def test_multiple_lengths_additive(self, kernels):
         ls = [1.0, 2.0, 3.5]
         amps = [0.5, -0.25, 1.5]
-        total = kernels.mellin_time_integral(ls, amps, 2.25, 0.4)[0]
+        total = _value(kernels.mellin_time_integral(ls, amps, 2.25, 0.4))[0]
         parts = sum(
-            kernels.mellin_time_integral([l], [a], 2.25, 0.4)[0]
+            _value(kernels.mellin_time_integral([l], [a], 2.25, 0.4))[0]
             for l, a in zip(ls, amps)
         )
         assert math.isclose(total, parts, rel_tol=1e-12)
@@ -415,14 +423,13 @@ class TestMellinTimeIntegral:
             kernels.mellin_time_integral([2.0, 1.0], [1.0, 1.0], 2.25, 0.5)
 
     def test_empty_spectrum(self, kernels):
-        value, delta, level, converged = kernels.mellin_time_integral([], [], 2.25, 0.5)
-        assert value == 0.0 and converged
+        assert kernels.mellin_time_integral([], [], 2.25, 0.5) == (0.0, 0.0, 0, True, 0.0)
 
     def test_s_zero_closed_form(self, kernels):
         # s=0 reduces to the K_{1/2} Gaussian-type integral with the closed
         # form integral = 2 sqrt(pi) e^{-l sqrt(alpha)} / l
         l, alpha = 2.0, 4.0
-        value = kernels.mellin_time_integral([l], [1.0], alpha, 0.0)[0]
+        value = _value(kernels.mellin_time_integral([l], [1.0], alpha, 0.0))[0]
         want = 2.0 * math.sqrt(math.pi) * math.exp(-l * math.sqrt(alpha)) / l
         assert math.isclose(value, want, rel_tol=1e-12)
 
@@ -451,7 +458,7 @@ class TestMellinTimeIntegrals:
                 lengths, amps = heat_zeta._geodesic_amplitudes(data, p)
                 integral = fallback.mellin_time_integrals(lengths, amps, alpha)
                 for s in ELEMENTARY_S:
-                    value, _, _, converged = integral(s)
+                    value, converged = _value(integral(s))
                     want = elementary_time_route(lengths, amps, alpha, s)
                     assert converged and abs(value - want) <= 1e-14 * abs(want), (name, p, s)
 
@@ -462,7 +469,7 @@ class TestMellinTimeIntegrals:
         lengths, amps, alpha = _signed_spectrum(seed)
         integral = fallback.mellin_time_integrals(lengths, amps, alpha)
         for s in ELEMENTARY_S:
-            value, _, _, converged = integral(s)
+            value, converged = _value(integral(s))
             want = elementary_time_route(lengths, amps, alpha, s)
             assert converged and abs(value - want) <= 1e-14 * abs(want), s
 
@@ -486,9 +493,9 @@ class TestMellinTimeIntegrals:
             for p in (0, n // 2 - 1):
                 alpha = p + ((n - 1) / 2) ** 2
                 for s in (0.5, -20.0, 30.0):
-                    value, _, _, converged = fallback.mellin_time_integral(
+                    value, converged = _value(fallback.mellin_time_integral(
                         [length], [1.0], alpha, s
-                    )
+                    ))
                     want = mpmath_time_route([length], [1.0], alpha, s)
                     assert converged and abs(value - want) <= 1e-12 * abs(want), (length, p, s)
 
@@ -512,7 +519,7 @@ class TestMellinTimeIntegrals:
         for alpha in (2.25, 90.25, 1600.0):
             integral = fallback.mellin_time_integrals(lengths, amps, alpha)
             for s in (0.5, -20.0, 30.0):
-                value, _, _, converged = integral(s)
+                value, converged = _value(integral(s))
                 want = mpmath_time_route(lengths, amps, alpha, s)
                 if converged:
                     assert abs(value - want) <= 1e-12 * abs(want), (alpha, s, value, want)
@@ -522,9 +529,9 @@ class TestMellinTimeIntegrals:
     def test_amplitudes_below_old_absolute_floor(self):
         # every node is below 1e-300, which the scan once took as the end of
         # the window: 5.426e-303, not converged at level 12
-        value, _, _, converged = fallback.mellin_time_integral(
+        value, converged = _value(fallback.mellin_time_integral(
             [1.0, 2.0], [1e-302, 2e-302], 2.25, 0.5
-        )
+        ))
         want = 1e-302 * 0.5665691428401685  # the same spectrum at unit amplitude
         assert converged and abs(value - want) <= 1e-15 * want
 
@@ -538,7 +545,7 @@ class TestMellinTimeIntegrals:
         for alpha in (2.25, 90.25, 1600.0):
             integral = fallback.mellin_time_integrals(lengths, amps, alpha)
             for s in (0.5, -20.0, 30.0, 2.5, -1.5):
-                value, _, _, converged = integral(s)
+                value, converged = _value(integral(s))
                 want = mpmath_time_route(lengths, amps, alpha, s)
                 assert converged and abs(value - want) <= 1e-12 * abs(want), (alpha, s)
 
@@ -549,7 +556,7 @@ class TestMellinTimeIntegrals:
         from test_mellin_time_snapshot import mpmath_time_route
 
         lengths, amps, alpha, s = [0.1, 60.0], [1e-300, 1.0], 2.25, 30.0
-        value, _, _, converged = fallback.mellin_time_integrals(lengths, amps, alpha)(s)
+        value, converged = _value(fallback.mellin_time_integrals(lengths, amps, alpha)(s))
         want = mpmath_time_route(lengths, amps, alpha, s)  # about 6.106
         assert converged and abs(value - want) <= 1e-12 * abs(want), (value, want)
 
@@ -561,7 +568,7 @@ class TestMellinTimeIntegrals:
         # carry an absolute rounding near 1e-13
         from test_mellin_time_snapshot import mpmath_time_route
 
-        value, _, _, converged = fallback.mellin_time_integral([0.001], [1e-300], 2.25, s)
+        value, converged = _value(fallback.mellin_time_integral([0.001], [1e-300], 2.25, s))
         want = mpmath_time_route([0.001], [1e-300], 2.25, s)
         assert converged and abs(value - want) <= 5e-14 * want
 
@@ -572,7 +579,7 @@ class TestBesselKIntegral:
         [(0.0, 1.0), (0.5, 1.0), (-0.3, 2.0), (0.2, 0.7), (1.5, 3.0), (0.49, 6.0)],
     )
     def test_against_mpmath_besselk(self, kernels, nu, z):
-        value = kernels.bessel_k_integral(nu, z)[0]
+        value = _value(kernels.bessel_k_integral(nu, z))[0]
         with mpmath.workdps(30):
             nu, z = mpmath.mpf(nu), mpmath.mpf(z)
             want = mpmath.besselk(nu, z) * 2 ** (nu + 1) * z ** (-nu)
@@ -585,7 +592,7 @@ class TestBesselKIntegral:
         # tolerance 1e-12, so level 1 counted as converged: up to 7.2e-2 off.
         # From z = 116 the scan from the peak-blind origin u = 0 saw only
         # 0.0 nodes and returned 0.0 as converged
-        value, _, _, converged = kernels.bessel_k_integral(nu, z)
+        value, converged = _value(kernels.bessel_k_integral(nu, z))
         with mpmath.workdps(30):
             nu, z = mpmath.mpf(nu), mpmath.mpf(z)
             want = mpmath.besselk(nu, z) * 2 ** (nu + 1) * z ** (-nu)
@@ -594,9 +601,43 @@ class TestBesselKIntegral:
     def test_symmetry_through_scaling(self, kernels):
         # K_nu = K_{-nu}: the scale-free integrals differ by (z/2)^{2 nu}
         nu, z = 0.35, 1.4
-        a = kernels.bessel_k_integral(nu, z)[0]
-        b = kernels.bessel_k_integral(-nu, z)[0]
+        a = _value(kernels.bessel_k_integral(nu, z))[0]
+        b = _value(kernels.bessel_k_integral(-nu, z))[0]
         assert math.isclose(a * (z / 2.0) ** (2 * nu), b, rel_tol=1e-12)
+
+
+def _log_time_route(lengths, amps, alpha, s):
+    # log of integral_0^inf t^(s-3/2) e^(-alpha t - l^2/(4t)) dt for one class,
+    # 2 (b/alpha)^(nu/2) K_nu(2 sqrt(alpha b)), nu = s - 1/2, b = l^2/4
+    (l,), (amp,) = lengths, amps
+    nu, a, b = mpmath.mpf(s) - 0.5, mpmath.mpf(alpha), mpmath.mpf(l) ** 2 / 4
+    return mpmath.log(2 * amp * (b / a) ** (nu / 2) * mpmath.besselk(nu, 2 * mpmath.sqrt(a * b)))
+
+
+def _log_bessel_core(nu, z):
+    # log of integral_0^inf t^(-nu-1) e^(-t - z^2/(4t)) dt = 2 (z/2)^-nu K_nu(z)
+    nu, z = mpmath.mpf(nu), mpmath.mpf(z)
+    return mpmath.log(2 * (z / 2) ** -nu * mpmath.besselk(nu, z))
+
+
+class TestPastTheFloatRange:
+    # the time route and the Bessel-K core formed mantissa e^scale in the
+    # kernel: (inf, inf, 5, True) for the first two, and a bare
+    # OverflowError from (z/2)^-nu for the third.  They return the engine's
+    # (mantissa, delta, level, converged, scale), graded here in logs
+    @pytest.mark.parametrize("kernel,args,reference", [
+        ("mellin_time_integral", ([1.0], [1.0], 0.01, 150.0), _log_time_route),
+        ("bessel_k_integral", (60.0, 1e-3), _log_bessel_core),
+        ("bessel_k_integral", (200.0, 1e-3), _log_bessel_core),
+    ], ids=["time-route", "bessel-60", "bessel-200"])
+    def test_log_value_against_mpmath(self, kernel, args, reference):
+        mantissa, delta, level, converged, scale = getattr(fallback, kernel)(*args)
+        assert converged and mantissa > 0 and delta <= 1e-14 * mantissa
+        got = math.log(mantissa) + scale
+        with mpmath.workdps(30):
+            want = reference(*args)
+            assert math.log(sys.float_info.max) < want  # the value itself is past the range
+            assert abs(got - want) <= 1e-15 * abs(want), (got, want)
 
 
 def _recursive_tree_sum(vals, lo, hi):

@@ -5,13 +5,17 @@ scans level 0 once, factors the peak out and refines the trapezoid rule
 level by level, so no kernel needs a cut constant of its own.  These AST
 checks fail if a kernel stops calling ``log_integrate``, if anything else
 calls it, or if any other function under ``src/`` refines a trapezoid
-rule, as the float-node engine beside ``log_integrate`` once did.
+rule, as the float-node engine beside ``log_integrate`` once did.  One
+runtime check more fails if a kernel returns anything but the engine's
+(mantissa, delta, level, converged, scale).
 """
 
 import ast
 import pathlib
 
 import pytest
+
+from hyperzeta._kernels import fallback
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hyperzeta"
 ENGINE = "log_integrate"
@@ -108,6 +112,25 @@ def test_every_kernel_calls_the_engine():
 def test_log_integrate_is_the_one_refinement(path):
     found = refiners((SRC / path).read_text(encoding="utf-8"))
     assert found == ([ENGINE] if path == "_kernels/fallback.py" else [])
+
+
+# one call of each kernel, on an integrand whose value is a normal float
+KERNEL_CALLS = {
+    "plancherel_integrals": lambda kernel: kernel((0.25, 1.0))(0.5),
+    "fermi_integral": lambda kernel: kernel((0.25, 1.0)),
+    "mellin_time_integrals": lambda kernel: kernel([1.0, 2.0], [0.5, -0.25], 2.25)(0.3),
+    "bessel_k_integral": lambda kernel: kernel(0.2, 1.0),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_every_kernel_returns_the_engine_tuple(kernel):
+    # one shape for every kernel, (mantissa, delta, level, converged,
+    # scale): the time route and the Bessel-K core once returned the float
+    # value in a 4-tuple
+    result = KERNEL_CALLS[kernel](getattr(fallback, kernel))
+    assert [type(x) for x in result] == [float, float, int, bool, float], result
+    assert result[3]
 
 
 @pytest.mark.parametrize("source,callers", [

@@ -216,7 +216,11 @@ class TestDensity:
         want = mp_density(n // 2, p, r)
         assert abs(plancherel_density(n // 2, p, r) - want) <= 1e-12 * want
 
-    @pytest.mark.parametrize("n,p", [(2, 0), (12, 3), (40, 19), (150, 0), (150, 74)])
+    @pytest.mark.parametrize("n,p", [
+        (2, 0), (12, 3), (40, 19), (150, 0), (150, 74),
+        # the float normalisation underflows from n = 152 on
+        (152, 0), (152, 75), (160, 0), (160, 79), (200, 0), (200, 99),
+    ])
     @pytest.mark.parametrize(
         "r", [1e-200, 1e-17, 1e-10, 1e-5, 0.01, 0.1, 0.3, 2.5, 40.0, 1e3, 1e30, 1e300]
     )
@@ -241,10 +245,13 @@ class TestDensity:
         with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
             plancherel_density(MAX_DIMENSION // 2 + 1, 0, 1.0)
 
-    def test_normalisation_outside_float_range_rejected(self):
+    def test_normalisation_outside_float_range_rounded_once(self):
         # pi / (2^(4k-4) Gamma(k)^2) is a normal float up to k = 75; above
-        # it underflows to 0, and from k = 99 on Gamma(k)^2 overflows
+        # it underflows to 0, and from k = 99 on Gamma(k)^2 overflows.  The
+        # density raised ValueError naming n there; it is now the exact
+        # product rounded once, and 0.0 at r = 0
         assert plancherel_density(75, 0, 0.3) > 0
         for k in (76, 99, MAX_DIMENSION // 2):
-            with pytest.raises(ValueError, match=f"n={2 * k} "):
-                plancherel_density(k, 0, 0.3)
+            want = mp_density(k, 0, 0.3)
+            assert abs(plancherel_density(k, 0, 0.3) - want) <= 1e-15 * want, k
+            assert repr(plancherel_density(k, 0, 0.0)) == "0.0", k
