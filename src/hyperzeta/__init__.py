@@ -29,7 +29,7 @@ _SOURCES = {
     name: module
     for module, names in (
         ("_kernels", ("BACKEND",)),
-        ("exact", ("Rational", "PiValue", "PiPowerMismatchError", "bernoulli", "binomial")),
+        ("exact", ("Rational", "PiValue", "bernoulli", "binomial")),
         ("plancherel", ("miatello_coefficients", "plancherel_density")),
         ("manifold", ("GeodesicClass", "ManifoldData", "ManifoldFormatError",
                       "load_manifold", "save_manifold", "synth_spectrum")),

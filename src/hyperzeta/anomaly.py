@@ -210,12 +210,6 @@ class AnomalySpec:
             raise ValueError("radius power scale must be positive")
 
 
-def _prefactor(n: int, radius_power_scale: Fraction) -> Fraction:
-    # 1 / ((4 pi)^(n/2) Gamma(n/2) R^n), with the pi part carried separately
-    k = n // 2
-    return Fraction(1, 4**k) / half_gamma(n) / radius_power_scale
-
-
 def conformal_anomaly(spec: AnomalySpec) -> PiValue:
     """Exact anomaly for the given spec; pi exponent is always n/2.
 
@@ -249,7 +243,8 @@ def conformal_scalar_anomaly(n: int) -> PiValue:
         w = Fraction((-1) ** (ell + 1), ell + 1)
         bern = (1 - Fraction(1, 2 ** (2 * ell + 1))) * bernoulli(2 * (ell + 1))
         total += w * coeffs[ell] * (Fraction(1, 2 ** (2 * ell + 2)) + bern)
-    return PiValue(_prefactor(n, Fraction(1)) * total, k)
+    # 1 / ((4 pi)^(n/2) Gamma(n/2)), with the pi part carried separately
+    return PiValue(Fraction(1, 4**k) / half_gamma(n) * total, k)
 
 
 @dataclass(frozen=True)

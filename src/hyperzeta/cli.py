@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast", action="store_true",
         help="skip quadrature-heavy checks; golden tables always run",
     )
-    p_verify.add_argument("--golden", default=None, help="override the golden reference file")
 
     return parser
 
@@ -309,7 +308,7 @@ def cmd_synth_spectrum(args: argparse.Namespace, digits: int) -> int:
 
 def cmd_verify(args: argparse.Namespace, digits: int) -> int:
     from .verify import run_verification
-    results = run_verification(fast=args.fast, golden_path=args.golden)
+    results = run_verification(fast=args.fast)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name.ljust(width)}  {r.detail}")

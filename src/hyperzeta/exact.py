@@ -26,7 +26,6 @@ Rational = Fraction
 __all__ = [
     "Rational",
     "PiValue",
-    "PiPowerMismatchError",
     "bernoulli",
     "binomial",
     "half_gamma",
@@ -140,15 +139,6 @@ def half_gamma(n: int) -> Fraction:
 
 # --- Pi-power values --------------------------------------------------------
 
-
-class PiPowerMismatchError(ValueError):
-    """Raised when adding PiValues with different pi exponents.
-
-    Implicit float coercion would silently destroy exactness; the anomaly
-    pipeline only ever adds like exponents, so a mismatch is a bug.
-    """
-
-
 _PI_VALUE_RE = re.compile(
     r"""^\s*([+-]?\d+)\s*(?:/\s*(\d+))?\s*(?:\*\s*pi\^(-?\d+)\s*)?$""",
     re.VERBOSE,
@@ -160,8 +150,7 @@ class PiValue:
     """Exact value ``coefficient * pi**(-pi_exponent)``.
 
     The zero coefficient normalizes the exponent to 0 so equality is
-    structural.  Addition requires equal exponents (see
-    :class:`PiPowerMismatchError`); scaling by a rational is exact.
+    structural.
     """
 
     coefficient: Fraction
@@ -176,34 +165,6 @@ class PiValue:
             raise ValueError("pi_exponent must be nonnegative")
         if coeff == 0 and self.pi_exponent != 0:
             object.__setattr__(self, "pi_exponent", 0)
-
-    def __add__(self, other: "PiValue") -> "PiValue":
-        if not isinstance(other, PiValue):
-            return NotImplemented
-        if self.coefficient == 0:
-            return other
-        if other.coefficient == 0:
-            return self
-        if self.pi_exponent != other.pi_exponent:
-            raise PiPowerMismatchError(
-                f"cannot add pi^-{self.pi_exponent} and pi^-{other.pi_exponent} terms exactly"
-            )
-        return PiValue(self.coefficient + other.coefficient, self.pi_exponent)
-
-    def __neg__(self) -> "PiValue":
-        return PiValue(-self.coefficient, self.pi_exponent)
-
-    def __sub__(self, other: "PiValue") -> "PiValue":
-        if not isinstance(other, PiValue):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "PiValue":
-        if isinstance(scalar, (int, Fraction)):
-            return PiValue(self.coefficient * scalar, self.pi_exponent)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def exact_str(self) -> str:
         """Lossless ASCII rendering, e.g. ``-67/160 * pi^-2``."""

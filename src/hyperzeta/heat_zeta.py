@@ -620,9 +620,11 @@ def identity_zeta_term(manifold: ManifoldData, p: int) -> float:
     chi(1) Vol/(4 pi) times the Plancherel normalisation and C(n-1, p),
     times zeta_moment_continued of sector p at its shift p + rho0^2: the
     numeric route to the value the exact machinery gives.  A value outside
-    the normal floats raises ValueError, and chi(1) = 0 gives a zero.
+    the normal floats raises ValueError, and chi(1) = 0 gives 0.0.
     """
     n, alpha = _sector(manifold, p)
+    if not manifold.chi_one:
+        return 0.0
     norm = _plancherel_norm(n // 2) * float(binomial(n - 1, p)) * manifold.chi_one
     value = norm * manifold.volume / (4.0 * math.pi) * zeta_moment_continued(n // 2, p, alpha)
     return _normal_sum("identity zeta value at s=0", value, [manifold.chi_one])

@@ -34,15 +34,10 @@ from .plancherel import miatello_coefficients
 
 __all__ = [
     "CheckResult",
-    "VerificationError",
     "run_verification",
     "load_golden",
     "float_matches_published",
 ]
-
-
-class VerificationError(RuntimeError):
-    """Raised when the golden reference file cannot be used at all."""
 
 
 @dataclass(frozen=True)
@@ -52,54 +47,10 @@ class CheckResult:
     detail: str
 
 
-def _check_row(key: str, index: int, row) -> None:
-    # a row must hold what its table's check reads: a valid (n, p) cell (p
-    # is 0 in table1), an exact PiValue string and a finite published float
-    where = f"golden {key}[{index}]"
-    if not isinstance(row, dict):
-        raise VerificationError(f"{where} is not an object")
-    try:
-        n, p = row["n"], row["p"] if key == "table2" else 0
-        if not (type(n) is int and type(p) is int):
-            raise ValueError(f"n={n!r} and p={p!r} must be integers")
-        AnomalySpec(dimension=n, form_order=p, alpha=Fraction(0))
-        PiValue.parse(row["exact"])
-        published = float(row["published_float"])
-        if not math.isfinite(published):
-            raise ValueError(f"published_float {published!r} is not finite")
-    except KeyError as exc:
-        raise VerificationError(f"{where} has no {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise VerificationError(f"{where}: {exc}") from None
-
-
-def load_golden(path: str | None = None) -> dict:
-    """Load the golden reference tables and validate every row."""
-    try:
-        if path is None:
-            ref = resources.files("hyperzeta").joinpath("data/golden_tables.json")
-            text = ref.read_text(encoding="utf-8")
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except OSError as exc:
-        raise VerificationError(f"cannot read golden file: {exc}") from exc
-    try:
-        blob = json.loads(text)
-    # malformed, an integer past Python's digit limit, or nested too deeply
-    except (ValueError, RecursionError) as exc:
-        raise VerificationError(f"golden file is not valid JSON: {exc}") from exc
-    if not isinstance(blob, dict):
-        raise VerificationError("golden file is not a JSON object")
-    for key, size in (("table1", 7), ("table2", 15)):
-        rows = blob.get(key)
-        if not isinstance(rows, list):
-            raise VerificationError(f"golden file has no {key!r} list")
-        if len(rows) != size:
-            raise VerificationError("golden file has wrong table sizes")
-        for index, row in enumerate(rows):
-            _check_row(key, index, row)
-    return blob
+def load_golden() -> dict:
+    """The golden reference tables shipped with the package."""
+    ref = resources.files("hyperzeta").joinpath("data/golden_tables.json")
+    return json.loads(ref.read_text(encoding="utf-8"))
 
 
 def float_matches_published(value: PiValue, published: str) -> bool:
@@ -115,7 +66,7 @@ def float_matches_published(value: PiValue, published: str) -> bool:
 
 
 def _table2_cell(row: dict) -> tuple[str, PiValue]:
-    # the cell the table command prints; _check_row has made (n, p) a populated one
+    # the cell the table command prints
     n, p = row["n"], row["p"]
     (cell,) = generate_table("custom", dims=[n], forms=[p])
     return f"(n={n},p={p})", cell.result
@@ -317,15 +268,8 @@ def _check_s_scaling(check: heat_zeta.ZetaCheck) -> CheckResult:
     return CheckResult("s-scaling", True, f"ratio {ratio:.4f}, magnitude {small:.2e} vs identity {ident:.2e}")
 
 
-def run_verification(fast: bool = False, golden_path: str | None = None) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    try:
-        golden = load_golden(golden_path)
-    except VerificationError as exc:
-        results.append(CheckResult("golden-load", False, str(exc)))
-        golden = None
-    if golden is not None:
-        results += _check_golden_tables(golden)
+def run_verification(fast: bool = False) -> list[CheckResult]:
+    results = _check_golden_tables(load_golden())
     results.append(_check_specialization())
     results.append(_check_moment_bridge())
     if not fast:

@@ -728,6 +728,18 @@ def test_value_outside_float_range_exit_2(capsys, tmp_path, command, chi_one, en
     assert_one_error_line(code, out, err, needle)
 
 
+def test_zero_chi_one_identity_zeta_prints_zero(capsys, tmp_path):
+    # the identity zeta(0) came out as -0.0 and printed as -0
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "dimension": 2, "volume": 10.0, "chi_one": 0.0,
+        "betti": [1, 0, 1], "geodesics": [{"length": 1.5}],
+    }))
+    code, out, _ = run_cli(capsys, "zeta-check", "--manifold", str(path), "--form", "0")
+    assert code == 0
+    assert "identity-sector zeta(0) = 0;" in out
+
+
 class TestZetaCheck:
     def test_default_passes(self, capsys, manifold_file):
         code, out, _ = run_cli(
@@ -1178,81 +1190,13 @@ class TestVerify:
         assert len(checks) == 7 and all(line.startswith("PASS ") for line in checks)
         assert summary.endswith("7/7 checks passed")
 
-    def test_corrupted_golden_named_failure(self, capsys, tmp_path):
-        bad = tmp_path / "golden.json"
-        bad.write_text("{not json")
-        code, out, _ = run_cli(capsys, "verify", "--fast", "--golden", str(bad))
-        assert code == 1
-        assert "FAIL" in out and "golden-load" in out
+    def test_tampered_value_named_failure(self, capsys, monkeypatch):
+        from hyperzeta import verify
 
-    def test_deeply_nested_golden_named_failure(self, capsys, tmp_path):
-        # json.loads raised RecursionError, which ended in a traceback with exit 1
-        bad = tmp_path / "golden.json"
-        bad.write_text("[" * 100_000 + "]" * 100_000)
-        code, out, _ = run_cli(capsys, "verify", "--fast", "--golden", str(bad))
-        assert code == 1
-        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert len(failed) == 1 and "golden-load" in failed[0]
-        assert "golden file is not valid JSON: " in failed[0]
-
-    def test_integer_past_digit_limit_golden_named_failure(self, capsys, tmp_path):
-        # json.loads' ValueError made verify exit 2 with one error line
-        from importlib import resources
-
-        text = resources.files("hyperzeta").joinpath("data/golden_tables.json").read_text()
-        bad = tmp_path / "golden.json"
-        bad.write_text(text.replace('"n": 2', '"n": 1' + "0" * 5000, 1))
-        code, out, _ = run_cli(capsys, "verify", "--fast", "--golden", str(bad))
-        assert code == 1
-        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert len(failed) == 1 and failed[0].split()[1] == "golden-load"
-        assert "golden file is not valid JSON: Exceeds the limit (4300 digits)" in failed[0]
-
-    @pytest.mark.parametrize("key,index,field,value,needle", [
-        ("table2", 3, "exact", "1/0 * pi^-1", "table2[3]: zero denominator: '1/0 * pi^-1'"),
-        ("table1", 2, "exact", None, "table1[2] has no 'exact'"),
-        ("table2", 4, None, 7, "table2[4] is not an object"),
-        ("table1", 0, "n", 2.5, "table1[0]: n=2.5 and p=0 must be integers"),
-        ("table2", 1, "p", "0", "table2[1]: n=4 and p='0' must be integers"),
-        ("table2", 1, "p", 2, "table2[1]: form order must satisfy"),
-        ("table1", 1, "n", 3, "table1[1]: odd dimensions"),
-        ("table1", 6, "published_float", "abc", "table1[6]: could not convert string to float"),
-        ("table2", 0, "published_float", "nan", "table2[0]: published_float nan is not finite"),
-        # ended in an OverflowError traceback
-        ("table1", 3, "published_float", 10**400, "table1[3]: int too large to convert to float"),
-    ])
-    def test_malformed_golden_row_named_failure(
-        self, capsys, tmp_path, key, index, field, value, needle
-    ):
-        # one named golden-load failure (exit 1), not a traceback or a usage error
-        from importlib import resources
-
-        blob = json.loads(
-            resources.files("hyperzeta").joinpath("data/golden_tables.json").read_text()
-        )
-        if field is None:
-            blob[key][index] = value
-        elif value is None:
-            del blob[key][index][field]
-        else:
-            blob[key][index][field] = value
-        bad = tmp_path / "golden.json"
-        bad.write_text(json.dumps(blob))
-        code, out, _ = run_cli(capsys, "verify", "--fast", "--golden", str(bad))
-        assert code == 1
-        (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert line.split()[1] == "golden-load" and needle in line
-
-    def test_tampered_value_named_failure(self, capsys, tmp_path):
-        from importlib import resources
-
-        blob = json.loads(
-            resources.files("hyperzeta").joinpath("data/golden_tables.json").read_text()
-        )
+        blob = verify.load_golden()
         blob["table2"][3]["exact"] = "1/2 * pi^-2"
-        bad = tmp_path / "golden.json"
-        bad.write_text(json.dumps(blob))
-        code, out, _ = run_cli(capsys, "verify", "--fast", "--golden", str(bad))
+        monkeypatch.setattr(verify, "load_golden", lambda: blob)
+        code, out, _ = run_cli(capsys, "verify", "--fast")
         assert code == 1
         assert "golden-table2" in out and "FAIL" in out
 

@@ -344,20 +344,10 @@ class TestLogIntegrate:
         assert converged and scale == math.log(1e-305)
         assert abs(mantissa - math.sqrt(math.pi)) <= 1e-15 * math.sqrt(math.pi)
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(
-        b=st.integers(1, 16), m=st.integers(-16, 16), a=st.integers(-16, 16),
-        root=st.integers(-24, 24), c=st.integers(-2**20, 2**20),
-    )
-    def test_added_constant_moves_only_the_scale(self, b, m, a, root, c):
+    @staticmethod
+    def _assert_constant_moves_only_the_scale(log_node, c):
         # the window is relative, so log|f| + c has f's window, nodes,
-        # levels and mantissa, and its scale moves by c.  The log-node
-        # -(b/4)(u - m/8)^2 + (a/8) u, with a sign change at root/8, is
-        # exact in binary at every node, and so is adding an integer c
-        def log_node(u):
-            return -0.25 * b * (u - 0.125 * m) ** 2 + 0.125 * a * u, \
-                math.copysign(1.0, u - 0.125 * root)
-
+        # levels and mantissa, and its scale moves by c
         def recorded(shift):
             seen = []
 
@@ -373,6 +363,33 @@ class TestLogIntegrate:
         shifted, shifted_seen = recorded(float(c))
         assert shifted == (mantissa, delta, level, converged, scale + c)
         assert shifted_seen == seen
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        b=st.integers(1, 16), m=st.integers(-16, 16), a=st.integers(-16, 16),
+        c=st.integers(-2**20, 2**20),
+    )
+    def test_added_constant_moves_only_the_scale(self, b, m, a, c):
+        # the log-node -(b/4)(u - m/8)^2 + (a/8) u is exact in binary at
+        # every node, and so is adding an integer c
+        def log_node(u):
+            return -0.25 * b * (u - 0.125 * m) ** 2 + 0.125 * a * u, 1.0
+
+        self._assert_constant_moves_only_the_scale(log_node, c)
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(
+        b=st.integers(1, 16), m=st.integers(-16, 16), a=st.integers(-16, 16),
+        root=st.integers(-24, 24), c=st.integers(-2**20, 2**20),
+    )
+    def test_added_constant_moves_only_the_scale_past_a_sign_change(self, b, m, a, root, c):
+        # the same log-node with a sign change at root/8: the scan runs to
+        # the last level, so few examples keep the test short
+        def log_node(u):
+            return -0.25 * b * (u - 0.125 * m) ** 2 + 0.125 * a * u, \
+                math.copysign(1.0, u - 0.125 * root)
+
+        self._assert_constant_moves_only_the_scale(log_node, c)
 
     def test_scale_free(self):
         # the exp-sinh image of integral_0^inf e^-r dr = 1, times c: an

@@ -1,9 +1,9 @@
-"""Self-checks of verify: the golden-table details; the tanh-series
-reference's precision rule and failure modes (tanh_reference); and the
-moment-bridge and sphere-continuation lines against a wrong Bernoulli
-number or Plancherel coefficient."""
+"""Self-checks of verify: the golden-table details and the shipped golden
+file; the tanh-series reference's precision rule and failure modes
+(tanh_reference); and the moment-bridge and sphere-continuation lines
+against a wrong Bernoulli number or Plancherel coefficient."""
 
-import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -133,41 +133,65 @@ def test_reports_largest_margin_and_precision_per_t(monkeypatch):
     assert result.detail.endswith("worst err/bound 3.00e-01, dps 20/10/5")
 
 
-def test_golden_table_details(tmp_path):
+def test_golden_table_details(monkeypatch):
     # both tables, an exact and a float mismatch each, in report order
     blob = verify.load_golden()
     blob["table2"][0]["exact"] = "1/7 * pi^-1"
     blob["table2"][1]["published_float"] = "1.23456"
     blob["table1"][0]["published_float"] = "-9.87654"
     blob["table1"][1]["exact"] = "5/3 * pi^-2"
-    path = tmp_path / "golden.json"
-    path.write_text(json.dumps(blob))
-    assert verify.run_verification(fast=True, golden_path=str(path))[:2] == [
-        verify.CheckResult(
-            "golden-table2", False,
-            "(n=2,p=0) exact -1/12 * pi^-1 != 1/7 * pi^-1; (n=4,p=0) float 0.012243 != 1.23456",
-        ),
-        verify.CheckResult(
-            "golden-table1", False,
-            "n=2 float -0.0265258 != -9.87654; n=4 exact -1/240 * pi^-2 != 5/3 * pi^-2",
-        ),
-    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "load_golden", lambda: blob)
+        assert verify.run_verification(fast=True)[:2] == [
+            verify.CheckResult(
+                "golden-table2", False,
+                "(n=2,p=0) exact -1/12 * pi^-1 != 1/7 * pi^-1; (n=4,p=0) float 0.012243 != 1.23456",
+            ),
+            verify.CheckResult(
+                "golden-table1", False,
+                "n=2 float -0.0265258 != -9.87654; n=4 exact -1/240 * pi^-2 != 5/3 * pi^-2",
+            ),
+        ]
     assert verify.run_verification(fast=True)[:2] == [
         verify.CheckResult("golden-table2", True, "15/15 cells exact, floats to 6 digits"),
         verify.CheckResult("golden-table1", True, "7/7 values exact, floats to 6 digits"),
     ]
 
 
-@pytest.mark.parametrize("text,detail", [
-    ("5", "golden file is not a JSON object"),
-    ('{"table1": 7, "table2": []}', "golden file has no 'table1' list"),
-])
-def test_malformed_golden_file_named(tmp_path, text, detail):
-    path = tmp_path / "golden.json"
-    path.write_text(text)
-    assert verify.run_verification(fast=True, golden_path=str(path))[0] == verify.CheckResult(
-        "golden-load", False, detail
-    )
+def test_shipped_golden_file_is_well_formed():
+    # verify reads the shipped file unchecked: it must be an object holding
+    # 7 table1 and 15 table2 rows, each row an object
+    blob = verify.load_golden()
+    assert isinstance(blob, dict)
+    assert (len(blob["table1"]), len(blob["table2"])) == (7, 15)
+    assert all(isinstance(row, dict) for key in ("table1", "table2") for row in blob[key])
+
+
+_SHIPPED_ROWS = [
+    (key, row) for key in ("table1", "table2") for row in verify.load_golden()[key]
+]
+
+
+@pytest.mark.parametrize(
+    "key,row",
+    _SHIPPED_ROWS,
+    ids=[f"{key}-n{row['n']}-p{row.get('p', 0)}" for key, row in _SHIPPED_ROWS],
+)
+def test_shipped_golden_row_is_well_formed(key, row):
+    # every row holds what its table's check reads: a populated (n, p) cell
+    # (p is 0 in table1), an exact PiValue string and a finite published float
+    n, p = row["n"], row["p"] if key == "table2" else 0
+    assert type(n) is int and type(p) is int
+    anomaly.AnomalySpec(dimension=n, form_order=p, alpha=Fraction(0))
+    verify.PiValue.parse(row["exact"])
+    assert math.isfinite(float(row["published_float"]))
+
+
+def test_shipped_golden_cells_are_distinct():
+    # a repeated (n, p) would leave some published cell unchecked
+    for key in ("table1", "table2"):
+        cells = [(row["n"], row.get("p", 0)) for row in verify.load_golden()[key]]
+        assert len(set(cells)) == len(cells), key
 
 
 @pytest.fixture()

@@ -15,6 +15,7 @@ import pytest
 
 from hyperzeta import anomaly, heat_zeta, verify
 from hyperzeta.cli import main
+from hyperzeta.exact import PiValue
 
 S_VALUES = [0.3, 0.5, 0.77, -1.5]
 
@@ -144,7 +145,7 @@ def test_specialization_fails_on_a_drifted_scalar_route(capsys, monkeypatch):
 
     def drifted(n):
         value = scalar(n)
-        return value * 2 if n == 6 else value
+        return PiValue(value.coefficient * 2, value.pi_exponent) if n == 6 else value
 
     monkeypatch.setattr(verify, "conformal_scalar_anomaly", drifted)
     code, lines, _ = verify_lines(capsys, "--fast")
@@ -164,7 +165,8 @@ def test_golden_table2_reads_the_table_command(monkeypatch):
         got = cell(n, p)
         if (n, p) != (6, 1):
             return got
-        return dataclasses.replace(got, result=got.result * 2)
+        doubled = PiValue(got.result.coefficient * 2, got.result.pi_exponent)
+        return dataclasses.replace(got, result=doubled)
 
     monkeypatch.setattr(anomaly, "_pform_cell", drifted)
     (result,) = [r for r in verify.run_verification(fast=True) if r.name == "golden-table2"]
