@@ -33,7 +33,6 @@ from .exact import (
     Rational,
     bernoulli,
     check_dimension,
-    half_gamma,
 )
 from .plancherel import integer_coefficients, miatello_coefficients
 
@@ -231,20 +230,25 @@ def conformal_scalar_anomaly(n: int) -> PiValue:
         1/((4 pi)^(n/2) Gamma(n/2)) * sum_l (-1)^(l+1)/(l+1) a_{2l}
             [2^(-2l-2) + (1 - 2^(-2l-1)) B_{2(l+1)}]
 
-    with a_{2l} the 0-form coefficients.  Deliberately not implemented by
+    with a_{2l} the 0-form coefficients.  Each term is one integer pair,
+    (-1)^(l+1) a_l [bd + 2 (2^(2l+1) - 1) bn] over (l+1) 2^(2l+2) bd with
+    B_{2(l+1)} = bn/bd, and the terms add over the lcm of their denominators,
+    reduced once with the prefactor.  Deliberately not implemented by
     calling conformal_anomaly, so the equality of the two routes is a real
     regression check (see the specialization test).
     """
     check_dimension(n)
     k = n // 2
-    coeffs = miatello_coefficients(k, 0)
-    total = Fraction(0)
-    for ell in range(k):
-        w = Fraction((-1) ** (ell + 1), ell + 1)
-        bern = (1 - Fraction(1, 2 ** (2 * ell + 1))) * bernoulli(2 * (ell + 1))
-        total += w * coeffs[ell] * (Fraction(1, 2 ** (2 * ell + 2)) + bern)
+    terms = []
+    for ell, a in enumerate(miatello_coefficients(k, 0)):
+        b = bernoulli(2 * (ell + 1))
+        num = a.numerator * (b.denominator + 2 * (2 ** (2 * ell + 1) - 1) * b.numerator)
+        terms.append((-num if ell % 2 == 0 else num,
+                      (ell + 1) * a.denominator * 2 ** (2 * ell + 2) * b.denominator))
+    den = math.lcm(*(d for _, d in terms))
+    total = sum(num * (den // d) for num, d in terms)
     # 1 / ((4 pi)^(n/2) Gamma(n/2)), with the pi part carried separately
-    return PiValue(Fraction(1, 4**k) / half_gamma(n) * total, k)
+    return PiValue(Fraction(total, den * 4**k * math.factorial(k - 1)), k)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from hyperzeta.anomaly import (
     generate_table,
     zeta_identity_zero_total,
 )
-from hyperzeta.exact import PiValue
+from hyperzeta.exact import PiValue, bernoulli, half_gamma
 from hyperzeta.plancherel import miatello_coefficients
 
 
@@ -123,6 +123,24 @@ class TestGoldenTables:
         assert conformal_scalar_anomaly(14) == PiValue.parse(
             "-157009/232243200 * pi^-7"
         )
+
+
+def fraction_loop_scalar(n):
+    """conformal_scalar_anomaly as a plain Fraction loop over l (the former implementation)."""
+    k = n // 2
+    coeffs = miatello_coefficients(k, 0)
+    total = Fraction(0)
+    for ell in range(k):
+        w = Fraction((-1) ** (ell + 1), ell + 1)
+        bern = (1 - Fraction(1, 2 ** (2 * ell + 1))) * bernoulli(2 * (ell + 1))
+        total += w * coeffs[ell] * (Fraction(1, 2 ** (2 * ell + 2)) + bern)
+    return PiValue(Fraction(1, 4**k) / half_gamma(n) * total, k)
+
+
+class TestScalarClosedForm:
+    def test_equals_fraction_loop_to_the_cap(self):
+        for n in range(2, MAX_DIMENSION + 1, 2):
+            assert conformal_scalar_anomaly(n) == fraction_loop_scalar(n), n
 
 
 class TestSpecialization:

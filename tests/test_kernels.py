@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -655,6 +656,48 @@ class TestPastTheFloatRange:
             want = reference(*args)
             assert math.log(sys.float_info.max) < want  # the value itself is past the range
             assert abs(got - want) <= 1e-15 * abs(want), (got, want)
+
+
+class TestLogPoly:
+    # the Fermi kernel's log P(e^(2x)): Horner's rule on coefficients
+    # scaled once per call, graded in logs since P leaves the float range
+    XS = sorted({sign * x for x in (0.0, 1e-3, 0.37, 1.0, 2.5, 7.1, 13.3, 20.0, 4700.0)
+                 for sign in (1.0, -1.0)})
+
+    def test_scaled_coefficients_up_to_the_cap(self):
+        # integer_coefficients(k, q) is miatello_coefficients(k, q) times
+        # 4^(k-1), a common factor that mid absorbs, and builds no Fraction
+        from hyperzeta.exact import MAX_DIMENSION
+        from hyperzeta.plancherel import integer_coefficients
+
+        for k in range(1, MAX_DIMENSION // 2 + 1):
+            for q in range(k):
+                _, scaled = fallback._scaled_coeffs(integer_coefficients(k, q))
+                assert all(-400.0 <= math.log(d) <= 400.0 for d in scaled), (k, q)
+
+    def test_span_above_the_limit_raises(self):
+        coeffs = (Fraction(1, 10**300), Fraction(1), Fraction(10**300))  # span 600 log 10
+        with pytest.raises(ValueError, match=r"^coefficient logs span 1381\.6, above "):
+            fallback._log_poly(coeffs)
+        with pytest.raises(ValueError, match=r"^coefficient logs span 1381\.6, above "):
+            fallback.fermi_integral(coeffs)
+
+    @pytest.mark.parametrize("k,q", [(k, q) for k in (1, 2, 12, 50, 100)
+                                     for q in sorted({0, k // 2, k - 1})])
+    def test_against_mpmath(self, k, q):
+        # a few ulps of the log: log P reaches about 4000 at x = 20 and
+        # 930,000 at x = 4700, where r^2 is past the float range
+        from hyperzeta.plancherel import miatello_coefficients
+
+        coeffs = miatello_coefficients(k, q)
+        log_p = fallback._log_poly(coeffs)
+        with mpmath.workdps(40):
+            poly = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+            for x in self.XS:
+                got = log_p(x)
+                want = mpmath.log(mpmath.polyval(poly, mpmath.exp(2 * mpmath.mpf(x))))
+                assert math.isfinite(got)
+                assert abs(got - want) <= 2.0**-50 * (1 + abs(want)), (x, got, want)
 
 
 def _recursive_tree_sum(vals, lo, hi):
