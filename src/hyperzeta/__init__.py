@@ -20,6 +20,10 @@ import importlib
 
 __version__ = "0.1.0"
 
+# the one quadrature implementation, in pure Python; a constant here, so
+# reading it loads no numeric code
+BACKEND = "python"
+
 # the table formats: output renders them and cli offers them as --format
 # choices, so building the parser loads no renderer
 FORMATS = ("markdown", "csv", "plain")
@@ -28,8 +32,7 @@ FORMATS = ("markdown", "csv", "plain")
 _SOURCES = {
     name: module
     for module, names in (
-        ("_kernels", ("BACKEND",)),
-        ("exact", ("Rational", "PiValue", "bernoulli", "binomial")),
+        ("exact", ("PiValue", "bernoulli")),
         ("plancherel", ("miatello_coefficients", "plancherel_density")),
         ("manifold", ("GeodesicClass", "ManifoldData", "ManifoldFormatError",
                       "load_manifold", "save_manifold", "synth_spectrum")),
@@ -43,7 +46,7 @@ _SOURCES = {
     for name in names
 }
 
-__all__ = ["__version__", *_SOURCES]
+__all__ = ["__version__", "BACKEND", *_SOURCES]
 
 
 def __getattr__(name: str):

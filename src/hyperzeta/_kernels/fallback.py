@@ -20,7 +20,7 @@ double-exponential change of variables:
 
 Both r-kernels read P(r^2) in logs, so no coefficient is made a float
 (they reach 1e315 at k = 100).  plancherel_integrals takes a log-sum-exp
-over log c_l + 2 l x, whose bits heat_trace_snapshot.json pins.
+over log c_l + 2 l x in its node, whose bits heat_trace_snapshot.json pins.
 fermi_integral takes _log_poly, Horner's rule on coefficients scaled once
 per call into e^(+-362) at the cap, in k multiply-adds per node; within
 1.3 eps (1 + |log P|) of 40-digit mpmath.
@@ -217,22 +217,6 @@ def log_integrate(log_node):
     return total, delta, level, False, top
 
 
-def _exp_sinh_weights(coeffs):
-    # node u of r = e^x, x = (pi/2) sinh u, for P's positive coefficients c_l
-    # in powers of r^2: (x, r^2 or inf, (pi/2) cosh u P(r^2) e^-top, top), with
-    # log P(r^2) a log-sum-exp over log c_l + 2 l x, never c_l as a float
-    terms = [(log_c, 2.0 * l) for l, log_c in enumerate(_log_coeffs(coeffs))]
-
-    def weights(u: float) -> tuple:
-        x = _HALF_PI * math.sinh(u)
-        logs = [log_c + two_l * x for log_c, two_l in terms]
-        top = max(logs)  # log P(r^2) = top + log p_top
-        p_top = math.fsum([math.exp(v - top) for v in logs])
-        return x, _exp(x + x), _HALF_PI * math.cosh(u) * p_top, top
-
-    return weights
-
-
 def plancherel_integrals(coeffs):
     """plancherel_integral for one coefficient set, as one function of t.
 
@@ -244,11 +228,17 @@ def plancherel_integrals(coeffs):
     y = pi r, is -expm1(-2y) / (1 + e^(-2y)), and its log is the series
     log pi + x - y^2/3 below y = 1e-5, where r may underflow.
     """
-    weights = _exp_sinh_weights(coeffs)
+    terms = [(log_c, 2.0 * l) for l, log_c in enumerate(_log_coeffs(coeffs))]
     entries = {}  # u -> (r^2, log w, x)
 
     def entry(u: float) -> tuple:
-        x, r2, weight, top = weights(u)
+        # x = (pi/2) sinh u, and weight is (pi/2) cosh u P(r^2) e^-top: log P(r^2)
+        # is a log-sum-exp over log c_l + 2 l x, never c_l as a float
+        x = _HALF_PI * math.sinh(u)
+        logs = [log_c + two_l * x for log_c, two_l in terms]
+        top = max(logs)
+        weight = _HALF_PI * math.cosh(u) * math.fsum([math.exp(v - top) for v in logs])
+        r2 = _exp(x + x)
         y = math.pi * math.sqrt(r2)
         if y < 1e-5:
             return r2, math.log(math.pi * weight) + 3.0 * x + top - y * y / 3.0, x

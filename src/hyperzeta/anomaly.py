@@ -27,13 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (
-    MAX_DIMENSION,
-    PiValue,
-    Rational,
-    bernoulli,
-    check_dimension,
-)
+from .exact import MAX_DIMENSION, PiValue, bernoulli, check_dimension
 from .plancherel import integer_coefficients, miatello_coefficients
 
 __all__ = [
@@ -81,7 +75,7 @@ def alpha_conformal_scalar(n: int) -> Fraction:
     return alpha
 
 
-def alpha_massive_scalar(n: int, mass_sq_R_sq: Rational) -> Fraction:
+def alpha_massive_scalar(n: int, mass_sq_R_sq: Fraction) -> Fraction:
     """Shift for a minimally coupled massive scalar: rho0^2 + m^2 R^2."""
     check_dimension(n)
     mass_sq_R_sq = Fraction(mass_sq_R_sq)
@@ -143,7 +137,7 @@ def _moment_parts(k: int, q: int, x: int, d: int) -> tuple[int, int]:
     return bern_num * pow_den + pow_num * x * bern_den, bern_den * pow_den * 4 ** (k - 1)
 
 
-def zeta_identity_zero_total(n: int, p: int, alpha: Rational) -> Fraction:
+def zeta_identity_zero_total(n: int, p: int, alpha: Fraction) -> Fraction:
     """Sum over j = 0..p of the identity-sector zeta(0) contributions.
 
     With c = alpha - p, term j is sector q = p - j at shift c + q, and its
@@ -173,7 +167,7 @@ def _prefix_sums(k: int, q: int, x: int, d: int) -> tuple[int, int, int, int]:
     return chi * main - a, q * chi * side - b, main, den
 
 
-def zeta_moment_sum(k: int, q: int, beta: Rational) -> Fraction:
+def zeta_moment_sum(k: int, q: int, beta: Fraction) -> Fraction:
     """Exact s=0 value of the continued sector moment functional.
 
     sum over l of a_{2l}^{(q)} (-1)^(l+1)/(l+1) [(1-2^(-2l-1)) B_{2(l+1)} + beta^(l+1)],

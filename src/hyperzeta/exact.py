@@ -1,10 +1,10 @@
-"""Exact rational arithmetic: Bernoulli numbers, binomials, and pi-power values.
+"""Exact rational arithmetic: Bernoulli numbers and pi-power values.
 
 Every quantity feeding the anomaly formula is kept exact.  The universal
-scalar is :class:`fractions.Fraction` (aliased ``Rational``): arbitrary
-precision, always in lowest terms, positive denominator.  Final results
-are carried as :class:`PiValue`, a rational multiple of ``pi**(-m)``.
-Floating point appears only when a value is rendered for display.
+scalar is :class:`fractions.Fraction`: arbitrary precision, always in
+lowest terms, positive denominator.  Final results are carried as
+:class:`PiValue`, a rational multiple of ``pi**(-m)``.  Floating point
+appears only when a value is rendered for display.
 
 Bernoulli convention: ``bernoulli(1) == -1/2`` (the generating function
 ``x/(e^x - 1)``).  Only even indices are consumed downstream, where both
@@ -21,14 +21,9 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "PiValue",
     "bernoulli",
-    "binomial",
-    "half_gamma",
     "MAX_DIMENSION",
     "check_dimension",
 ]
@@ -113,28 +108,6 @@ def bernoulli(m: int) -> Fraction:
     sign = 1 if n % 2 == 1 else -1
     four_n = 1 << (2 * n)
     return Fraction(sign * 2 * n * t_n, four_n * (four_n - 1))
-
-
-def binomial(n: int, k: int) -> Fraction:
-    """Binomial coefficient C(n, k); zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError("binomial requires nonnegative n")
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
-
-
-def half_gamma(n: int) -> Fraction:
-    """Gamma(n/2) = (n/2 - 1)! for even n >= 2.
-
-    Odd dimensions are out of scope, so odd n is rejected rather than
-    silently promoted to a half-integer gamma value.
-    """
-    if n % 2 != 0:
-        raise ValueError("half_gamma is defined for even n only (odd dimensions out of scope)")
-    if n < 2:
-        raise ValueError("half_gamma requires n >= 2")
-    return Fraction(math.factorial(n // 2 - 1))
 
 
 # --- Pi-power values --------------------------------------------------------

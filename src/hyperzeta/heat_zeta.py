@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from ._kernels import fallback as quadrature
-from .exact import binomial
 from .manifold import ManifoldData, _trivial_weights
 from .plancherel import miatello_coefficients
 
@@ -180,7 +179,7 @@ def _geodesic_amplitudes(manifold: ManifoldData, p: int) -> tuple[list, list]:
     if None in c_values:
         weights = iter(_trivial_weights(n, [t for t, c in zip(lengths, c_values) if c is None]))
         c_values = [next(weights) if c is None else c for c in c_values]
-    trivial = float(binomial(n - 1, p))
+    trivial = float(math.comb(n - 1, p))
     characters = itertools.repeat(trivial)
     if holonomy.count(None) != len(holonomy):
         characters = [trivial if h is None else h[p] for h in holonomy]
@@ -625,7 +624,7 @@ def identity_zeta_term(manifold: ManifoldData, p: int) -> float:
     n, alpha = _sector(manifold, p)
     if not manifold.chi_one:
         return 0.0
-    norm = _plancherel_norm(n // 2) * float(binomial(n - 1, p)) * manifold.chi_one
+    norm = _plancherel_norm(n // 2) * float(math.comb(n - 1, p)) * manifold.chi_one
     value = norm * manifold.volume / (4.0 * math.pi) * zeta_moment_continued(n // 2, p, alpha)
     return _normal_sum("identity zeta value at s=0", value, [manifold.chi_one])
 

@@ -29,7 +29,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .exact import MAX_DIMENSION, Rational, binomial, check_dimension, half_gamma
+from .exact import MAX_DIMENSION, check_dimension
 
 __all__ = [
     "integer_coefficients",
@@ -69,7 +69,7 @@ def integer_coefficients(k: int, p: int) -> tuple[int, ...]:
     return ints
 
 
-def miatello_coefficients(k: int, p: int) -> tuple[Rational, ...]:
+def miatello_coefficients(k: int, p: int) -> tuple[Fraction, ...]:
     """Coefficients a_0, a_2, ..., a_{2(k-1)} of P_p in powers of r^2.
 
     The Fraction view of integer_coefficients, each integer over 4^(k-1):
@@ -111,11 +111,11 @@ def plancherel_density(k: int, p: int, r: float) -> float:
     if not math.isfinite(r):
         raise ValueError("r must be finite")
     try:
-        norm = math.pi / (2.0 ** (4 * k - 4) * float(half_gamma(2 * k)) ** 2)
+        norm = math.pi / (2.0 ** (4 * k - 4) * float(math.factorial(k - 1)) ** 2)
     except OverflowError:
         norm = 0.0
-    chi = binomial(2 * k - 1, p)  # symmetric in p <-> 2k-1-p already
-    coeffs = miatello_coefficients(k, p)
+    coeffs = miatello_coefficients(k, p)  # checks p, so a bad p is named before math.comb sees it
+    chi = math.comb(2 * k - 1, p)  # symmetric in p <-> 2k-1-p already
     if r == 0.0:
         return 0.0
     if norm >= sys.float_info.min:
@@ -131,7 +131,7 @@ def plancherel_density(k: int, p: int, r: float) -> float:
     return _density_rounded_once(k, r, chi, coeffs)
 
 
-def _density_rounded_once(k: int, r: float, chi: Fraction, coeffs) -> float:
+def _density_rounded_once(k: int, r: float, chi: int, coeffs) -> float:
     # r P_p(r^2) C(2k-1, p) tanh(pi r) / (2^(4k-4) Gamma(k)^2) exactly, then
     # times pi with the binary exponent split off, so nothing overflows
     x = Fraction(r)
@@ -139,7 +139,7 @@ def _density_rounded_once(k: int, r: float, chi: Fraction, coeffs) -> float:
     poly = Fraction(0)
     for c in reversed(coeffs):
         poly = poly * x2 + c
-    exact = x * poly * chi * Fraction(tanh_pi(r)) / (2 ** (4 * k - 4) * half_gamma(2 * k) ** 2)
+    exact = x * poly * chi * Fraction(tanh_pi(r)) / (2 ** (4 * k - 4) * math.factorial(k - 1) ** 2)
     e = exact.numerator.bit_length() - exact.denominator.bit_length()
     try:
         value = math.ldexp(float(exact * Fraction(2) ** -e) * math.pi, e)

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import mpmath
 
-from hyperzeta.exact import Rational, bernoulli
+from hyperzeta.exact import bernoulli
 from hyperzeta.verify import CheckResult
 
 
@@ -42,7 +42,7 @@ def _series_terms(ell: int, t: Fraction) -> Iterator[tuple[int, int]]:
         t_den *= t.denominator * (k + 1)
 
 
-def tanh_moment_series_exact(ell: int, t: Rational) -> tuple[Fraction, Fraction, int]:
+def tanh_moment_series_exact(ell: int, t: Fraction) -> tuple[Fraction, Fraction, int]:
     """Exact-core evaluation of the odd tanh moment's asymptotic expansion.
 
     integral over R of r^(2l+1) e^(-t r^2) tanh(pi r) dr

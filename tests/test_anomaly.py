@@ -25,7 +25,7 @@ from hyperzeta.anomaly import (
     generate_table,
     zeta_identity_zero_total,
 )
-from hyperzeta.exact import PiValue, bernoulli, half_gamma
+from hyperzeta.exact import PiValue, bernoulli
 from hyperzeta.plancherel import miatello_coefficients
 
 
@@ -134,7 +134,7 @@ def fraction_loop_scalar(n):
         w = Fraction((-1) ** (ell + 1), ell + 1)
         bern = (1 - Fraction(1, 2 ** (2 * ell + 1))) * bernoulli(2 * (ell + 1))
         total += w * coeffs[ell] * (Fraction(1, 2 ** (2 * ell + 2)) + bern)
-    return PiValue(Fraction(1, 4**k) / half_gamma(n) * total, k)
+    return PiValue(Fraction(1, 4**k) / math.factorial(n // 2 - 1) * total, k)
 
 
 class TestScalarClosedForm:

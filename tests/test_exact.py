@@ -1,4 +1,4 @@
-"""Exact-arithmetic layer: Bernoulli numbers, binomials, PiValue."""
+"""Exact-arithmetic layer: Bernoulli numbers, PiValue."""
 
 import math
 from fractions import Fraction
@@ -12,9 +12,7 @@ from hyperzeta.exact import (
     MAX_DIMENSION,
     PiValue,
     bernoulli,
-    binomial,
     check_dimension,
-    half_gamma,
 )
 
 
@@ -46,7 +44,7 @@ class TestBernoulli:
     def test_defining_recurrence(self):
         # sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1 (holds with B_1 = -1/2)
         for m in range(1, 41):
-            total = sum(binomial(m + 1, j) * bernoulli(j) for j in range(m + 1))
+            total = sum(math.comb(m + 1, j) * bernoulli(j) for j in range(m + 1))
             assert total == 0, f"m={m}"
 
     def test_sign_pattern(self):
@@ -55,33 +53,6 @@ class TestBernoulli:
 
     def test_large_index_extends_cache(self):
         assert bernoulli(60).denominator == 56786730
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(3, 0) == 1
-        assert binomial(3, 1) == 3
-        assert binomial(9, 4) == 126
-
-    def test_outside_range_is_zero(self):
-        assert binomial(3, -1) == 0
-        assert binomial(3, 4) == 0
-
-    def test_pascal_triangle(self):
-        for n in range(1, 20):
-            for k in range(n + 1):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-class TestHalfGamma:
-    def test_values(self):
-        assert half_gamma(2) == 1
-        assert half_gamma(4) == 1
-        assert half_gamma(10) == 24
-
-    def test_odd_rejected(self):
-        with pytest.raises(ValueError, match="odd dimensions"):
-            half_gamma(5)
 
 
 class TestCheckDimension:

@@ -26,7 +26,7 @@ from hyperzeta.anomaly import (
     zeta_identity_zero_total,
     zeta_moment_sum,
 )
-from hyperzeta.exact import MAX_DIMENSION, bernoulli, binomial
+from hyperzeta.exact import MAX_DIMENSION, bernoulli
 from hyperzeta.heat_zeta import (
     EmptySpectrumWarning,
     HeatTraceBreakdown,
@@ -462,7 +462,7 @@ class TestGeodesicAmplitudes:
         want = [
             g.chi / g.power * g.length
             * (trivial_holonomy_c(4, g.length) if g.c_value is None else g.c_value)
-            * (float(binomial(3, p)) if g.holonomy is None else g.holonomy[p])
+            * (float(math.comb(3, p)) if g.holonomy is None else g.holonomy[p])
             for g in data.geodesics
         ]
         assert [a.hex() for a in amps] == [a.hex() for a in want]

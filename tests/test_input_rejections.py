@@ -17,7 +17,7 @@ from hyperzeta import heat_zeta
 from hyperzeta._kernels import fallback as quadrature
 from hyperzeta.anomaly import AnomalySpec
 from hyperzeta.cli import main
-from hyperzeta.exact import PiValue, bernoulli, binomial, half_gamma
+from hyperzeta.exact import PiValue, bernoulli
 from hyperzeta.manifold import (
     GeodesicClass,
     ManifoldData,
@@ -113,13 +113,11 @@ def test_published_zero_matches_only_zero():
 
 @pytest.mark.parametrize("call,message", [
     (lambda: bernoulli(-1), "Bernoulli index must be nonnegative"),
-    (lambda: binomial(-1, 0), "binomial requires nonnegative n"),
-    (lambda: half_gamma(0), "half_gamma requires n >= 2"),
     (lambda: PiValue.parse("pi"), "not a PiValue string: 'pi'"),
     (lambda: PiValue(Fraction(1)).render_float(0), "digits must be positive"),
     (lambda: AnomalySpec(dimension=4, form_order=0, alpha=Fraction(1), radius_power_scale=0),
      "radius power scale must be positive"),
-], ids=["bernoulli", "binomial", "half-gamma", "parse", "render-float", "radius-power-scale"])
+], ids=["bernoulli", "parse", "render-float", "radius-power-scale"])
 def test_exact_core_argument_rejected(call, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
         call()

@@ -156,37 +156,51 @@ def test_top_level_imports_guard(source, found):
     assert top_level_imports(ast.parse(source)) == found
 
 
+# the exports the package root defines itself, as plain constants
+ROOT_EXPORTS = {"__version__", "BACKEND"}
+
+
 def test_every_export_has_one_source():
-    assert set(hyperzeta._SOURCES) == set(hyperzeta.__all__) - {"__version__"}
+    assert set(hyperzeta._SOURCES) == set(hyperzeta.__all__) - ROOT_EXPORTS
+    assert ROOT_EXPORTS <= set(hyperzeta.__all__) & set(vars(hyperzeta))
 
 
-# runs the command line as `python -m hyperzeta` does, then prints the
-# hyperzeta and mpmath modules that the process loaded
+# runs the command line as `python -m hyperzeta` does (no command for an
+# empty argv), reads the named attributes of the package root, then prints
+# the exit code, their values and the hyperzeta and mpmath modules that the
+# process loaded
 _PROBE = """
-import json, runpy, sys
-sys.argv = ["hyperzeta", *json.loads(sys.argv[1])]
-try:
-    runpy.run_module("hyperzeta", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-else:
-    code = None
-print(json.dumps([code, sorted(
+import importlib, json, runpy, sys
+argv, read = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+code = None
+if argv:
+    sys.argv = ["hyperzeta", *argv]
+    try:
+        runpy.run_module("hyperzeta", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+root = importlib.import_module("hyperzeta")
+print(json.dumps([code, {name: getattr(root, name) for name in read}, sorted(
     m for m in sys.modules if m.partition(".")[0] in ("hyperzeta", "mpmath")
 )]))
 """
 
 
-def loaded_modules(argv: list[str]) -> tuple[object, list[str]]:
+def probe(argv: list[str], read: tuple[str, ...] = ()) -> tuple[object, dict, list[str]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        [sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(read)],
         capture_output=True, text=True, env=env, check=True,
     )
-    code, modules = json.loads(done.stdout.splitlines()[-1])
+    code, values, modules = json.loads(done.stdout.splitlines()[-1])
+    return code, values, modules
+
+
+def loaded_modules(argv: list[str]) -> tuple[object, list[str]]:
+    code, _, modules = probe(argv)
     return code, modules
 
 
@@ -206,6 +220,21 @@ def test_exact_commands_load_no_numeric_module(argv):
     numeric = {f"hyperzeta.{m}" for m in NUMERIC_HALF} | {"hyperzeta._kernels.fallback"}
     assert (numeric | {"mpmath"}) & set(modules) == set()
     assert USED[argv[0]] in modules
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["anomaly", "--dim", "10", "--form", "2"],
+    ["table", "--which", "table2"],
+], ids=["no-command", "anomaly", "table"])
+def test_backend_read_loads_no_quadrature_module(argv):
+    # perfbench records hyperzeta.BACKEND in every workload's process; it is
+    # a constant of the package root, so the read loads no quadrature code
+    code, values, modules = probe(argv, ("BACKEND",))
+    assert code == (0 if argv else None)
+    assert values == {"BACKEND": "python"}
+    assert "hyperzeta" in modules
+    assert [m for m in modules if m.startswith("hyperzeta._kernels")] == []
 
 
 def test_verify_loads_no_mpmath():

@@ -208,6 +208,36 @@ class TestDensity:
             plancherel_density(3, 1, r), prefactor * float(exact), rel_tol=1e-14
         )
 
+    def test_character_is_a_row_of_pascals_triangle(self):
+        # mu_p / P_p(r^2) is C(2k-1, p) times a factor free of p; the row is
+        # built by additions, so math.comb is not its own reference
+        r = 0.7
+        for k in range(1, 13):
+            row = [1]
+            for _ in range(2 * k - 1):
+                row = [a + b for a, b in zip(row + [0], [0] + row)]
+            polys = [
+                float(horner(miatello_coefficients(k, p), Fraction(r) ** 2)) for p in range(2 * k)
+            ]
+            base = plancherel_density(k, 0, r) / polys[0]
+            for p in range(2 * k):
+                got = plancherel_density(k, p, r) / polys[p]
+                assert math.isclose(got, row[p] * base, rel_tol=1e-13), (k, p)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 75, 76, MAX_DIMENSION // 2])
+    def test_normalisation_is_gamma_of_half_the_dimension(self, k):
+        # pi / (2^(4k-4) Gamma(n/2)^2) with Gamma taken by mpmath at n/2 = k,
+        # on both sides of k = 75, where the float normalisation gives way
+        # to the exact product
+        r = 0.3
+        with mpmath.workdps(30):
+            gamma = mpmath.gamma(mpmath.mpf(2 * k) / 2)
+            norm = mpmath.pi / (mpmath.mpf(2) ** (4 * k - 4) * gamma**2)
+            exact = horner(miatello_coefficients(k, 0), Fraction(r) ** 2)
+            poly = mpmath.mpf(exact.numerator) / exact.denominator
+            want = norm * r * poly * mpmath.tanh(mpmath.pi * r)
+        assert abs(plancherel_density(k, 0, r) - want) <= 1e-14 * want
+
     @pytest.mark.parametrize(
         "n,p,r", [(150, 0, 1000.0), (150, 74, 1000.0), (100, 3, 3000.0), (2, 0, 1e300)]
     )
@@ -240,6 +270,12 @@ class TestDensity:
     def test_nonfinite_r_rejected(self):
         with pytest.raises(ValueError):
             plancherel_density(2, 0, float("nan"))
+
+    @pytest.mark.parametrize("p", [-1, 4])
+    def test_form_order_outside_rejected(self, p):
+        # p is checked before C(2k-1, p) is taken, so math.comb never names it
+        with pytest.raises(ValueError, match=rf"^form order p={p} outside 0\.\.3 for n=4$"):
+            plancherel_density(2, p, 0.3)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match=f"MAX_DIMENSION={MAX_DIMENSION}"):
